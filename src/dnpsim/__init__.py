@@ -84,7 +84,6 @@ from .protocols import (
     pulsepol_for_period,
     pulsepol_sequence,
     resonant_period,
-    sequence_table,
 )
 from .spins import (
     KHZ_TO_RAD_PER_US,

@@ -6,13 +6,16 @@ repetition protocol on one evolving state) and ``compare`` (closed-form
 resonance table against the engine's conventions).
 
 Exit codes: 0 on success, 1 for configuration or argument problems, 2 for
-numerical failures.
+numerical failures, 141 (the status of a writer killed by SIGPIPE) when the
+reader of stdout closes it early, as ``| head`` does; that last case prints
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from functools import partial
 from math import pi
@@ -293,7 +296,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--rabi", type=float, default=None,
         help="finite-pulse Rabi frequency in rad/us (default: ideal pulses)",
     )
-    sub.add_argument("--workers", type=int, default=1, help="process count for sweeps")
+    sub.add_argument(
+        "--workers", type=int, default=1,
+        help="process count for spectrum (sweeps run batched in one process)",
+    )
 
 
 def _add_grid(sub: argparse.ArgumentParser) -> None:
@@ -353,7 +359,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # Point stdout at /dev/null so that the interpreter's final flush
+        # of the unwritten buffer cannot raise a second time at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

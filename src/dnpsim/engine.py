@@ -6,27 +6,69 @@ interval under the Hamiltonian conditioned on the fresh electron state and
 re-tensors that electron state back on. Nuclear polarisations are recorded
 once per repetition at the end of that cycle.
 
-Sweeps and schedules layer loops over single runs: a sweep runs the same
-burst pattern at many periods from a fresh thermal state each time; a
-schedule chains stages at different periods on one evolving state.
+Because the electron always enters a burst in its reset state r, a
+repetition acts on the nuclear state alone as the two-operator Kraus map
+
+    rho_n -> sum_a K_a rho_n K_a^dag,   K_a = u_wait U_burst[a, r],
+
+where U_burst[a, r] is the nuclear block of the burst propagator taking
+electron state r to a (operator-sum form, Nielsen & Chuang ch. 8). The
+loop carries only the 2^N-dim nuclear state, batched over a stack of
+independent runs; the joint electron-nuclei ``DensityState`` is built at
+the API boundary. The pair is checked once per run for completeness,
+sum_a K_a^dag K_a = I to 1e-10, and every repetition's nuclear state for
+hermiticity, unit trace and positivity to 1e-9, which is the same check as
+on the joint state |r><r| (x) rho_n: its spectrum is that of rho_n plus
+zeros, and its hermiticity defect and trace are those of rho_n.
+
+A sweep runs the same burst pattern at many periods from a fresh thermal
+state each time, all grid points in one batched loop; a schedule chains
+stages at different periods on one evolving state.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceCap, NoConvergence, NotHermitian, ValidationError
-from .linalg import kron, partial_trace
+from .errors import (
+    ConvergenceCap,
+    NoConvergence,
+    NotHermitian,
+    NotUnitary,
+    ValidationError,
+)
+from .linalg import kron
 from .protocols import PulseSequence, SequenceBuilder, period_unitary
-from .spins import SpinRegister, _embed, build_operators
+from .spins import SpinRegister, _embed
 
 STATE_TOL = 1e-9
+
+#: Bound on max |sum_a K_a^dag K_a - I| for a burst's Kraus pair.
+KRAUS_TOL = 1e-10
+
+#: Bytes a sweep may hold in Kraus stacks, states and their products at
+#: once; the grid is run in chunks of as many points as fit.
+_CHUNK_BYTES = 4 * 2**20
+
+
+def _check_states(rho: np.ndarray) -> None:
+    """Check a stack of density matrices for hermiticity, unit trace and
+    positivity to 1e-9; the first condition violated anywhere is raised."""
+    herm = float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
+    if herm > STATE_TOL:
+        raise NotHermitian(f"density matrix hermiticity defect {herm:.3e}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    worst = int(np.argmax(np.abs(tr - 1.0)))
+    if abs(tr[worst] - 1.0) > STATE_TOL:
+        raise NoConvergence(f"density matrix trace drifted to {tr[worst]:.12g}")
+    min_eig = float(np.min(np.linalg.eigvalsh(rho)[..., 0]))
+    if min_eig < -STATE_TOL:
+        raise NoConvergence(f"density matrix lost positivity: min eigenvalue {min_eig:.3e}")
 
 
 @dataclass(frozen=True)
@@ -48,23 +90,7 @@ class DensityState:
 
     def validate(self) -> None:
         """Check hermiticity, unit trace and positivity to 1e-9."""
-        rho = self.rho
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > STATE_TOL:
-            raise NotHermitian(f"density matrix hermiticity defect {herm:.3e}")
-        tr = rho.trace()
-        if abs(tr - 1.0) > STATE_TOL:
-            raise NoConvergence(f"density matrix trace drifted to {tr:.12g}")
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -STATE_TOL:
-            raise NoConvergence(f"density matrix lost positivity: min eigenvalue {min_eig:.3e}")
-
-    def nuclear_polarisations(self) -> np.ndarray:
-        """<I_z> per nucleus, ordered as the register lists them."""
-        ops = build_operators(self.register)
-        return np.array(
-            [float(np.real(np.trace(self.rho @ site.z))) for site in ops.nuclei]
-        )
+        _check_states(self.rho[None])
 
 
 @dataclass(frozen=True)
@@ -98,10 +124,25 @@ def initial_state(register: SpinRegister, reinit_state: int = 0) -> DensityState
     if reinit_state not in (0, 1):
         raise ValidationError(f"reinit_state: must be 0 or 1, got {reinit_state}")
     n_dim = register.dim // 2
+    rho = _reset_product(np.eye(n_dim, dtype=complex) / n_dim, reinit_state)
+    return DensityState(rho=rho, register=register)
+
+
+def _reset_product(rho_n: np.ndarray, reinit_state: int) -> np.ndarray:
+    """The joint density matrix |r><r| (x) rho_n."""
     electron = np.zeros((2, 2), dtype=complex)
     electron[reinit_state, reinit_state] = 1.0
-    rho = kron(electron, np.eye(n_dim, dtype=complex) / n_dim)
-    return DensityState(rho=rho, register=register)
+    return kron(electron, rho_n)
+
+
+def _reset_block(rho: np.ndarray, reinit_state: int) -> np.ndarray | None:
+    """rho_n if the joint ``rho`` is exactly |r><r| (x) rho_n, else None."""
+    d = rho.shape[0] // 2
+    blocks = rho.reshape(2, d, 2, d)
+    r = reinit_state
+    if np.any(blocks[1 - r]) or np.any(blocks[r, :, 1 - r]):
+        return None
+    return blocks[r, :, r].copy()
 
 
 @lru_cache(maxsize=64)
@@ -124,11 +165,76 @@ def _nuclear_wait_eig(register: SpinRegister, reinit_state: int):
     return w, v
 
 
-@lru_cache(maxsize=64)
-def _nuclear_z_ops(register: SpinRegister) -> tuple[np.ndarray, ...]:
-    n = len(register.nuclei)
-    iz2 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-    return tuple(_embed(iz2, i, n) for i in range(n))
+def _wait_unitary(run: ProtocolRun, register: SpinRegister) -> np.ndarray | None:
+    """Nuclear propagator of the wait interval, or None when there is none."""
+    if run.wait_us > 0 and register.nuclei:
+        w, v = _nuclear_wait_eig(register, run.reinit_state)
+        return (v * np.exp(-1j * w * run.wait_us)) @ v.conj().T
+    return None
+
+
+def _burst_unitary(run: ProtocolRun, register: SpinRegister) -> np.ndarray:
+    return np.linalg.matrix_power(period_unitary(run.sequence, register), run.n_periods)
+
+
+def _kraus_pair(
+    u_burst: np.ndarray, reinit_state: int, u_wait: np.ndarray | None
+) -> np.ndarray:
+    """The pair (K_0, K_1) as a (2, d, d) array owning its memory."""
+    d = u_burst.shape[0] // 2
+    blocks = u_burst.reshape(2, d, 2, d)[:, :, reinit_state, :]
+    return blocks.copy() if u_wait is None else u_wait @ blocks
+
+
+def _check_completeness(kraus: np.ndarray) -> None:
+    """Raise NotUnitary unless sum_a K_a^dag K_a = I to 1e-10 for every
+    pair in a (P, 2, d, d) stack."""
+    p, _, d, _ = kraus.shape
+    stacked = kraus.reshape(p, 2 * d, d)
+    gram = stacked.conj().swapaxes(-1, -2) @ stacked
+    dev = float(np.max(np.abs(gram - np.eye(d))))
+    if dev > KRAUS_TOL:
+        raise NotUnitary(f"Kraus pair is incomplete: max |sum K^dag K - I| = {dev:.3e}")
+
+
+def _polarisations(rho: np.ndarray) -> np.ndarray:
+    """<I_z> of every nucleus for a (..., d, d) stack of nuclear states.
+
+    I_z of nucleus i is diagonal: +1/2 where bit i of the basis index,
+    counted from the most significant of n bits, is 0, and -1/2 where it is 1.
+    """
+    d = rho.shape[-1]
+    n = d.bit_length() - 1
+    bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.real(np.diagonal(rho, axis1=-2, axis2=-1)) @ (0.5 - bits)
+
+
+def _repeat(
+    kraus: np.ndarray,
+    rho: np.ndarray,
+    repetitions: int,
+    check_state: bool,
+    history: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply each run's Kraus map ``repetitions`` times to its nuclear state.
+
+    ``kraus`` is a (P, 2, d, d) stack of pairs and ``rho`` a (P, d, d) stack
+    of states; the final states are returned. With ``history`` given, a
+    (P, repetitions, n) array, the polarisations after every repetition are
+    written into it.
+    """
+    p, _, d, _ = kraus.shape
+    # sum_a K_a (rho K_a^dag) as one product: the row block [K_0 K_1] times
+    # the column block [rho K_0^dag; rho K_1^dag].
+    k_row = kraus.transpose(0, 2, 1, 3).reshape(p, d, 2 * d)
+    k_dag = np.ascontiguousarray(kraus.conj().swapaxes(-1, -2))
+    for rep in range(repetitions):
+        rho = k_row @ (rho[:, None] @ k_dag).reshape(p, 2 * d, d)
+        if check_state:
+            _check_states(rho)
+        if history is not None:
+            history[:, rep] = _polarisations(rho)
+    return rho
 
 
 def run_protocol(
@@ -139,41 +245,38 @@ def run_protocol(
     """Execute the repetition loop; return the final state and the history.
 
     The history has shape (repetitions, n_nuclei): <I_z> of every nucleus
-    at the end of each repetition, after the wait and electron reset.
+    at the end of each repetition, after the wait and electron reset. A
+    start state that is not in reset-product form |r><r| (x) rho_n gets its
+    first repetition as one joint-space step.
     """
     if state is None:
         state = initial_state(register, run.reinit_state)
     elif state.register != register:
         raise ValidationError("state was built for a different register")
 
-    u = period_unitary(run.sequence, register)
-    u_burst = np.linalg.matrix_power(u, run.n_periods)
-    u_burst_dag = u_burst.conj().T
+    u_burst = _burst_unitary(run, register)
+    u_wait = _wait_unitary(run, register)
+    kraus = _kraus_pair(u_burst, run.reinit_state, u_wait)[None]
+    _check_completeness(kraus)
 
-    electron = np.zeros((2, 2), dtype=complex)
-    electron[run.reinit_state, run.reinit_state] = 1.0
-    dims = (2,) + (2,) * len(register.nuclei)
-    z_ops = _nuclear_z_ops(register)
-
-    if run.wait_us > 0 and register.nuclei:
-        w, v = _nuclear_wait_eig(register, run.reinit_state)
-        u_wait = (v * np.exp(-1j * w * run.wait_us)) @ v.conj().T
-    else:
-        u_wait = None
-
-    rho = state.rho
-    history = np.empty((run.repetitions, len(register.nuclei)))
-    for rep in range(run.repetitions):
-        rho = u_burst @ rho @ u_burst_dag
-        rho_nuc = partial_trace(rho, dims, 0)
+    history = np.empty((1, run.repetitions, len(register.nuclei)))
+    rho = _reset_block(state.rho, run.reinit_state)
+    done = 0
+    if rho is None:
+        d = u_burst.shape[0] // 2
+        joint = u_burst @ state.rho @ u_burst.conj().T
+        rho = joint[:d, :d] + joint[d:, d:]
         if u_wait is not None:
-            rho_nuc = u_wait @ rho_nuc @ u_wait.conj().T
-        rho = kron(electron, rho_nuc)
+            rho = u_wait @ rho @ u_wait.conj().T
         if run.check_state:
-            DensityState(rho=rho, register=register).validate()
-        for i, z in enumerate(z_ops):
-            history[rep, i] = float(np.real(np.trace(rho_nuc @ z)))
-    return DensityState(rho=rho, register=register), history
+            _check_states(rho[None])
+        history[0, 0] = _polarisations(rho)
+        done = 1
+    rho = _repeat(
+        kraus, rho[None], run.repetitions - done, run.check_state, history[:, done:]
+    )
+    final = DensityState(rho=_reset_product(rho[0], run.reinit_state), register=register)
+    return final, history[0]
 
 
 @dataclass(frozen=True)
@@ -204,29 +307,6 @@ class PolarisationTrace:
         return self.values.sum(axis=1)
 
 
-def _sweep_point(
-    builder: SequenceBuilder,
-    register: SpinRegister,
-    t: float,
-    n_periods: int,
-    repetitions: int,
-    wait_us: float,
-    reinit_state: int,
-    check_state: bool,
-) -> tuple[float, np.ndarray]:
-    seq = builder(t)
-    run = ProtocolRun(
-        sequence=seq,
-        n_periods=n_periods,
-        repetitions=repetitions,
-        wait_us=wait_us,
-        reinit_state=reinit_state,
-        check_state=check_state,
-    )
-    _, history = run_protocol(run, register)
-    return seq.period, history[-1]
-
-
 def sweep_trace(
     builder: SequenceBuilder,
     register: SpinRegister,
@@ -241,28 +321,47 @@ def sweep_trace(
     """Run the repetition loop from a fresh thermal state at every period.
 
     ``builder`` maps each grid value to a PulseSequence; the trace axis
-    records the period of the sequence actually built. With workers > 1
-    the points are farmed out to a process pool; results keep grid order
-    either way.
+    records the period of the sequence actually built. All points run in
+    one batched repetition loop in this process, in chunks that fit
+    ``_CHUNK_BYTES``; ``workers`` is validated but does not change the
+    work or the result.
     """
     periods = np.asarray(periods, dtype=float)
     if periods.ndim != 1 or periods.size == 0:
         raise ValidationError("periods: need a non-empty 1-d grid")
     if workers < 1:
         raise ValidationError(f"workers: must be >= 1, got {workers}")
-    args = [
-        (builder, register, float(t), n_periods, repetitions, wait_us, reinit_state, check_state)
+    runs = [
+        ProtocolRun(
+            sequence=builder(float(t)),
+            n_periods=n_periods,
+            repetitions=repetitions,
+            wait_us=wait_us,
+            reinit_state=reinit_state,
+            check_state=check_state,
+        )
         for t in periods
     ]
-    if workers == 1:
-        results = [_sweep_point(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, *zip(*args)))
-    axis = np.array([r[0] for r in results])
-    values = np.vstack([r[1] for r in results])
+    d = register.dim // 2
+    u_wait = _wait_unitary(runs[0], register)
+    # Per point: the pair, its row-block and adjoint copies (two d x d
+    # complex matrices each), the state, the intermediate product (two) and
+    # the next state: ten matrices of 16 d^2 bytes.
+    chunk = max(1, _CHUNK_BYTES // (10 * 16 * d * d))
+    values = []
+    for start in range(0, len(runs), chunk):
+        kraus = np.stack(
+            [
+                _kraus_pair(_burst_unitary(run, register), reinit_state, u_wait)
+                for run in runs[start : start + chunk]
+            ]
+        )
+        _check_completeness(kraus)
+        rho = np.broadcast_to(np.eye(d, dtype=complex) / d, kraus.shape[:1] + (d, d))
+        values.append(_polarisations(_repeat(kraus, rho, repetitions, check_state)))
+    axis = np.array([run.sequence.period for run in runs])
     labels = tuple(s.label for s in register.nuclei)
-    return PolarisationTrace(periods=axis, labels=labels, values=values)
+    return PolarisationTrace(periods=axis, labels=labels, values=np.vstack(values))
 
 
 @dataclass(frozen=True)

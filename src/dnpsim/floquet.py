@@ -9,13 +9,14 @@ overlap assignment becomes ambiguous.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, ValidityWarning
 from .linalg import unitary_eigensolve
 from .protocols import SequenceBuilder, period_unitary
 from .spins import SpinRegister, build_operators
@@ -73,14 +74,20 @@ def _stitch(
     t_a: float,
     t_b: float,
     depth: int,
+    capped: list[float],
 ) -> np.ndarray:
+    """Branch permutation from a to b; the worst overlap of every interval
+    accepted at the depth cap below STITCH_OVERLAP is appended to capped."""
     perm, worst = _greedy_match(a.vectors, b.vectors)
-    if worst >= STITCH_OVERLAP or depth >= MAX_REFINE_DEPTH:
+    if worst >= STITCH_OVERLAP:
+        return perm
+    if depth >= MAX_REFINE_DEPTH:
+        capped.append(worst)
         return perm
     t_mid = 0.5 * (t_a + t_b)
     mid = _spectrum_point(builder, register, t_mid)
-    left = _stitch(a, mid, builder, register, t_a, t_mid, depth + 1)
-    right = _stitch(mid, b, builder, register, t_mid, t_b, depth + 1)
+    left = _stitch(a, mid, builder, register, t_a, t_mid, depth + 1, capped)
+    right = _stitch(mid, b, builder, register, t_mid, t_b, depth + 1, capped)
     return right[left]
 
 
@@ -114,7 +121,9 @@ def compute_spectrum(
     The stored period axis holds each built sequence's own period, which
     tracks the grid as long as the builder does. Neighbouring points whose
     greedy overlap assignment dips below 0.9 are refined by bisection up
-    to 6 levels before the assignment is accepted.
+    to 6 levels before the assignment is accepted; if any interval is
+    still ambiguous at that depth, one ValidityWarning gives their number
+    and the worst overlap accepted.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -142,13 +151,22 @@ def compute_spectrum(
     vectors[0] = points[0].vectors
     prev = points[0]
     prev_perm = np.arange(dim)
+    capped: list[float] = []
     for i in range(1, grid.size):
-        step = _stitch(prev, points[i], builder, register, grid[i - 1], grid[i], 0)
+        step = _stitch(prev, points[i], builder, register, grid[i - 1], grid[i], 0, capped)
         perm = step[prev_perm]
         phases[i] = points[i].phases[perm]
         vectors[i] = points[i].vectors[:, perm]
         prev = points[i]
         prev_perm = perm
+    if capped:
+        warnings.warn(
+            f"{len(capped)} stitch interval(s) reached refinement depth "
+            f"{MAX_REFINE_DEPTH} with eigenvector overlap down to {min(capped):.3f} "
+            f"< {STITCH_OVERLAP}; branch assignment there is a greedy guess",
+            ValidityWarning,
+            stacklevel=2,
+        )
     axis = np.array([p.period for p in points])
     return FloquetSpectrum(periods=axis, phases=phases, vectors=vectors, register=register)
 

@@ -302,23 +302,6 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
     return u
 
 
-def sequence_table(seq: PulseSequence) -> str:
-    """Human-readable timing table of one period, for debugging."""
-    lines = [f"{seq.label}  T = {seq.period:.6g} us  (k = {seq.harmonic})"]
-    lines.append(f"{'start':>12} {'end':>12}  {'event':<10} {'angle':>8} {'phase':>8}")
-    t = 0.0
-    for e in seq.events:
-        t_end = t + e.duration
-        if e.kind is EventKind.ROTATION:
-            lines.append(
-                f"{t:12.6f} {t_end:12.6f}  rotation  {e.angle:8.4f} {e.phase:8.4f}"
-            )
-        else:
-            lines.append(f"{t:12.6f} {t_end:12.6f}  free      {'-':>8} {'-':>8}")
-        t = t_end
-    return "\n".join(lines)
-
-
 # Half-tau window values of the toggled S_x (f1) and S_y (f2) coefficients
 # over [0, 4 tau). f2 is f1 delayed by tau: the second half of each bracket
 # repeats the first half's envelope with the X and Y roles exchanged.

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import filecmp
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -156,3 +159,29 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     )
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early (``dnpsim spectrum ... | head -2``) must not
+    produce a traceback. The read end of the pipe is closed before the
+    command starts, so its first write fails every time."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "dnpsim.cli", "spectrum",
+                "--config", str(CONFIG_DIR / "c3_c4_c8.yaml"),
+                "--t-start", "6.6", "--t-stop", "7.2", "--steps", "41",
+                "--gap-threshold", "0.5",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141

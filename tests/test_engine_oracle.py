@@ -1,0 +1,136 @@
+"""The nuclear-space Kraus loop against the joint-space reference engine."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_engine as ref
+from dnpsim import (
+    DensityState,
+    NuclearSpin,
+    ProtocolRun,
+    SpinRegister,
+    pulsepol_for_period,
+    run_protocol,
+    sweep_trace,
+)
+from dnpsim import engine
+from dnpsim.errors import NotUnitary
+
+from conftest import LARMOR
+
+TOL = 1e-10
+
+registers = st.lists(
+    st.tuples(st.floats(-0.4, 0.4), st.floats(0.0, 0.4)), min_size=1, max_size=3
+).map(
+    lambda rows: SpinRegister(
+        larmor=LARMOR,
+        nuclei=tuple(NuclearSpin(f"N{i}", a_par, a_perp) for i, (a_par, a_perp) in enumerate(rows)),
+    )
+)
+# Finite pulses at 100 rad/us stay above 100x the largest a_perp drawn, so
+# the period map emits no validity warning.
+pulse_rabi = st.sampled_from([None, 100.0])
+waits = st.one_of(st.just(0.0), st.floats(0.1, 5.0))
+
+
+@st.composite
+def runs(draw):
+    return ProtocolRun(
+        sequence=pulsepol_for_period(draw(st.floats(5.0, 8.0)), rabi=draw(pulse_rabi)),
+        n_periods=draw(st.integers(1, 6)),
+        repetitions=draw(st.integers(1, 20)),
+        wait_us=draw(waits),
+        reinit_state=draw(st.integers(0, 1)),
+    )
+
+
+def assert_matches(got, want):
+    (state, history), (ref_state, ref_history) = got, want
+    assert np.max(np.abs(history - ref_history)) <= TOL
+    assert np.max(np.abs(state.rho - ref_state.rho)) <= TOL
+    assert abs(np.trace(state.rho) - 1.0) <= TOL
+    assert np.all(np.abs(history) <= 0.5 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(register=registers, run=runs())
+def test_fresh_run_matches_reference(register, run):
+    assert_matches(run_protocol(run, register), ref.run_protocol(run, register))
+
+
+@settings(max_examples=30, deadline=None)
+@given(register=registers, first=runs(), second=runs())
+def test_run_from_previous_state_matches_reference(register, first, second):
+    state, _ = run_protocol(first, register)
+    assert_matches(run_protocol(second, register, state), ref.run_protocol(second, register, state))
+
+
+@settings(max_examples=30, deadline=None)
+@given(register=registers, run=runs(), seed=st.integers(0, 2**32 - 1))
+def test_joint_start_state_matches_reference(register, run, seed):
+    """A start state with electron coherence is not in reset-product form."""
+    rng = np.random.default_rng(seed)
+    dim = register.dim
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    state = DensityState(rho=rho / np.trace(rho), register=register)
+    assert_matches(run_protocol(run, register, state), ref.run_protocol(run, register, state))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    register=registers,
+    periods=st.lists(st.floats(5.0, 8.0), min_size=2, max_size=4),
+    n_periods=st.integers(1, 6),
+    repetitions=st.integers(1, 20),
+    wait_us=waits,
+    reinit_state=st.integers(0, 1),
+    rabi=pulse_rabi,
+)
+def test_sweep_matches_per_point_reference(
+    register, periods, n_periods, repetitions, wait_us, reinit_state, rabi
+):
+    def builder(t):
+        return pulsepol_for_period(t, rabi=rabi)
+
+    trace = sweep_trace(
+        builder, register, np.array(periods), n_periods, repetitions, wait_us, reinit_state
+    )
+    for t, values in zip(periods, trace.values):
+        run = ProtocolRun(builder(t), n_periods, repetitions, wait_us, reinit_state)
+        _, history = ref.run_protocol(run, register)
+        assert np.max(np.abs(values - history[-1])) <= TOL
+    assert np.all(np.abs(trace.values) <= 0.5 + 1e-12)
+
+
+def test_sweep_chunks_do_not_change_the_trace(reg_c3_c21, monkeypatch):
+    periods = np.linspace(6.6, 7.0, 7)
+    whole = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)  # one point per chunk
+    split = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
+    assert np.max(np.abs(whole.values - split.values)) <= 1e-12
+
+
+def test_incomplete_kraus_pair_is_caught(reg_c3_c21, monkeypatch):
+    run = ProtocolRun(pulsepol_for_period(6.8), n_periods=4, repetitions=3)
+    u_burst = engine._burst_unitary(run, reg_c3_c21)
+    kraus = engine._kraus_pair(u_burst, 0, None)[None]
+    engine._check_completeness(kraus)
+    bad = kraus.copy()
+    bad[0, 0] += 1e-6 * np.eye(bad.shape[-1])
+    with pytest.raises(NotUnitary):
+        engine._check_completeness(bad)
+
+    # a slightly non-unitary period map must stop both entry points
+    real_period_unitary = engine.period_unitary
+    monkeypatch.setattr(
+        engine, "period_unitary", lambda seq, reg: real_period_unitary(seq, reg) * (1 + 1e-8)
+    )
+    with pytest.raises(NotUnitary):
+        run_protocol(run, reg_c3_c21)
+    with pytest.raises(NotUnitary):
+        sweep_trace(pulsepol_for_period, reg_c3_c21, np.array([6.8, 6.9]), 4, 3)

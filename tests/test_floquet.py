@@ -13,7 +13,8 @@ from dnpsim import (
     resonant_period,
     write_spectrum_csv,
 )
-from dnpsim.errors import ValidationError
+from dnpsim import floquet
+from dnpsim.errors import ValidationError, ValidityWarning
 
 from conftest import LARMOR, make_register
 
@@ -92,6 +93,21 @@ def test_blockade_pair_leaves_mixed_crossing_in_displaced_window():
     near = [cr for cr in crossings if 5.6 <= cr.period <= 5.85]
     assert near
     assert min(cr.gap for cr in near) < 0.05
+
+
+def test_stitching_warns_once_at_the_depth_cap(monkeypatch):
+    """Three points across the C21 crossing leave both intervals below the
+    overlap threshold; with refinement switched off both are accepted at
+    the cap, and one warning reports them."""
+    reg = make_register("C21")
+    t_r = resonant_period(precession_frequency(reg.nuclei[0], LARMOR))
+    monkeypatch.setattr(floquet, "MAX_REFINE_DEPTH", 0)
+    with pytest.warns(ValidityWarning) as record:
+        compute_spectrum(pulsepol_for_period, reg, np.linspace(t_r - 0.12, t_r + 0.12, 3))
+    assert len(record) == 1
+    message = str(record[0].message)
+    assert message.startswith("2 stitch interval(s) reached refinement depth 0")
+    assert "overlap down to 0.78" in message
 
 
 def test_spectrum_csv(tmp_path, c21_spectrum):
