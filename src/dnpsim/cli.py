@@ -72,6 +72,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout has gone."""
+
+
+def _say(line: str) -> None:
+    """Print one line to stdout; raise _StdoutClosed if its reader has gone."""
+    try:
+        print(line)
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
+
+
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
@@ -142,12 +154,12 @@ def _cmd_sweep(args) -> int:
         _write_sweep_csv(args.out, trace.periods, trace.labels, values)
     m = int(np.argmax(total))
     t_peak, v_peak = _refine_extremum(trace.periods, total, m)
-    print(f"points: {trace.periods.size}")
-    print(f"peak: period_us={_fmt(t_peak)} tau_us={_fmt(t_peak / 4.0)} total={_fmt(v_peak)}")
+    _say(f"points: {trace.periods.size}")
+    _say(f"peak: period_us={_fmt(t_peak)} tau_us={_fmt(t_peak / 4.0)} total={_fmt(v_peak)}")
     for t_dip, v_dip in _find_dips(trace.periods, total):
-        print(f"dip: period_us={_fmt(t_dip)} tau_us={_fmt(t_dip / 4.0)} total={_fmt(v_dip)}")
+        _say(f"dip: period_us={_fmt(t_dip)} tau_us={_fmt(t_dip / 4.0)} total={_fmt(v_dip)}")
     if args.out:
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     return 0
 
 
@@ -158,16 +170,16 @@ def _cmd_spectrum(args) -> int:
     if args.out:
         write_spectrum_csv(spectrum, args.out)
     crossings = find_crossings(spectrum, gap_threshold=args.gap_threshold)
-    print(f"branches: {spectrum.dim}  points: {spectrum.periods.size}")
-    print(f"crossings below gap {args.gap_threshold}: {len(crossings)}")
+    _say(f"branches: {spectrum.dim}  points: {spectrum.periods.size}")
+    _say(f"crossings below gap {args.gap_threshold}: {len(crossings)}")
     for c in crossings:
         who = ", ".join(f"{label} ({w:.3f})" for label, w in c.participants)
-        print(
+        _say(
             f"crossing: period_us={_fmt(c.period)} gap={_fmt(c.gap)} "
             f"branches={c.branch_a},{c.branch_b} spins: {who}"
         )
     if args.out:
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     return 0
 
 
@@ -211,12 +223,12 @@ def _cmd_schedule(args) -> int:
                 row.append(_fmt(float(values[i].sum())))
                 writer.writerow(row)
     final = values[-1]
-    print(f"stages: {len(stages)}  repetitions: {result.times.size}")
-    print(f"elapsed_us: {_fmt(float(result.times[-1]))}")
-    print("final: " + "  ".join(f"{n}={_fmt(x)}" for n, x in zip(result.labels, final)))
-    print(f"final total: {_fmt(float(final.sum()))}")
+    _say(f"stages: {len(stages)}  repetitions: {result.times.size}")
+    _say(f"elapsed_us: {_fmt(float(result.times[-1]))}")
+    _say("final: " + "  ".join(f"{n}={_fmt(x)}" for n, x in zip(result.labels, final)))
+    _say(f"final total: {_fmt(float(final.sum()))}")
     if args.out:
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     return 0
 
 
@@ -229,8 +241,8 @@ def _cmd_compare(args) -> int:
     else:
         strong_spin = max(register.nuclei, key=lambda s: s.a_perp)
     k = args.harmonic
-    print(f"blockade spin: {strong_spin.label}  harmonic: k={k}")
-    print(
+    _say(f"blockade spin: {strong_spin.label}  harmonic: k={k}")
+    _say(
         f"{'label':<8} {'omega_i':>10} {'T_r':>10} {'g':>10} {'N_opt':>6} "
         f"{'shift':>10} {'T_shifted':>10} {'g_blocked':>10}"
     )
@@ -263,7 +275,7 @@ def _cmd_compare(args) -> int:
             cells.extend(
                 [f"{shift:>10.6f}", f"{t_shift:>10.6f}", f"{g_blocked:>10.6f}"]
             )
-        print(" ".join(cells))
+        _say(" ".join(cells))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -280,7 +292,7 @@ def _cmd_compare(args) -> int:
                         else [_fmt(shift), _fmt(t_shift), _fmt(g_blocked)]
                     )
                 )
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     return 0
 
 
@@ -360,9 +372,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         rc = args.func(args)
-        sys.stdout.flush()
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            raise _StdoutClosed from exc
         return rc
-    except BrokenPipeError:
+    except _StdoutClosed:
         # Point stdout at /dev/null so that the interpreter's final flush
         # of the unwritten buffer cannot raise a second time at exit.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -135,16 +135,6 @@ def _reset_product(rho_n: np.ndarray, reinit_state: int) -> np.ndarray:
     return kron(electron, rho_n)
 
 
-def _reset_block(rho: np.ndarray, reinit_state: int) -> np.ndarray | None:
-    """rho_n if the joint ``rho`` is exactly |r><r| (x) rho_n, else None."""
-    d = rho.shape[0] // 2
-    blocks = rho.reshape(2, d, 2, d)
-    r = reinit_state
-    if np.any(blocks[1 - r]) or np.any(blocks[r, :, 1 - r]):
-        return None
-    return blocks[r, :, r].copy()
-
-
 @lru_cache(maxsize=64)
 def _nuclear_wait_eig(register: SpinRegister, reinit_state: int):
     """Eigendecomposition of the nuclear-only Hamiltonian during the wait.
@@ -245,9 +235,9 @@ def run_protocol(
     """Execute the repetition loop; return the final state and the history.
 
     The history has shape (repetitions, n_nuclei): <I_z> of every nucleus
-    at the end of each repetition, after the wait and electron reset. A
-    start state that is not in reset-product form |r><r| (x) rho_n gets its
-    first repetition as one joint-space step.
+    at the end of each repetition, after the wait and electron reset. The
+    first repetition is one joint-space step, which takes any start state;
+    the others run on the nuclear state alone.
     """
     if state is None:
         state = initial_state(register, run.reinit_state)
@@ -260,21 +250,15 @@ def run_protocol(
     _check_completeness(kraus)
 
     history = np.empty((1, run.repetitions, len(register.nuclei)))
-    rho = _reset_block(state.rho, run.reinit_state)
-    done = 0
-    if rho is None:
-        d = u_burst.shape[0] // 2
-        joint = u_burst @ state.rho @ u_burst.conj().T
-        rho = joint[:d, :d] + joint[d:, d:]
-        if u_wait is not None:
-            rho = u_wait @ rho @ u_wait.conj().T
-        if run.check_state:
-            _check_states(rho[None])
-        history[0, 0] = _polarisations(rho)
-        done = 1
-    rho = _repeat(
-        kraus, rho[None], run.repetitions - done, run.check_state, history[:, done:]
-    )
+    d = u_burst.shape[0] // 2
+    joint = u_burst @ state.rho @ u_burst.conj().T
+    rho = joint[:d, :d] + joint[d:, d:]
+    if u_wait is not None:
+        rho = u_wait @ rho @ u_wait.conj().T
+    if run.check_state:
+        _check_states(rho[None])
+    history[0, 0] = _polarisations(rho)
+    rho = _repeat(kraus, rho[None], run.repetitions - 1, run.check_state, history[:, 1:])
     final = DensityState(rho=_reset_product(rho[0], run.reinit_state), register=register)
     return final, history[0]
 

@@ -185,3 +185,15 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 141
+
+
+def test_broken_pipe_elsewhere_is_not_swallowed(monkeypatch):
+    """A BrokenPipeError that does not come from stdout, such as an --out
+    FIFO whose reader has left, is a real failure and must propagate."""
+
+    def boom(*args, **kwargs):
+        raise BrokenPipeError("output pipe closed")
+
+    monkeypatch.setattr(cli, "sweep_trace", boom)
+    with pytest.raises(BrokenPipeError):
+        cli.main(["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3"])
