@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from math import pi
 
@@ -29,7 +30,7 @@ from .analytic import (
     effective_params,
     optimal_pulse_count,
 )
-from .engine import ScheduleStage, run_schedule, sweep_trace
+from .engine import ScheduleStage, run_schedule, sweep_trace, write_schedule_csv
 from .errors import (
     DegenerateSpins,
     DimensionMismatch,
@@ -210,18 +211,7 @@ def _cmd_schedule(args) -> int:
     sign = -1.0 if args.flip_sign else 1.0
     values = sign * args.scale * result.values
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_us", "stage", "period_us", *result.labels, "total"])
-            for i in range(result.times.size):
-                row = [
-                    _fmt(float(result.times[i])),
-                    str(int(result.stage_index[i])),
-                    _fmt(float(result.periods[i])),
-                ]
-                row.extend(_fmt(x) for x in values[i])
-                row.append(_fmt(float(values[i].sum())))
-                writer.writerow(row)
+        write_schedule_csv(replace(result, values=values), args.out)
     final = values[-1]
     _say(f"stages: {len(stages)}  repetitions: {result.times.size}")
     _say(f"elapsed_us: {_fmt(float(result.times[-1]))}")

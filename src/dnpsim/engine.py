@@ -2,9 +2,11 @@
 
 One repetition applies n_periods protocol periods coherently, discards the
 electron (optical reinitialisation), lets the nuclei precess for a wait
-interval under the Hamiltonian conditioned on the fresh electron state and
-re-tensors that electron state back on. Nuclear polarisations are recorded
-once per repetition at the end of that cycle.
+interval with the electron held in its reset state r and re-tensors that
+electron state back on. The wait propagator is the [r, r] block of
+exp(-i H0 t), which is block-diagonal in the electron basis; it comes from
+the same cached H0 eigensystem as the free gaps of a period. Nuclear
+polarisations are recorded once per repetition at the end of that cycle.
 
 Because the electron always enters a burst in its reset state r, a
 repetition acts on the nuclear state alone as the two-operator Kraus map
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +44,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import kron
-from .protocols import PulseSequence, SequenceBuilder, period_unitary
-from .spins import SpinRegister, _embed
+from .protocols import PulseSequence, SequenceBuilder, free_propagator, period_unitary
+from .spins import SpinRegister, require_joint_space
 
 STATE_TOL = 1e-9
 
@@ -106,7 +107,6 @@ class ProtocolRun:
     repetitions: int
     wait_us: float = 0.0
     reinit_state: int = 0
-    check_state: bool = True
 
     def __post_init__(self) -> None:
         if self.n_periods < 1:
@@ -123,6 +123,7 @@ def initial_state(register: SpinRegister, reinit_state: int = 0) -> DensityState
     """Electron in the reset state, nuclei maximally mixed (room temperature)."""
     if reinit_state not in (0, 1):
         raise ValidationError(f"reinit_state: must be 0 or 1, got {reinit_state}")
+    require_joint_space(register)
     n_dim = register.dim // 2
     rho = _reset_product(np.eye(n_dim, dtype=complex) / n_dim, reinit_state)
     return DensityState(rho=rho, register=register)
@@ -135,31 +136,12 @@ def _reset_product(rho_n: np.ndarray, reinit_state: int) -> np.ndarray:
     return kron(electron, rho_n)
 
 
-@lru_cache(maxsize=64)
-def _nuclear_wait_eig(register: SpinRegister, reinit_state: int):
-    """Eigendecomposition of the nuclear-only Hamiltonian during the wait.
-
-    With the electron parked in its reset state each nucleus sees its
-    dressed Zeeman term plus the transverse field s A_perp I_x, s = +-1/2.
-    """
-    n = len(register.nuclei)
-    dim = 2**n
-    s = 0.5 if reinit_state == 0 else -0.5
-    h = np.zeros((dim, dim), dtype=complex)
-    iz2 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-    ix2 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    for i, spin in enumerate(register.nuclei):
-        h += (register.larmor - spin.a_parallel / 2.0) * _embed(iz2, i, n)
-        h += s * spin.a_perp * _embed(ix2, i, n)
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
 def _wait_unitary(run: ProtocolRun, register: SpinRegister) -> np.ndarray | None:
-    """Nuclear propagator of the wait interval, or None when there is none."""
-    if run.wait_us > 0 and register.nuclei:
-        w, v = _nuclear_wait_eig(register, run.reinit_state)
-        return (v * np.exp(-1j * w * run.wait_us)) @ v.conj().T
+    """Nuclear propagator of the wait interval, the reset-state block of
+    exp(-i H0 t), or None when there is no wait."""
+    if run.wait_us > 0:
+        d, r = register.dim // 2, run.reinit_state
+        return free_propagator(register, run.wait_us).reshape(2, d, 2, d)[r, :, r, :]
     return None
 
 
@@ -203,15 +185,14 @@ def _repeat(
     kraus: np.ndarray,
     rho: np.ndarray,
     repetitions: int,
-    check_state: bool,
     history: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply each run's Kraus map ``repetitions`` times to its nuclear state.
 
     ``kraus`` is a (P, 2, d, d) stack of pairs and ``rho`` a (P, d, d) stack
-    of states; the final states are returned. With ``history`` given, a
-    (P, repetitions, n) array, the polarisations after every repetition are
-    written into it.
+    of states; every state is checked and the final ones are returned. With
+    ``history`` given, a (P, repetitions, n) array, the polarisations after
+    every repetition are written into it.
     """
     p, _, d, _ = kraus.shape
     # sum_a K_a (rho K_a^dag) as one product: the row block [K_0 K_1] times
@@ -220,8 +201,7 @@ def _repeat(
     k_dag = np.ascontiguousarray(kraus.conj().swapaxes(-1, -2))
     for rep in range(repetitions):
         rho = k_row @ (rho[:, None] @ k_dag).reshape(p, 2 * d, d)
-        if check_state:
-            _check_states(rho)
+        _check_states(rho)
         if history is not None:
             history[:, rep] = _polarisations(rho)
     return rho
@@ -255,10 +235,9 @@ def run_protocol(
     rho = joint[:d, :d] + joint[d:, d:]
     if u_wait is not None:
         rho = u_wait @ rho @ u_wait.conj().T
-    if run.check_state:
-        _check_states(rho[None])
+    _check_states(rho[None])
     history[0, 0] = _polarisations(rho)
-    rho = _repeat(kraus, rho[None], run.repetitions - 1, run.check_state, history[:, 1:])
+    rho = _repeat(kraus, rho[None], run.repetitions - 1, history[:, 1:])
     final = DensityState(rho=_reset_product(rho[0], run.reinit_state), register=register)
     return final, history[0]
 
@@ -300,7 +279,6 @@ def sweep_trace(
     wait_us: float = 0.0,
     reinit_state: int = 0,
     workers: int = 1,
-    check_state: bool = True,
 ) -> PolarisationTrace:
     """Run the repetition loop from a fresh thermal state at every period.
 
@@ -322,7 +300,6 @@ def sweep_trace(
             repetitions=repetitions,
             wait_us=wait_us,
             reinit_state=reinit_state,
-            check_state=check_state,
         )
         for t in periods
     ]
@@ -342,7 +319,7 @@ def sweep_trace(
         )
         _check_completeness(kraus)
         rho = np.broadcast_to(np.eye(d, dtype=complex) / d, kraus.shape[:1] + (d, d))
-        values.append(_polarisations(_repeat(kraus, rho, repetitions, check_state)))
+        values.append(_polarisations(_repeat(kraus, rho, repetitions)))
     axis = np.array([run.sequence.period for run in runs])
     labels = tuple(s.label for s in register.nuclei)
     return PolarisationTrace(periods=axis, labels=labels, values=np.vstack(values))
@@ -389,7 +366,6 @@ def run_schedule(
     n_periods: int,
     wait_us: float = 0.0,
     reinit_state: int = 0,
-    check_state: bool = True,
 ) -> ScheduleResult:
     """Chain stages at different periods, carrying the nuclear state over.
 
@@ -414,7 +390,6 @@ def run_schedule(
             repetitions=stage.repetitions,
             wait_us=wait_us,
             reinit_state=reinit_state,
-            check_state=check_state,
         )
         state, history = run_protocol(run, register, state)
         rep_time = n_p * seq.period + wait_us
@@ -447,24 +422,29 @@ def asymptotic_envelope(
 ) -> tuple[float, int, bool]:
     """Drive the repetition loop until the summed polarisation stalls.
 
-    Returns (summed polarisation, repetitions used, converged). The run's
-    own repetition count sets the block size per convergence check. If the
-    cap is hit first a warning is emitted and converged is False.
+    Returns (summed polarisation, repetitions used, converged). The Kraus
+    pair is built once; the loop runs from the thermal state in blocks of
+    the run's own repetition count. If the cap is hit first a warning is
+    emitted and converged is False.
     """
     if tol <= 0:
         raise ValidationError(f"tol: must be > 0, got {tol}")
     if max_repetitions < 1:
         raise ValidationError(f"max_repetitions: must be >= 1, got {max_repetitions}")
-    state = initial_state(register, run.reinit_state)
+    u_burst = _burst_unitary(run, register)
+    kraus = _kraus_pair(u_burst, run.reinit_state, _wait_unitary(run, register))[None]
+    _check_completeness(kraus)
+    d = u_burst.shape[0] // 2
+    rho = np.eye(d, dtype=complex)[None] / d
+    block = min(run.repetitions, max_repetitions)
+    history = np.empty((1, block, len(register.nuclei)))
     total_prev = None
     below = 0
     done = 0
-    block = replace(run, repetitions=min(run.repetitions, max_repetitions))
     while done < max_repetitions:
-        reps = min(block.repetitions, max_repetitions - done)
-        state, history = run_protocol(replace(block, repetitions=reps), register, state)
-        totals = history.sum(axis=1)
-        for value in totals:
+        reps = min(block, max_repetitions - done)
+        rho = _repeat(kraus, rho, reps, history[:, :reps])
+        for value in history[0, :reps].sum(axis=1):
             if total_prev is not None and abs(value - total_prev) < tol:
                 below += 1
             else:

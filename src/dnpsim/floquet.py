@@ -9,6 +9,7 @@ overlap assignment becomes ambiguous.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -267,8 +268,6 @@ def find_crossings(
 
 def write_spectrum_csv(spectrum: FloquetSpectrum, path: str) -> None:
     """Write the stitched branches as CSV: tau_us, period_us, branch columns."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["tau_us", "period_us"]

@@ -240,6 +240,16 @@ def _electron_rotation(angle: float, phase: float, dim_nuclear: int) -> np.ndarr
     return kron(u2, np.eye(dim_nuclear, dtype=complex))
 
 
+def free_propagator(register: SpinRegister, duration: float) -> np.ndarray:
+    """exp(-i H0 t) over the joint space, from the cached H0 eigensystem.
+
+    H0 is block-diagonal in the electron basis, so block [r, r] is the
+    nuclear precession with the electron held in basis state r.
+    """
+    w0, v0 = static_hamiltonian_eig(register)
+    return (v0 * np.exp(-1j * w0 * duration)) @ v0.conj().T
+
+
 def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
     """Ordered product of the event propagators over one period.
 
@@ -253,7 +263,6 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
     """
     ops = build_operators(register)
     dim = ops.dim
-    w0, v0 = static_hamiltonian_eig(register)
 
     finite = [e for e in seq.events if e.kind is EventKind.ROTATION and e.duration > 0]
     if finite and register.nuclei:
@@ -275,7 +284,7 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
             key = ("free", event.duration)
             step = cache.get(key)
             if step is None:
-                step = (v0 * np.exp(-1j * w0 * event.duration)) @ v0.conj().T
+                step = free_propagator(register, event.duration)
                 cache[key] = step
         elif event.duration == 0.0:
             key = ("ideal", event.angle, event.phase)

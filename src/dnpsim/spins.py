@@ -146,6 +146,16 @@ def _site_operators(site: int, n_sites: int) -> SiteOperators:
     )
 
 
+def require_joint_space(register: SpinRegister) -> None:
+    """Raise DimensionOverflow if the register holds more than 7 nuclei
+    (dim > 256); allocates nothing, so callers check before they build."""
+    n = len(register.nuclei)
+    if n > MAX_NUCLEI_IN_JOINT_SPACE:
+        raise DimensionOverflow(
+            f"{n} nuclei would need dimension {2 ** (1 + n)}; the joint-space cap is 256"
+        )
+
+
 @lru_cache(maxsize=64)
 def build_operators(register: SpinRegister) -> SpinOperatorSet:
     """Embed all single-site operators into the joint space.
@@ -155,15 +165,11 @@ def build_operators(register: SpinRegister) -> SpinOperatorSet:
     DimensionOverflow
         If the register holds more than 7 nuclei (dim > 256).
     """
-    n = len(register.nuclei)
-    if n > MAX_NUCLEI_IN_JOINT_SPACE:
-        raise DimensionOverflow(
-            f"{n} nuclei would need dimension {2 ** (1 + n)}; the joint-space cap is 256"
-        )
-    n_sites = 1 + n
+    require_joint_space(register)
+    n_sites = 1 + len(register.nuclei)
     return SpinOperatorSet(
         electron=_site_operators(0, n_sites),
-        nuclei=tuple(_site_operators(1 + k, n_sites) for k in range(n)),
+        nuclei=tuple(_site_operators(k, n_sites) for k in range(1, n_sites)),
         dim=2**n_sites,
     )
 

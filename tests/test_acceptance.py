@@ -428,7 +428,6 @@ def test_criterion_10_structural_battery(tmp_path, reg_c3_c21):
         sequence=pulsepol_for_period(6.8757),
         n_periods=4,
         repetitions=50,
-        check_state=True,
     )
     state, history = run_protocol(run, reg_c3_c21)
     state.validate()

@@ -5,10 +5,19 @@ import filecmp
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from dnpsim import cli
+from dnpsim import (
+    ScheduleStage,
+    cli,
+    load_register_file,
+    pulsepol_for_period,
+    run_schedule,
+    write_schedule_csv,
+)
 from dnpsim.errors import NotUnitary
 
 from conftest import CONFIG_DIR
@@ -111,6 +120,25 @@ def test_schedule_verb(tmp_path, capsys):
     assert "final" in capsys.readouterr().out
 
 
+def test_schedule_scale_writes_the_library_csv(tmp_path):
+    """--scale goes through the library writer, so the CLI file equals
+    write_schedule_csv on the scaled result byte for byte."""
+    out, want = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    argv = ["schedule", "--config", C3_C16, "--np", "8", "--harmonic", "5",
+            "--stage", "7.2:3", "--stage", "6.7977:4:2", "--wait-us", "0.5", "--reinit", "1"]
+    assert cli.main([*argv, "--scale", "-2", "--out", str(out)]) == 0
+    result = run_schedule(
+        partial(pulsepol_for_period, harmonic=5),
+        load_register_file(C3_C16),
+        (ScheduleStage(7.2, 3), ScheduleStage(6.7977, 4, 2)),
+        n_periods=8,
+        wait_us=0.5,
+        reinit_state=1,
+    )
+    write_schedule_csv(replace(result, values=-2.0 * result.values), str(want))
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_compare_verb(capsys):
     rc = cli.main(["compare", "--config", C3_C21])
     assert rc == 0
@@ -139,6 +167,31 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for argv in cases:
         assert cli.main(argv) == 1, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--t-start", "6", "--t-stop", "7", "--steps", "2", "--wait-us", "1"],
+        ["schedule", "--stage", "6.8:2"],
+    ],
+    ids=["sweep-wait", "schedule"],
+)
+def test_oversized_register_exits_one_before_allocating(argv):
+    """27 nuclei exceed the joint-space cap; the check runs before any
+    2^27-dim array is built, so the run ends with the cap message."""
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+    config = str(CONFIG_DIR / "register27.yaml")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnpsim.cli", argv[0], "--config", config, *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "joint-space cap is 256" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_config_exits_one(tmp_path, capsys):

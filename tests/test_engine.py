@@ -22,6 +22,7 @@ from dnpsim import (
     write_schedule_csv,
     write_trace_csv,
 )
+from dnpsim import engine
 from dnpsim.errors import ConvergenceCap, ValidationError
 
 from conftest import LARMOR, make_register
@@ -97,6 +98,23 @@ def test_envelope_warns_when_capped(reg_c21):
     assert not converged
     assert reps == 30
     assert 0 < value < 0.5
+
+
+def test_envelope_builds_one_period_map(reg_c3, monkeypatch):
+    calls = []
+    real_period_unitary = engine.period_unitary
+
+    def counted(seq, reg):
+        calls.append(seq.period)
+        return real_period_unitary(seq, reg)
+
+    monkeypatch.setattr(engine, "period_unitary", counted)
+    run = ProtocolRun(
+        sequence=pulsepol_for_period(t_resonance(reg_c3, "C3")), n_periods=3, repetitions=1
+    )
+    _, reps, converged = asymptotic_envelope(run, reg_c3, tol=1e-9)
+    assert converged and reps > 1
+    assert len(calls) == 1
 
 
 def test_sweep_peaks_on_resonance(reg_c21):

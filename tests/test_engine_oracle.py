@@ -12,6 +12,7 @@ from dnpsim import (
     NuclearSpin,
     ProtocolRun,
     SpinRegister,
+    load_register_file,
     pulsepol_for_period,
     run_protocol,
     sweep_trace,
@@ -19,7 +20,7 @@ from dnpsim import (
 from dnpsim import engine
 from dnpsim.errors import NotUnitary
 
-from conftest import LARMOR
+from conftest import CONFIG_DIR, LARMOR
 
 TOL = 1e-10
 
@@ -134,3 +135,15 @@ def test_incomplete_kraus_pair_is_caught(reg_c3_c21, monkeypatch):
         run_protocol(run, reg_c3_c21)
     with pytest.raises(NotUnitary):
         sweep_trace(pulsepol_for_period, reg_c3_c21, np.array([6.8, 6.9]), 4, 3)
+
+
+@pytest.mark.parametrize("reinit_state", [0, 1])
+def test_wait_block_matches_reference(reinit_state):
+    """The reset-state block of exp(-i H0 t) is the nuclear wait propagator."""
+    full = load_register_file(str(CONFIG_DIR / "register27.yaml"))
+    register = full.subset([s.label for s in full.nuclei[:7]])
+    for wait_us in (0.3, 1.0, 5.5, 37.0):
+        run = ProtocolRun(pulsepol_for_period(6.8), 1, 1, wait_us, reinit_state)
+        got = engine._wait_unitary(run, register)
+        want = ref.wait_unitary(register, reinit_state, wait_us)
+        assert np.max(np.abs(got - want)) <= TOL
