@@ -63,7 +63,6 @@ from .linalg import (
     is_unitary,
     kron,
     matrix_exponential_hermitian,
-    partial_trace,
     unitary_eigensolve,
 )
 from .protocols import (

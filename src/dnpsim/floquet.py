@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,10 +53,17 @@ def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]
     Returns (permutation, worst assigned overlap): permutation[j] is the
     column of ``nxt`` continuing branch j of ``prev``. Pairs are picked
     greedily, largest overlap first, masking used rows and columns.
+
+    When the rows' maxima fall in distinct columns, the greedy picks
+    exactly those maxima, so no loop runs. With orthonormal bases this
+    holds whenever every row's best overlap exceeds 1/sqrt(2), which is then
+    the unique maximum of its row and of its column.
     """
     overlap = np.abs(prev.conj().T @ nxt)
     dim = overlap.shape[0]
-    perm = np.empty(dim, dtype=int)
+    perm = np.argmax(overlap, axis=1)
+    if np.unique(perm).size == dim:
+        return perm, float(overlap[np.arange(dim), perm].min())
     worst = 1.0
     work = overlap.copy()
     for _ in range(dim):
@@ -132,34 +140,32 @@ def compute_spectrum(
     if workers < 1:
         raise ValidationError(f"workers: must be >= 1, got {workers}")
 
-    if workers == 1:
-        points = [_spectrum_point(builder, register, t) for t in grid]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(
-                pool.map(
-                    _spectrum_point,
-                    [builder] * grid.size,
-                    [register] * grid.size,
-                    grid,
-                )
+    # Points are stitched as they arrive, so only two neighbours are held
+    # besides the branch-ordered arrays.
+    with ExitStack() as stack:
+        if workers == 1:
+            points = (_spectrum_point(builder, register, t) for t in grid)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            points = pool.map(
+                _spectrum_point, [builder] * grid.size, [register] * grid.size, grid
             )
-
-    dim = points[0].phases.size
-    phases = np.empty((grid.size, dim))
-    vectors = np.empty((grid.size, dim, dim), dtype=complex)
-    phases[0] = points[0].phases
-    vectors[0] = points[0].vectors
-    prev = points[0]
-    prev_perm = np.arange(dim)
-    capped: list[float] = []
-    for i in range(1, grid.size):
-        step = _stitch(prev, points[i], builder, register, grid[i - 1], grid[i], 0, capped)
-        perm = step[prev_perm]
-        phases[i] = points[i].phases[perm]
-        vectors[i] = points[i].vectors[:, perm]
-        prev = points[i]
-        prev_perm = perm
+        prev = next(points)
+        dim = prev.phases.size
+        axis = np.empty(grid.size)
+        phases = np.empty((grid.size, dim))
+        vectors = np.empty((grid.size, dim, dim), dtype=complex)
+        axis[0], phases[0], vectors[0] = prev
+        prev_perm = np.arange(dim)
+        capped: list[float] = []
+        for i, point in enumerate(points, start=1):
+            step = _stitch(prev, point, builder, register, grid[i - 1], grid[i], 0, capped)
+            perm = step[prev_perm]
+            axis[i] = point.period
+            phases[i] = point.phases[perm]
+            vectors[i] = point.vectors[:, perm]
+            prev = point
+            prev_perm = perm
     if capped:
         warnings.warn(
             f"{len(capped)} stitch interval(s) reached refinement depth "
@@ -168,7 +174,6 @@ def compute_spectrum(
             ValidityWarning,
             stacklevel=2,
         )
-    axis = np.array([p.period for p in points])
     return FloquetSpectrum(periods=axis, phases=phases, vectors=vectors, register=register)
 
 
@@ -187,8 +192,12 @@ class AvoidedCrossing(NamedTuple):
     participants: tuple[tuple[str, float], ...]
 
 
-def _circular_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi)
+def _circular_gap(diff: np.ndarray) -> np.ndarray:
+    """|diff| wrapped onto [0, pi], computed in place."""
+    diff += np.pi
+    np.mod(diff, 2.0 * np.pi, out=diff)
+    diff -= np.pi
+    return np.abs(diff, out=diff)
 
 
 def find_crossings(
@@ -202,68 +211,83 @@ def find_crossings(
     a parabola through the three surrounding samples. Each crossing is
     tagged with the nuclei whose electron-nuclear flip-flop operator has
     expectation weight >= participation_min on either branch state there;
-    minima in which no nucleus takes part are dropped.
+    minima in which no nucleus takes part are dropped. Crossings come
+    sorted by (period, branch_a, branch_b).
     """
     if gap_threshold <= 0:
         raise ValidationError(f"gap_threshold: must be > 0, got {gap_threshold}")
-    ops = build_operators(spectrum.register)
-    s_plus = ops.electron.plus
-    s_minus = ops.electron.minus
-    flip_ops = [
-        s_plus @ site.minus + s_minus @ site.plus for site in ops.nuclei
-    ]
-    labels = [s.label for s in spectrum.register.nuclei]
-
     t = spectrum.periods
-    found: list[AvoidedCrossing] = []
-    dim = spectrum.dim
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            gap = _circular_gap(spectrum.phases[:, a], spectrum.phases[:, b])
-            for m in range(1, t.size - 1):
-                if not (gap[m] < gap[m - 1] and gap[m] <= gap[m + 1]):
-                    continue
-                if gap[m] >= gap_threshold:
-                    continue
-                coeff = np.polyfit(t[m - 1 : m + 2], gap[m - 1 : m + 2], 2)
-                if coeff[0] > 0:
-                    t_star = float(np.clip(-coeff[1] / (2 * coeff[0]), t[m - 1], t[m + 1]))
-                    gap_star = float(np.polyval(coeff, t_star))
-                else:
-                    t_star, gap_star = float(t[m]), float(gap[m])
-                gap_star = max(gap_star, 0.0)
+    branch_a, branch_b = np.triu_indices(spectrum.dim, 1)
+    # The (points, pairs) gaps are the largest temporary here; build them in place.
+    gap = spectrum.phases[:, branch_a]
+    gap -= spectrum.phases[:, branch_b]
+    gap = _circular_gap(gap)
+    inner = gap[1:-1]
+    is_min = (inner < gap[:-2]) & (inner <= gap[2:]) & (inner < gap_threshold)
+    m, pair = np.nonzero(is_min)
+    m += 1
+    a, b = branch_a[pair], branch_b[pair]
 
-                weights = []
-                for n, flip in enumerate(flip_ops):
-                    w = max(
-                        abs(
-                            np.vdot(
-                                spectrum.vectors[m][:, c],
-                                flip @ spectrum.vectors[m][:, c],
-                            )
-                        )
-                        for c in (a, b)
-                    )
-                    weights.append((labels[n], float(w)))
-                participants = tuple(
-                    sorted(
-                        (p for p in weights if p[1] >= participation_min),
-                        key=lambda p: -p[1],
-                    )
+    # Vertex of the parabola through (t[m +- 1], gap), in Newton form.
+    t0, t1, t2 = t[m - 1], t[m], t[m + 1]
+    g0, g1, g2 = gap[m - 1, pair], gap[m, pair], gap[m + 1, pair]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope0 = (g1 - g0) / (t1 - t0)
+        curv = ((g2 - g1) / (t2 - t1) - slope0) / (t2 - t0)
+        up = curv > 0
+        t_star = np.where(up, np.clip(0.5 * (t0 + t1) - slope0 / (2.0 * curv), t0, t2), t1)
+        gap_star = np.where(up, g0 + (t_star - t0) * (slope0 + curv * (t_star - t1)), g1)
+    gap_star = np.maximum(gap_star, 0.0)
+
+    weights = _flip_flop_weights(spectrum, m, a, b)
+    labels = [s.label for s in spectrum.register.nuclei]
+    strongest = np.argsort(-weights, axis=1, kind="stable")
+    found = []
+    for k in np.lexsort((m, b, a, t_star)):
+        participants = tuple(
+            (labels[n], float(weights[k, n]))
+            for n in strongest[k]
+            if weights[k, n] >= participation_min
+        )
+        if participants:
+            found.append(
+                AvoidedCrossing(
+                    period=float(t_star[k]),
+                    gap=float(gap_star[k]),
+                    branch_a=int(a[k]),
+                    branch_b=int(b[k]),
+                    participants=participants,
                 )
-                if not participants:
-                    continue
-                found.append(
-                    AvoidedCrossing(
-                        period=t_star,
-                        gap=gap_star,
-                        branch_a=a,
-                        branch_b=b,
-                        participants=participants,
-                    )
-                )
-    found.sort(key=lambda c: c.period)
+            )
     return tuple(found)
+
+
+def _flip_flop_weights(
+    spectrum: FloquetSpectrum, m: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """(candidates, nuclei) array of max over c in (a, b) of |<v_c|F_n|v_c>|,
+    with v_c = spectrum.vectors[m][:, c] and F_n = S+ I-_n + S- I+_n.
+
+    Each F_n has at most one nonzero per row, so F_n v is a gather:
+    (F_n v)[i] = F_n[i, src[i]] v[src[i]].
+    """
+    ops = build_operators(spectrum.register)
+    rows = np.arange(ops.dim)
+    gathers = []
+    for site in ops.nuclei:
+        flip = ops.electron.plus @ site.minus + ops.electron.minus @ site.plus
+        src = np.argmax(np.abs(flip), axis=1)
+        gathers.append((src, flip[rows, src]))
+    weights = np.zeros((m.size, len(gathers)))
+    for c in (a, b):
+        v = spectrum.vectors[m, :, c]
+        v_conj = v.conj()
+        for n, (src, val) in enumerate(gathers):
+            flipped = v[:, src]
+            flipped *= val
+            w = np.abs(np.einsum("ki,ki->k", v_conj, flipped))
+            np.maximum(weights[:, n], w, out=weights[:, n])
+    return weights
 
 
 def write_spectrum_csv(spectrum: FloquetSpectrum, path: str) -> None:

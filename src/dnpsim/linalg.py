@@ -18,6 +18,13 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotUnitary
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
+#: Phase offset theta of the one-eigh unitary eigensolve (the golden-ratio
+#: fraction): an irrational angle no symmetric spectrum is mirrored about.
+EIG_PHASE_OFFSET = 0.6180339887498949
+
+#: Largest max |U V - V diag(lambda)| the one-eigh path may leave.
+EIG_RESIDUAL_TOL = 1e-10
+
 
 class EigenDecomposition(NamedTuple):
     """Spectral decomposition ``A = V diag(w) V^dag``.
@@ -87,13 +94,20 @@ def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
 
 
 def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
-    """Diagonalise a unitary matrix through its Hermitian parts.
+    """Diagonalise a unitary matrix through one Hermitian eigensolve.
 
-    A unitary is normal, so it shares an eigenbasis with its Hermitian part
-    ``(U + U^dag)/2``. That part is diagonalised first; within each of its
-    degenerate eigenspaces the anti-Hermitian part ``(U - U^dag)/(2i)`` is
-    sub-diagonalised to resolve the remaining freedom. Eigenvalues are then
-    recovered as ``v^dag U v`` per column, which lands on the unit circle.
+    A unitary is normal, so every Hermitian part of e^{-i theta} U shares
+    its eigenbasis, with eigenvalues cos(phi - theta) for the eigenphases
+    phi of U. The fast path diagonalises that part once at the fixed
+    irrational offset theta = ``EIG_PHASE_OFFSET``: at theta = 0 the
+    +/- phi pairs of a time-symmetric period map collide exactly, at theta
+    they stay apart. Eigenvalues are the per-column Rayleigh quotients
+    ``v^dag U v``. The basis is accepted when the residual
+    max |U V - V diag(lambda)| is at most ``EIG_RESIDUAL_TOL``; a pair of
+    eigenphases mirrored about theta (or theta + pi) fails that gate, and
+    the grouped solver at theta = 0 runs instead, unchanged: it
+    diagonalises (U + U^dag)/2 and sub-diagonalises the anti-Hermitian part
+    (U - U^dag)/(2i) inside each degenerate group.
 
     Returns eigenvalues sorted by eigenphase in (-pi, pi].
 
@@ -102,13 +116,26 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
     NotUnitary
         If ``U^dag U`` deviates from identity by more than 1e-10.
     NoConvergence
-        Propagated from the Hermitian solver.
+        Propagated from the Hermitian solver, or from the grouped solver
+        when its eigenvalues leave the unit circle.
     """
     u = _as_square(u, "U")
     if not is_unitary(u):
         dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARY_TOL}")
 
+    rotated = np.exp(-1j * EIG_PHASE_OFFSET) * u
+    _, v = hermitian_eigensolve((rotated + rotated.conj().T) / 2)
+    uv = u @ v
+    lam = np.einsum("ij,ij->j", v.conj(), uv)
+    if np.max(np.abs(uv - v * lam)) <= EIG_RESIDUAL_TOL:
+        return _phase_sorted(lam, v)
+    return _grouped_eigensolve(u)
+
+
+def _grouped_eigensolve(u: np.ndarray) -> EigenDecomposition:
+    """The theta = 0 solver: Hermitian part first, then the anti-Hermitian
+    part inside each degenerate group of it."""
     h_re = (u + u.conj().T) / 2
     h_im = (u - u.conj().T) / (2j)
     w_re, v = hermitian_eigensolve(h_re)
@@ -132,12 +159,17 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
         start = stop
 
     lam = np.einsum("ij,jk,ki->i", v.conj().T, u, v)
-    order = np.argsort(np.angle(lam), kind="stable")
-    lam = lam[order]
-    v = v[:, order]
     if np.max(np.abs(np.abs(lam) - 1.0)) > 1e-9:
         raise NoConvergence("eigenvalues left the unit circle; input may be ill-conditioned")
-    return EigenDecomposition(lam, v)
+    return _phase_sorted(lam, v)
+
+
+def _phase_sorted(lam: np.ndarray, v: np.ndarray) -> EigenDecomposition:
+    # An eigenvalue at -1 with an imaginary part of -1e-16 or so has angle
+    # -pi, outside (-pi, pi]; its conjugate, at most 1e-16 away, has +pi.
+    lam = np.where(np.angle(lam) == -np.pi, lam.conj(), lam)
+    order = np.argsort(np.angle(lam), kind="stable")
+    return EigenDecomposition(lam[order], v[:, order])
 
 
 def matrix_exponential_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -155,48 +187,3 @@ def matrix_exponential_hermitian(h: np.ndarray, t: float) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the left factor on the slow index."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace(
-    rho: np.ndarray, subsystem_dims: list[int] | tuple[int, ...], traced_index: int
-) -> np.ndarray:
-    """Trace one tensor factor out of a density matrix.
-
-    Parameters
-    ----------
-    rho
-        Square matrix over the full product space.
-    subsystem_dims
-        Dimensions of the tensor factors, slow index first.
-    traced_index
-        Which factor to trace out (0-based).
-
-    Returns
-    -------
-    numpy.ndarray
-        Density matrix on the remaining factors, order preserved.
-
-    Raises
-    ------
-    DimensionMismatch
-        If the dimensions do not multiply to the matrix size or the index
-        is out of range.
-    """
-    rho = _as_square(rho, "rho")
-    dims = tuple(int(d) for d in subsystem_dims)
-    if any(d <= 0 for d in dims):
-        raise DimensionMismatch(f"subsystem dims must be positive, got {dims}")
-    if int(np.prod(dims)) != rho.shape[0]:
-        raise DimensionMismatch(
-            f"product of dims {dims} = {int(np.prod(dims))} does not match matrix dim {rho.shape[0]}"
-        )
-    if not 0 <= traced_index < len(dims):
-        raise DimensionMismatch(
-            f"traced_index {traced_index} out of range for {len(dims)} subsystems"
-        )
-    n = len(dims)
-    tensor = rho.reshape(dims + dims)
-    out = np.trace(tensor, axis1=traced_index, axis2=n + traced_index)
-    keep = [d for i, d in enumerate(dims) if i != traced_index]
-    dim_keep = int(np.prod(keep)) if keep else 1
-    return out.reshape(dim_keep, dim_keep)

@@ -227,17 +227,16 @@ def cpmg_sequence(
     )
 
 
-def _electron_rotation(angle: float, phase: float, dim_nuclear: int) -> np.ndarray:
-    """exp(-i angle S_phi) on the electron, identity on the nuclei."""
+def _electron_rotation(angle: float, phase: float) -> np.ndarray:
+    """exp(-i angle S_phi) on the electron alone, as a 2x2 matrix."""
     c, s = cos(angle / 2.0), sin(angle / 2.0)
-    u2 = np.array(
+    return np.array(
         [
             [c, -1j * s * (cos(phase) - 1j * sin(phase))],
             [-1j * s * (cos(phase) + 1j * sin(phase)), c],
         ],
         dtype=complex,
     )
-    return kron(u2, np.eye(dim_nuclear, dtype=complex))
 
 
 def free_propagator(register: SpinRegister, duration: float) -> np.ndarray:
@@ -256,6 +255,13 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
     Free segments contribute exp(-i H0 d); ideal rotations exp(-i theta
     S_phi); finite rotations exp(-i (H0 d + theta S_phi)). The result is
     checked to be unitary to 1e-10.
+
+    An all-ideal sequence is multiplied out on (2, 2, d, d) electron
+    blocks (d = D / 2, the nuclear dimension): H0 is block-diagonal in the
+    electron basis, so a free gap multiplies each block row by one of the
+    two diagonal d x d blocks of exp(-i H0 d), and the rotations between
+    two gaps merge into one 2x2 matrix that mixes block rows with scalars.
+    A sequence with a finite rotation takes dense D x D products.
 
     A warning is emitted for finite pulses whose Rabi frequency is not
     large against the strongest transverse coupling (the pulses then tilt
@@ -276,6 +282,39 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
                 stacklevel=2,
             )
 
+    if finite:
+        u = _dense_period(seq, register, ops)
+    else:
+        d = dim // 2
+        u = _block_period(seq, register, d).transpose(0, 2, 1, 3).reshape(dim, dim)
+
+    dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+    if dev > 1e-10:
+        raise NotUnitary(f"period propagator drifted off unitarity by {dev:.3e}")
+    return u
+
+
+def _block_period(seq: PulseSequence, register: SpinRegister, d: int) -> np.ndarray:
+    """Period map of an all-ideal sequence as electron blocks u[r, s] (d x d)."""
+    u = np.multiply.outer(np.eye(2, dtype=complex), np.eye(d, dtype=complex))
+    mix = np.eye(2, dtype=complex)
+    gaps: dict[float, np.ndarray] = {}
+    for event in seq.events:
+        if event.kind is EventKind.ROTATION:
+            mix = _electron_rotation(event.angle, event.phase) @ mix
+            continue
+        gap = gaps.get(event.duration)
+        if gap is None:
+            full = free_propagator(register, event.duration).reshape(2, d, 2, d)
+            gap = gaps[event.duration] = np.stack((full[0, :, 0], full[1, :, 1]))[:, None]
+        u = gap @ (mix @ u.reshape(2, -1)).reshape(u.shape)
+        mix = np.eye(2, dtype=complex)
+    return (mix @ u.reshape(2, -1)).reshape(u.shape)
+
+
+def _dense_period(seq: PulseSequence, register: SpinRegister, ops) -> np.ndarray:
+    """Period map as dense products of every event's D x D propagator."""
+    dim = ops.dim
     h0 = None
     cache: dict[tuple, np.ndarray] = {}
     u = np.eye(dim, dtype=complex)
@@ -290,7 +329,10 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
             key = ("ideal", event.angle, event.phase)
             step = cache.get(key)
             if step is None:
-                step = _electron_rotation(event.angle, event.phase, dim // 2)
+                step = kron(
+                    _electron_rotation(event.angle, event.phase),
+                    np.eye(dim // 2, dtype=complex),
+                )
                 cache[key] = step
         else:
             key = ("finite", event.angle, event.phase, event.duration)
@@ -304,10 +346,6 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
                 step = (vg * np.exp(-1j * wg)) @ vg.conj().T
                 cache[key] = step
         u = step @ u
-
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if dev > 1e-10:
-        raise NotUnitary(f"period propagator drifted off unitarity by {dev:.3e}")
     return u
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dnpsim import load_register
+from dnpsim import load_register, load_register_file
 
 LARMOR = 2.7106474  # rad/us at the working field
 
@@ -43,6 +43,14 @@ TABLE27 = [
 COUPLINGS = {label: (az, ax) for label, az, ax, _ in TABLE27}
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+SHIPPED_CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.yaml"))
+
+
+def shipped_register(name: str):
+    """A shipped config's register, cut to its first 7 nuclei (the joint-space cap)."""
+    register = load_register_file(str(CONFIG_DIR / name))
+    return register.subset([s.label for s in register.nuclei[:7]])
 
 
 def register_text(labels, larmor: float = LARMOR) -> str:

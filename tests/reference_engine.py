@@ -4,15 +4,62 @@ Every repetition conjugates the full electron-nuclei density matrix with the
 burst propagator, traces the electron out, lets the nuclei precess through
 the wait and re-tensors the reset electron back on, one grid point at a
 time. It is slow and simple on purpose; the package engine must reproduce
-it to 1e-10.
+it to 1e-10. ``dense_period_unitary`` is the matching oracle for the
+period map: one dense D x D product per event.
 """
 
 from __future__ import annotations
 
+from math import cos, sin
+
 import numpy as np
 
-from dnpsim import DensityState, initial_state, period_unitary
-from dnpsim.linalg import kron, partial_trace
+from dnpsim import DensityState, EventKind, initial_state, period_unitary
+from dnpsim.errors import DimensionMismatch, NotIdealPulses
+from dnpsim.linalg import kron
+from dnpsim.protocols import free_propagator
+
+
+def partial_trace(rho, subsystem_dims, traced_index: int) -> np.ndarray:
+    """Trace one tensor factor (slow index first, 0-based) out of rho.
+
+    Raises DimensionMismatch if the dims do not multiply to the matrix
+    size or the index is out of range.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dims = tuple(int(d) for d in subsystem_dims)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DimensionMismatch(f"rho must be a square matrix, got shape {rho.shape}")
+    if any(d <= 0 for d in dims) or int(np.prod(dims)) != rho.shape[0]:
+        raise DimensionMismatch(f"dims {dims} do not match matrix dim {rho.shape[0]}")
+    if not 0 <= traced_index < len(dims):
+        raise DimensionMismatch(
+            f"traced_index {traced_index} out of range for {len(dims)} subsystems"
+        )
+    n = len(dims)
+    out = np.trace(rho.reshape(dims + dims), axis1=traced_index, axis2=n + traced_index)
+    keep = int(np.prod([d for i, d in enumerate(dims) if i != traced_index]))
+    return out.reshape(keep, keep)
+
+
+def dense_period_unitary(seq, register) -> np.ndarray:
+    """Ordered product of dense D x D event propagators over one ideal period."""
+    dim = 2 ** (1 + len(register.nuclei))
+    u = np.eye(dim, dtype=complex)
+    for event in seq.events:
+        if event.kind is EventKind.FREE_EVOLUTION:
+            step = free_propagator(register, event.duration)
+        elif event.duration == 0.0:
+            c, s = cos(event.angle / 2.0), sin(event.angle / 2.0)
+            phi = event.phase
+            u2 = np.array(
+                [[c, -1j * s * np.exp(-1j * phi)], [-1j * s * np.exp(1j * phi), c]]
+            )
+            step = kron(u2, np.eye(dim // 2))
+        else:
+            raise NotIdealPulses("the dense oracle covers ideal pulses only")
+        u = step @ u
+    return u
 
 
 def _nuclear_embed(op: np.ndarray, site: int, n: int) -> np.ndarray:

@@ -12,15 +12,20 @@ from dnpsim import (
     NuclearSpin,
     ProtocolRun,
     SpinRegister,
+    cpmg_for_period,
+    kron,
     load_register_file,
+    period_unitary,
+    precession_frequency,
     pulsepol_for_period,
+    resonant_period,
     run_protocol,
     sweep_trace,
 )
 from dnpsim import engine
-from dnpsim.errors import NotUnitary
+from dnpsim.errors import DimensionMismatch, NotUnitary
 
-from conftest import CONFIG_DIR, LARMOR
+from conftest import CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, shipped_register
 
 TOL = 1e-10
 
@@ -147,3 +152,49 @@ def test_wait_block_matches_reference(reinit_state):
         got = engine._wait_unitary(run, register)
         want = ref.wait_unitary(register, reinit_state, wait_us)
         assert np.max(np.abs(got - want)) <= TOL
+
+
+@pytest.mark.parametrize("builder", [pulsepol_for_period, cpmg_for_period])
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_block_period_map_matches_dense_product(config, builder):
+    """The (2, 2, d, d) block product of an ideal period is the dense
+    ordered product of its event propagators."""
+    register = shipped_register(config)
+    t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor))
+    for period in (t_r, 0.93 * t_r):
+        seq = builder(period)
+        want = ref.dense_period_unitary(seq, register)
+        assert np.max(np.abs(period_unitary(seq, register) - want)) <= 1e-12
+
+
+def random_density(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_partial_trace_recovers_factors(seed):
+    rng = np.random.default_rng(seed)
+    r1 = random_density(2, rng)
+    r2 = random_density(3, rng)
+    rho = kron(r1, r2)
+    assert np.allclose(ref.partial_trace(rho, (2, 3), 1), r1, atol=1e-12)
+    assert np.allclose(ref.partial_trace(rho, (2, 3), 0), r2, atol=1e-12)
+
+
+def test_partial_trace_preserves_trace():
+    rng = np.random.default_rng(16)
+    rho = random_density(8, rng)
+    red = ref.partial_trace(rho, (2, 2, 2), 1)
+    assert red.shape == (4, 4)
+    assert np.isclose(np.trace(red), 1.0)
+
+
+def test_partial_trace_rejects_bad_dims():
+    rho = np.eye(6) / 6
+    with pytest.raises(DimensionMismatch):
+        ref.partial_trace(rho, (2, 2), 0)
+    with pytest.raises(DimensionMismatch):
+        ref.partial_trace(rho, (2, 3), 5)

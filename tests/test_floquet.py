@@ -8,15 +8,17 @@ from dnpsim import (
     compute_spectrum,
     effective_params,
     find_crossings,
+    load_register_file,
     precession_frequency,
     pulsepol_for_period,
     resonant_period,
     write_spectrum_csv,
 )
+import reference_floquet as ref
 from dnpsim import floquet
 from dnpsim.errors import ValidationError, ValidityWarning
 
-from conftest import LARMOR, make_register
+from conftest import CONFIG_DIR, LARMOR, make_register
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +121,122 @@ def test_spectrum_csv(tmp_path, c21_spectrum):
     assert len(lines) == 42
     row = [float(x) for x in lines[1].split(",")]
     assert row[0] == pytest.approx(row[1] / 4)
+
+
+@pytest.fixture(scope="module")
+def five_spin_spectrum():
+    table = load_register_file(str(CONFIG_DIR / "register27.yaml"))
+    register = table.subset(["C3", "C1", "C4", "C5", "C8"])
+    return compute_spectrum(pulsepol_for_period, register, np.linspace(6.6, 7.2, 61))
+
+
+def assert_same_crossings(got, want):
+    """Same branch pairs and participants; periods, gaps and weights to 1e-9.
+
+    Crossings whose periods differ by rounding may come in either order,
+    so both lists are compared sorted by branch pair, then period."""
+    def key(c):
+        return c.branch_a, c.branch_b, c.period
+
+    assert len(got) == len(want)
+    for g, w in zip(sorted(got, key=key), sorted(want, key=key)):
+        assert (g.branch_a, g.branch_b) == (w.branch_a, w.branch_b)
+        assert g.period == pytest.approx(w.period, abs=1e-9)
+        assert g.gap == pytest.approx(w.gap, abs=1e-9)
+        assert [label for label, _ in g.participants] == [label for label, _ in w.participants]
+        for (_, gw), (_, ww) in zip(g.participants, w.participants):
+            assert gw == pytest.approx(ww, abs=1e-9)
+
+
+@pytest.mark.parametrize("threshold, participation", [(0.5, 0.2), (2.0, 0.05)])
+def test_crossings_match_loop_reference_single_spin(c21_spectrum, threshold, participation):
+    _, _, spec = c21_spectrum
+    got = floquet.find_crossings(spec, threshold, participation)
+    assert_same_crossings(got, ref.find_crossings(spec, threshold, participation))
+    assert [c.period for c in got] == sorted(c.period for c in got)
+
+
+def test_crossings_match_loop_reference_five_spins(five_spin_spectrum):
+    got = find_crossings(five_spin_spectrum, gap_threshold=0.2)
+    assert len(got) > 100
+    assert_same_crossings(got, ref.find_crossings(five_spin_spectrum, 0.2))
+    keys = [(c.period, c.branch_a, c.branch_b) for c in got]
+    assert keys == sorted(keys)
+
+
+def _random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_match_near_identity(seed):
+    """Neighbouring eigenbases: every row's best overlap clears 1/sqrt(2)."""
+    rng = np.random.default_rng(seed)
+    prev = _random_unitary(16, rng)
+    h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    drift = (v * np.exp(-0.05j * w)) @ v.conj().T
+    nxt = (prev @ drift)[:, rng.permutation(16)] * np.exp(1j * rng.uniform(0, 6, 16))
+    assert np.all(np.abs(prev.conj().T @ nxt).max(axis=1) > np.sqrt(0.5))
+    perm, worst = floquet._greedy_match(prev, nxt)
+    want_perm, want_worst = ref.greedy_match(prev, nxt)
+    assert np.array_equal(perm, want_perm)
+    assert worst == want_worst
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_greedy_match_with_rows_below_one_over_root_two(seed):
+    """Three branches mixed evenly: two rows' best overlaps share a column,
+    and the greedy loop decides the order."""
+    rng = np.random.default_rng(seed)
+    prev = _random_unitary(8, rng)
+    mix = np.eye(8, dtype=complex)
+    mix[:3, :3] = np.array([[2, 2, 1], [2, -1, -2], [1, -2, 2]]) / 3
+    tilt = np.linalg.qr(np.eye(8) + 0.02 * rng.normal(size=(8, 8)))[0]
+    nxt = prev @ mix @ tilt
+    overlap = np.abs(prev.conj().T @ nxt)
+    assert overlap.max(axis=1).min() < np.sqrt(0.5)
+    assert np.unique(overlap.argmax(axis=1)).size < 8
+    perm, worst = floquet._greedy_match(prev, nxt)
+    want_perm, want_worst = ref.greedy_match(prev, nxt)
+    assert np.array_equal(perm, want_perm)
+    assert worst == want_worst
+
+
+def test_crossings_at_one_period_sort_by_branch_pair(c21_spectrum):
+    """Three copies of the C21 crossing's two branches cross at exactly the
+    same period; they come out ordered by (branch_a, branch_b)."""
+    reg, _, spec = c21_spectrum
+    (single,) = find_crossings(spec, gap_threshold=0.5)
+    cols = [single.branch_a, single.branch_b] * 3
+    copies = floquet.FloquetSpectrum(
+        periods=spec.periods,
+        phases=spec.phases[:, cols],
+        vectors=spec.vectors[:, :, cols],
+        register=reg,
+    )
+    got = find_crossings(copies, gap_threshold=0.5)
+    assert {c.period for c in got} == {single.period}
+    assert [(c.branch_a, c.branch_b) for c in got] == [
+        (0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)
+    ]
+    assert_same_crossings(got, ref.find_crossings(copies, 0.5))
+
+
+def test_gap_threshold_is_strict(c21_spectrum):
+    """A minimum whose sampled gap equals the threshold is not a crossing."""
+    _, _, spec = c21_spectrum
+    (single,) = find_crossings(spec, gap_threshold=0.5)
+    gap = floquet._circular_gap(spec.phases[:, single.branch_a] - spec.phases[:, single.branch_b])
+    assert find_crossings(spec, gap_threshold=float(gap.min())) == ()
+    assert len(find_crossings(spec, gap_threshold=float(np.nextafter(gap.min(), 1.0)))) == 1
+
+
+def test_spectrum_is_the_same_with_two_workers(c21_spectrum):
+    reg, t_r, _ = c21_spectrum
+    periods = np.linspace(t_r - 0.12, t_r + 0.12, 9)
+    serial = compute_spectrum(pulsepol_for_period, reg, periods, workers=1)
+    pooled = compute_spectrum(pulsepol_for_period, reg, periods, workers=2)
+    assert np.array_equal(serial.phases, pooled.phases)
+    assert np.array_equal(serial.periods, pooled.periods)

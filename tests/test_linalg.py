@@ -9,14 +9,20 @@ from hypothesis import strategies as st
 
 from dnpsim import (
     hermitian_eigensolve,
+    period_unitary,
+    precession_frequency,
+    pulsepol_for_period,
+    resonant_period,
     is_hermitian,
     is_unitary,
     kron,
     matrix_exponential_hermitian,
-    partial_trace,
     unitary_eigensolve,
 )
+from dnpsim import linalg
 from dnpsim.errors import DimensionMismatch, NotHermitian, NotUnitary
+
+from conftest import SHIPPED_CONFIGS, shipped_register
 
 
 def random_hermitian(dim, rng):
@@ -77,6 +83,100 @@ def test_unitary_degenerate_eigenvalues():
     assert np.allclose(got, np.sort(phases), atol=1e-10)
 
 
+def with_phases(phases, seed):
+    w = random_unitary(len(phases), np.random.default_rng(seed))
+    return w @ np.diag(np.exp(1j * np.asarray(phases))) @ w.conj().T
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the calls of the grouped theta = 0 solver."""
+    calls = []
+    grouped = linalg._grouped_eigensolve
+
+    def counted(u):
+        calls.append(u.shape[0])
+        return grouped(u)
+
+    monkeypatch.setattr(linalg, "_grouped_eigensolve", counted)
+    return calls
+
+
+def assert_sound_eigensystem(u, lam, v):
+    """Residual, unitary basis and eigenphases sorted in (-pi, pi]."""
+    assert np.max(np.abs(u @ v - v * lam)) <= 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(lam.size))) <= 1e-12
+    phases = np.angle(lam)
+    assert np.all(phases > -np.pi) and np.all(phases <= np.pi)
+    assert np.all(np.diff(phases) >= 0)
+
+
+def test_unitary_exact_degeneracy(fallbacks):
+    phases = [0.7, 0.7, 0.7, -1.1, 2.4, 2.4]
+    u = with_phases(phases, 21)
+    lam, v = unitary_eigensolve(u)
+    assert_sound_eigensystem(u, lam, v)
+    assert np.allclose(np.angle(lam), np.sort(phases), atol=1e-12)
+    assert fallbacks == []
+
+
+def test_unitary_plus_minus_pairs_stay_on_the_fast_path(fallbacks):
+    # the spectrum of a time-symmetric period map: at theta = 0 every pair
+    # would share one cosine
+    phases = [0.4, -0.4, 1.3, -1.3, 2.9, -2.9, 1e-3, -1e-3]
+    u = with_phases(phases, 22)
+    lam, v = unitary_eigensolve(u)
+    assert_sound_eigensystem(u, lam, v)
+    assert np.allclose(np.angle(lam), np.sort(phases), atol=1e-12)
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_unitary_eigenvalue_at_minus_one(seed):
+    # exp(-i pi) = -1 - 1.2e-16 i sits just below the branch cut
+    phases = [-np.pi, np.pi, 0.5, -2.0, 1.0]
+    u = with_phases(phases, seed)
+    lam, v = unitary_eigensolve(u)
+    assert_sound_eigensystem(u, lam, v)
+    assert np.allclose(np.angle(lam), [-2.0, 0.5, 1.0, np.pi, np.pi], atol=1e-12)
+
+
+def test_unitary_eigenvalue_just_below_the_branch_cut():
+    u = np.diag([complex(-1.0, -1e-17), 1j, complex(0.6, 0.8)])
+    lam, v = unitary_eigensolve(u)
+    assert_sound_eigensystem(u, lam, v)
+    assert np.angle(lam)[-1] == np.pi
+
+
+def test_unitary_pair_mirrored_about_the_offset_falls_back(fallbacks):
+    theta = linalg.EIG_PHASE_OFFSET
+    phases = [theta + 0.3, theta - 0.3, 2.5, -0.9]
+    u = with_phases(phases, 23)
+    lam, v = unitary_eigensolve(u)
+    assert fallbacks == [4]
+    assert_sound_eigensystem(u, lam, v)
+    assert np.allclose(np.angle(lam), np.sort(phases), atol=1e-12)
+
+
+def test_unitary_register27_period_map():
+    """The 256-dim period map of the first seven tabulated nuclei."""
+    register = shipped_register("register27.yaml")
+    u = period_unitary(pulsepol_for_period(6.85), register)
+    lam, v = unitary_eigensolve(u)
+    assert lam.size == 256
+    assert_sound_eigensystem(u, lam, v)
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_unitary_eigensolve_agrees_with_grouped_solver(config):
+    register = shipped_register(config)
+    t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor))
+    u = period_unitary(pulsepol_for_period(t_r), register)
+    fast = unitary_eigensolve(u)
+    grouped = linalg._grouped_eigensolve(u)
+    assert np.max(np.abs(np.angle(fast.eigenvalues) - np.angle(grouped.eigenvalues))) <= 1e-12
+
+
 def test_unitary_rejects_contraction():
     with pytest.raises(NotUnitary):
         unitary_eigensolve(0.5 * np.eye(3, dtype=complex))
@@ -106,33 +206,6 @@ def test_kron_mixed_product(seed, da, db):
     a, b = (rng.normal(size=(da, da)) for _ in range(2))
     c, d = (rng.normal(size=(db, db)) for _ in range(2))
     assert np.allclose(kron(a @ b, c @ d), kron(a, c) @ kron(b, d), atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_partial_trace_recovers_factors(seed):
-    rng = np.random.default_rng(seed)
-    r1 = random_density(2, rng)
-    r2 = random_density(3, rng)
-    rho = kron(r1, r2)
-    assert np.allclose(partial_trace(rho, (2, 3), 1), r1, atol=1e-12)
-    assert np.allclose(partial_trace(rho, (2, 3), 0), r2, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(16)
-    rho = random_density(8, rng)
-    red = partial_trace(rho, (2, 2, 2), 1)
-    assert red.shape == (4, 4)
-    assert np.isclose(np.trace(red), 1.0)
-
-
-def test_partial_trace_rejects_bad_dims():
-    rho = np.eye(6) / 6
-    with pytest.raises(DimensionMismatch):
-        partial_trace(rho, (2, 2), 0)
-    with pytest.raises(DimensionMismatch):
-        partial_trace(rho, (2, 3), 5)
 
 
 def test_tolerance_predicates():
