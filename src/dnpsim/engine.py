@@ -19,9 +19,12 @@ loop carries only the 2^N-dim nuclear state, batched over a stack of
 independent runs; the joint electron-nuclei ``DensityState`` is built at
 the API boundary. The pair is checked once per run for completeness,
 sum_a K_a^dag K_a = I to 1e-10, and every repetition's nuclear state for
-hermiticity, unit trace and positivity to 1e-9, which is the same check as
-on the joint state |r><r| (x) rho_n: its spectrum is that of rho_n plus
-zeros, and its hermiticity defect and trace are those of rho_n.
+finite entries, hermiticity, unit trace and positivity to 1e-9, which is
+the same check as on the joint state |r><r| (x) rho_n: its spectrum is
+that of rho_n plus zeros, and its hermiticity defect and trace are those
+of rho_n. Positivity is certified by a Cholesky factorisation of the
+state shifted by half the tolerance, at a fraction of the cost of an
+eigensolve; only a state that fails it gets ``eigvalsh``, which decides.
 
 A sweep runs the same burst pattern at many periods from a fresh thermal
 state each time, all grid points in one batched loop; a schedule chains
@@ -58,8 +61,20 @@ _CHUNK_BYTES = 4 * 2**20
 
 
 def _check_states(rho: np.ndarray) -> None:
-    """Check a stack of density matrices for hermiticity, unit trace and
-    positivity to 1e-9; the first condition violated anywhere is raised."""
+    """Check a stack of density matrices for finite entries, hermiticity,
+    unit trace and positivity to 1e-9; the first condition violated
+    anywhere is raised.
+
+    Positivity is certified by a Cholesky factorisation of every
+    rho + (STATE_TOL/2) I. A finite factor bounds the minimum eigenvalue
+    below by -STATE_TOL/2 less the factorisation's backward error, about
+    d * 1e-16 (Higham, Accuracy and Stability, Thm 10.3), so the
+    eigenvalue test would pass too. When the factorisation fails,
+    ``eigvalsh`` decides and names the minimum eigenvalue. Both read only
+    the lower triangle.
+    """
+    if not np.isfinite(rho).all():
+        raise NoConvergence("density matrix is not finite")
     herm = float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
     if herm > STATE_TOL:
         raise NotHermitian(f"density matrix hermiticity defect {herm:.3e}")
@@ -67,6 +82,12 @@ def _check_states(rho: np.ndarray) -> None:
     worst = int(np.argmax(np.abs(tr - 1.0)))
     if abs(tr[worst] - 1.0) > STATE_TOL:
         raise NoConvergence(f"density matrix trace drifted to {tr[worst]:.12g}")
+    try:
+        factor = np.linalg.cholesky(rho + STATE_TOL / 2 * np.eye(rho.shape[-1]))
+        if np.isfinite(factor).all():
+            return
+    except np.linalg.LinAlgError:
+        pass
     min_eig = float(np.min(np.linalg.eigvalsh(rho)[..., 0]))
     if min_eig < -STATE_TOL:
         raise NoConvergence(f"density matrix lost positivity: min eigenvalue {min_eig:.3e}")

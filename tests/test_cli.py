@@ -8,11 +8,13 @@ import sys
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
 from dnpsim import (
     ScheduleStage,
     cli,
+    engine,
     load_register_file,
     pulsepol_for_period,
     run_schedule,
@@ -212,6 +214,18 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     )
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_state_exits_two(monkeypatch, capsys):
+    """A NaN period map reaches the per-repetition state check (the pair
+    check is stubbed out), which ends the run with a numerical failure."""
+    monkeypatch.setattr(engine, "period_unitary", lambda seq, reg: np.full((4, 4), np.nan + 0j))
+    monkeypatch.setattr(engine, "_check_completeness", lambda kraus: None)
+    rc = cli.main(
+        ["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3"]
+    )
+    assert rc == 2
+    assert "numerical failure: density matrix is not finite" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_quietly():

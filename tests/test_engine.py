@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnpsim import (
+    DensityState,
     ProtocolRun,
     ScheduleStage,
     asymptotic_envelope,
@@ -23,9 +26,10 @@ from dnpsim import (
     write_trace_csv,
 )
 from dnpsim import engine
-from dnpsim.errors import ConvergenceCap, ValidationError
+from dnpsim.engine import STATE_TOL
+from dnpsim.errors import ConvergenceCap, DnpsimError, NoConvergence, ValidationError
 
-from conftest import LARMOR, make_register
+from conftest import LARMOR, make_register, shipped_register
 
 
 def t_resonance(reg, label, harmonic=3):
@@ -210,3 +214,130 @@ def test_run_validation():
         ProtocolRun(sequence=pulsepol_for_period(6.8), n_periods=1, repetitions=0)
     with pytest.raises(ValidationError):
         ScheduleStage(period=-1.0, repetitions=1)
+
+
+# Minimum eigenvalues planted in one state of a stack, in units of
+# STATE_TOL: a pure state, two either side of the certificate's shift of
+# -1/2 and two either side of the tolerance itself.
+PLANTED = (0.0, -0.4, -0.6, -0.99, -1.01, -2.0)
+
+
+def planted_stack(seed: int, p: int, d: int, bad: int, planted: float) -> np.ndarray:
+    """p random unit-trace states of dim d; state ``bad`` has minimum
+    eigenvalue planted * STATE_TOL (a pure state when planted is 0), the
+    others are positive definite."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((p, d, d), dtype=complex)
+    for k in range(p):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q, _ = np.linalg.qr(g)
+        w = rng.uniform(0.1, 1.0, d)
+        if k == bad and planted == 0.0:
+            w = np.eye(d)[0]
+        elif k == bad:
+            w[0] = 0.0
+            w *= (1.0 - planted * STATE_TOL) / w.sum()
+            w[0] = planted * STATE_TOL
+        else:
+            w /= w.sum()
+        rho = (q * w) @ q.conj().T
+        out[k] = (rho + rho.conj().T) / 2
+    return out
+
+
+def assert_verdict_of_eigvalsh(rho: np.ndarray) -> None:
+    """_check_states raises exactly when eigvalsh puts the minimum below
+    -STATE_TOL, with the message that names it."""
+    min_eig = float(np.min(np.linalg.eigvalsh(rho)[..., 0]))
+    if min_eig < -STATE_TOL:
+        with pytest.raises(NoConvergence) as err:
+            engine._check_states(rho)
+        assert str(err.value) == f"density matrix lost positivity: min eigenvalue {min_eig:.3e}"
+    else:
+        engine._check_states(rho)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 16),
+    p=st.integers(1, 4),
+    planted=st.sampled_from(PLANTED),
+)
+def test_positivity_verdict_matches_eigvalsh(seed, d, p, planted):
+    bad = seed % p
+    assert_verdict_of_eigvalsh(planted_stack(seed, p, d, bad, planted))
+
+
+@pytest.mark.parametrize("planted", PLANTED)
+def test_positivity_verdict_matches_eigvalsh_at_dim_128(planted):
+    assert_verdict_of_eigvalsh(planted_stack(7, 1, 128, 0, planted))
+
+
+@pytest.mark.parametrize("d", [16, 128])
+@pytest.mark.parametrize("planted", [0.0, -0.4])
+def test_certificate_alone_passes_near_singular_states(monkeypatch, planted, d):
+    """Pure states and states within half the tolerance of positive need
+    no eigensolve."""
+    rho = planted_stack(5, 3, d, 1, planted)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    engine._check_states(rho)
+
+
+def test_one_bad_state_among_twenty_good():
+    engine._check_states(planted_stack(11, 21, 8, 13, -0.6))
+    with pytest.raises(NoConvergence, match="lost positivity: min eigenvalue -2.000e-09"):
+        engine._check_states(planted_stack(11, 21, 8, 13, -2.0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("entry", [(1, 1), (2, 1), (1, 2)], ids=["diag", "lower", "upper"])
+def test_non_finite_state_raises_first(value, entry):
+    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (5, 4, 4)).copy()
+    rho[1, 0, 1] = 1e-3  # a hermiticity defect elsewhere in the stack
+    rho[3][entry] = value
+    with pytest.raises(NoConvergence, match="^density matrix is not finite$"):
+        engine._check_states(rho)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_rejects_non_finite_state(reg_c3, value):
+    rho = initial_state(reg_c3).rho.copy()
+    rho[1, 0] = value
+    with pytest.raises(NoConvergence, match="^density matrix is not finite$"):
+        DensityState(rho=rho, register=reg_c3).validate()
+
+
+def test_sweep_needs_no_eigensolve(monkeypatch):
+    """Every state of a healthy sweep passes the Cholesky certificate, so
+    eigvalsh never runs; a corrupted state still fails validation."""
+    calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    register = shipped_register("c3_c4_c8.yaml")
+    periods = np.linspace(25.4, 27.0, 21)
+    trace = sweep_trace(
+        lambda t: pulsepol_for_period(t, harmonic=11), register, periods, 8, 50
+    )
+    assert trace.values.shape == (21, 3)
+    assert calls == []
+
+    # criterion 10's corruption (a trace error) and a negative eigenvalue
+    bad = initial_state(register).rho.copy()
+    bad[0, 0] += 0.5
+    with pytest.raises(DnpsimError):
+        DensityState(rho=bad, register=register).validate()
+    bad = bad.copy()
+    bad[1, 1] -= 0.5
+    with pytest.raises(NoConvergence, match="lost positivity"):
+        DensityState(rho=bad, register=register).validate()
+    assert len(calls) == 1

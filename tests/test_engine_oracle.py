@@ -142,6 +142,21 @@ def test_incomplete_kraus_pair_is_caught(reg_c3_c21, monkeypatch):
         sweep_trace(pulsepol_for_period, reg_c3_c21, np.array([6.8, 6.9]), 4, 3)
 
 
+def test_reference_checks_states_on_its_own(monkeypatch):
+    """The oracle's state check is an eigvalsh test of its own: it keeps
+    working with the engine's check switched off."""
+    monkeypatch.setattr(engine, "_check_states", lambda rho: None)
+    ref.check_state(np.diag([1 + 0.6e-9, -0.6e-9, 0, 0]).astype(complex))
+    for rho in (
+        np.diag([1 + 2e-9, -2e-9, 0, 0]),
+        np.diag([1, np.nan, 0, 0]),
+        np.diag([1 + 2e-9, 0, 0, 0]),
+        np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1) * 1e-6,
+    ):
+        with pytest.raises(AssertionError, match="^reference state"):
+            ref.check_state(rho.astype(complex))
+
+
 @pytest.mark.parametrize("reinit_state", [0, 1])
 def test_wait_block_matches_reference(reinit_state):
     """The reset-state block of exp(-i H0 t) is the nuclear wait propagator."""
