@@ -14,12 +14,11 @@ nothing on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
 from functools import partial
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .errors import (
 from .floquet import compute_spectrum, find_crossings, write_spectrum_csv
 from .protocols import cpmg_for_period, pulsepol_for_period
 from .spins import load_register_file, precession_frequency
+from .table import fmt, write_csv
 
 _USAGE_ERRORS = (
     ValidationError,
@@ -85,8 +85,12 @@ def _say(line: str) -> None:
         raise _StdoutClosed from exc
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    value = float(text)
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _builder(args):
@@ -124,17 +128,6 @@ def _find_dips(t: np.ndarray, v: np.ndarray) -> list[tuple[float, float]]:
     return out
 
 
-def _write_sweep_csv(path, periods, labels, values) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_us", "period_us", *labels, "total"])
-        for i, period in enumerate(periods):
-            row = [_fmt(period / 4.0), _fmt(period)]
-            row.extend(_fmt(x) for x in values[i])
-            row.append(_fmt(float(values[i].sum())))
-            writer.writerow(row)
-
-
 def _cmd_sweep(args) -> int:
     register = load_register_file(args.config)
     grid = _grid(args)
@@ -152,13 +145,17 @@ def _cmd_sweep(args) -> int:
     values = sign * args.scale * trace.values
     total = values.sum(axis=1)
     if args.out:
-        _write_sweep_csv(args.out, trace.periods, trace.labels, values)
+        write_csv(
+            args.out,
+            ["tau_us", "period_us", *trace.labels, "total"],
+            ([t / 4.0, t, *v, v.sum()] for t, v in zip(trace.periods, values)),
+        )
     m = int(np.argmax(total))
     t_peak, v_peak = _refine_extremum(trace.periods, total, m)
     _say(f"points: {trace.periods.size}")
-    _say(f"peak: period_us={_fmt(t_peak)} tau_us={_fmt(t_peak / 4.0)} total={_fmt(v_peak)}")
+    _say(f"peak: period_us={fmt(t_peak)} tau_us={fmt(t_peak / 4.0)} total={fmt(v_peak)}")
     for t_dip, v_dip in _find_dips(trace.periods, total):
-        _say(f"dip: period_us={_fmt(t_dip)} tau_us={_fmt(t_dip / 4.0)} total={_fmt(v_dip)}")
+        _say(f"dip: period_us={fmt(t_dip)} tau_us={fmt(t_dip / 4.0)} total={fmt(v_dip)}")
     if args.out:
         _say(f"wrote {args.out}")
     return 0
@@ -176,7 +173,7 @@ def _cmd_spectrum(args) -> int:
     for c in crossings:
         who = ", ".join(f"{label} ({w:.3f})" for label, w in c.participants)
         _say(
-            f"crossing: period_us={_fmt(c.period)} gap={_fmt(c.gap)} "
+            f"crossing: period_us={fmt(c.period)} gap={fmt(c.gap)} "
             f"branches={c.branch_a},{c.branch_b} spins: {who}"
         )
     if args.out:
@@ -214,9 +211,9 @@ def _cmd_schedule(args) -> int:
         write_schedule_csv(replace(result, values=values), args.out)
     final = values[-1]
     _say(f"stages: {len(stages)}  repetitions: {result.times.size}")
-    _say(f"elapsed_us: {_fmt(float(result.times[-1]))}")
-    _say("final: " + "  ".join(f"{n}={_fmt(x)}" for n, x in zip(result.labels, final)))
-    _say(f"final total: {_fmt(float(final.sum()))}")
+    _say(f"elapsed_us: {fmt(float(result.times[-1]))}")
+    _say("final: " + "  ".join(f"{n}={fmt(x)}" for n, x in zip(result.labels, final)))
+    _say(f"final total: {fmt(float(final.sum()))}")
     if args.out:
         _say(f"wrote {args.out}")
     return 0
@@ -251,37 +248,18 @@ def _cmd_compare(args) -> int:
             t_shift = bs.shifted_period
             g_blocked = blockade_rabi(pair)
         rows.append((spin.label, p, n_opt, shift, t_shift, g_blocked))
-    for label, p, n_opt, shift, t_shift, g_blocked in rows:
-        cells = [
-            f"{label:<8}",
-            f"{p.omega_i:>10.6f}",
-            f"{p.resonant_period:>10.6f}",
-            f"{p.g:>10.6f}",
-            f"{n_opt:>6d}",
-        ]
-        if shift is None:
-            cells.extend([f"{'-':>10}", f"{'-':>10}", f"{'-':>10}"])
-        else:
-            cells.extend(
-                [f"{shift:>10.6f}", f"{t_shift:>10.6f}", f"{g_blocked:>10.6f}"]
-            )
+    for label, p, n_opt, *blocked in rows:
+        cells = [f"{label:<8}", *(f"{x:>10.6f}" for x in (p.omega_i, p.resonant_period, p.g))]
+        cells.append(f"{n_opt:>6d}")
+        cells.extend(f"{'-':>10}" if x is None else f"{x:>10.6f}" for x in blocked)
         _say(" ".join(cells))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["label", "omega_i", "resonant_period_us", "g", "n_opt",
-                 "shift_ratio", "shifted_period_us", "g_blocked"]
-            )
-            for label, p, n_opt, shift, t_shift, g_blocked in rows:
-                writer.writerow(
-                    [label, _fmt(p.omega_i), _fmt(p.resonant_period), _fmt(p.g), n_opt]
-                    + (
-                        ["", "", ""]
-                        if shift is None
-                        else [_fmt(shift), _fmt(t_shift), _fmt(g_blocked)]
-                    )
-                )
+        write_csv(
+            args.out,
+            ["label", "omega_i", "resonant_period_us", "g", "n_opt",
+             "shift_ratio", "shifted_period_us", "g_blocked"],
+            ([label, p.omega_i, p.resonant_period, p.g, *rest] for label, p, *rest in rows),
+        )
         _say(f"wrote {args.out}")
     return 0
 
@@ -305,8 +283,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_grid(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--t-start", type=float, required=True, help="first period (us)")
-    sub.add_argument("--t-stop", type=float, required=True, help="last period (us)")
+    sub.add_argument("--t-start", type=_finite, required=True, help="first period (us)")
+    sub.add_argument("--t-stop", type=_finite, required=True, help="last period (us)")
     sub.add_argument("--steps", type=int, default=101, help="grid points")
 
 
@@ -319,7 +297,7 @@ def _add_run(sub: argparse.ArgumentParser) -> None:
                      help="electron reset state index")
     sub.add_argument("--flip-sign", action="store_true",
                      help="negate reported polarisations")
-    sub.add_argument("--scale", type=float, default=1.0,
+    sub.add_argument("--scale", type=_finite, default=1.0,
                      help="multiply reported polarisations (2 maps spin-1/2 onto [-1, 1])")
 
 

@@ -28,14 +28,15 @@ eigensolve; only a state that fails it gets ``eigvalsh``, which decides.
 
 A sweep runs the same burst pattern at many periods from a fresh thermal
 state each time, all grid points in one batched loop; a schedule chains
-stages at different periods on one evolving state.
+stages at different periods on one evolving state. Both are written as
+CSV through ``dnpsim.table.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -46,9 +47,10 @@ from .errors import (
     NotUnitary,
     ValidationError,
 )
-from .linalg import kron
+from .linalg import kron, unitarity_defect
 from .protocols import PulseSequence, SequenceBuilder, free_propagator, period_unitary
 from .spins import SpinRegister, require_joint_space
+from .table import fmt, write_csv
 
 STATE_TOL = 1e-9
 
@@ -81,7 +83,7 @@ def _check_states(rho: np.ndarray) -> None:
     tr = np.trace(rho, axis1=-2, axis2=-1)
     worst = int(np.argmax(np.abs(tr - 1.0)))
     if abs(tr[worst] - 1.0) > STATE_TOL:
-        raise NoConvergence(f"density matrix trace drifted to {tr[worst]:.12g}")
+        raise NoConvergence(f"density matrix trace drifted to {fmt(tr[worst])}")
     try:
         factor = np.linalg.cholesky(rho + STATE_TOL / 2 * np.eye(rho.shape[-1]))
         if np.isfinite(factor).all():
@@ -95,13 +97,14 @@ def _check_states(rho: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DensityState:
-    """A density matrix over the electron-nuclei space of a register."""
+    """A density matrix over the electron-nuclei space of a register,
+    held as a read-only copy."""
 
     rho: np.ndarray
     register: SpinRegister
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=complex)
+        rho = np.array(self.rho, dtype=complex)
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         dim = self.register.dim
@@ -134,8 +137,8 @@ class ProtocolRun:
             raise ValidationError(f"n_periods: must be >= 1, got {self.n_periods}")
         if self.repetitions < 1:
             raise ValidationError(f"repetitions: must be >= 1, got {self.repetitions}")
-        if self.wait_us < 0:
-            raise ValidationError(f"wait_us: must be >= 0, got {self.wait_us}")
+        if not 0 <= self.wait_us < inf:
+            raise ValidationError(f"wait_us: must be finite and >= 0, got {self.wait_us}")
         if self.reinit_state not in (0, 1):
             raise ValidationError(f"reinit_state: must be 0 or 1, got {self.reinit_state}")
 
@@ -181,11 +184,10 @@ def _kraus_pair(
 
 def _check_completeness(kraus: np.ndarray) -> None:
     """Raise NotUnitary unless sum_a K_a^dag K_a = I to 1e-10 for every
-    pair in a (P, 2, d, d) stack."""
+    pair in a (P, 2, d, d) stack; a pair with a non-finite entry fails.
+    The pair stacked as [K_0; K_1] is a 2d x d isometry exactly then."""
     p, _, d, _ = kraus.shape
-    stacked = kraus.reshape(p, 2 * d, d)
-    gram = stacked.conj().swapaxes(-1, -2) @ stacked
-    dev = float(np.max(np.abs(gram - np.eye(d))))
+    dev = unitarity_defect(kraus.reshape(p, 2 * d, d))
     if dev > KRAUS_TOL:
         raise NotUnitary(f"Kraus pair is incomplete: max |sum K^dag K - I| = {dev:.3e}")
 
@@ -265,15 +267,16 @@ def run_protocol(
 
 @dataclass(frozen=True)
 class PolarisationTrace:
-    """Final per-spin polarisations across a sweep of protocol periods."""
+    """Final per-spin polarisations across a sweep of protocol periods,
+    held as read-only copies."""
 
     periods: np.ndarray
     labels: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        periods = np.asarray(self.periods, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        periods = np.array(self.periods, dtype=float)
+        values = np.array(self.values, dtype=float)
         periods.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "periods", periods)
@@ -356,8 +359,8 @@ class ScheduleStage:
     n_periods: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.period > 0:
-            raise ValidationError(f"period: must be > 0, got {self.period}")
+        if not 0 < self.period < inf:
+            raise ValidationError(f"period: must be finite and > 0, got {self.period}")
         if self.repetitions < 1:
             raise ValidationError(f"repetitions: must be >= 1, got {self.repetitions}")
         if self.n_periods is not None and self.n_periods < 1:
@@ -482,33 +485,22 @@ def asymptotic_envelope(
     return float(total_prev), done, False
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def write_trace_csv(trace: PolarisationTrace, path: str) -> None:
     """Write a sweep as CSV: tau_us, period_us, one column per spin, total."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_us", "period_us", *trace.labels, "total"])
-        for i, period in enumerate(trace.periods):
-            row = [_fmt(period / 4.0), _fmt(period)]
-            row.extend(_fmt(v) for v in trace.values[i])
-            row.append(_fmt(float(trace.values[i].sum())))
-            writer.writerow(row)
+    write_csv(
+        path,
+        ["tau_us", "period_us", *trace.labels, "total"],
+        ([t / 4.0, t, *v, v.sum()] for t, v in zip(trace.periods, trace.values)),
+    )
 
 
 def write_schedule_csv(result: ScheduleResult, path: str) -> None:
     """Write a staged run as CSV: time_us, stage, period_us, spins, total."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_us", "stage", "period_us", *result.labels, "total"])
-        for i in range(result.times.size):
-            row = [
-                _fmt(float(result.times[i])),
-                str(int(result.stage_index[i])),
-                _fmt(float(result.periods[i])),
-            ]
-            row.extend(_fmt(v) for v in result.values[i])
-            row.append(_fmt(float(result.values[i].sum())))
-            writer.writerow(row)
+    write_csv(
+        path,
+        ["time_us", "stage", "period_us", *result.labels, "total"],
+        (
+            [t, int(i), p, *v, v.sum()]
+            for t, i, p, v in zip(result.times, result.stage_index, result.periods, result.values)
+        ),
+    )

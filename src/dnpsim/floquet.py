@@ -9,11 +9,11 @@ overlap assignment becomes ambiguous.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import ValidationError, ValidityWarning
 from .linalg import unitary_eigensolve
 from .protocols import SequenceBuilder, period_unitary
 from .spins import SpinRegister, build_operators
+from .table import write_csv
 
 #: Overlap below which branch assignment between neighbouring grid points is
 #: considered ambiguous and the interval is bisected.
@@ -214,8 +215,8 @@ def find_crossings(
     minima in which no nucleus takes part are dropped. Crossings come
     sorted by (period, branch_a, branch_b).
     """
-    if gap_threshold <= 0:
-        raise ValidationError(f"gap_threshold: must be > 0, got {gap_threshold}")
+    if not 0 < gap_threshold < inf:
+        raise ValidationError(f"gap_threshold: must be finite and > 0, got {gap_threshold}")
     t = spectrum.periods
     branch_a, branch_b = np.triu_indices(spectrum.dim, 1)
     # The (points, pairs) gaps are the largest temporary here; build them in place.
@@ -292,12 +293,8 @@ def _flip_flop_weights(
 
 def write_spectrum_csv(spectrum: FloquetSpectrum, path: str) -> None:
     """Write the stitched branches as CSV: tau_us, period_us, branch columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["tau_us", "period_us"]
-        header.extend(f"branch_{j}" for j in range(spectrum.dim))
-        writer.writerow(header)
-        for i, period in enumerate(spectrum.periods):
-            row = [format(period / 4.0, ".12g"), format(period, ".12g")]
-            row.extend(format(p, ".12g") for p in spectrum.phases[i])
-            writer.writerow(row)
+    write_csv(
+        path,
+        ["tau_us", "period_us", *(f"branch_{j}" for j in range(spectrum.dim))],
+        ([t / 4.0, t, *phases] for t, phases in zip(spectrum.periods, spectrum.phases)),
+    )

@@ -9,6 +9,7 @@ exit codes without parsing numpy messages.
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,11 @@ class EigenDecomposition(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def propagator(self, t: float) -> np.ndarray:
+        """``exp(-i A t) = V diag(exp(-i w t)) V^dag`` for Hermitian ``A``."""
+        v = self.eigenvectors
+        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
+
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
@@ -55,10 +61,19 @@ def is_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(h - h.conj().T)) <= tol)
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def unitarity_defect(u: np.ndarray) -> float:
+    """max |U^dag U - I| over a (..., n, m) stack, or inf if any entry of
+    ``u`` is not finite, so that a NaN matrix fails every tolerance test.
+    A stack of isometries (n >= m) has defect 0."""
     u = np.asarray(u)
-    eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u.conj().T @ u - eye)) <= tol)
+    if not np.isfinite(u).all():
+        return inf
+    gram = u.conj().swapaxes(-1, -2) @ u
+    return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
+
+
+def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    return unitarity_defect(u) <= tol
 
 
 def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
@@ -120,8 +135,8 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
         when its eigenvalues leave the unit circle.
     """
     u = _as_square(u, "U")
-    if not is_unitary(u):
-        dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    dev = unitarity_defect(u)
+    if dev > UNITARY_TOL:
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARY_TOL}")
 
     rotated = np.exp(-1j * EIG_PHASE_OFFSET) * u
@@ -180,8 +195,7 @@ def matrix_exponential_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     NotHermitian
         Propagated from the eigensolver.
     """
-    w, v = hermitian_eigensolve(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return hermitian_eigensolve(h).propagator(t)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

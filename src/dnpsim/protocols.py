@@ -17,13 +17,13 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import cos, inf, isfinite, pi, sin
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidTau, NotIdealPulses, NotUnitary, ValidationError, ValidityWarning
-from .linalg import hermitian_eigensolve, kron
+from .linalg import UNITARY_TOL, kron, matrix_exponential_hermitian, unitarity_defect
 from .spins import (
     SpinRegister,
     build_operators,
@@ -59,11 +59,15 @@ class PulseEvent:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValidationError(f"duration: must be >= 0, got {self.duration}")
+        if not 0 <= self.duration < inf:
+            raise ValidationError(f"duration: must be finite and >= 0, got {self.duration}")
         if self.kind is EventKind.ROTATION:
             if self.angle is None or self.phase is None:
                 raise ValidationError("angle/phase: required for rotation events")
+            if not (isfinite(self.angle) and isfinite(self.phase)):
+                raise ValidationError(
+                    f"angle/phase: must be finite, got {self.angle}, {self.phase}"
+                )
         else:
             if self.angle is not None or self.phase is not None:
                 raise ValidationError("angle/phase: not allowed on free evolution")
@@ -80,8 +84,8 @@ class PulseSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-        if not self.period > 0:
-            raise ValidationError(f"period: must be > 0, got {self.period}")
+        if not 0 < self.period < inf:
+            raise ValidationError(f"period: must be finite and > 0, got {self.period}")
         if self.harmonic < 1:
             raise ValidationError(f"harmonic: must be >= 1, got {self.harmonic}")
         if not self.label:
@@ -115,8 +119,8 @@ class Finite:
     rabi: float
 
     def __post_init__(self) -> None:
-        if not self.rabi > 0:
-            raise ValidationError(f"rabi: must be > 0, got {self.rabi}")
+        if not 0 < self.rabi < inf:
+            raise ValidationError(f"rabi: must be finite and > 0, got {self.rabi}")
 
 
 PulseMode = Ideal | Finite
@@ -133,8 +137,8 @@ def _free(duration: float) -> PulseEvent:
 
 def free_sequence(duration: float, label: str = "free") -> PulseSequence:
     """A pulse-free period: plain evolution under the static Hamiltonian."""
-    if not duration > 0:
-        raise InvalidTau(f"duration must be > 0, got {duration}")
+    if not 0 < duration < inf:
+        raise InvalidTau(f"duration must be finite and > 0, got {duration}")
     return PulseSequence(
         events=(_free(duration),), period=duration, harmonic=1, label=label
     )
@@ -157,10 +161,10 @@ def pulsepol_sequence(
     Raises
     ------
     InvalidTau
-        For tau <= 0, or tau too short to fit the finite pulses.
+        For tau not finite and > 0, or too short to fit the finite pulses.
     """
-    if not tau > 0:
-        raise InvalidTau(f"tau must be > 0, got {tau}")
+    if not 0 < tau < inf:
+        raise InvalidTau(f"tau must be finite and > 0, got {tau}")
 
     if isinstance(pulse_mode, Ideal):
         gap = tau / 2.0
@@ -210,8 +214,8 @@ def cpmg_sequence(
     tau: float, pulse_mode: PulseMode = IDEAL, harmonic: int = 1
 ) -> PulseSequence:
     """Build one refocusing period [tau/2, pi_X, tau/2] x2, T = 2 tau."""
-    if not tau > 0:
-        raise InvalidTau(f"tau must be > 0, got {tau}")
+    if not 0 < tau < inf:
+        raise InvalidTau(f"tau must be finite and > 0, got {tau}")
     if isinstance(pulse_mode, Ideal):
         half = [_free(tau / 2), _rot(pi, PHASE_X), _free(tau / 2)]
     else:
@@ -245,16 +249,16 @@ def free_propagator(register: SpinRegister, duration: float) -> np.ndarray:
     H0 is block-diagonal in the electron basis, so block [r, r] is the
     nuclear precession with the electron held in basis state r.
     """
-    w0, v0 = static_hamiltonian_eig(register)
-    return (v0 * np.exp(-1j * w0 * duration)) @ v0.conj().T
+    return static_hamiltonian_eig(register).propagator(duration)
 
 
 def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
     """Ordered product of the event propagators over one period.
 
     Free segments contribute exp(-i H0 d); ideal rotations exp(-i theta
-    S_phi); finite rotations exp(-i (H0 d + theta S_phi)). The result is
-    checked to be unitary to 1e-10.
+    S_phi); finite rotations exp(-i (H0 d + theta S_phi)). The result's
+    ``linalg.unitarity_defect`` is checked to be at most 1e-10, which a
+    map with a non-finite entry fails.
 
     An all-ideal sequence is multiplied out on (2, 2, d, d) electron
     blocks (d = D / 2, the nuclear dimension): H0 is block-diagonal in the
@@ -288,8 +292,8 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
         d = dim // 2
         u = _block_period(seq, register, d).transpose(0, 2, 1, 3).reshape(dim, dim)
 
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if dev > 1e-10:
+    dev = unitarity_defect(u)
+    if dev > UNITARY_TOL:
         raise NotUnitary(f"period propagator drifted off unitarity by {dev:.3e}")
     return u
 
@@ -313,38 +317,23 @@ def _block_period(seq: PulseSequence, register: SpinRegister, d: int) -> np.ndar
 
 
 def _dense_period(seq: PulseSequence, register: SpinRegister, ops) -> np.ndarray:
-    """Period map as dense products of every event's D x D propagator."""
-    dim = ops.dim
-    h0 = None
-    cache: dict[tuple, np.ndarray] = {}
-    u = np.eye(dim, dtype=complex)
+    """Period map as dense products of every event's D x D propagator,
+    each distinct event's propagator built once."""
+    h0 = static_hamiltonian(register, ops)
+    steps: dict[PulseEvent, np.ndarray] = {}
+    u = np.eye(ops.dim, dtype=complex)
     for event in seq.events:
-        if event.kind is EventKind.FREE_EVOLUTION:
-            key = ("free", event.duration)
-            step = cache.get(key)
-            if step is None:
+        step = steps.get(event)
+        if step is None:
+            if event.kind is EventKind.FREE_EVOLUTION:
                 step = free_propagator(register, event.duration)
-                cache[key] = step
-        elif event.duration == 0.0:
-            key = ("ideal", event.angle, event.phase)
-            step = cache.get(key)
-            if step is None:
-                step = kron(
-                    _electron_rotation(event.angle, event.phase),
-                    np.eye(dim // 2, dtype=complex),
-                )
-                cache[key] = step
-        else:
-            key = ("finite", event.angle, event.phase, event.duration)
-            step = cache.get(key)
-            if step is None:
-                if h0 is None:
-                    h0 = static_hamiltonian(register, ops)
+            elif event.duration == 0.0:
+                rotation = _electron_rotation(event.angle, event.phase)
+                step = kron(rotation, np.eye(ops.dim // 2, dtype=complex))
+            else:
                 s_phi = cos(event.phase) * ops.electron.x + sin(event.phase) * ops.electron.y
-                gen = h0 * event.duration + event.angle * s_phi
-                wg, vg = hermitian_eigensolve(gen)
-                step = (vg * np.exp(-1j * wg)) @ vg.conj().T
-                cache[key] = step
+                step = matrix_exponential_hermitian(h0 * event.duration + event.angle * s_phi, 1.0)
+            steps[event] = step
         u = step @ u
     return u
 
@@ -425,8 +414,8 @@ class ModulationFunctions:
 
 
 def modulation_functions(tau: float) -> ModulationFunctions:
-    if not tau > 0:
-        raise InvalidTau(f"tau must be > 0, got {tau}")
+    if not 0 < tau < inf:
+        raise InvalidTau(f"tau must be finite and > 0, got {tau}")
     return ModulationFunctions(tau=tau)
 
 

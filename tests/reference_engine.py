@@ -5,7 +5,8 @@ burst propagator, traces the electron out, lets the nuclei precess through
 the wait and re-tensors the reset electron back on, one grid point at a
 time. It is slow and simple on purpose; the package engine must reproduce
 it to 1e-10. ``dense_period_unitary`` is the matching oracle for the
-period map: one dense D x D product per event.
+period map: one dense D x D product per event, with its free evolution
+taken from its own eigensolve of H0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dnpsim import DensityState, EventKind, initial_state, period_unitary
 from dnpsim.engine import STATE_TOL
 from dnpsim.errors import DimensionMismatch, NotIdealPulses
 from dnpsim.linalg import kron
-from dnpsim.protocols import free_propagator
+from dnpsim.spins import static_hamiltonian
 
 
 def partial_trace(rho, subsystem_dims, traced_index: int) -> np.ndarray:
@@ -46,10 +47,11 @@ def partial_trace(rho, subsystem_dims, traced_index: int) -> np.ndarray:
 def dense_period_unitary(seq, register) -> np.ndarray:
     """Ordered product of dense D x D event propagators over one ideal period."""
     dim = 2 ** (1 + len(register.nuclei))
+    w0, v0 = np.linalg.eigh(static_hamiltonian(register))
     u = np.eye(dim, dtype=complex)
     for event in seq.events:
         if event.kind is EventKind.FREE_EVOLUTION:
-            step = free_propagator(register, event.duration)
+            step = (v0 * np.exp(-1j * w0 * event.duration)) @ v0.conj().T
         elif event.duration == 0.0:
             c, s = cos(event.angle / 2.0), sin(event.angle / 2.0)
             phi = event.phase

@@ -196,6 +196,34 @@ def test_oversized_register_exits_one_before_allocating(argv):
     assert "Traceback" not in proc.stderr
 
 
+GRID = ["--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep", *GRID, "--wait-us", "nan"], "wait_us"),
+        (["sweep", *GRID, "--wait-us", "inf"], "wait_us"),
+        (["sweep", *GRID, "--scale", "nan"], "--scale"),
+        (["sweep", *GRID, "--rabi", "inf"], "rabi"),
+        (["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "inf"], "--t-stop"),
+        (["sweep", "--config", C3, "--t-start", "nan", "--t-stop", "7.0"], "--t-start"),
+        (["spectrum", *GRID, "--gap-threshold", "nan"], "gap_threshold"),
+        (["schedule", "--config", C3, "--stage", "inf:3"], "period"),
+        (["schedule", "--config", C3, "--stage", "6.8:3", "--wait-us", "nan"], "wait_us"),
+        (["schedule", "--config", C3, "--stage", "6.8:3", "--scale=-inf"], "--scale"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(argv, field, capsys):
+    """Exit 1 with the field named; any warning (numpy's RuntimeWarning
+    among them) would fail the test."""
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("larmor_rad_per_us: 2.7\nnuclei:\n  - {label: X, a_parallel_khz: 1,\n")

@@ -27,7 +27,7 @@ from dnpsim import (
 )
 from dnpsim import engine
 from dnpsim.engine import STATE_TOL
-from dnpsim.errors import ConvergenceCap, DnpsimError, NoConvergence, ValidationError
+from dnpsim.errors import ConvergenceCap, DnpsimError, NoConvergence, NotUnitary, ValidationError
 
 from conftest import LARMOR, make_register, shipped_register
 
@@ -214,6 +214,35 @@ def test_run_validation():
         ProtocolRun(sequence=pulsepol_for_period(6.8), n_periods=1, repetitions=0)
     with pytest.raises(ValidationError):
         ScheduleStage(period=-1.0, repetitions=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="wait_us"):
+            ProtocolRun(pulsepol_for_period(6.8), n_periods=1, repetitions=1, wait_us=bad)
+        with pytest.raises(ValidationError, match="period"):
+            ScheduleStage(period=bad, repetitions=1)
+
+
+def test_completeness_check_rejects_a_non_finite_pair():
+    with pytest.raises(NotUnitary, match="incomplete"):
+        engine._check_completeness(np.full((1, 2, 2, 2), np.nan + 0j))
+
+
+def test_state_and_trace_keep_their_own_copies(reg_c3):
+    """The caller's arrays stay writable, and writing to them later leaves
+    the stored state and trace as they were."""
+    rho = initial_state(reg_c3).rho.copy()
+    want_rho = rho.copy()
+    state = DensityState(rho=rho, register=reg_c3)
+    rho[0, 0] = 5.0
+    assert np.array_equal(state.rho, want_rho)
+    assert not state.rho.flags.writeable
+
+    periods, values = np.array([6.8, 6.9]), np.array([[0.1], [0.2]])
+    trace = engine.PolarisationTrace(periods=periods, labels=("C3",), values=values)
+    periods[0] = 5.0
+    values[0, 0] = 0.4
+    assert trace.periods.tolist() == [6.8, 6.9]
+    assert trace.values.tolist() == [[0.1], [0.2]]
+    assert not (trace.periods.flags.writeable or trace.values.flags.writeable)
 
 
 # Minimum eigenvalues planted in one state of a stack, in units of

@@ -61,8 +61,9 @@ def test_single_spin_crossing_position_and_gap(c21_spectrum):
 def test_gap_threshold_filters(c21_spectrum):
     _, _, spec = c21_spectrum
     assert find_crossings(spec, gap_threshold=0.01) == ()
-    with pytest.raises(ValidationError):
-        find_crossings(spec, gap_threshold=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="gap_threshold"):
+            find_crossings(spec, gap_threshold=bad)
 
 
 def test_high_participation_cut_drops_crossing(c21_spectrum):

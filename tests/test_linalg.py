@@ -208,6 +208,25 @@ def test_kron_mixed_product(seed, da, db):
     assert np.allclose(kron(a @ b, c @ d), kron(a, c) @ kron(b, d), atol=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_unitarity_defect_of_a_non_finite_matrix_is_inf(value):
+    u = np.eye(3, dtype=complex)
+    u[2, 0] = value
+    assert linalg.unitarity_defect(u) == np.inf
+    assert linalg.unitarity_defect(np.stack([np.eye(3), u])) == np.inf
+    assert not is_unitary(u)
+
+
+def test_unitarity_defect_of_stacked_isometries():
+    rng = np.random.default_rng(16)
+    q = np.stack(
+        [np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))[0] for _ in range(4)]
+    )
+    assert linalg.unitarity_defect(q) <= 1e-14
+    q[2] *= 1 + 1e-6
+    assert linalg.unitarity_defect(q) == pytest.approx(2e-6, rel=1e-5)
+
+
 def test_tolerance_predicates():
     assert is_hermitian(np.diag([1.0, 2.0]))
     assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -18,3 +18,21 @@ def test_no_private_name_is_imported_from_a_sibling_module():
                     if alias.name.startswith("_")
                 )
     assert leaks == []
+
+
+def _imported_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_the_table_module_imports_csv():
+    """Every CSV file is written by ``table.write_csv``."""
+    importers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if any(name.split(".")[0] == "csv" for name in _imported_modules(path))
+    ]
+    assert importers == ["table.py"]

@@ -9,6 +9,8 @@ import pytest
 from dnpsim import (
     EventKind,
     Finite,
+    PulseEvent,
+    PulseSequence,
     average_hamiltonian_numeric,
     build_operators,
     cpmg_for_period,
@@ -22,7 +24,8 @@ from dnpsim import (
     pulsepol_sequence,
     resonant_period,
 )
-from dnpsim.errors import InvalidTau, NotIdealPulses, ValidityWarning
+from dnpsim import protocols
+from dnpsim.errors import InvalidTau, NotIdealPulses, NotUnitary, ValidationError, ValidityWarning
 
 from conftest import LARMOR, make_register
 
@@ -63,6 +66,24 @@ def test_invalid_tau():
         cpmg_sequence(-1.0)
     with pytest.raises(InvalidTau):
         free_sequence(-0.1)
+    for bad in (math.nan, math.inf):
+        for build in (pulsepol_sequence, cpmg_sequence, free_sequence, modulation_functions):
+            with pytest.raises(InvalidTau, match="finite"):
+                build(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_event_fields_are_rejected(bad):
+    with pytest.raises(ValidationError, match="duration"):
+        PulseEvent(EventKind.FREE_EVOLUTION, duration=bad)
+    with pytest.raises(ValidationError, match="angle/phase"):
+        PulseEvent(EventKind.ROTATION, angle=bad, phase=0.0)
+    with pytest.raises(ValidationError, match="angle/phase"):
+        PulseEvent(EventKind.ROTATION, angle=math.pi, phase=bad)
+    with pytest.raises(ValidationError, match="period"):
+        PulseSequence(events=(), period=bad, harmonic=1, label="free")
+    with pytest.raises(ValidationError, match="rabi"):
+        Finite(rabi=bad)
 
 
 def test_finite_pulses_must_fit():
@@ -82,6 +103,15 @@ def test_period_unitary_is_unitary(reg_c3_c21):
     for period in (5.6, 6.85, 7.4):
         u = period_unitary(pulsepol_for_period(period), reg_c3_c21)
         assert is_unitary(u, tol=1e-10)
+
+
+@pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
+def test_period_unitary_rejects_a_non_finite_map(reg_c3, monkeypatch, rabi):
+    monkeypatch.setattr(
+        protocols, "free_propagator", lambda register, t: np.full((4, 4), np.nan + 0j)
+    )
+    with pytest.raises(NotUnitary):
+        period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3)
 
 
 def test_finite_pulses_converge_to_ideal(reg_c3):
