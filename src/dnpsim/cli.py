@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
-from math import isfinite, pi
+from math import inf, isfinite, pi
 
 import numpy as np
 
@@ -90,6 +90,15 @@ def _finite(text: str) -> float:
     value = float(text)
     if not isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _gap_threshold(text: str) -> float:
+    """argparse type of --gap-threshold: a float, finite and > 0 as
+    ``find_crossings`` requires, checked before any work is done."""
+    value = float(text)
+    if not 0 < value < inf:
+        raise argparse.ArgumentTypeError(f"gap_threshold: must be finite and > 0, got {text!r}")
     return value
 
 
@@ -314,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = subs.add_parser("spectrum", help="quasi-energy branches and crossings")
     _add_common(spectrum)
     _add_grid(spectrum)
-    spectrum.add_argument("--gap-threshold", type=float, default=0.5,
+    spectrum.add_argument("--gap-threshold", type=_gap_threshold, default=0.5,
                           help="report crossings with phase gap below this")
     spectrum.set_defaults(func=_cmd_spectrum)
 

@@ -10,9 +10,9 @@ overlap assignment becomes ambiguous.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import chain
 from math import inf
 from typing import NamedTuple
 
@@ -31,6 +31,9 @@ STITCH_OVERLAP = 0.9
 #: Maximum bisection depth per grid interval.
 MAX_REFINE_DEPTH = 6
 
+# Working-set budget of one chunk of grid points, as in the engine's loop.
+_CHUNK_BYTES = 4 * 2**20
+
 
 class _Point(NamedTuple):
     period: float
@@ -38,14 +41,15 @@ class _Point(NamedTuple):
     vectors: np.ndarray
 
 
-def _spectrum_point(
-    builder: SequenceBuilder, register: SpinRegister, t: float
-) -> _Point:
-    seq = builder(t)
-    u = period_unitary(seq, register)
-    eig = unitary_eigensolve(u)
+def _spectrum_points(
+    builder: SequenceBuilder, register: SpinRegister, grid: np.ndarray
+) -> list[_Point]:
+    """The points of a grid chunk, from one stacked period map and one
+    stacked eigensolve."""
+    seqs = [builder(t) for t in grid]
+    eig = unitary_eigensolve(period_unitary(seqs, register))
     phases = -np.angle(eig.eigenvalues)
-    return _Point(period=seq.period, phases=phases, vectors=eig.eigenvectors)
+    return [_Point(*point) for point in zip((s.period for s in seqs), phases, eig.eigenvectors)]
 
 
 def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]:
@@ -95,7 +99,7 @@ def _stitch(
         capped.append(worst)
         return perm
     t_mid = 0.5 * (t_a + t_b)
-    mid = _spectrum_point(builder, register, t_mid)
+    (mid,) = _spectrum_points(builder, register, [t_mid])
     left = _stitch(a, mid, builder, register, t_a, t_mid, depth + 1, capped)
     right = _stitch(mid, b, builder, register, t_mid, t_b, depth + 1, capped)
     return right[left]
@@ -134,6 +138,11 @@ def compute_spectrum(
     to 6 levels before the assignment is accepted; if any interval is
     still ambiguous at that depth, one ValidityWarning gives their number
     and the worst overlap accepted.
+
+    Grid points are built in chunks that fit ``_CHUNK_BYTES``, each from one
+    stacked ``period_unitary`` and one stacked ``unitary_eigensolve`` call;
+    a bisection midpoint is a chunk of one. With ``workers`` > 1 a process
+    pool maps the chunks, and the result does not depend on ``workers``.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -141,16 +150,23 @@ def compute_spectrum(
     if workers < 1:
         raise ValidationError(f"workers: must be >= 1, got {workers}")
 
-    # Points are stitched as they arrive, so only two neighbours are held
-    # besides the branch-ordered arrays.
+    # Per point: the gap propagators, the block product and its
+    # intermediate, the squared map, the Hermitian part, its eigenvectors,
+    # U V and the residual: eight D x D complex matrices of 16 D^2 bytes.
+    size = max(1, _CHUNK_BYTES // (8 * 16 * register.dim**2))
+    chunks = [grid[i : i + size] for i in range(0, grid.size, size)]
+    # Points are stitched as they arrive, so only one chunk is held besides
+    # the branch-ordered arrays.
     with ExitStack() as stack:
         if workers == 1:
-            points = (_spectrum_point(builder, register, t) for t in grid)
+            batches = (_spectrum_points(builder, register, chunk) for chunk in chunks)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            points = pool.map(
-                _spectrum_point, [builder] * grid.size, [register] * grid.size, grid
-            )
+            n = len(chunks)
+            batches = pool.map(_spectrum_points, [builder] * n, [register] * n, chunks)
+        points = chain.from_iterable(batches)
         prev = next(points)
         dim = prev.phases.size
         axis = np.empty(grid.size)

@@ -41,15 +41,19 @@ class EigenDecomposition(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def propagator(self, t: float) -> np.ndarray:
-        """``exp(-i A t) = V diag(exp(-i w t)) V^dag`` for Hermitian ``A``."""
+    def propagator(self, t) -> np.ndarray:
+        """``exp(-i A t) = V diag(exp(-i w t)) V^dag`` for Hermitian ``A``;
+        an array of times gives a stack of shape ``t.shape + (n, n)``."""
         v = self.eigenvectors
+        t = np.asarray(t, dtype=float)[..., None, None]
         return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
 
 
-def _as_square(a: np.ndarray, name: str) -> np.ndarray:
+def _as_square(a: np.ndarray, name: str, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+    """``a`` as a complex array of ``ndims`` dimensions whose last two are
+    equal, with every entry finite."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise DimensionMismatch(f"{name} contains non-finite entries")
@@ -109,7 +113,8 @@ def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
 
 
 def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
-    """Diagonalise a unitary matrix through one Hermitian eigensolve.
+    """Diagonalise a unitary matrix, or a (P, n, n) stack of them, through
+    one Hermitian eigensolve.
 
     A unitary is normal, so every Hermitian part of e^{-i theta} U shares
     its eigenbasis, with eigenvalues cos(phi - theta) for the eigenphases
@@ -124,28 +129,39 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
     diagonalises (U + U^dag)/2 and sub-diagonalises the anti-Hermitian part
     (U - U^dag)/(2i) inside each degenerate group.
 
-    Returns eigenvalues sorted by eigenphase in (-pi, pi].
+    A stack takes one stacked ``eigh``; the residual gate is applied to
+    each matrix, and only those that fail it take the grouped solver.
+
+    Returns eigenvalues sorted by eigenphase in (-pi, pi], of shape (n,)
+    for one matrix and (P, n) for a stack, with the matching eigenvectors.
 
     Raises
     ------
     NotUnitary
-        If ``U^dag U`` deviates from identity by more than 1e-10.
+        If ``U^dag U`` deviates from identity by more than 1e-10 for any
+        matrix of the stack.
     NoConvergence
         Propagated from the Hermitian solver, or from the grouped solver
         when its eigenvalues leave the unit circle.
     """
-    u = _as_square(u, "U")
+    u = _as_square(u, "U", ndims=(2, 3))
     dev = unitarity_defect(u)
     if dev > UNITARY_TOL:
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARY_TOL}")
 
-    rotated = np.exp(-1j * EIG_PHASE_OFFSET) * u
-    _, v = hermitian_eigensolve((rotated + rotated.conj().T) / 2)
-    uv = u @ v
-    lam = np.einsum("ij,ij->j", v.conj(), uv)
-    if np.max(np.abs(uv - v * lam)) <= EIG_RESIDUAL_TOL:
-        return _phase_sorted(lam, v)
-    return _grouped_eigensolve(u)
+    stack = u.reshape((-1,) + u.shape[-2:])
+    rotated = np.exp(-1j * EIG_PHASE_OFFSET) * stack
+    try:
+        _, v = np.linalg.eigh((rotated + rotated.conj().swapaxes(-1, -2)) / 2)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    uv = stack @ v
+    lam = np.einsum("pij,pij->pj", v.conj(), uv)
+    residual = np.max(np.abs(uv - v * lam[:, None, :]), axis=(1, 2))
+    lam, v = _phase_sorted(lam, v)
+    for i in np.flatnonzero(~(residual <= EIG_RESIDUAL_TOL)):
+        lam[i], v[i] = _grouped_eigensolve(stack[i])
+    return EigenDecomposition(lam.reshape(u.shape[:-1]), v.reshape(u.shape))
 
 
 def _grouped_eigensolve(u: np.ndarray) -> EigenDecomposition:
@@ -180,11 +196,14 @@ def _grouped_eigensolve(u: np.ndarray) -> EigenDecomposition:
 
 
 def _phase_sorted(lam: np.ndarray, v: np.ndarray) -> EigenDecomposition:
+    """Eigenvalues (..., n) and eigenvectors (..., n, n) in eigenphase order."""
     # An eigenvalue at -1 with an imaginary part of -1e-16 or so has angle
     # -pi, outside (-pi, pi]; its conjugate, at most 1e-16 away, has +pi.
     lam = np.where(np.angle(lam) == -np.pi, lam.conj(), lam)
-    order = np.argsort(np.angle(lam), kind="stable")
-    return EigenDecomposition(lam[order], v[:, order])
+    order = np.argsort(np.angle(lam), axis=-1, kind="stable")
+    return EigenDecomposition(
+        np.take_along_axis(lam, order, -1), np.take_along_axis(v, order[..., None, :], -1)
+    )
 
 
 def matrix_exponential_hermitian(h: np.ndarray, t: float) -> np.ndarray:

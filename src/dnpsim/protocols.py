@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, inf, isfinite, pi, sin
 from typing import Callable, NamedTuple
 
@@ -243,8 +244,9 @@ def _electron_rotation(angle: float, phase: float) -> np.ndarray:
     )
 
 
-def free_propagator(register: SpinRegister, duration: float) -> np.ndarray:
-    """exp(-i H0 t) over the joint space, from the cached H0 eigensystem.
+def free_propagator(register: SpinRegister, duration) -> np.ndarray:
+    """exp(-i H0 t) over the joint space, from the cached H0 eigensystem;
+    an array of durations gives a stack of shape ``duration.shape + (D, D)``.
 
     H0 is block-diagonal in the electron basis, so block [r, r] is the
     nuclear precession with the electron held in basis state r.
@@ -252,16 +254,21 @@ def free_propagator(register: SpinRegister, duration: float) -> np.ndarray:
     return static_hamiltonian_eig(register).propagator(duration)
 
 
-def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
+def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
     """Ordered product of the event propagators over one period.
 
-    Free segments contribute exp(-i H0 d); ideal rotations exp(-i theta
-    S_phi); finite rotations exp(-i (H0 d + theta S_phi)). The result's
-    ``linalg.unitarity_defect`` is checked to be at most 1e-10, which a
-    map with a non-finite entry fails.
+    ``seqs`` is one PulseSequence, giving a (D, D) map, or a sequence of
+    them, giving a (P, D, D) stack. Free segments contribute exp(-i H0 d);
+    ideal rotations exp(-i theta S_phi); finite rotations
+    exp(-i (H0 d + theta S_phi)). Every map's ``linalg.unitarity_defect``
+    is checked to be at most 1e-10, which a map with a non-finite entry
+    fails.
 
-    An all-ideal sequence is multiplied out on (2, 2, d, d) electron
-    blocks (d = D / 2, the nuclear dimension): H0 is block-diagonal in the
+    A period whose second half repeats its first event for event is built
+    as the half-period map squared. Sequences that share one event pattern
+    (the same events up to the gap durations) are multiplied out together.
+    All-ideal patterns are multiplied out on electron block rows of d = D / 2
+    rows each (d is the nuclear dimension): H0 is block-diagonal in the
     electron basis, so a free gap multiplies each block row by one of the
     two diagonal d x d blocks of exp(-i H0 d), and the rotations between
     two gaps merge into one 2x2 matrix that mixes block rows with scalars.
@@ -271,10 +278,53 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
     large against the strongest transverse coupling (the pulses then tilt
     the nuclei noticeably and the ideal-pulse analysis drifts).
     """
+    single = isinstance(seqs, PulseSequence)
+    stack = (seqs,) if single else tuple(seqs)
+    if not stack:
+        raise ValidationError("seqs: need at least one pulse sequence")
     ops = build_operators(register)
-    dim = ops.dim
 
-    finite = [e for e in seq.events if e.kind is EventKind.ROTATION and e.duration > 0]
+    u = np.empty((len(stack), ops.dim, ops.dim), dtype=complex)
+    for (pattern, squared), members in _by_pattern(stack).items():
+        if all(e is None or e.duration == 0.0 for e in pattern):
+            maps = _block_periods(pattern, [stack[i] for i in members], register)
+        else:
+            _warn_weak_drive(pattern, register)
+            steps: dict[PulseEvent, np.ndarray] = {}
+            maps = np.stack(
+                [_dense_period(stack[i].events[: len(pattern)], register, ops, steps)
+                 for i in members]
+            )
+        u[members] = maps @ maps if squared else maps
+
+    dev = unitarity_defect(u)
+    if dev > UNITARY_TOL:
+        raise NotUnitary(f"period propagator drifted off unitarity by {dev:.3e}")
+    return u[0] if single else u
+
+
+def _by_pattern(seqs: tuple[PulseSequence, ...]) -> dict[tuple, list[int]]:
+    """Indices of ``seqs`` keyed by (pattern, squared).
+
+    The pattern is the events to multiply out, each free event replaced by
+    None: the first half when the second half repeats it (squared True),
+    else the whole period.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        events = seq.events
+        half = len(events) // 2
+        squared = len(events) % 2 == 0 and events[:half] == events[half:]
+        if squared:
+            events = events[:half]
+        pattern = tuple(None if e.kind is EventKind.FREE_EVOLUTION else e for e in events)
+        groups.setdefault((pattern, squared), []).append(i)
+    return groups
+
+
+def _warn_weak_drive(pattern: tuple, register: SpinRegister) -> None:
+    """Warn when the pattern's finite pulses are weak against the couplings."""
+    finite = [e for e in pattern if e is not None and e.duration > 0]
     if finite and register.nuclei:
         rabi = finite[0].angle / finite[0].duration
         max_perp = max(n.a_perp for n in register.nuclei)
@@ -283,46 +333,66 @@ def period_unitary(seq: PulseSequence, register: SpinRegister) -> np.ndarray:
                 f"finite-pulse rabi {rabi:.3g} rad/us is below 100x the strongest "
                 f"transverse coupling {max_perp:.3g}; pulse errors will be visible",
                 ValidityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
-    if finite:
-        u = _dense_period(seq, register, ops)
-    else:
-        d = dim // 2
-        u = _block_period(seq, register, d).transpose(0, 2, 1, 3).reshape(dim, dim)
 
-    dev = unitarity_defect(u)
-    if dev > UNITARY_TOL:
-        raise NotUnitary(f"period propagator drifted off unitarity by {dev:.3e}")
-    return u
-
-
-def _block_period(seq: PulseSequence, register: SpinRegister, d: int) -> np.ndarray:
-    """Period map of an all-ideal sequence as electron blocks u[r, s] (d x d)."""
-    u = np.multiply.outer(np.eye(2, dtype=complex), np.eye(d, dtype=complex))
-    mix = np.eye(2, dtype=complex)
-    gaps: dict[float, np.ndarray] = {}
-    for event in seq.events:
-        if event.kind is EventKind.ROTATION:
-            mix = _electron_rotation(event.angle, event.phase) @ mix
-            continue
-        gap = gaps.get(event.duration)
-        if gap is None:
-            full = free_propagator(register, event.duration).reshape(2, d, 2, d)
-            gap = gaps[event.duration] = np.stack((full[0, :, 0], full[1, :, 1]))[:, None]
-        u = gap @ (mix @ u.reshape(2, -1)).reshape(u.shape)
-        mix = np.eye(2, dtype=complex)
-    return (mix @ u.reshape(2, -1)).reshape(u.shape)
+@lru_cache(maxsize=64)
+def _merged_rotations(pattern: tuple) -> tuple[np.ndarray, ...]:
+    """The 2x2 electron rotations of an all-ideal pattern merged between
+    its gaps: one before the first gap, one after each; read-only."""
+    mixes = [np.eye(2, dtype=complex)]
+    for event in pattern:
+        if event is None:
+            mixes.append(np.eye(2, dtype=complex))
+        else:
+            mixes[-1] = _electron_rotation(event.angle, event.phase) @ mixes[-1]
+    for mix in mixes:
+        mix.setflags(write=False)
+    return tuple(mixes)
 
 
-def _dense_period(seq: PulseSequence, register: SpinRegister, ops) -> np.ndarray:
-    """Period map as dense products of every event's D x D propagator,
-    each distinct event's propagator built once."""
+def _block_periods(
+    pattern: tuple, seqs: list[PulseSequence], register: SpinRegister
+) -> np.ndarray:
+    """(P, D, D) maps of all-ideal sequences sharing ``pattern``.
+
+    Each map is held as (2, d, D): block row r is the d x D slab of rows
+    r d to r d + d - 1, which a gap multiplies by the d x d block [r, r] of
+    exp(-i H0 t) and a merged rotation mixes with its 2x2 scalars.
+    """
+    dim = register.dim
+    d = dim // 2
+    first, *mixes = _merged_rotations(pattern)
+    gaps = np.array(
+        [[e.duration for e in seq.events[: len(pattern)] if e.kind is EventKind.FREE_EVOLUTION]
+         for seq in seqs]
+    )
+    times, which = np.unique(gaps, return_inverse=True)
+    full = free_propagator(register, times).reshape(-1, 2, d, 2, d)
+    blocks = np.stack((full[:, 0, :, 0], full[:, 1, :, 1]), axis=1)
+    which = which.reshape(gaps.shape)
+    p = len(seqs)
+    # The first gap acts on the merged rotation before it: each block of
+    # u is a gap block times one of its scalars.
+    u = first[:, None, :, None] * blocks[which[:, 0], :, :, None, :]
+    u = u.reshape(p, 2, d, dim)
+    for k, mix in enumerate(mixes[:-1], start=1):
+        u = blocks[which[:, k]] @ (mix @ u.reshape(p, 2, -1)).reshape(u.shape)
+    return (mixes[-1] @ u.reshape(p, 2, -1)).reshape(p, dim, dim)
+
+
+def _dense_period(
+    events: tuple[PulseEvent, ...],
+    register: SpinRegister,
+    ops,
+    steps: dict[PulseEvent, np.ndarray],
+) -> np.ndarray:
+    """Period map as dense products of every event's D x D propagator; each
+    distinct event's propagator is built once and kept in ``steps``."""
     h0 = static_hamiltonian(register, ops)
-    steps: dict[PulseEvent, np.ndarray] = {}
     u = np.eye(ops.dim, dtype=complex)
-    for event in seq.events:
+    for event in events:
         step = steps.get(event)
         if step is None:
             if event.kind is EventKind.FREE_EVOLUTION:

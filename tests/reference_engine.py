@@ -6,7 +6,8 @@ the wait and re-tensors the reset electron back on, one grid point at a
 time. It is slow and simple on purpose; the package engine must reproduce
 it to 1e-10. ``dense_period_unitary`` is the matching oracle for the
 period map: one dense D x D product per event, with its free evolution
-taken from its own eigensolve of H0.
+taken from its own eigensolve of H0 and its finite pulses from scipy's
+``expm``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 from math import cos, sin
 
 import numpy as np
+import scipy.linalg
 
 from dnpsim import DensityState, EventKind, initial_state, period_unitary
 from dnpsim.engine import STATE_TOL
-from dnpsim.errors import DimensionMismatch, NotIdealPulses
+from dnpsim.errors import DimensionMismatch
 from dnpsim.linalg import kron
 from dnpsim.spins import static_hamiltonian
 
@@ -45,12 +47,21 @@ def partial_trace(rho, subsystem_dims, traced_index: int) -> np.ndarray:
 
 
 def dense_period_unitary(seq, register) -> np.ndarray:
-    """Ordered product of dense D x D event propagators over one ideal period."""
+    """Ordered product of dense D x D event propagators over one period,
+    ideal or finite: exp(-i H0 d) from its own eigensolve of H0 for a gap,
+    exp(-i theta S_phi) (x) 1 for an ideal rotation and
+    ``scipy.linalg.expm(-i (H0 d + theta S_phi))`` for a finite one."""
     dim = 2 ** (1 + len(register.nuclei))
-    w0, v0 = np.linalg.eigh(static_hamiltonian(register))
+    h0 = static_hamiltonian(register)
+    w0, v0 = np.linalg.eigh(h0)
+    half_x = np.array([[0.0, 0.5], [0.5, 0.0]])
+    half_y = np.array([[0.0, -0.5j], [0.5j, 0.0]])
     u = np.eye(dim, dtype=complex)
+    steps = {}
     for event in seq.events:
-        if event.kind is EventKind.FREE_EVOLUTION:
+        if event in steps:
+            step = steps[event]
+        elif event.kind is EventKind.FREE_EVOLUTION:
             step = (v0 * np.exp(-1j * w0 * event.duration)) @ v0.conj().T
         elif event.duration == 0.0:
             c, s = cos(event.angle / 2.0), sin(event.angle / 2.0)
@@ -60,7 +71,9 @@ def dense_period_unitary(seq, register) -> np.ndarray:
             )
             step = kron(u2, np.eye(dim // 2))
         else:
-            raise NotIdealPulses("the dense oracle covers ideal pulses only")
+            s_phi = kron(cos(event.phase) * half_x + sin(event.phase) * half_y, np.eye(dim // 2))
+            step = scipy.linalg.expm(-1j * (h0 * event.duration + event.angle * s_phi))
+        steps[event] = step
         u = step @ u
     return u
 

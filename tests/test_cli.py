@@ -224,6 +224,23 @@ def test_non_finite_numbers_are_usage_errors(argv, field, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_gap_threshold_is_rejected_before_any_work(value, tmp_path, capsys, monkeypatch):
+    """No spectrum is computed and no --out file is written."""
+    def never(*args, **kwargs):
+        raise AssertionError("the spectrum was computed")
+
+    monkeypatch.setattr(cli, "compute_spectrum", never)
+    out = tmp_path / "gt.csv"
+    argv = ["spectrum", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0",
+            "--steps", "5", f"--gap-threshold={value}", "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --gap-threshold: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("larmor_rad_per_us: 2.7\nnuclei:\n  - {label: X, a_parallel_khz: 1,\n")

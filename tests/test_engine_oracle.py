@@ -11,6 +11,7 @@ from dnpsim import (
     DensityState,
     NuclearSpin,
     ProtocolRun,
+    PulseSequence,
     SpinRegister,
     cpmg_for_period,
     kron,
@@ -180,6 +181,33 @@ def test_block_period_map_matches_dense_product(config, builder):
         seq = builder(period)
         want = ref.dense_period_unitary(seq, register)
         assert np.max(np.abs(period_unitary(seq, register) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("rabi", [300.0, 2000.0])
+@pytest.mark.parametrize("builder", [pulsepol_for_period, cpmg_for_period])
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_finite_period_map_matches_dense_product(config, builder, rabi):
+    """The finite-pulse period map, built as its half-period squared, is
+    the dense ordered product of scipy exponentials."""
+    register = shipped_register(config)
+    t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor))
+    for period in (t_r, 0.93 * t_r):
+        seq = builder(period, rabi=rabi)
+        want = ref.dense_period_unitary(seq, register)
+        assert np.max(np.abs(period_unitary(seq, register) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("rabi", [None, 300.0])
+def test_period_map_with_unequal_halves_matches_dense_product(rabi):
+    """A period whose halves differ in one gap is multiplied out whole."""
+    register = shipped_register("c3_c4_c8.yaml")
+    first = pulsepol_for_period(6.8, rabi=rabi).events
+    second = pulsepol_for_period(6.9, rabi=rabi).events
+    half = len(first) // 2
+    events = first[:half] + second[half:]
+    seq = PulseSequence(events, sum(e.duration for e in events), 3, "uneven")
+    want = ref.dense_period_unitary(seq, register)
+    assert np.max(np.abs(period_unitary(seq, register) - want)) <= 1e-12
 
 
 def random_density(dim, rng):

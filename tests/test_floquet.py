@@ -113,6 +113,49 @@ def test_stitching_warns_once_at_the_depth_cap(monkeypatch):
     assert "overlap down to 0.78" in message
 
 
+def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
+    """On a coarse 41-point grid around the C21 resonance, with chunks of
+    8 points, the period map and the eigensolve run once per chunk and once
+    per bisection midpoint, and the spectrum is the one-chunk spectrum."""
+    reg, t_r, _ = c21_spectrum
+    grid = np.linspace(t_r - 2.4, t_r + 2.4, 41)
+    want = compute_spectrum(pulsepol_for_period, reg, grid)
+    maps, eigs, matches = [], [], []
+    real_map, real_eig, real_match = (
+        floquet.period_unitary, floquet.unitary_eigensolve, floquet._greedy_match
+    )
+
+    def count_maps(seqs, register):
+        maps.append([seq.period for seq in seqs])
+        return real_map(seqs, register)
+
+    def count_eigs(u):
+        eigs.append(len(u))
+        return real_eig(u)
+
+    def count_matches(prev, nxt):
+        matches.append(1)
+        return real_match(prev, nxt)
+
+    monkeypatch.setattr(floquet, "period_unitary", count_maps)
+    monkeypatch.setattr(floquet, "unitary_eigensolve", count_eigs)
+    monkeypatch.setattr(floquet, "_greedy_match", count_matches)
+    monkeypatch.setattr(floquet, "_CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
+    got = compute_spectrum(pulsepol_for_period, reg, grid)
+
+    # Each bisection adds one midpoint and turns one stitch into two.
+    midpoints = (len(matches) - (grid.size - 1)) // 2
+    assert midpoints > 0
+    chunks = [c for c in maps if c[0] in got.periods]
+    assert [len(c) for c in chunks] == [8] * 5 + [1]
+    assert np.array_equal([t for c in chunks for t in c], got.periods)
+    assert len(maps) == len(chunks) + midpoints
+    assert all(len(c) == 1 for c in maps if c not in chunks)
+    assert eigs == [len(c) for c in maps]
+    assert np.array_equal(got.phases, want.phases)
+    assert np.array_equal(got.vectors, want.vectors)
+
+
 def test_spectrum_csv(tmp_path, c21_spectrum):
     _, _, spec = c21_spectrum
     out = tmp_path / "spec.csv"
@@ -240,4 +283,17 @@ def test_spectrum_is_the_same_with_two_workers(c21_spectrum):
     serial = compute_spectrum(pulsepol_for_period, reg, periods, workers=1)
     pooled = compute_spectrum(pulsepol_for_period, reg, periods, workers=2)
     assert np.array_equal(serial.phases, pooled.phases)
+    assert np.array_equal(serial.periods, pooled.periods)
+
+
+def test_pooled_chunks_give_the_serial_spectrum(monkeypatch, c21_spectrum):
+    """Two workers map chunks of two points; the spectrum is bit for bit
+    the serial one."""
+    reg, t_r, _ = c21_spectrum
+    periods = np.linspace(t_r - 0.12, t_r + 0.12, 9)
+    serial = compute_spectrum(pulsepol_for_period, reg, periods, workers=1)
+    monkeypatch.setattr(floquet, "_CHUNK_BYTES", 2 * 8 * 16 * reg.dim**2)
+    pooled = compute_spectrum(pulsepol_for_period, reg, periods, workers=2)
+    assert np.array_equal(serial.phases, pooled.phases)
+    assert np.array_equal(serial.vectors, pooled.vectors)
     assert np.array_equal(serial.periods, pooled.periods)

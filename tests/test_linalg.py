@@ -158,6 +158,44 @@ def test_unitary_pair_mirrored_about_the_offset_falls_back(fallbacks):
     assert np.allclose(np.angle(lam), np.sort(phases), atol=1e-12)
 
 
+def test_unitary_stack_equals_per_matrix_calls(fallbacks):
+    """One stacked call gives each matrix's own result bit for bit; only
+    the matrix with a pair mirrored about the offset falls back."""
+    theta = linalg.EIG_PHASE_OFFSET
+    stack = np.stack(
+        [
+            with_phases([0.4, -0.4, 1.3, -1.3, 2.9], 31),
+            with_phases([theta + 0.3, theta - 0.3, 2.5, -0.9, 1.7], 32),
+            with_phases([-np.pi, np.pi, 0.5, -2.0, 1.0], 33),
+            random_unitary(5, np.random.default_rng(34)),
+        ]
+    )
+    lam, v = unitary_eigensolve(stack)
+    assert lam.shape == (4, 5) and v.shape == (4, 5, 5)
+    assert fallbacks == [5]
+    for i, u in enumerate(stack):
+        assert_sound_eigensystem(u, lam[i], v[i])
+        one = unitary_eigensolve(u)
+        assert np.array_equal(one.eigenvalues, lam[i])
+        assert np.array_equal(one.eigenvectors, v[i])
+    assert np.angle(lam[2])[-2:].tolist() == [np.pi, np.pi]
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, DimensionMismatch), (1.001, NotUnitary)])
+def test_unitary_stack_with_one_bad_matrix_raises(bad, error):
+    """The finite-entry check comes first, then the unitarity check."""
+    stack = np.stack([random_unitary(4, np.random.default_rng(k)) for k in range(3)])
+    stack[1, 2, 3] *= bad
+    with pytest.raises(error):
+        unitary_eigensolve(stack)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 3), (2, 2, 2, 2)])
+def test_unitary_rejects_shapes_other_than_a_matrix_or_a_stack(shape):
+    with pytest.raises(DimensionMismatch):
+        unitary_eigensolve(np.ones(shape, dtype=complex))
+
+
 def test_unitary_register27_period_map():
     """The 256-dim period map of the first seven tabulated nuclei."""
     register = shipped_register("register27.yaml")

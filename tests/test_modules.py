@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dnpsim"
@@ -36,3 +39,18 @@ def test_only_the_table_module_imports_csv():
         if any(name.split(".")[0] == "csv" for name in _imported_modules(path))
     ]
     assert importers == ["table.py"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The spectrum pool imports its machinery only when it is used."""
+    code = (
+        "import sys, dnpsim.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -114,6 +114,72 @@ def test_period_unitary_rejects_a_non_finite_map(reg_c3, monkeypatch, rabi):
         period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3)
 
 
+def _uneven(period: float) -> PulseSequence:
+    """A polarisation period whose second half has other gaps."""
+    first, second = pulsepol_for_period(period).events, pulsepol_for_period(period + 0.1).events
+    events = first[:12] + second[12:]
+    return PulseSequence(events, sum(e.duration for e in events), 3, "uneven")
+
+
+STACKS = {
+    "ideal": lambda: [pulsepol_for_period(t) for t in (6.6, 6.75, 6.9, 7.05)],
+    "finite": lambda: [cpmg_for_period(t, rabi=500.0) for t in (6.6, 6.75, 6.9)],
+    "mixed": lambda: [
+        pulsepol_for_period(6.7),
+        cpmg_for_period(6.7),
+        pulsepol_for_period(6.8, rabi=500.0),
+        _uneven(6.8),
+        pulsepol_for_period(6.9),
+        free_sequence(2.0),
+        _uneven(6.9),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", STACKS)
+def test_period_unitary_stack_equals_per_sequence_calls(kind, reg_c3_c21):
+    seqs = STACKS[kind]()
+    stacked = period_unitary(tuple(seqs), reg_c3_c21)
+    assert stacked.shape == (len(seqs), 8, 8)
+    for seq, u in zip(seqs, stacked):
+        assert np.array_equal(period_unitary(seq, reg_c3_c21), u)
+
+
+@pytest.mark.parametrize("kind", STACKS)
+@pytest.mark.parametrize("bad", [np.nan, 1.001])
+def test_period_unitary_stack_with_one_bad_map_raises(kind, bad, reg_c3_c21, monkeypatch):
+    """Corrupting the free evolution of one sequence's first gap, in the
+    middle of the stack, makes the stacked call raise."""
+    seqs = STACKS[kind]()
+    target = next(e.duration for e in seqs[1].events if e.kind is EventKind.FREE_EVOLUTION)
+    real = protocols.free_propagator
+
+    def corrupt(register, duration):
+        out = real(register, duration)
+        out[np.asarray(duration) == target] *= bad
+        return out
+
+    monkeypatch.setattr(protocols, "free_propagator", corrupt)
+    with pytest.raises(NotUnitary):
+        period_unitary(seqs, reg_c3_c21)
+
+
+def test_period_unitary_squares_a_repeated_half(reg_c3_c21):
+    """Every builder emits a period whose halves repeat; the map is the
+    half-period map squared."""
+    for seq in (pulsepol_for_period(6.8), cpmg_for_period(6.8, rabi=500.0)):
+        half = len(seq.events) // 2
+        assert seq.events[:half] == seq.events[half:]
+        first = PulseSequence(seq.events[:half], seq.period / 2, seq.harmonic, "half")
+        u_half = period_unitary(first, reg_c3_c21)
+        assert np.array_equal(period_unitary(seq, reg_c3_c21), u_half @ u_half)
+
+
+def test_period_unitary_rejects_an_empty_stack(reg_c3):
+    with pytest.raises(ValidationError):
+        period_unitary((), reg_c3)
+
+
 def test_finite_pulses_converge_to_ideal(reg_c3):
     target = period_unitary(pulsepol_for_period(6.85), reg_c3)
     devs = []
