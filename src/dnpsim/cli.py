@@ -93,6 +93,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _gap_threshold(text: str) -> float:
     """argparse type of --gap-threshold: a float, finite and > 0 as
     ``find_crossings`` requires, checked before any work is done."""
@@ -280,13 +288,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--protocol", choices=("pulsepol", "cpmg"), default="pulsepol",
         help="period builder (default pulsepol)",
     )
-    sub.add_argument("--harmonic", type=int, default=3, help="resonance harmonic k")
+    sub.add_argument("--harmonic", type=_positive_int, default=3, help="resonance harmonic k")
     sub.add_argument(
         "--rabi", type=float, default=None,
         help="finite-pulse Rabi frequency in rad/us (default: ideal pulses)",
     )
     sub.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="process count for spectrum (sweeps run batched in one process)",
     )
 

@@ -3,10 +3,10 @@
 One repetition applies n_periods protocol periods coherently, discards the
 electron (optical reinitialisation), lets the nuclei precess for a wait
 interval with the electron held in its reset state r and re-tensors that
-electron state back on. The wait propagator is the [r, r] block of
-exp(-i H0 t), which is block-diagonal in the electron basis; it comes from
-the same cached H0 eigensystem as the free gaps of a period. Nuclear
-polarisations are recorded once per repetition at the end of that cycle.
+electron state back on. The wait propagator is block r of
+``protocols.free_propagator``, the electron blocks of exp(-i H0 t) that
+also give the free gaps of a period. Nuclear polarisations are recorded
+once per repetition at the end of that cycle.
 
 Because the electron always enters a burst in its reset state r, a
 repetition acts on the nuclear state alone as the two-operator Kraus map
@@ -27,9 +27,10 @@ state shifted by half the tolerance, at a fraction of the cost of an
 eigensolve; only a state that fails it gets ``eigvalsh``, which decides.
 
 A sweep runs the same burst pattern at many periods from a fresh thermal
-state each time, all grid points in one batched loop; a schedule chains
-stages at different periods on one evolving state. Both are written as
-CSV through ``dnpsim.table.write_csv``.
+state each time, all grid points in one batched loop whose bursts come
+from stacked period maps; a schedule chains stages at different periods
+on one evolving state. Both are written as CSV through
+``dnpsim.table.write_csv``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     NotUnitary,
     ValidationError,
 )
-from .linalg import kron, unitarity_defect
+from .linalg import chunk_points, kron, unitarity_defect
 from .protocols import PulseSequence, SequenceBuilder, free_propagator, period_unitary
 from .spins import SpinRegister, require_joint_space
 from .table import fmt, write_csv
@@ -56,10 +57,6 @@ STATE_TOL = 1e-9
 
 #: Bound on max |sum_a K_a^dag K_a - I| for a burst's Kraus pair.
 KRAUS_TOL = 1e-10
-
-#: Bytes a sweep may hold in Kraus stacks, states and their products at
-#: once; the grid is run in chunks of as many points as fit.
-_CHUNK_BYTES = 4 * 2**20
 
 
 def _check_states(rho: np.ndarray) -> None:
@@ -164,21 +161,22 @@ def _wait_unitary(run: ProtocolRun, register: SpinRegister) -> np.ndarray | None
     """Nuclear propagator of the wait interval, the reset-state block of
     exp(-i H0 t), or None when there is no wait."""
     if run.wait_us > 0:
-        d, r = register.dim // 2, run.reinit_state
-        return free_propagator(register, run.wait_us).reshape(2, d, 2, d)[r, :, r, :]
+        return free_propagator(register, run.wait_us)[run.reinit_state]
     return None
 
 
-def _burst_unitary(run: ProtocolRun, register: SpinRegister) -> np.ndarray:
-    return np.linalg.matrix_power(period_unitary(run.sequence, register), run.n_periods)
+def _burst_unitary(seqs, n_periods: int, register: SpinRegister) -> np.ndarray:
+    """``period_unitary(seqs, register)`` to the power n_periods."""
+    return np.linalg.matrix_power(period_unitary(seqs, register), n_periods)
 
 
 def _kraus_pair(
     u_burst: np.ndarray, reinit_state: int, u_wait: np.ndarray | None
 ) -> np.ndarray:
-    """The pair (K_0, K_1) as a (2, d, d) array owning its memory."""
-    d = u_burst.shape[0] // 2
-    blocks = u_burst.reshape(2, d, 2, d)[:, :, reinit_state, :]
+    """The pair (K_0, K_1) of a (D, D) burst as a (2, d, d) array owning its
+    memory, or of each burst of a (P, D, D) stack as (P, 2, d, d)."""
+    d = u_burst.shape[-1] // 2
+    blocks = u_burst.reshape(u_burst.shape[:-2] + (2, d, 2, d))[..., reinit_state, :]
     return blocks.copy() if u_wait is None else u_wait @ blocks
 
 
@@ -247,7 +245,7 @@ def run_protocol(
     elif state.register != register:
         raise ValidationError("state was built for a different register")
 
-    u_burst = _burst_unitary(run, register)
+    u_burst = _burst_unitary(run.sequence, run.n_periods, register)
     u_wait = _wait_unitary(run, register)
     kraus = _kraus_pair(u_burst, run.reinit_state, u_wait)[None]
     _check_completeness(kraus)
@@ -309,42 +307,36 @@ def sweep_trace(
     ``builder`` maps each grid value to a PulseSequence; the trace axis
     records the period of the sequence actually built. All points run in
     one batched repetition loop in this process, in chunks that fit
-    ``_CHUNK_BYTES``; ``workers`` is validated but does not change the
-    work or the result.
+    ``linalg.CHUNK_BYTES``; each chunk's bursts come from stacked period
+    maps, built in sub-chunks that fit the same budget. ``workers`` is
+    validated but does not change the work or the result.
     """
     periods = np.asarray(periods, dtype=float)
     if periods.ndim != 1 or periods.size == 0:
         raise ValidationError("periods: need a non-empty 1-d grid")
     if workers < 1:
         raise ValidationError(f"workers: must be >= 1, got {workers}")
-    runs = [
-        ProtocolRun(
-            sequence=builder(float(t)),
-            n_periods=n_periods,
-            repetitions=repetitions,
-            wait_us=wait_us,
-            reinit_state=reinit_state,
-        )
-        for t in periods
-    ]
+    seqs = [builder(float(t)) for t in periods]
+    run = ProtocolRun(seqs[0], n_periods, repetitions, wait_us, reinit_state)
     d = register.dim // 2
-    u_wait = _wait_unitary(runs[0], register)
+    u_wait = _wait_unitary(run, register)
     # Per point: the pair, its row-block and adjoint copies (two d x d
     # complex matrices each), the state, the intermediate product (two) and
     # the next state: ten matrices of 16 d^2 bytes.
-    chunk = max(1, _CHUNK_BYTES // (10 * 16 * d * d))
+    chunk = chunk_points(10 * 16 * d * d)
+    # Period maps take eight D x D matrices per point, as in the Floquet grid.
+    map_chunk = chunk_points(8 * 16 * register.dim**2)
     values = []
-    for start in range(0, len(runs), chunk):
-        kraus = np.stack(
-            [
-                _kraus_pair(_burst_unitary(run, register), reinit_state, u_wait)
-                for run in runs[start : start + chunk]
-            ]
-        )
+    for start in range(0, len(seqs), chunk):
+        part = seqs[start : start + chunk]
+        kraus = np.empty((len(part), 2, d, d), dtype=complex)
+        for i in range(0, len(part), map_chunk):
+            u_burst = _burst_unitary(part[i : i + map_chunk], n_periods, register)
+            kraus[i : i + map_chunk] = _kraus_pair(u_burst, reinit_state, u_wait)
         _check_completeness(kraus)
         rho = np.broadcast_to(np.eye(d, dtype=complex) / d, kraus.shape[:1] + (d, d))
         values.append(_polarisations(_repeat(kraus, rho, repetitions)))
-    axis = np.array([run.sequence.period for run in runs])
+    axis = np.array([seq.period for seq in seqs])
     labels = tuple(s.label for s in register.nuclei)
     return PolarisationTrace(periods=axis, labels=labels, values=np.vstack(values))
 
@@ -455,7 +447,7 @@ def asymptotic_envelope(
         raise ValidationError(f"tol: must be > 0, got {tol}")
     if max_repetitions < 1:
         raise ValidationError(f"max_repetitions: must be >= 1, got {max_repetitions}")
-    u_burst = _burst_unitary(run, register)
+    u_burst = _burst_unitary(run.sequence, run.n_periods, register)
     kraus = _kraus_pair(u_burst, run.reinit_state, _wait_unitary(run, register))[None]
     _check_completeness(kraus)
     d = u_burst.shape[0] // 2

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError, ValidityWarning
-from .linalg import unitary_eigensolve
+from .linalg import chunk_points, unitary_eigensolve
 from .protocols import SequenceBuilder, period_unitary
 from .spins import SpinRegister, build_operators
 from .table import write_csv
@@ -30,9 +30,6 @@ STITCH_OVERLAP = 0.9
 
 #: Maximum bisection depth per grid interval.
 MAX_REFINE_DEPTH = 6
-
-# Working-set budget of one chunk of grid points, as in the engine's loop.
-_CHUNK_BYTES = 4 * 2**20
 
 
 class _Point(NamedTuple):
@@ -139,10 +136,11 @@ def compute_spectrum(
     still ambiguous at that depth, one ValidityWarning gives their number
     and the worst overlap accepted.
 
-    Grid points are built in chunks that fit ``_CHUNK_BYTES``, each from one
-    stacked ``period_unitary`` and one stacked ``unitary_eigensolve`` call;
-    a bisection midpoint is a chunk of one. With ``workers`` > 1 a process
-    pool maps the chunks, and the result does not depend on ``workers``.
+    Grid points are built in chunks that fit ``linalg.CHUNK_BYTES``, each
+    from one stacked ``period_unitary`` and one stacked
+    ``unitary_eigensolve`` call; a bisection midpoint is a chunk of one.
+    With ``workers`` > 1 a process pool maps the chunks, and the result
+    does not depend on ``workers``.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -153,7 +151,7 @@ def compute_spectrum(
     # Per point: the gap propagators, the block product and its
     # intermediate, the squared map, the Hermitian part, its eigenvectors,
     # U V and the residual: eight D x D complex matrices of 16 D^2 bytes.
-    size = max(1, _CHUNK_BYTES // (8 * 16 * register.dim**2))
+    size = chunk_points(8 * 16 * register.dim**2)
     chunks = [grid[i : i + size] for i in range(0, grid.size, size)]
     # Points are stitched as they arrive, so only one chunk is held besides
     # the branch-ordered arrays.

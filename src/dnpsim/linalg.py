@@ -26,27 +26,38 @@ EIG_PHASE_OFFSET = 0.6180339887498949
 #: Largest max |U V - V diag(lambda)| the one-eigh path may leave.
 EIG_RESIDUAL_TOL = 1e-10
 
+#: Bytes of working set a batched computation over a grid may hold at once.
+CHUNK_BYTES = 4 * 2**20
+
+
+def chunk_points(bytes_per_point: int) -> int:
+    """Grid points per chunk: as many as fit ``CHUNK_BYTES``, at least one."""
+    return max(1, CHUNK_BYTES // bytes_per_point)
+
 
 class EigenDecomposition(NamedTuple):
-    """Spectral decomposition ``A = V diag(w) V^dag``.
+    """Spectral decomposition ``A = V diag(w) V^dag``, or one per matrix
+    of a (P, n, n) stack.
 
     eigenvalues
-        1-D array. Real ascending for Hermitian input; on the unit circle
-        for unitary input.
+        (n,) array, or (P, n). Real ascending for Hermitian input; on the
+        unit circle for unitary input.
     eigenvectors
-        Unitary matrix whose columns are the eigenvectors, ordered to match
-        ``eigenvalues``.
+        Unitary (n, n) matrix, or (P, n, n), whose columns are the
+        eigenvectors, ordered to match ``eigenvalues``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def propagator(self, t) -> np.ndarray:
-        """``exp(-i A t) = V diag(exp(-i w t)) V^dag`` for Hermitian ``A``;
-        an array of times gives a stack of shape ``t.shape + (n, n)``."""
-        v = self.eigenvectors
-        t = np.asarray(t, dtype=float)[..., None, None]
-        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
+        """``exp(-i A t) = V diag(exp(-i w t)) V^dag`` for Hermitian ``A``,
+        or for each matrix of a decomposed stack; an array of times gives
+        a result of shape ``t.shape + A.shape``."""
+        v, w = self.eigenvectors, self.eigenvalues
+        t = np.asarray(t, dtype=float)
+        t = t.reshape(t.shape + (1,) * w.ndim)
+        return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _as_square(a: np.ndarray, name: str, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
@@ -81,17 +92,18 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 
 def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
-    """Diagonalise a Hermitian matrix.
+    """Diagonalise a Hermitian matrix, or each matrix of a (P, n, n) stack.
 
     Parameters
     ----------
     h
-        Hermitian matrix (checked to 1e-10 in max-entry norm).
+        Hermitian matrix or stack (checked to 1e-10 in max-entry norm).
 
     Returns
     -------
     EigenDecomposition
-        Real eigenvalues in ascending order with orthonormal eigenvectors.
+        Real eigenvalues in ascending order with orthonormal eigenvectors,
+        of shapes (n,) and (n, n), or (P, n) and (P, n, n) for a stack.
 
     Raises
     ------
@@ -100,11 +112,10 @@ def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
     NoConvergence
         If the underlying iteration does not converge.
     """
-    h = _as_square(h, "H")
-    if not is_hermitian(h):
-        raise NotHermitian(
-            f"max |H - H^dag| = {np.max(np.abs(h - h.conj().T)):.3e} exceeds {HERMITIAN_TOL}"
-        )
+    h = _as_square(h, "H", ndims=(2, 3))
+    dev = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
+    if dev > HERMITIAN_TOL:
+        raise NotHermitian(f"max |H - H^dag| = {dev:.3e} exceeds {HERMITIAN_TOL}")
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

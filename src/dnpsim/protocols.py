@@ -7,6 +7,10 @@ refocusing train with period T = 2 tau. Both come in an ideal-pulse flavour
 (zero-duration rotations) and a finite-pulse flavour where rotations evolve
 the full Hamiltonian plus drive for theta/Omega.
 
+``period_unitary`` builds the one-period map of a sequence, or of a stack
+of them, with one kernel on electron block rows, whose free gaps are the
+two d x d electron blocks of exp(-i H0 t) from ``free_propagator``.
+
 The modulation functions f1, f2 are the piecewise-constant coefficients the
 toggled electron S_x and S_y acquire over one 4 tau period; their Fourier
 coefficients fix the effective flip-flop rate at each harmonic.
@@ -24,11 +28,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidTau, NotIdealPulses, NotUnitary, ValidationError, ValidityWarning
-from .linalg import UNITARY_TOL, kron, matrix_exponential_hermitian, unitarity_defect
+from .linalg import UNITARY_TOL, matrix_exponential_hermitian, unitarity_defect
 from .spins import (
     SpinRegister,
     build_operators,
     precession_frequency,
+    require_joint_space,
     static_hamiltonian,
     static_hamiltonian_eig,
 )
@@ -245,12 +250,10 @@ def _electron_rotation(angle: float, phase: float) -> np.ndarray:
 
 
 def free_propagator(register: SpinRegister, duration) -> np.ndarray:
-    """exp(-i H0 t) over the joint space, from the cached H0 eigensystem;
-    an array of durations gives a stack of shape ``duration.shape + (D, D)``.
-
-    H0 is block-diagonal in the electron basis, so block [r, r] is the
-    nuclear precession with the electron held in basis state r.
-    """
+    """exp(-i H0 t) as its two d x d electron blocks, shape (2, d, d) with
+    d = D / 2, or ``duration.shape + (2, d, d)`` for an array of durations.
+    H0 is block-diagonal in the electron basis; block r is the nuclear
+    precession with the electron held in basis state r."""
     return static_hamiltonian_eig(register).propagator(duration)
 
 
@@ -266,13 +269,8 @@ def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
 
     A period whose second half repeats its first event for event is built
     as the half-period map squared. Sequences that share one event pattern
-    (the same events up to the gap durations) are multiplied out together.
-    All-ideal patterns are multiplied out on electron block rows of d = D / 2
-    rows each (d is the nuclear dimension): H0 is block-diagonal in the
-    electron basis, so a free gap multiplies each block row by one of the
-    two diagonal d x d blocks of exp(-i H0 d), and the rotations between
-    two gaps merge into one 2x2 matrix that mixes block rows with scalars.
-    A sequence with a finite rotation takes dense D x D products.
+    (the same events up to the gap durations) are multiplied out together
+    by ``_pattern_maps``.
 
     A warning is emitted for finite pulses whose Rabi frequency is not
     large against the strongest transverse coupling (the pulses then tilt
@@ -282,19 +280,12 @@ def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
     stack = (seqs,) if single else tuple(seqs)
     if not stack:
         raise ValidationError("seqs: need at least one pulse sequence")
-    ops = build_operators(register)
+    require_joint_space(register)
 
-    u = np.empty((len(stack), ops.dim, ops.dim), dtype=complex)
+    u = np.empty((len(stack), register.dim, register.dim), dtype=complex)
     for (pattern, squared), members in _by_pattern(stack).items():
-        if all(e is None or e.duration == 0.0 for e in pattern):
-            maps = _block_periods(pattern, [stack[i] for i in members], register)
-        else:
-            _warn_weak_drive(pattern, register)
-            steps: dict[PulseEvent, np.ndarray] = {}
-            maps = np.stack(
-                [_dense_period(stack[i].events[: len(pattern)], register, ops, steps)
-                 for i in members]
-            )
+        _warn_weak_drive(pattern, register)
+        maps = _pattern_maps(pattern, [stack[i] for i in members], register)
         u[members] = maps @ maps if squared else maps
 
     dev = unitarity_defect(u)
@@ -337,75 +328,60 @@ def _warn_weak_drive(pattern: tuple, register: SpinRegister) -> None:
             )
 
 
-@lru_cache(maxsize=64)
-def _merged_rotations(pattern: tuple) -> tuple[np.ndarray, ...]:
-    """The 2x2 electron rotations of an all-ideal pattern merged between
-    its gaps: one before the first gap, one after each; read-only."""
-    mixes = [np.eye(2, dtype=complex)]
-    for event in pattern:
-        if event is None:
-            mixes.append(np.eye(2, dtype=complex))
-        else:
-            mixes[-1] = _electron_rotation(event.angle, event.phase) @ mixes[-1]
-    for mix in mixes:
-        mix.setflags(write=False)
-    return tuple(mixes)
+def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegister) -> np.ndarray:
+    """(P, D, D) maps of the sequences sharing ``pattern``.
 
-
-def _block_periods(
-    pattern: tuple, seqs: list[PulseSequence], register: SpinRegister
-) -> np.ndarray:
-    """(P, D, D) maps of all-ideal sequences sharing ``pattern``.
-
-    Each map is held as (2, d, D): block row r is the d x D slab of rows
-    r d to r d + d - 1, which a gap multiplies by the d x d block [r, r] of
-    exp(-i H0 t) and a merged rotation mixes with its 2x2 scalars.
+    The maps are multiplied out as (P, 2, d, D) electron block rows: block
+    row r is the d x D slab of rows r d to r d + d - 1. A free gap
+    multiplies block row r by block r of ``free_propagator``. Consecutive
+    ideal rotations merge into one pending 2x2 electron rotation, which
+    mixes the block rows with scalars before the next gap or finite
+    rotation. A finite rotation is one D x D product. While the map is
+    still the identity, a gap places its blocks times the pending
+    rotation's scalars, with no matrix product.
     """
-    dim = register.dim
+    p, dim = len(seqs), register.dim
     d = dim // 2
-    first, *mixes = _merged_rotations(pattern)
     gaps = np.array(
         [[e.duration for e in seq.events[: len(pattern)] if e.kind is EventKind.FREE_EVOLUTION]
          for seq in seqs]
     )
     times, which = np.unique(gaps, return_inverse=True)
-    full = free_propagator(register, times).reshape(-1, 2, d, 2, d)
-    blocks = np.stack((full[:, 0, :, 0], full[:, 1, :, 1]), axis=1)
-    which = which.reshape(gaps.shape)
-    p = len(seqs)
-    # The first gap acts on the merged rotation before it: each block of
-    # u is a gap block times one of its scalars.
-    u = first[:, None, :, None] * blocks[which[:, 0], :, :, None, :]
-    u = u.reshape(p, 2, d, dim)
-    for k, mix in enumerate(mixes[:-1], start=1):
-        u = blocks[which[:, k]] @ (mix @ u.reshape(p, 2, -1)).reshape(u.shape)
-    return (mixes[-1] @ u.reshape(p, 2, -1)).reshape(p, dim, dim)
-
-
-def _dense_period(
-    events: tuple[PulseEvent, ...],
-    register: SpinRegister,
-    ops,
-    steps: dict[PulseEvent, np.ndarray],
-) -> np.ndarray:
-    """Period map as dense products of every event's D x D propagator; each
-    distinct event's propagator is built once and kept in ``steps``."""
-    h0 = static_hamiltonian(register, ops)
-    u = np.eye(ops.dim, dtype=complex)
-    for event in events:
-        step = steps.get(event)
-        if step is None:
-            if event.kind is EventKind.FREE_EVOLUTION:
-                step = free_propagator(register, event.duration)
-            elif event.duration == 0.0:
-                rotation = _electron_rotation(event.angle, event.phase)
-                step = kron(rotation, np.eye(ops.dim // 2, dtype=complex))
+    blocks = free_propagator(register, times)
+    gap_blocks = (blocks[w] for w in which.reshape(gaps.shape).T)
+    u = None  # the identity
+    mix = np.eye(2, dtype=complex)
+    for event in pattern:
+        if event is None:
+            gap = next(gap_blocks)
+            if u is None:
+                u = (mix[:, None, :, None] * gap[:, :, :, None, :]).reshape(p, 2, d, dim)
             else:
-                s_phi = cos(event.phase) * ops.electron.x + sin(event.phase) * ops.electron.y
-                step = matrix_exponential_hermitian(h0 * event.duration + event.angle * s_phi, 1.0)
-            steps[event] = step
-        u = step @ u
-    return u
+                u = gap @ _mixed(mix, u)
+        elif event.duration == 0.0:
+            mix = _electron_rotation(event.angle, event.phase) @ mix
+            continue
+        else:
+            rows = _mixed(mix, np.eye(dim).reshape(1, 2, d, dim) if u is None else u)
+            u = (_finite_step(event, register) @ rows.reshape(-1, dim, dim)).reshape(-1, 2, d, dim)
+        mix = np.eye(2, dtype=complex)
+    return np.broadcast_to(_mixed(mix, u).reshape(-1, dim, dim), (p, dim, dim))
+
+
+def _mixed(mix: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The block rows of a (P, 2, d, D) stack mixed by a 2x2 electron rotation."""
+    return (mix @ u.reshape(len(u), 2, -1)).reshape(u.shape)
+
+
+@lru_cache(maxsize=16)
+def _finite_step(event: PulseEvent, register: SpinRegister) -> np.ndarray:
+    """exp(-i (H0 d + theta S_phi)) of a finite rotation, D x D; read-only."""
+    ops = build_operators(register)
+    s_phi = cos(event.phase) * ops.electron.x + sin(event.phase) * ops.electron.y
+    h0 = static_hamiltonian(register, ops)
+    step = matrix_exponential_hermitian(h0 * event.duration + event.angle * s_phi, 1.0)
+    step.setflags(write=False)
+    return step
 
 
 # Half-tau window values of the toggled S_x (f1) and S_y (f2) coefficients

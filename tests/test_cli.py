@@ -241,6 +241,28 @@ def test_bad_gap_threshold_is_rejected_before_any_work(value, tmp_path, capsys, 
     assert not out.exists()
 
 
+VERB_ARGS = {
+    "sweep": ["--t-start", "6.6", "--t-stop", "7.0", "--steps", "3"],
+    "spectrum": ["--t-start", "6.6", "--t-stop", "7.0", "--steps", "3"],
+    "schedule": ["--stage", "6.8:2"],
+    "compare": [],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("option", ["--harmonic", "--workers"])
+@pytest.mark.parametrize("verb", VERB_ARGS)
+def test_counts_below_one_are_usage_errors(verb, option, value, capsys):
+    """Every verb refuses the option before any output: exit 1, the
+    option named, nothing on stdout."""
+    argv = [verb, "--config", C3, *VERB_ARGS[verb], f"{option}={value}"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: argument {option}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("larmor_rad_per_us: 2.7\nnuclei:\n  - {label: X, a_parallel_khz: 1,\n")
@@ -264,7 +286,9 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
 def test_non_finite_state_exits_two(monkeypatch, capsys):
     """A NaN period map reaches the per-repetition state check (the pair
     check is stubbed out), which ends the run with a numerical failure."""
-    monkeypatch.setattr(engine, "period_unitary", lambda seq, reg: np.full((4, 4), np.nan + 0j))
+    monkeypatch.setattr(
+        engine, "period_unitary", lambda seqs, reg: np.full((len(seqs), 4, 4), np.nan + 0j)
+    )
     monkeypatch.setattr(engine, "_check_completeness", lambda kraus: None)
     rc = cli.main(
         ["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3"]

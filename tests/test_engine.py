@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import filecmp
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ def test_envelope_builds_one_period_map(reg_c3, monkeypatch):
     _, reps, converged = asymptotic_envelope(run, reg_c3, tol=1e-9)
     assert converged and reps > 1
     assert len(calls) == 1
+
+
+def test_sweep_blockade_grid_makes_one_period_map_call(reg_c3_c4_c8, monkeypatch):
+    """The 21 points of the criterion-9 window at dim 16 fit one stacked
+    period map."""
+    calls = []
+    real_period_unitary = engine.period_unitary
+
+    def counted(seqs, reg):
+        calls.append(len(seqs))
+        return real_period_unitary(seqs, reg)
+
+    monkeypatch.setattr(engine, "period_unitary", counted)
+    grid = np.linspace(25.4, 27.0, 21)
+    sweep_trace(partial(pulsepol_for_period, harmonic=11), reg_c3_c4_c8, grid, 8, 2)
+    assert calls == [21]
 
 
 def test_sweep_peaks_on_resonance(reg_c21):

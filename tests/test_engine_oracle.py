@@ -23,7 +23,7 @@ from dnpsim import (
     run_protocol,
     sweep_trace,
 )
-from dnpsim import engine
+from dnpsim import engine, linalg
 from dnpsim.errors import DimensionMismatch, NotUnitary
 
 from conftest import CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, shipped_register
@@ -115,16 +115,19 @@ def test_sweep_matches_per_point_reference(
 
 
 def test_sweep_chunks_do_not_change_the_trace(reg_c3_c21, monkeypatch):
-    periods = np.linspace(6.6, 7.0, 7)
+    periods = np.linspace(6.6, 7.0, 9)
     whole = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
-    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)  # one point per chunk
-    split = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
-    assert np.max(np.abs(whole.values - split.values)) <= 1e-12
+    # One point per chunk; then, at dim 8, Kraus-loop chunks of 7 points
+    # whose period maps are built 2 at a time, the last of them alone.
+    for budget in (1, 18_000):
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
+        split = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
+        assert np.max(np.abs(whole.values - split.values)) <= 1e-12
 
 
 def test_incomplete_kraus_pair_is_caught(reg_c3_c21, monkeypatch):
     run = ProtocolRun(pulsepol_for_period(6.8), n_periods=4, repetitions=3)
-    u_burst = engine._burst_unitary(run, reg_c3_c21)
+    u_burst = engine._burst_unitary(run.sequence, run.n_periods, reg_c3_c21)
     kraus = engine._kraus_pair(u_burst, 0, None)[None]
     engine._check_completeness(kraus)
     bad = kraus.copy()

@@ -1,10 +1,13 @@
 """Stroboscopic eigenphase spectra and avoided-crossing detection."""
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from dnpsim import (
+    EventKind,
     compute_spectrum,
     effective_params,
     find_crossings,
@@ -15,7 +18,7 @@ from dnpsim import (
     write_spectrum_csv,
 )
 import reference_floquet as ref
-from dnpsim import floquet
+from dnpsim import floquet, linalg, protocols
 from dnpsim.errors import ValidationError, ValidityWarning
 
 from conftest import CONFIG_DIR, LARMOR, make_register
@@ -140,7 +143,7 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     monkeypatch.setattr(floquet, "period_unitary", count_maps)
     monkeypatch.setattr(floquet, "unitary_eigensolve", count_eigs)
     monkeypatch.setattr(floquet, "_greedy_match", count_matches)
-    monkeypatch.setattr(floquet, "_CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
     got = compute_spectrum(pulsepol_for_period, reg, grid)
 
     # Each bisection adds one midpoint and turns one stitch into two.
@@ -154,6 +157,32 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     assert eigs == [len(c) for c in maps]
     assert np.array_equal(got.phases, want.phases)
     assert np.array_equal(got.vectors, want.vectors)
+
+
+def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spectrum):
+    """A 41-point finite-pulse spectrum, in six chunks of up to 8 points,
+    exponentiates each distinct finite rotation once."""
+    reg, t_r, _ = c21_spectrum
+    builder = partial(pulsepol_for_period, rabi=300.0)
+    maps, built = [], []
+    real_map, real_exp = floquet.period_unitary, protocols.matrix_exponential_hermitian
+
+    def count_maps(seqs, register):
+        maps.append(len(seqs))
+        return real_map(seqs, register)
+
+    def count_exps(h, t):
+        built.append(t)
+        return real_exp(h, t)
+
+    monkeypatch.setattr(floquet, "period_unitary", count_maps)
+    monkeypatch.setattr(protocols, "matrix_exponential_hermitian", count_exps)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
+    protocols._finite_step.cache_clear()
+    compute_spectrum(builder, reg, np.linspace(t_r - 0.12, t_r + 0.12, 41))
+    rotations = {e for e in builder(t_r).events if e.kind is EventKind.ROTATION}
+    assert len(maps) >= 6
+    assert len(built) == len(rotations) == 4
 
 
 def test_spectrum_csv(tmp_path, c21_spectrum):
@@ -292,7 +321,7 @@ def test_pooled_chunks_give_the_serial_spectrum(monkeypatch, c21_spectrum):
     reg, t_r, _ = c21_spectrum
     periods = np.linspace(t_r - 0.12, t_r + 0.12, 9)
     serial = compute_spectrum(pulsepol_for_period, reg, periods, workers=1)
-    monkeypatch.setattr(floquet, "_CHUNK_BYTES", 2 * 8 * 16 * reg.dim**2)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * 8 * 16 * reg.dim**2)
     pooled = compute_spectrum(pulsepol_for_period, reg, periods, workers=2)
     assert np.array_equal(serial.phases, pooled.phases)
     assert np.array_equal(serial.vectors, pooled.vectors)

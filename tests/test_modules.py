@@ -23,6 +23,28 @@ def test_no_private_name_is_imported_from_a_sibling_module():
     assert leaks == []
 
 
+def _callers(name: str) -> list[str]:
+    """``module.function`` for every call of ``name`` in the package; a call
+    outside any top-level definition is listed as ``module.<module>``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if called == name:
+                        found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_free_propagator_reads_the_h0_eigensystems():
+    """One source for the electron-conditioned nuclear Hamiltonian: every
+    free-evolution propagator, period gaps and waits alike, comes from
+    ``protocols.free_propagator``."""
+    assert _callers("static_hamiltonian_eig") == ["protocols.free_propagator"]
+
+
 def _imported_modules(path: Path):
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dnpsim import (
     EventKind,
@@ -23,11 +24,12 @@ from dnpsim import (
     pulsepol_for_period,
     pulsepol_sequence,
     resonant_period,
+    static_hamiltonian,
 )
 from dnpsim import protocols
 from dnpsim.errors import InvalidTau, NotIdealPulses, NotUnitary, ValidationError, ValidityWarning
 
-from conftest import LARMOR, make_register
+from conftest import LARMOR, SHIPPED_CONFIGS, make_register, shipped_register
 
 G_COEFF = (math.sqrt(2.0) + 2.0) / (6.0 * math.pi)
 
@@ -105,10 +107,26 @@ def test_period_unitary_is_unitary(reg_c3_c21):
         assert is_unitary(u, tol=1e-10)
 
 
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_free_propagator_is_the_diagonal_blocks_of_expm(config):
+    """Block r of ``free_propagator`` is block [r, r] of scipy's
+    exp(-i H0 t), whose other blocks are zero."""
+    register = shipped_register(config)
+    d = register.dim // 2
+    times = np.array([0.05, 1.7, 6.85])
+    blocks = protocols.free_propagator(register, times)
+    assert blocks.shape == (3, 2, d, d)
+    for t, got in zip(times, blocks):
+        want = scipy.linalg.expm(-1j * t * static_hamiltonian(register)).reshape(2, d, 2, d)
+        assert not want[0, :, 1].any() and not want[1, :, 0].any()
+        for r in (0, 1):
+            assert np.max(np.abs(got[r] - want[r, :, r])) <= 1e-12
+
+
 @pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
 def test_period_unitary_rejects_a_non_finite_map(reg_c3, monkeypatch, rabi):
     monkeypatch.setattr(
-        protocols, "free_propagator", lambda register, t: np.full((4, 4), np.nan + 0j)
+        protocols, "free_propagator", lambda register, t: np.full(np.shape(t) + (2, 2, 2), np.nan + 0j)
     )
     with pytest.raises(NotUnitary):
         period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3)
