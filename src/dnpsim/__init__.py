@@ -54,14 +54,13 @@ from .floquet import (
     FloquetSpectrum,
     compute_spectrum,
     find_crossings,
+    local_minima,
     write_spectrum_csv,
 )
 from .linalg import (
     EigenDecomposition,
     hermitian_eigensolve,
-    is_hermitian,
     is_unitary,
-    kron,
     matrix_exponential_hermitian,
     unitary_eigensolve,
 )

@@ -263,16 +263,37 @@ def blockade_pair(
     """
     if abs(strong.period - weak.period) > 1e-12 or strong.harmonic != weak.harmonic:
         raise ValidationError("blockade pair needs a common period and harmonic")
-    delta_minus = strong.omega_i - weak.omega_i
-    if abs(delta_minus) < DEGENERACY_TOL:
-        raise DegenerateSpins(
-            f"{strong.label} and {weak.label} differ by {delta_minus:.2e} rad/us; "
-            "the blockade shift diverges for coinciding precession frequencies"
-        )
+    delta_minus = _blockade_split(strong.label, weak.label, strong.omega_i, weak.omega_i)
     theta_p = atan2(2.0 * strong.g, strong.detuning)
     return BlockadePair(
         strong=strong, weak=weak, delta_minus=delta_minus, theta_p=theta_p
     )
+
+
+def _blockade_split(strong_label: str, weak_label: str, omega_b: float, omega_t: float) -> float:
+    """delta_minus = omega_b - omega_t of a blockade spin over its target;
+    DegenerateSpins when the two precession frequencies coincide."""
+    delta_minus = omega_b - omega_t
+    if abs(delta_minus) < DEGENERACY_TOL:
+        raise DegenerateSpins(
+            f"{strong_label} and {weak_label} differ by {delta_minus:.2e} rad/us; "
+            "the blockade formulas diverge for coinciding precession frequencies"
+        )
+    return delta_minus
+
+
+def _blockade_at_target(
+    strong_spin: NuclearSpin, weak_spin: NuclearSpin, larmor: float, harmonic: int
+) -> tuple[float, float, float]:
+    """(omega_t, delta_minus, G): the target's precession frequency, the
+    split and the blockade spin's flip-flop rate at the target's resonant
+    period. Only the blockade spin's parameters are evaluated."""
+    omega_t = precession_frequency(weak_spin, larmor)
+    delta_minus = _blockade_split(
+        strong_spin.label, weak_spin.label, precession_frequency(strong_spin, larmor), omega_t
+    )
+    strong = effective_params(strong_spin, larmor, 2.0 * pi * harmonic / omega_t, harmonic)
+    return omega_t, delta_minus, strong.g
 
 
 def blockade_rabi(pair: BlockadePair) -> float:
@@ -306,17 +327,9 @@ def blockade_shift(
     precession split. The sign follows the split: a blockade spin above
     the target in frequency pushes the dip to shorter periods.
     """
-    omega_s = precession_frequency(weak_spin, larmor)
-    omega_b = precession_frequency(strong_spin, larmor)
-    delta_minus = omega_b - omega_s
-    if abs(delta_minus) < DEGENERACY_TOL:
-        raise DegenerateSpins(
-            f"{strong_spin.label} and {weak_spin.label} differ by {delta_minus:.2e} "
-            "rad/us; the blockade shift diverges for coinciding precession frequencies"
-        )
-    base_period = 2.0 * pi * harmonic / omega_s
-    strong = effective_params(strong_spin, larmor, base_period, harmonic)
-    ratio = -(strong.g**2) / (omega_s * delta_minus)
+    omega_t, delta_minus, big_g = _blockade_at_target(strong_spin, weak_spin, larmor, harmonic)
+    base_period = 2.0 * pi * harmonic / omega_t
+    ratio = -(big_g**2) / (omega_t * delta_minus)
     return BlockadeShift(
         ratio=ratio,
         shifted_period=base_period * (1.0 + ratio),
@@ -377,14 +390,5 @@ def shifted_crossing_frequency(
     omega_target + G^2 / delta_minus: the observable dip sits there, not
     at the bare target frequency.
     """
-    omega_s = precession_frequency(weak_spin, larmor)
-    omega_b = precession_frequency(strong_spin, larmor)
-    delta_minus = omega_b - omega_s
-    if abs(delta_minus) < DEGENERACY_TOL:
-        raise DegenerateSpins(
-            f"{strong_spin.label} and {weak_spin.label} differ by {delta_minus:.2e} "
-            "rad/us; the crossing condition degenerates"
-        )
-    base_period = 2.0 * pi * harmonic / omega_s
-    strong = effective_params(strong_spin, larmor, base_period, harmonic)
-    return omega_s + strong.g**2 / delta_minus
+    omega_t, delta_minus, big_g = _blockade_at_target(strong_spin, weak_spin, larmor, harmonic)
+    return omega_t + big_g**2 / delta_minus

@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .floquet import compute_spectrum, find_crossings, write_spectrum_csv
+from .floquet import compute_spectrum, find_crossings, local_minima, write_spectrum_csv
 from .protocols import cpmg_for_period, pulsepol_for_period
 from .spins import load_register_file, precession_frequency
 from .table import fmt, write_csv
@@ -110,6 +110,11 @@ def _gap_threshold(text: str) -> float:
     return value
 
 
+# argparse names the type in its usage errors: "invalid float value: 'x'".
+_finite.__name__ = _gap_threshold.__name__ = "float"
+_positive_int.__name__ = "int"
+
+
 def _builder(args):
     if args.protocol == "pulsepol":
         return partial(pulsepol_for_period, harmonic=args.harmonic, rabi=args.rabi)
@@ -122,27 +127,6 @@ def _grid(args) -> np.ndarray:
     if args.steps < 2:
         raise ValidationError(f"--steps: need at least 2, got {args.steps}")
     return np.linspace(args.t_start, args.t_stop, args.steps)
-
-
-def _refine_extremum(t: np.ndarray, v: np.ndarray, m: int) -> tuple[float, float]:
-    """Parabola through the three samples around index m; vertex clamped."""
-    if m == 0 or m == t.size - 1:
-        return float(t[m]), float(v[m])
-    coeff = np.polyfit(t[m - 1 : m + 2], v[m - 1 : m + 2], 2)
-    if coeff[0] == 0:
-        return float(t[m]), float(v[m])
-    t_star = float(np.clip(-coeff[1] / (2 * coeff[0]), t[m - 1], t[m + 1]))
-    return t_star, float(np.polyval(coeff, t_star))
-
-
-def _find_dips(t: np.ndarray, v: np.ndarray) -> list[tuple[float, float]]:
-    """Local minima below 1 percent of the trace maximum, refined."""
-    floor = 0.01 * float(v.max()) if v.size else 0.0
-    out = []
-    for m in range(1, t.size - 1):
-        if v[m] < v[m - 1] and v[m] <= v[m + 1] and v[m] < floor:
-            out.append(_refine_extremum(t, v, m))
-    return out
 
 
 def _cmd_sweep(args) -> int:
@@ -167,11 +151,18 @@ def _cmd_sweep(args) -> int:
             ["tau_us", "period_us", *trace.labels, "total"],
             ([t / 4.0, t, *v, v.sum()] for t, v in zip(trace.periods, values)),
         )
+    t = trace.periods
     m = int(np.argmax(total))
-    t_peak, v_peak = _refine_extremum(trace.periods, total, m)
-    _say(f"points: {trace.periods.size}")
+    t_peak, v_peak = t[m], total[m]
+    if 0 < m < t.size - 1:
+        # The first maximum passes local_minima's test on -total.
+        _, _, t_star, v_star = local_minima(t[m - 1 : m + 2], -total[m - 1 : m + 2, None], inf)
+        t_peak, v_peak = t_star[0], -v_star[0]
+    _say(f"points: {t.size}")
     _say(f"peak: period_us={fmt(t_peak)} tau_us={fmt(t_peak / 4.0)} total={fmt(v_peak)}")
-    for t_dip, v_dip in _find_dips(trace.periods, total):
+    # Dips: local minima below 1 percent of the trace maximum.
+    _, _, t_dips, v_dips = local_minima(t, total[:, None], 0.01 * total.max())
+    for t_dip, v_dip in zip(t_dips, v_dips):
         _say(f"dip: period_us={fmt(t_dip)} tau_us={fmt(t_dip / 4.0)} total={fmt(v_dip)}")
     if args.out:
         _say(f"wrote {args.out}")

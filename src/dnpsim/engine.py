@@ -17,7 +17,9 @@ where U_burst[a, r] is the nuclear block of the burst propagator taking
 electron state r to a (operator-sum form, Nielsen & Chuang ch. 8). The
 loop carries only the 2^N-dim nuclear state, batched over a stack of
 independent runs; the joint electron-nuclei ``DensityState`` is built at
-the API boundary. The pair is checked once per run for completeness,
+the API boundary, and only a start state that a caller hands to
+``run_protocol`` takes one joint-space step first. Every pair comes from
+``_kraus_stack`` and is checked once per run for completeness,
 sum_a K_a^dag K_a = I to 1e-10, and every repetition's nuclear state for
 finite entries, hermiticity, unit trace and positivity to 1e-9, which is
 the same check as on the joint state |r><r| (x) rho_n: its spectrum is
@@ -29,7 +31,7 @@ eigensolve; only a state that fails it gets ``eigvalsh``, which decides.
 A sweep runs the same burst pattern at many periods from a fresh thermal
 state each time, all grid points in one batched loop whose bursts come
 from stacked period maps; a schedule chains stages at different periods
-on one evolving state. Both are written as CSV through
+on one evolving nuclear state. Both are written as CSV through
 ``dnpsim.table.write_csv``.
 """
 
@@ -48,7 +50,7 @@ from .errors import (
     NotUnitary,
     ValidationError,
 )
-from .linalg import chunk_points, kron, unitarity_defect
+from .linalg import chunk_points, unitarity_defect
 from .protocols import PulseSequence, SequenceBuilder, free_propagator, period_unitary
 from .spins import SpinRegister, require_joint_space
 from .table import fmt, write_csv
@@ -145,39 +147,49 @@ def initial_state(register: SpinRegister, reinit_state: int = 0) -> DensityState
     if reinit_state not in (0, 1):
         raise ValidationError(f"reinit_state: must be 0 or 1, got {reinit_state}")
     require_joint_space(register)
-    n_dim = register.dim // 2
-    rho = _reset_product(np.eye(n_dim, dtype=complex) / n_dim, reinit_state)
+    rho = _reset_product(_thermal(register.dim // 2, 1)[0], reinit_state)
     return DensityState(rho=rho, register=register)
+
+
+def _thermal(d: int, p: int) -> np.ndarray:
+    """A read-only (p, d, d) stack of maximally mixed nuclear states."""
+    return np.broadcast_to(np.eye(d, dtype=complex) / d, (p, d, d))
 
 
 def _reset_product(rho_n: np.ndarray, reinit_state: int) -> np.ndarray:
     """The joint density matrix |r><r| (x) rho_n."""
     electron = np.zeros((2, 2), dtype=complex)
     electron[reinit_state, reinit_state] = 1.0
-    return kron(electron, rho_n)
+    return np.kron(electron, rho_n)
 
 
-def _wait_unitary(run: ProtocolRun, register: SpinRegister) -> np.ndarray | None:
-    """Nuclear propagator of the wait interval, the reset-state block of
-    exp(-i H0 t), or None when there is no wait."""
+def _kraus_stack(seqs, run: ProtocolRun, register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators of each burst of ``seqs``, with the burst length,
+    wait and reset state of ``run``.
+
+    Returns ``(rows, kraus)``. ``rows`` is the (P, 2, d, D) stack of
+    V_a = u_wait U_burst[a, :], with U_burst a period map of ``seqs`` to
+    the power n_periods and u_wait the reset-state block of
+    ``free_propagator`` (the identity without a wait): the pair maps a joint
+    state to the nuclear state after the burst, the electron reset and the
+    wait. ``kraus`` is its reset-state columns, the (P, 2, d, d) pair
+    K_a = u_wait U_burst[a, r] that acts on the nuclear state alone, checked
+    for completeness. Period maps are built in sub-chunks that fit
+    ``linalg.CHUNK_BYTES``.
+    """
+    require_joint_space(register)
+    d, dim, r = register.dim // 2, register.dim, run.reinit_state
+    # Period maps take eight D x D matrices per point, as in the Floquet grid.
+    size = chunk_points(8 * 16 * dim**2)
+    rows = np.empty((len(seqs), 2, d, dim), dtype=complex)
+    for i in range(0, len(seqs), size):
+        u_burst = period_unitary(seqs[i : i + size], register)
+        rows[i : i + size] = np.linalg.matrix_power(u_burst, run.n_periods).reshape(-1, 2, d, dim)
     if run.wait_us > 0:
-        return free_propagator(register, run.wait_us)[run.reinit_state]
-    return None
-
-
-def _burst_unitary(seqs, n_periods: int, register: SpinRegister) -> np.ndarray:
-    """``period_unitary(seqs, register)`` to the power n_periods."""
-    return np.linalg.matrix_power(period_unitary(seqs, register), n_periods)
-
-
-def _kraus_pair(
-    u_burst: np.ndarray, reinit_state: int, u_wait: np.ndarray | None
-) -> np.ndarray:
-    """The pair (K_0, K_1) of a (D, D) burst as a (2, d, d) array owning its
-    memory, or of each burst of a (P, D, D) stack as (P, 2, d, d)."""
-    d = u_burst.shape[-1] // 2
-    blocks = u_burst.reshape(u_burst.shape[:-2] + (2, d, 2, d))[..., reinit_state, :]
-    return blocks.copy() if u_wait is None else u_wait @ blocks
+        rows = free_propagator(register, run.wait_us)[r] @ rows
+    kraus = rows[..., r * d : (r + 1) * d]
+    _check_completeness(kraus)
+    return rows, kraus
 
 
 def _check_completeness(kraus: np.ndarray) -> None:
@@ -213,15 +225,17 @@ def _repeat(
     ``kraus`` is a (P, 2, d, d) stack of pairs and ``rho`` a (P, d, d) stack
     of states; every state is checked and the final ones are returned. With
     ``history`` given, a (P, repetitions, n) array, the polarisations after
-    every repetition are written into it.
+    every repetition are written into it. A single repetition also takes a
+    (P, 2, d, D) stack of block rows from ``_kraus_stack`` with (P, D, D)
+    joint states.
     """
-    p, _, d, _ = kraus.shape
+    p, _, d, m = kraus.shape
     # sum_a K_a (rho K_a^dag) as one product: the row block [K_0 K_1] times
     # the column block [rho K_0^dag; rho K_1^dag].
-    k_row = kraus.transpose(0, 2, 1, 3).reshape(p, d, 2 * d)
+    k_row = kraus.transpose(0, 2, 1, 3).reshape(p, d, 2 * m)
     k_dag = np.ascontiguousarray(kraus.conj().swapaxes(-1, -2))
     for rep in range(repetitions):
-        rho = k_row @ (rho[:, None] @ k_dag).reshape(p, 2 * d, d)
+        rho = k_row @ (rho[:, None] @ k_dag).reshape(p, 2 * m, d)
         _check_states(rho)
         if history is not None:
             history[:, rep] = _polarisations(rho)
@@ -236,29 +250,19 @@ def run_protocol(
     """Execute the repetition loop; return the final state and the history.
 
     The history has shape (repetitions, n_nuclei): <I_z> of every nucleus
-    at the end of each repetition, after the wait and electron reset. The
-    first repetition is one joint-space step, which takes any start state;
-    the others run on the nuclear state alone.
+    at the end of each repetition, after the wait and electron reset. From
+    the default thermal state every repetition runs on the nuclear state
+    alone; a caller's start state takes one joint-space step first.
     """
-    if state is None:
-        state = initial_state(register, run.reinit_state)
-    elif state.register != register:
+    if state is not None and state.register != register:
         raise ValidationError("state was built for a different register")
-
-    u_burst = _burst_unitary(run.sequence, run.n_periods, register)
-    u_wait = _wait_unitary(run, register)
-    kraus = _kraus_pair(u_burst, run.reinit_state, u_wait)[None]
-    _check_completeness(kraus)
-
+    rows, kraus = _kraus_stack([run.sequence], run, register)
     history = np.empty((1, run.repetitions, len(register.nuclei)))
-    d = u_burst.shape[0] // 2
-    joint = u_burst @ state.rho @ u_burst.conj().T
-    rho = joint[:d, :d] + joint[d:, d:]
-    if u_wait is not None:
-        rho = u_wait @ rho @ u_wait.conj().T
-    _check_states(rho[None])
-    history[0, 0] = _polarisations(rho)
-    rho = _repeat(kraus, rho[None], run.repetitions - 1, history[:, 1:])
+    if state is None:
+        rho = _repeat(kraus, _thermal(register.dim // 2, 1), run.repetitions, history)
+    else:
+        rho = _repeat(rows, state.rho[None], 1, history)
+        rho = _repeat(kraus, rho, run.repetitions - 1, history[:, 1:])
     final = DensityState(rho=_reset_product(rho[0], run.reinit_state), register=register)
     return final, history[0]
 
@@ -286,10 +290,6 @@ class PolarisationTrace:
             )
         if values.size and (values.min() < -0.5 - STATE_TOL or values.max() > 0.5 + STATE_TOL):
             raise ValidationError("values: spin-1/2 polarisations must lie in [-1/2, 1/2]")
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.values.sum(axis=1)
 
 
 def sweep_trace(
@@ -319,23 +319,15 @@ def sweep_trace(
     seqs = [builder(float(t)) for t in periods]
     run = ProtocolRun(seqs[0], n_periods, repetitions, wait_us, reinit_state)
     d = register.dim // 2
-    u_wait = _wait_unitary(run, register)
-    # Per point: the pair, its row-block and adjoint copies (two d x d
-    # complex matrices each), the state, the intermediate product (two) and
-    # the next state: ten matrices of 16 d^2 bytes.
-    chunk = chunk_points(10 * 16 * d * d)
-    # Period maps take eight D x D matrices per point, as in the Floquet grid.
-    map_chunk = chunk_points(8 * 16 * register.dim**2)
+    # Per point: the pair's block rows (four d x d complex matrices), its
+    # row-block and adjoint copies (two each), the state, the intermediate
+    # product (two) and the next state: twelve matrices of 16 d^2 bytes.
+    chunk = chunk_points(12 * 16 * d * d)
     values = []
     for start in range(0, len(seqs), chunk):
         part = seqs[start : start + chunk]
-        kraus = np.empty((len(part), 2, d, d), dtype=complex)
-        for i in range(0, len(part), map_chunk):
-            u_burst = _burst_unitary(part[i : i + map_chunk], n_periods, register)
-            kraus[i : i + map_chunk] = _kraus_pair(u_burst, reinit_state, u_wait)
-        _check_completeness(kraus)
-        rho = np.broadcast_to(np.eye(d, dtype=complex) / d, kraus.shape[:1] + (d, d))
-        values.append(_polarisations(_repeat(kraus, rho, repetitions)))
+        _, kraus = _kraus_stack(part, run, register)
+        values.append(_polarisations(_repeat(kraus, _thermal(d, len(part)), repetitions)))
     axis = np.array([seq.period for seq in seqs])
     labels = tuple(s.label for s in register.nuclei)
     return PolarisationTrace(periods=axis, labels=labels, values=np.vstack(values))
@@ -370,10 +362,6 @@ class ScheduleResult:
     values: np.ndarray
     final_state: DensityState
 
-    @property
-    def total(self) -> np.ndarray:
-        return self.values.sum(axis=1)
-
 
 def run_schedule(
     builder: SequenceBuilder,
@@ -387,41 +375,38 @@ def run_schedule(
 
     The recorded time axis accumulates repetitions * (burst + wait) wall
     time per stage; polarisations are logged once per repetition as in
-    run_protocol.
+    run_protocol, from the same thermal start.
     """
     if not stages:
         raise ValidationError("stages: need at least one stage")
-    state = initial_state(register, reinit_state)
-    rows = []
-    times = []
-    stage_idx = []
-    stage_periods = []
-    t_now = 0.0
-    for idx, stage in enumerate(stages):
-        n_p = stage.n_periods if stage.n_periods is not None else n_periods
-        seq = builder(stage.period)
-        run = ProtocolRun(
-            sequence=seq,
-            n_periods=n_p,
-            repetitions=stage.repetitions,
-            wait_us=wait_us,
-            reinit_state=reinit_state,
+    require_joint_space(register)
+    runs = [
+        ProtocolRun(
+            builder(stage.period),
+            stage.n_periods if stage.n_periods is not None else n_periods,
+            stage.repetitions,
+            wait_us,
+            reinit_state,
         )
-        state, history = run_protocol(run, register, state)
-        rep_time = n_p * seq.period + wait_us
-        for r in range(stage.repetitions):
-            t_now += rep_time
-            times.append(t_now)
-            stage_idx.append(idx)
-            stage_periods.append(seq.period)
-        rows.append(history)
+        for stage in stages
+    ]
+    reps = [run.repetitions for run in runs]
+    history = np.empty((1, sum(reps), len(register.nuclei)))
+    rho = _thermal(register.dim // 2, 1)
+    done = 0
+    for run in runs:
+        _, kraus = _kraus_stack([run.sequence], run, register)
+        rho = _repeat(kraus, rho, run.repetitions, history[:, done : done + run.repetitions])
+        done += run.repetitions
+    periods = [run.sequence.period for run in runs]
+    rep_times = [run.n_periods * run.sequence.period + wait_us for run in runs]
     return ScheduleResult(
-        times=np.array(times),
-        stage_index=np.array(stage_idx, dtype=int),
-        periods=np.array(stage_periods),
+        times=np.cumsum(np.repeat(rep_times, reps)),
+        stage_index=np.repeat(np.arange(len(runs)), reps),
+        periods=np.repeat(periods, reps),
         labels=tuple(s.label for s in register.nuclei),
-        values=np.vstack(rows),
-        final_state=state,
+        values=history[0],
+        final_state=DensityState(rho=_reset_product(rho[0], reinit_state), register=register),
     )
 
 
@@ -447,11 +432,8 @@ def asymptotic_envelope(
         raise ValidationError(f"tol: must be > 0, got {tol}")
     if max_repetitions < 1:
         raise ValidationError(f"max_repetitions: must be >= 1, got {max_repetitions}")
-    u_burst = _burst_unitary(run.sequence, run.n_periods, register)
-    kraus = _kraus_pair(u_burst, run.reinit_state, _wait_unitary(run, register))[None]
-    _check_completeness(kraus)
-    d = u_burst.shape[0] // 2
-    rho = np.eye(d, dtype=complex)[None] / d
+    _, kraus = _kraus_stack([run.sequence], run, register)
+    rho = _thermal(register.dim // 2, 1)
     block = min(run.repetitions, max_repetitions)
     history = np.empty((1, block, len(register.nuclei)))
     total_prev = None

@@ -215,6 +215,33 @@ def _circular_gap(diff: np.ndarray) -> np.ndarray:
     return np.abs(diff, out=diff)
 
 
+def local_minima(
+    t: np.ndarray, v: np.ndarray, below: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Interior local minima of every column of a (points, k) array v
+    sampled at the points t.
+
+    A minimum is a sample below ``below`` that is smaller than the sample
+    before it and no larger than the one after. Returns (m, column, t_star,
+    v_star), ordered by (m, column): the sample index, its column, and the
+    vertex of the parabola through the samples m - 1, m and m + 1, taken in
+    Newton form and clamped to [t[m - 1], t[m + 1]]; a minimum whose
+    parabola does not open upward keeps its sample.
+    """
+    inner = v[1:-1]
+    m, col = np.nonzero((inner < v[:-2]) & (inner <= v[2:]) & (inner < below))
+    m += 1
+    t0, t1, t2 = t[m - 1], t[m], t[m + 1]
+    v0, v1, v2 = v[m - 1, col], v[m, col], v[m + 1, col]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope0 = (v1 - v0) / (t1 - t0)
+        curv = ((v2 - v1) / (t2 - t1) - slope0) / (t2 - t0)
+        up = curv > 0
+        t_star = np.where(up, np.clip(0.5 * (t0 + t1) - slope0 / (2.0 * curv), t0, t2), t1)
+        v_star = np.where(up, v0 + (t_star - t0) * (slope0 + curv * (t_star - t1)), v1)
+    return m, col, t_star, v_star
+
+
 def find_crossings(
     spectrum: FloquetSpectrum,
     gap_threshold: float,
@@ -222,36 +249,23 @@ def find_crossings(
 ) -> tuple[AvoidedCrossing, ...]:
     """Locate avoided crossings below a phase-gap threshold.
 
-    Local minima of every branch pair's circular phase gap are refined by
-    a parabola through the three surrounding samples. Each crossing is
-    tagged with the nuclei whose electron-nuclear flip-flop operator has
+    Local minima of every branch pair's circular phase gap below the
+    threshold are refined by ``local_minima``. Each crossing is tagged
+    with the nuclei whose electron-nuclear flip-flop operator has
     expectation weight >= participation_min on either branch state there;
     minima in which no nucleus takes part are dropped. Crossings come
     sorted by (period, branch_a, branch_b).
     """
     if not 0 < gap_threshold < inf:
         raise ValidationError(f"gap_threshold: must be finite and > 0, got {gap_threshold}")
-    t = spectrum.periods
     branch_a, branch_b = np.triu_indices(spectrum.dim, 1)
     # The (points, pairs) gaps are the largest temporary here; build them in place.
     gap = spectrum.phases[:, branch_a]
     gap -= spectrum.phases[:, branch_b]
-    gap = _circular_gap(gap)
-    inner = gap[1:-1]
-    is_min = (inner < gap[:-2]) & (inner <= gap[2:]) & (inner < gap_threshold)
-    m, pair = np.nonzero(is_min)
-    m += 1
+    m, pair, t_star, gap_star = local_minima(
+        spectrum.periods, _circular_gap(gap), gap_threshold
+    )
     a, b = branch_a[pair], branch_b[pair]
-
-    # Vertex of the parabola through (t[m +- 1], gap), in Newton form.
-    t0, t1, t2 = t[m - 1], t[m], t[m + 1]
-    g0, g1, g2 = gap[m - 1, pair], gap[m, pair], gap[m + 1, pair]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope0 = (g1 - g0) / (t1 - t0)
-        curv = ((g2 - g1) / (t2 - t1) - slope0) / (t2 - t0)
-        up = curv > 0
-        t_star = np.where(up, np.clip(0.5 * (t0 + t1) - slope0 / (2.0 * curv), t0, t2), t1)
-        gap_star = np.where(up, g0 + (t_star - t0) * (slope0 + curv * (t_star - t1)), g1)
     gap_star = np.maximum(gap_star, 0.0)
 
     weights = _flip_flop_weights(spectrum, m, a, b)

@@ -71,11 +71,6 @@ def _as_square(a: np.ndarray, name: str, ndims: tuple[int, ...] = (2,)) -> np.nd
     return a
 
 
-def is_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    h = np.asarray(h)
-    return bool(np.max(np.abs(h - h.conj().T)) <= tol)
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """max |U^dag U - I| over a (..., n, m) stack, or inf if any entry of
     ``u`` is not finite, so that a NaN matrix fails every tolerance test.
@@ -226,8 +221,3 @@ def matrix_exponential_hermitian(h: np.ndarray, t: float) -> np.ndarray:
         Propagated from the eigensolver.
     """
     return hermitian_eigensolve(h).propagator(t)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor on the slow index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

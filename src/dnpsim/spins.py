@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .errors import DimensionOverflow, ParseError, ValidationError
-from .linalg import hermitian_eigensolve, kron
+from .linalg import hermitian_eigensolve
 
 KHZ_TO_RAD_PER_US = 2.0 * np.pi * 1e-3
 GYROMAGNETIC_13C_KHZ_PER_G = 1.0705
@@ -134,7 +134,7 @@ class SpinOperatorSet:
 def _embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     out = np.array([[1.0 + 0.0j]])
     for k in range(n_sites):
-        out = kron(out, op if k == site else _ID2)
+        out = np.kron(out, op if k == site else _ID2)
     out.setflags(write=False)
     return out
 

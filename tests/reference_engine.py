@@ -20,7 +20,6 @@ import scipy.linalg
 from dnpsim import DensityState, EventKind, initial_state, period_unitary
 from dnpsim.engine import STATE_TOL
 from dnpsim.errors import DimensionMismatch
-from dnpsim.linalg import kron
 from dnpsim.spins import static_hamiltonian
 
 
@@ -69,9 +68,11 @@ def dense_period_unitary(seq, register) -> np.ndarray:
             u2 = np.array(
                 [[c, -1j * s * np.exp(-1j * phi)], [-1j * s * np.exp(1j * phi), c]]
             )
-            step = kron(u2, np.eye(dim // 2))
+            step = np.kron(u2, np.eye(dim // 2))
         else:
-            s_phi = kron(cos(event.phase) * half_x + sin(event.phase) * half_y, np.eye(dim // 2))
+            s_phi = np.kron(
+                cos(event.phase) * half_x + sin(event.phase) * half_y, np.eye(dim // 2)
+            )
             step = scipy.linalg.expm(-1j * (h0 * event.duration + event.angle * s_phi))
         steps[event] = step
         u = step @ u
@@ -81,7 +82,7 @@ def dense_period_unitary(seq, register) -> np.ndarray:
 def _nuclear_embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for k in range(n):
-        out = kron(out, op if k == site else np.eye(2, dtype=complex))
+        out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
     return out
 
 
@@ -137,7 +138,7 @@ def run_protocol(run, register, state=None):
         rho_nuc = partial_trace(rho, (2,) * (n + 1), 0)
         if u_wait is not None:
             rho_nuc = u_wait @ rho_nuc @ u_wait.conj().T
-        rho = kron(electron, rho_nuc)
+        rho = np.kron(electron, rho_nuc)
         check_state(rho)
         for i, z in enumerate(z_ops):
             history[rep, i] = float(np.real(np.trace(rho_nuc @ z)))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dnpsim import (
+    PolarisationTrace,
     ScheduleStage,
     cli,
     engine,
@@ -44,6 +45,22 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert len(lines) == 12
     stdout = capsys.readouterr().out
     assert "peak" in stdout
+
+
+def test_sweep_prints_peak_and_dip_at_the_vertex(monkeypatch, capsys):
+    """A total that samples a parabola around each extremum gives its vertex
+    to the printed 12 significant digits, even a dip as shallow as -0.003."""
+    t = np.linspace(25.0, 27.0, 21)
+    total = np.where(t < 26.0, 0.4 - (t - 25.63) ** 2, -0.003 + (t - 26.37) ** 2)
+    trace = PolarisationTrace(periods=t, labels=("C3",), values=total[:, None])
+    monkeypatch.setattr(cli, "sweep_trace", lambda *args, **kwargs: trace)
+    argv = ["sweep", "--config", C3, "--t-start", "25", "--t-stop", "27", "--steps", "21"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "points: 21",
+        "peak: period_us=25.63 tau_us=6.4075 total=0.4",
+        "dip: period_us=26.37 tau_us=6.5925 total=-0.003",
+    ]
 
 
 def test_sweep_cpmg_protocol(tmp_path):
@@ -169,6 +186,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for argv in cases:
         assert cli.main(argv) == 1, argv
     capsys.readouterr()
+    # A malformed number is named by its plain type, as argparse's own int
+    # and float types name it.
+    typed = [
+        (["sweep", "--config", C3, "--t-start", "x", "--t-stop", "7"], "float"),
+        (["sweep", "--config", C3, "--t-start", "6", "--t-stop", "7", "--workers", "x"], "int"),
+        (["compare", "--config", C3, "--harmonic", "x"], "int"),
+        (["spectrum", "--config", C3, "--t-start", "6", "--t-stop", "7",
+          "--gap-threshold", "x"], "float"),
+        (["schedule", "--config", C3, "--stage", "6.8:2", "--scale", "x"], "float"),
+    ]
+    for argv, name in typed:
+        assert cli.main(argv) == 1, argv
+        assert f"invalid {name} value: 'x'" in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize(

@@ -109,9 +109,9 @@ def test_envelope_builds_one_period_map(reg_c3, monkeypatch):
     calls = []
     real_period_unitary = engine.period_unitary
 
-    def counted(seq, reg):
-        calls.append(seq.period)
-        return real_period_unitary(seq, reg)
+    def counted(seqs, reg):
+        calls.append(len(seqs))
+        return real_period_unitary(seqs, reg)
 
     monkeypatch.setattr(engine, "period_unitary", counted)
     run = ProtocolRun(
@@ -119,7 +119,7 @@ def test_envelope_builds_one_period_map(reg_c3, monkeypatch):
     )
     _, reps, converged = asymptotic_envelope(run, reg_c3, tol=1e-9)
     assert converged and reps > 1
-    assert len(calls) == 1
+    assert calls == [1]
 
 
 def test_sweep_blockade_grid_makes_one_period_map_call(reg_c3_c4_c8, monkeypatch):
@@ -197,6 +197,25 @@ def test_schedule_stage_override_and_wait(reg_c3):
     result = run_schedule(pulsepol_for_period, reg_c3, stages, n_periods=4, wait_us=1.5)
     assert result.times[0] == pytest.approx(2 * t1 + 1.5)
     assert result.times[-1] == pytest.approx(3 * (2 * t1 + 1.5) + 2 * (4 * t1 + 1.5))
+
+
+def test_schedule_equals_chained_protocol_runs(reg_c3_c16):
+    """The schedule's nuclear loop gives what chaining run_protocol per
+    stage gives through its joint-space step on the carried state."""
+    t2 = t_resonance(reg_c3_c16, "C16")
+    stages = (ScheduleStage(7.2, 4), ScheduleStage(t2, 5, n_periods=3), ScheduleStage(6.9, 3))
+    result = run_schedule(
+        pulsepol_for_period, reg_c3_c16, stages, n_periods=8, wait_us=0.7, reinit_state=1
+    )
+    state = initial_state(reg_c3_c16, reinit_state=1)
+    histories = []
+    for stage in stages:
+        n_p = stage.n_periods if stage.n_periods is not None else 8
+        run = ProtocolRun(pulsepol_for_period(stage.period), n_p, stage.repetitions, 0.7, 1)
+        state, history = run_protocol(run, reg_c3_c16, state)
+        histories.append(history)
+    assert np.max(np.abs(result.values - np.vstack(histories))) <= 1e-12
+    assert np.max(np.abs(result.final_state.rho - state.rho)) <= 1e-12
 
 
 def test_schedule_csv_format(reg_c3_c16, tmp_path):

@@ -14,7 +14,6 @@ from dnpsim import (
     PulseSequence,
     SpinRegister,
     cpmg_for_period,
-    kron,
     load_register_file,
     period_unitary,
     precession_frequency,
@@ -24,6 +23,7 @@ from dnpsim import (
     sweep_trace,
 )
 from dnpsim import engine, linalg
+from dnpsim.protocols import free_propagator
 from dnpsim.errors import DimensionMismatch, NotUnitary
 
 from conftest import CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, shipped_register
@@ -117,8 +117,8 @@ def test_sweep_matches_per_point_reference(
 def test_sweep_chunks_do_not_change_the_trace(reg_c3_c21, monkeypatch):
     periods = np.linspace(6.6, 7.0, 9)
     whole = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
-    # One point per chunk; then, at dim 8, Kraus-loop chunks of 7 points
-    # whose period maps are built 2 at a time, the last of them alone.
+    # One point per chunk; then, at dim 8, Kraus-loop chunks of 5 and 4
+    # points whose period maps are built 2 at a time, the fifth alone.
     for budget in (1, 18_000):
         monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
         split = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
@@ -127,8 +127,7 @@ def test_sweep_chunks_do_not_change_the_trace(reg_c3_c21, monkeypatch):
 
 def test_incomplete_kraus_pair_is_caught(reg_c3_c21, monkeypatch):
     run = ProtocolRun(pulsepol_for_period(6.8), n_periods=4, repetitions=3)
-    u_burst = engine._burst_unitary(run.sequence, run.n_periods, reg_c3_c21)
-    kraus = engine._kraus_pair(u_burst, 0, None)[None]
+    _, kraus = engine._kraus_stack([run.sequence], run, reg_c3_c21)
     engine._check_completeness(kraus)
     bad = kraus.copy()
     bad[0, 0] += 1e-6 * np.eye(bad.shape[-1])
@@ -163,12 +162,12 @@ def test_reference_checks_states_on_its_own(monkeypatch):
 
 @pytest.mark.parametrize("reinit_state", [0, 1])
 def test_wait_block_matches_reference(reinit_state):
-    """The reset-state block of exp(-i H0 t) is the nuclear wait propagator."""
+    """The reset-state block of exp(-i H0 t), which the engine applies after
+    each burst, is the nuclear wait propagator."""
     full = load_register_file(str(CONFIG_DIR / "register27.yaml"))
     register = full.subset([s.label for s in full.nuclei[:7]])
     for wait_us in (0.3, 1.0, 5.5, 37.0):
-        run = ProtocolRun(pulsepol_for_period(6.8), 1, 1, wait_us, reinit_state)
-        got = engine._wait_unitary(run, register)
+        got = free_propagator(register, wait_us)[reinit_state]
         want = ref.wait_unitary(register, reinit_state, wait_us)
         assert np.max(np.abs(got - want)) <= TOL
 
@@ -225,7 +224,7 @@ def test_partial_trace_recovers_factors(seed):
     rng = np.random.default_rng(seed)
     r1 = random_density(2, rng)
     r2 = random_density(3, rng)
-    rho = kron(r1, r2)
+    rho = np.kron(r1, r2)
     assert np.allclose(ref.partial_trace(rho, (2, 3), 1), r1, atol=1e-12)
     assert np.allclose(ref.partial_trace(rho, (2, 3), 0), r2, atol=1e-12)
 

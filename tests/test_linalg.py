@@ -4,8 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dnpsim import (
     EigenDecomposition,
@@ -14,9 +12,7 @@ from dnpsim import (
     precession_frequency,
     pulsepol_for_period,
     resonant_period,
-    is_hermitian,
     is_unitary,
-    kron,
     matrix_exponential_hermitian,
     unitary_eigensolve,
 )
@@ -278,15 +274,6 @@ def test_matrix_exponential_composes():
     assert np.allclose(u1 @ u2, matrix_exponential_hermitian(h, 0.7), atol=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(2, 3))
-def test_kron_mixed_product(seed, da, db):
-    rng = np.random.default_rng(seed)
-    a, b = (rng.normal(size=(da, da)) for _ in range(2))
-    c, d = (rng.normal(size=(db, db)) for _ in range(2))
-    assert np.allclose(kron(a @ b, c @ d), kron(a, c) @ kron(b, d), atol=1e-12)
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_unitarity_defect_of_a_non_finite_matrix_is_inf(value):
     u = np.eye(3, dtype=complex)
@@ -307,8 +294,6 @@ def test_unitarity_defect_of_stacked_isometries():
 
 
 def test_tolerance_predicates():
-    assert is_hermitian(np.diag([1.0, 2.0]))
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
     assert is_unitary(np.eye(3))
     assert not is_unitary(np.eye(3) * (1 + 1e-6))
     # a drift just under the tolerance still counts as unitary

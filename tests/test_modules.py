@@ -45,6 +45,29 @@ def test_only_free_propagator_reads_the_h0_eigensystems():
     assert _callers("static_hamiltonian_eig") == ["protocols.free_propagator"]
 
 
+def test_no_polyfit_in_the_package():
+    """Sweeps and spectra share the closed-form vertex of
+    ``floquet.local_minima``."""
+    assert _callers("polyfit") == []
+
+
+def test_degenerate_spins_is_raised_at_one_site():
+    """One degeneracy test, with one message, behind every blockade formula."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if getattr(node.exc.func, "id", None) == "DegenerateSpins":
+                    sites.append(f"{path.stem}:{node.lineno}")
+    assert len(sites) == 1, sites
+
+
+def test_one_kraus_builder_in_the_engine():
+    """Every Kraus stack is powered and checked in one place."""
+    for name in ("_check_completeness", "matrix_power"):
+        assert [c for c in _callers(name) if c.startswith("engine.")] == ["engine._kraus_stack"]
+
+
 def _imported_modules(path: Path):
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
