@@ -17,8 +17,8 @@ where U_burst[a, r] is the nuclear block of the burst propagator taking
 electron state r to a (operator-sum form, Nielsen & Chuang ch. 8). The
 loop carries only the 2^N-dim nuclear state, batched over a stack of
 independent runs; the joint electron-nuclei ``DensityState`` is built at
-the API boundary, and only a start state that a caller hands to
-``run_protocol`` takes one joint-space step first. Every pair comes from
+the API boundary, and ``run_protocol`` takes its first repetition as one
+joint-space step, so that it accepts any start state. Every pair comes from
 ``_kraus_stack`` and is checked once per run for completeness,
 sum_a K_a^dag K_a = I to 1e-10, and every repetition's nuclear state for
 finite entries, hermiticity, unit trace and positivity to 1e-9, which is
@@ -172,9 +172,9 @@ def _kraus_stack(seqs, run: ProtocolRun, register: SpinRegister) -> tuple[np.nda
     the power n_periods and u_wait the reset-state block of
     ``free_propagator`` (the identity without a wait): the pair maps a joint
     state to the nuclear state after the burst, the electron reset and the
-    wait. ``kraus`` is its reset-state columns, the (P, 2, d, d) pair
-    K_a = u_wait U_burst[a, r] that acts on the nuclear state alone, checked
-    for completeness. Period maps are built in sub-chunks that fit
+    wait. ``kraus`` is a copy of its reset-state columns, the (P, 2, d, d)
+    pair K_a = u_wait U_burst[a, r] that acts on the nuclear state alone,
+    checked for completeness; a caller that drops ``rows`` frees it. Period maps are built in sub-chunks that fit
     ``linalg.CHUNK_BYTES``.
     """
     require_joint_space(register)
@@ -187,7 +187,7 @@ def _kraus_stack(seqs, run: ProtocolRun, register: SpinRegister) -> tuple[np.nda
         rows[i : i + size] = np.linalg.matrix_power(u_burst, run.n_periods).reshape(-1, 2, d, dim)
     if run.wait_us > 0:
         rows = free_propagator(register, run.wait_us)[r] @ rows
-    kraus = rows[..., r * d : (r + 1) * d]
+    kraus = rows[..., r * d : (r + 1) * d].copy()
     _check_completeness(kraus)
     return rows, kraus
 
@@ -250,19 +250,18 @@ def run_protocol(
     """Execute the repetition loop; return the final state and the history.
 
     The history has shape (repetitions, n_nuclei): <I_z> of every nucleus
-    at the end of each repetition, after the wait and electron reset. From
-    the default thermal state every repetition runs on the nuclear state
-    alone; a caller's start state takes one joint-space step first.
+    at the end of each repetition, after the wait and electron reset. The
+    first repetition is one joint-space step, which takes any start state;
+    the others run on the nuclear state alone.
     """
-    if state is not None and state.register != register:
+    if state is None:
+        state = initial_state(register, run.reinit_state)
+    elif state.register != register:
         raise ValidationError("state was built for a different register")
     rows, kraus = _kraus_stack([run.sequence], run, register)
     history = np.empty((1, run.repetitions, len(register.nuclei)))
-    if state is None:
-        rho = _repeat(kraus, _thermal(register.dim // 2, 1), run.repetitions, history)
-    else:
-        rho = _repeat(rows, state.rho[None], 1, history)
-        rho = _repeat(kraus, rho, run.repetitions - 1, history[:, 1:])
+    rho = _repeat(rows, state.rho[None], 1, history)
+    rho = _repeat(kraus, rho, run.repetitions - 1, history[:, 1:])
     final = DensityState(rho=_reset_product(rho[0], run.reinit_state), register=register)
     return final, history[0]
 
@@ -319,10 +318,10 @@ def sweep_trace(
     seqs = [builder(float(t)) for t in periods]
     run = ProtocolRun(seqs[0], n_periods, repetitions, wait_us, reinit_state)
     d = register.dim // 2
-    # Per point: the pair's block rows (four d x d complex matrices), its
-    # row-block and adjoint copies (two each), the state, the intermediate
-    # product (two) and the next state: twelve matrices of 16 d^2 bytes.
-    chunk = chunk_points(12 * 16 * d * d)
+    # Per point: the pair, its row-block and adjoint copies (two d x d
+    # complex matrices each), the state, the intermediate product (two) and
+    # the next state: ten matrices of 16 d^2 bytes.
+    chunk = chunk_points(10 * 16 * d * d)
     values = []
     for start in range(0, len(seqs), chunk):
         part = seqs[start : start + chunk]

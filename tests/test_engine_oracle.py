@@ -117,8 +117,8 @@ def test_sweep_matches_per_point_reference(
 def test_sweep_chunks_do_not_change_the_trace(reg_c3_c21, monkeypatch):
     periods = np.linspace(6.6, 7.0, 9)
     whole = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
-    # One point per chunk; then, at dim 8, Kraus-loop chunks of 5 and 4
-    # points whose period maps are built 2 at a time, the fifth alone.
+    # One point per chunk; then, at dim 8, Kraus-loop chunks of 7 points
+    # whose period maps are built 2 at a time, the last of them alone.
     for budget in (1, 18_000):
         monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
         split = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
