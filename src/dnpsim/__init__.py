@@ -44,6 +44,7 @@ from .errors import (
     NotHermitian,
     NotIdealPulses,
     NotUnitary,
+    NumericalError,
     ParseError,
     ValidationError,
     ValidityWarning,
@@ -65,22 +66,17 @@ from .linalg import (
     unitary_eigensolve,
 )
 from .protocols import (
-    IDEAL,
     EventKind,
-    Finite,
     FourierCoefficients,
-    Ideal,
     ModulationFunctions,
     PulseEvent,
     PulseSequence,
     average_hamiltonian_numeric,
     cpmg_for_period,
-    cpmg_sequence,
     free_sequence,
     modulation_functions,
     period_unitary,
     pulsepol_for_period,
-    pulsepol_sequence,
     resonant_period,
 )
 from .spins import (

@@ -30,40 +30,11 @@ from .analytic import (
     optimal_pulse_count,
 )
 from .engine import ScheduleStage, run_schedule, sweep_trace, write_schedule_csv
-from .errors import (
-    DegenerateSpins,
-    DimensionMismatch,
-    DimensionOverflow,
-    DnpsimError,
-    InvalidTau,
-    NoConvergence,
-    NotHermitian,
-    NotIdealPulses,
-    NotUnitary,
-    ParseError,
-    ValidationError,
-)
+from .errors import DnpsimError, NumericalError, ValidationError
 from .floquet import compute_spectrum, find_crossings, local_minima, write_spectrum_csv
 from .protocols import cpmg_for_period, pulsepol_for_period
 from .spins import load_register_file, precession_frequency
 from .table import fmt, write_csv
-
-_USAGE_ERRORS = (
-    ValidationError,
-    ParseError,
-    InvalidTau,
-    NotIdealPulses,
-    DegenerateSpins,
-    DimensionOverflow,
-    FileNotFoundError,
-)
-_NUMERICAL_ERRORS = (
-    NotHermitian,
-    NotUnitary,
-    NoConvergence,
-    DimensionMismatch,
-    np.linalg.LinAlgError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,11 +207,6 @@ def _cmd_compare(args) -> int:
     else:
         strong_spin = max(register.nuclei, key=lambda s: s.a_perp)
     k = args.harmonic
-    _say(f"blockade spin: {strong_spin.label}  harmonic: k={k}")
-    _say(
-        f"{'label':<8} {'omega_i':>10} {'T_r':>10} {'g':>10} {'N_opt':>6} "
-        f"{'shift':>10} {'T_shifted':>10} {'g_blocked':>10}"
-    )
     rows = []
     for spin in register.nuclei:
         omega_i = precession_frequency(spin, register.larmor)
@@ -256,6 +222,13 @@ def _cmd_compare(args) -> int:
             t_shift = bs.shifted_period
             g_blocked = blockade_rabi(pair)
         rows.append((spin.label, p, n_opt, shift, t_shift, g_blocked))
+    # Every row is computed before the first line is printed, so a usage
+    # error leaves stdout empty.
+    _say(f"blockade spin: {strong_spin.label}  harmonic: k={k}")
+    _say(
+        f"{'label':<8} {'omega_i':>10} {'T_r':>10} {'g':>10} {'N_opt':>6} "
+        f"{'shift':>10} {'T_shifted':>10} {'g_blocked':>10}"
+    )
     for label, p, n_opt, *blocked in rows:
         cells = [f"{label:<8}", *(f"{x:>10.6f}" for x in (p.omega_i, p.resonant_period, p.g))]
         cells.append(f"{n_opt:>6d}")
@@ -360,13 +333,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except DnpsimError as exc:
+    except (DnpsimError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,19 +5,23 @@ class DnpsimError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitian(DnpsimError):
+class NumericalError(DnpsimError):
+    """A computation broke down; every other package error is bad input."""
+
+
+class NotHermitian(NumericalError):
     """Matrix fails the Hermitian symmetry check."""
 
 
-class NotUnitary(DnpsimError):
+class NotUnitary(NumericalError):
     """Matrix fails the unitarity check."""
 
 
-class NoConvergence(DnpsimError):
+class NoConvergence(NumericalError):
     """An iterative eigensolver failed to converge."""
 
 
-class DimensionMismatch(DnpsimError):
+class DimensionMismatch(NumericalError):
     """Operands have incompatible dimensions."""
 
 

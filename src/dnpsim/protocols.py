@@ -2,10 +2,11 @@
 
 A protocol period is an ordered list of pulse events (rotations about axes
 in the electron x-y plane, and free-evolution gaps). Two builders are
-provided: the polarisation bracket with period T = 4 tau, and the
-refocusing train with period T = 2 tau. Both come in an ideal-pulse flavour
-(zero-duration rotations) and a finite-pulse flavour where rotations evolve
-the full Hamiltonian plus drive for theta/Omega.
+provided, both taking the period: the polarisation bracket with T = 4 tau,
+and the refocusing train with T = 2 tau. Each is one table of pulse groups
+per half period. ``rabi`` None gives ideal (zero-duration) rotations; a
+Rabi frequency Omega gives finite ones that evolve the full Hamiltonian
+plus drive for theta/Omega.
 
 ``period_unitary`` builds the one-period map of a sequence, or of a stack
 of them, with one kernel on electron block rows, whose free gaps are the
@@ -102,35 +103,10 @@ class PulseSequence:
                 f"events: durations sum to {total!r}, period is {self.period!r}"
             )
 
-    @property
-    def tau(self) -> float:
-        """Quarter period; the pulse-spacing parameter of the 4 tau bracket."""
-        return self.period / 4.0
-
     def is_ideal(self) -> bool:
         return all(
             e.duration == 0.0 for e in self.events if e.kind is EventKind.ROTATION
         )
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """Zero-duration pulses."""
-
-
-@dataclass(frozen=True)
-class Finite:
-    """Finite pulses driven at the given Rabi frequency (rad/us)."""
-
-    rabi: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rabi < inf:
-            raise ValidationError(f"rabi: must be finite and > 0, got {self.rabi}")
-
-
-PulseMode = Ideal | Finite
-IDEAL = Ideal()
 
 
 def _rot(angle: float, phase: float, duration: float = 0.0) -> PulseEvent:
@@ -147,93 +123,6 @@ def free_sequence(duration: float, label: str = "free") -> PulseSequence:
         raise InvalidTau(f"duration must be finite and > 0, got {duration}")
     return PulseSequence(
         events=(_free(duration),), period=duration, harmonic=1, label=label
-    )
-
-
-def pulsepol_sequence(
-    tau: float, pulse_mode: PulseMode = IDEAL, harmonic: int = 3
-) -> PulseSequence:
-    """Build one polarisation period T = 4 tau.
-
-    The period is the bracket
-    [(pi/2)_Y tau/2 (pi)_-X tau/2 (pi/2)_Y (pi/2)_X tau/2 (pi)_Y tau/2 (pi/2)_X]
-    applied twice. In ideal mode each pi rotation is emitted as two pi/2
-    events of the same phase, giving exactly 16 rotation and 8 free events.
-    In finite mode pulses keep their composite grouping, pi/2 pairs are
-    centered on bracket boundaries and pi pulses on odd multiples of tau/2,
-    so the tau/2 spacing holds between pulse centers; this needs
-    tau >= 2 pi / rabi.
-
-    Raises
-    ------
-    InvalidTau
-        For tau not finite and > 0, or too short to fit the finite pulses.
-    """
-    if not 0 < tau < inf:
-        raise InvalidTau(f"tau must be finite and > 0, got {tau}")
-
-    if isinstance(pulse_mode, Ideal):
-        gap = tau / 2.0
-        half = [
-            _rot(pi / 2, PHASE_Y),
-            _free(gap),
-            _rot(pi / 2, PHASE_MINUS_X),
-            _rot(pi / 2, PHASE_MINUS_X),
-            _free(gap),
-            _rot(pi / 2, PHASE_Y),
-            _rot(pi / 2, PHASE_X),
-            _free(gap),
-            _rot(pi / 2, PHASE_Y),
-            _rot(pi / 2, PHASE_Y),
-            _free(gap),
-            _rot(pi / 2, PHASE_X),
-        ]
-    else:
-        d_half = (pi / 2) / pulse_mode.rabi
-        d_pi = pi / pulse_mode.rabi
-        gap = tau / 2.0 - d_half - d_pi / 2.0
-        if gap < 0:
-            raise InvalidTau(
-                f"tau = {tau} cannot fit finite pulses; need tau >= {2 * pi / pulse_mode.rabi:.6g}"
-            )
-        half = [
-            _rot(pi / 2, PHASE_Y, d_half),
-            _free(gap),
-            _rot(pi, PHASE_MINUS_X, d_pi),
-            _free(gap),
-            _rot(pi / 2, PHASE_Y, d_half),
-            _rot(pi / 2, PHASE_X, d_half),
-            _free(gap),
-            _rot(pi, PHASE_Y, d_pi),
-            _free(gap),
-            _rot(pi / 2, PHASE_X, d_half),
-        ]
-    return PulseSequence(
-        events=tuple(half + half),
-        period=4.0 * tau,
-        harmonic=harmonic,
-        label="pulsepol",
-    )
-
-
-def cpmg_sequence(
-    tau: float, pulse_mode: PulseMode = IDEAL, harmonic: int = 1
-) -> PulseSequence:
-    """Build one refocusing period [tau/2, pi_X, tau/2] x2, T = 2 tau."""
-    if not 0 < tau < inf:
-        raise InvalidTau(f"tau must be finite and > 0, got {tau}")
-    if isinstance(pulse_mode, Ideal):
-        half = [_free(tau / 2), _rot(pi, PHASE_X), _free(tau / 2)]
-    else:
-        d_pi = pi / pulse_mode.rabi
-        gap = tau / 2 - d_pi / 2
-        if gap < 0:
-            raise InvalidTau(
-                f"tau = {tau} cannot fit a finite pi pulse; need tau >= {pi / pulse_mode.rabi:.6g}"
-            )
-        half = [_free(gap), _rot(pi, PHASE_X, d_pi), _free(gap)]
-    return PulseSequence(
-        events=tuple(half + half), period=2.0 * tau, harmonic=harmonic, label="cpmg"
     )
 
 
@@ -500,7 +389,7 @@ def average_hamiltonian_numeric(
 
     period = seq.period
     omega = frame_frequency if frame_frequency is not None else 2.0 * pi * seq.harmonic / period
-    mf = modulation_functions(seq.tau)
+    mf = modulation_functions(period / 4.0)
 
     t = (np.arange(n_steps) + 0.5) * (period / n_steps)
     f1 = mf.f1(t)
@@ -537,17 +426,68 @@ def resonant_period(omega_i: float, harmonic: int = 3) -> float:
 SequenceBuilder = Callable[[float], PulseSequence]
 
 
+# One half period of each protocol as its pulse groups, each pulse an
+# (angle, phase) pair; ``_periodic`` puts equal free gaps between the groups.
+# The polarisation bracket
+# [(pi/2)_Y tau/2 (pi)_-X tau/2 (pi/2)_Y (pi/2)_X tau/2 (pi)_Y tau/2 (pi/2)_X]
+# writes each pi as two pi/2 of one phase, so an ideal period has 16
+# rotation and 8 free events, and each pi is centred on an odd multiple of
+# tau/2 for finite pulses too. The refocusing train is [tau/2, pi_X, tau/2].
+_PULSEPOL = (
+    ((pi / 2, PHASE_Y),),
+    ((pi / 2, PHASE_MINUS_X), (pi / 2, PHASE_MINUS_X)),
+    ((pi / 2, PHASE_Y), (pi / 2, PHASE_X)),
+    ((pi / 2, PHASE_Y), (pi / 2, PHASE_Y)),
+    ((pi / 2, PHASE_X),),
+)
+_CPMG = ((), ((pi, PHASE_X),), ())
+
+
+def _periodic(
+    table: tuple, period: float, harmonic: int, rabi: float | None, label: str
+) -> PulseSequence:
+    """One period: the half-period ``table`` twice, with equal free gaps
+    between its pulse groups. A pulse lasts 0 with ``rabi`` None (ideal)
+    and angle / rabi otherwise.
+
+    Raises
+    ------
+    ValidationError
+        For ``rabi`` not None and not finite and > 0.
+    InvalidTau
+        For a period not finite and > 0, or too short to fit the pulses.
+    """
+    if rabi is not None and not 0 < rabi < inf:
+        raise ValidationError(f"rabi: must be finite and > 0, got {rabi}")
+    if not 0 < period < inf:
+        raise InvalidTau(f"period must be finite and > 0, got {period}")
+    groups = [
+        [_rot(angle, phase, 0.0 if rabi is None else angle / rabi) for angle, phase in group]
+        for group in table
+    ]
+    pulsed = sum(e.duration for group in groups for e in group)
+    gap = (period / 2.0 - pulsed) / (len(groups) - 1)
+    if gap < 0:
+        raise InvalidTau(
+            f"period = {period} cannot fit {label} pulses; need period >= {2 * pulsed:.6g}"
+        )
+    half = groups[0]
+    for group in groups[1:]:
+        half = [*half, _free(gap), *group]
+    return PulseSequence(tuple(half + half), period, harmonic, label)
+
+
 def pulsepol_for_period(
     period: float, harmonic: int = 3, rabi: float | None = None
 ) -> PulseSequence:
-    """Polarisation sequence whose full period is the given value."""
-    mode: PulseMode = IDEAL if rabi is None else Finite(rabi)
-    return pulsepol_sequence(period / 4.0, mode, harmonic=harmonic)
+    """Polarisation period T = 4 tau, with finite pulses at Rabi frequency
+    ``rabi`` (rad/us) or ideal ones if None."""
+    return _periodic(_PULSEPOL, period, harmonic, rabi, "pulsepol")
 
 
 def cpmg_for_period(
     period: float, harmonic: int = 1, rabi: float | None = None
 ) -> PulseSequence:
-    """Refocusing sequence whose full period is the given value."""
-    mode: PulseMode = IDEAL if rabi is None else Finite(rabi)
-    return cpmg_sequence(period / 2.0, mode, harmonic=harmonic)
+    """Refocusing period T = 2 tau, with finite pulses at Rabi frequency
+    ``rabi`` (rad/us) or ideal ones if None."""
+    return _periodic(_CPMG, period, harmonic, rabi, "cpmg")

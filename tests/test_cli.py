@@ -16,6 +16,7 @@ from dnpsim import (
     ScheduleStage,
     cli,
     engine,
+    errors,
     load_register_file,
     pulsepol_for_period,
     run_schedule,
@@ -173,6 +174,22 @@ def test_compare_explicit_blockade_spin(capsys):
     assert "blockade spin: C21" in capsys.readouterr().out
 
 
+def test_degenerate_compare_prints_nothing(tmp_path, capsys):
+    """Two spins with equal couplings make the blockade row a usage error,
+    raised before the title and header lines are printed."""
+    twins = tmp_path / "twins.yaml"
+    twins.write_text(
+        "larmor_rad_per_us: 2.7106474\nnuclei:\n"
+        "  - {label: A, a_parallel_khz: -11.346, a_perp_khz: 59.21}\n"
+        "  - {label: B, a_parallel_khz: -11.346, a_perp_khz: 59.21}\n"
+    )
+    assert cli.main(["compare", "--config", str(twins), "--blockade", "A"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     cases = [
         ["sweep", "--config", C3],  # missing the period grid
@@ -311,6 +328,47 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     )
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _subclasses(base):
+    return [base, *(t for sub in base.__subclasses__() for t in _subclasses(sub))]
+
+
+# Bad input exits 1, a numerical breakdown exits 2.
+EXIT_CODES = {
+    "DnpsimError": 1,
+    "DimensionOverflow": 1,
+    "ParseError": 1,
+    "ValidationError": 1,
+    "InvalidTau": 1,
+    "NotIdealPulses": 1,
+    "DegenerateSpins": 1,
+    "NumericalError": 2,
+    "NotHermitian": 2,
+    "NotUnitary": 2,
+    "NoConvergence": 2,
+    "DimensionMismatch": 2,
+    "FileNotFoundError": 1,
+    "LinAlgError": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [*_subclasses(errors.DnpsimError), FileNotFoundError, np.linalg.LinAlgError],
+    ids=lambda t: t.__name__,
+)
+def test_each_error_family_has_its_exit_code(error, monkeypatch, capsys):
+    """Every package error, raised from a verb, ends the run with its
+    family's exit code and stderr prefix and no traceback."""
+    def boom(*args, **kwargs):
+        raise error("stubbed failure")
+
+    monkeypatch.setattr(cli, "sweep_trace", boom)
+    rc = cli.main(["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3"])
+    assert rc == EXIT_CODES[error.__name__]
+    prefix = "error: " if rc == 1 else "numerical failure: "
+    assert capsys.readouterr().err == f"{prefix}stubbed failure\n"
 
 
 def test_non_finite_state_exits_two(monkeypatch, capsys):

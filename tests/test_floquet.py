@@ -182,7 +182,7 @@ def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spect
     compute_spectrum(builder, reg, np.linspace(t_r - 0.12, t_r + 0.12, 41))
     rotations = {e for e in builder(t_r).events if e.kind is EventKind.ROTATION}
     assert len(maps) >= 6
-    assert len(built) == len(rotations) == 4
+    assert len(built) == len(rotations) == 3
 
 
 def test_spectrum_csv(tmp_path, c21_spectrum):

@@ -9,20 +9,17 @@ import scipy.linalg
 
 from dnpsim import (
     EventKind,
-    Finite,
     PulseEvent,
     PulseSequence,
     average_hamiltonian_numeric,
     build_operators,
     cpmg_for_period,
-    cpmg_sequence,
     free_sequence,
     is_unitary,
     modulation_functions,
     period_unitary,
     precession_frequency,
     pulsepol_for_period,
-    pulsepol_sequence,
     resonant_period,
     static_hamiltonian,
 )
@@ -35,7 +32,7 @@ G_COEFF = (math.sqrt(2.0) + 2.0) / (6.0 * math.pi)
 
 
 def test_polarisation_period_structure():
-    seq = pulsepol_sequence(1.7)
+    seq = pulsepol_for_period(4 * 1.7)
     assert seq.label == "pulsepol"
     assert seq.period == pytest.approx(4 * 1.7)
     kinds = [e.kind for e in seq.events]
@@ -44,10 +41,14 @@ def test_polarisation_period_structure():
     free_total = sum(e.duration for e in seq.events if e.kind is EventKind.FREE_EVOLUTION)
     assert free_total == pytest.approx(seq.period)  # ideal pulses take no time
     assert seq.is_ideal()
+    # Finite pulses keep the layout: each pi is two pi/2 events of one phase.
+    kinds = [e.kind for e in pulsepol_for_period(4 * 1.7, rabi=500.0).events]
+    assert kinds.count(EventKind.ROTATION) == 16
+    assert kinds.count(EventKind.FREE_EVOLUTION) == 8
 
 
 def test_refocusing_period_structure():
-    seq = cpmg_sequence(0.9)
+    seq = cpmg_for_period(2 * 0.9)
     assert seq.label == "cpmg"
     assert seq.period == pytest.approx(1.8)
     kinds = [e.kind for e in seq.events]
@@ -61,15 +62,84 @@ def test_for_period_helpers():
     assert cpmg_for_period(4.2, harmonic=1).period == pytest.approx(4.2)
 
 
+def _rot(angle, phase, duration=0.0):
+    return PulseEvent(EventKind.ROTATION, angle=angle, phase=phase, duration=duration)
+
+
+def _free(duration):
+    return PulseEvent(EventKind.FREE_EVOLUTION, duration=duration)
+
+
+X, Y, MINUS_X = 0.0, math.pi / 2, math.pi
+HALF_PI, PI = math.pi / 2, math.pi
+
+
+def written_pulsepol(period, rabi=None):
+    """The polarisation period as a list written out by hand per pulse
+    mode; in finite mode each pi is one event lasting pi / rabi."""
+    tau = period / 4.0
+    if rabi is None:
+        gap = tau / 2.0
+        half = [
+            _rot(HALF_PI, Y), _free(gap), _rot(HALF_PI, MINUS_X), _rot(HALF_PI, MINUS_X),
+            _free(gap), _rot(HALF_PI, Y), _rot(HALF_PI, X), _free(gap),
+            _rot(HALF_PI, Y), _rot(HALF_PI, Y), _free(gap), _rot(HALF_PI, X),
+        ]
+    else:
+        d_half, d_pi = HALF_PI / rabi, PI / rabi
+        gap = tau / 2.0 - d_half - d_pi / 2.0
+        half = [
+            _rot(HALF_PI, Y, d_half), _free(gap), _rot(PI, MINUS_X, d_pi), _free(gap),
+            _rot(HALF_PI, Y, d_half), _rot(HALF_PI, X, d_half), _free(gap),
+            _rot(PI, Y, d_pi), _free(gap), _rot(HALF_PI, X, d_half),
+        ]
+    return tuple(half + half)
+
+
+def written_cpmg(period, rabi=None):
+    """The refocusing period written out by hand per pulse mode."""
+    tau = period / 2.0
+    if rabi is None:
+        half = [_free(tau / 2), _rot(PI, X), _free(tau / 2)]
+    else:
+        d_pi = PI / rabi
+        gap = tau / 2 - d_pi / 2
+        half = [_free(gap), _rot(PI, X, d_pi), _free(gap)]
+    return tuple(half + half)
+
+
+@pytest.mark.parametrize("period", [0.37, 1.8, 6.85, 7.123456789, 25.7])
+def test_builders_emit_the_written_events(period):
+    """Ideal polarisation, ideal and finite refocusing periods are event
+    for event the hand-written lists, durations included."""
+    assert pulsepol_for_period(period).events == written_pulsepol(period)
+    assert cpmg_for_period(period).events == written_cpmg(period)
+    for rabi in (300.0, 2000.0):
+        assert cpmg_for_period(period, rabi=rabi).events == written_cpmg(period, rabi)
+
+
+@pytest.mark.parametrize("rabi", [300.0, 2000.0])
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_finite_polarisation_map_equals_the_written_one(config, rabi):
+    """Splitting each finite pi into two pi/2 events of one phase leaves
+    the period map unchanged to rounding."""
+    register = shipped_register(config)
+    t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor))
+    for period in (t_r, 0.93 * t_r):
+        written = PulseSequence(written_pulsepol(period, rabi), period, 3, "written")
+        got = period_unitary(pulsepol_for_period(period, rabi=rabi), register)
+        assert np.max(np.abs(got - period_unitary(written, register))) <= 1e-12
+
+
 def test_invalid_tau():
     with pytest.raises(InvalidTau):
-        pulsepol_sequence(0.0)
+        pulsepol_for_period(0.0)
     with pytest.raises(InvalidTau):
-        cpmg_sequence(-1.0)
+        cpmg_for_period(-1.0)
     with pytest.raises(InvalidTau):
         free_sequence(-0.1)
     for bad in (math.nan, math.inf):
-        for build in (pulsepol_sequence, cpmg_sequence, free_sequence, modulation_functions):
+        for build in (pulsepol_for_period, cpmg_for_period, free_sequence, modulation_functions):
             with pytest.raises(InvalidTau, match="finite"):
                 build(bad)
 
@@ -85,17 +155,17 @@ def test_non_finite_event_fields_are_rejected(bad):
     with pytest.raises(ValidationError, match="period"):
         PulseSequence(events=(), period=bad, harmonic=1, label="free")
     with pytest.raises(ValidationError, match="rabi"):
-        Finite(rabi=bad)
+        pulsepol_for_period(6.8, rabi=bad)
 
 
 def test_finite_pulses_must_fit():
     # a pi/2 pulse at rabi=1 rad/us lasts pi/2 us, far longer than tau/4
     with pytest.raises(InvalidTau):
-        pulsepol_sequence(0.5, Finite(rabi=1.0))
+        pulsepol_for_period(4 * 0.5, rabi=1.0)
 
 
 def test_finite_sequence_keeps_period():
-    seq = pulsepol_sequence(1.7, Finite(rabi=500.0))
+    seq = pulsepol_for_period(4 * 1.7, rabi=500.0)
     assert not seq.is_ideal()
     total = sum(e.duration for e in seq.events)
     assert total == pytest.approx(seq.period)
@@ -202,7 +272,7 @@ def test_finite_pulses_converge_to_ideal(reg_c3):
     target = period_unitary(pulsepol_for_period(6.85), reg_c3)
     devs = []
     for rabi in (80.0, 320.0, 1280.0):
-        seq = pulsepol_sequence(6.85 / 4, Finite(rabi=rabi))
+        seq = pulsepol_for_period(6.85, rabi=rabi)
         devs.append(np.max(np.abs(period_unitary(seq, reg_c3) - target)))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 5e-3
@@ -210,13 +280,13 @@ def test_finite_pulses_converge_to_ideal(reg_c3):
 
 def test_weak_drive_warns(reg_c3):
     # C3's transverse coupling is ~0.372 rad/us; 100x that is the guard line
-    seq = pulsepol_sequence(6.85 / 4, Finite(rabi=30.0))
+    seq = pulsepol_for_period(6.85, rabi=30.0)
     with pytest.warns(ValidityWarning):
         period_unitary(seq, reg_c3)
 
 
 def test_strong_drive_does_not_warn(recwarn, reg_c3):
-    seq = pulsepol_sequence(6.85 / 4, Finite(rabi=80.0))
+    seq = pulsepol_for_period(6.85, rabi=80.0)
     period_unitary(seq, reg_c3)
     assert not [w for w in recwarn if issubclass(w.category, ValidityWarning)]
 
@@ -305,9 +375,9 @@ def test_averaged_generator_detuning_term(reg_c3):
 
 def test_averaged_generator_requires_ideal_polarisation_block(reg_c3):
     with pytest.raises(NotIdealPulses):
-        average_hamiltonian_numeric(cpmg_sequence(1.7), reg_c3)
+        average_hamiltonian_numeric(cpmg_for_period(2 * 1.7), reg_c3)
     with pytest.raises(NotIdealPulses):
-        average_hamiltonian_numeric(pulsepol_sequence(1.7, Finite(rabi=500.0)), reg_c3)
+        average_hamiltonian_numeric(pulsepol_for_period(4 * 1.7, rabi=500.0), reg_c3)
 
 
 def test_resonant_period_definition():
