@@ -46,6 +46,7 @@ from .errors import (
     NotUnitary,
     NumericalError,
     ParseError,
+    SectorLeak,
     ValidationError,
     ValidityWarning,
     ZeroCoupling,
@@ -71,6 +72,7 @@ from .protocols import (
     ModulationFunctions,
     PulseEvent,
     PulseSequence,
+    TAU_PER_PERIOD,
     average_hamiltonian_numeric,
     cpmg_for_period,
     free_sequence,

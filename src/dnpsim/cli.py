@@ -29,10 +29,10 @@ from .analytic import (
     effective_params,
     optimal_pulse_count,
 )
-from .engine import ScheduleStage, run_schedule, sweep_trace, write_schedule_csv
+from .engine import ScheduleStage, run_schedule, sweep_trace, write_schedule_csv, write_trace_csv
 from .errors import DnpsimError, NumericalError, ValidationError
 from .floquet import compute_spectrum, find_crossings, local_minima, write_spectrum_csv
-from .protocols import cpmg_for_period, pulsepol_for_period
+from .protocols import TAU_PER_PERIOD, cpmg_for_period, pulsepol_for_period
 from .spins import load_register_file, precession_frequency
 from .table import fmt, write_csv
 
@@ -116,12 +116,9 @@ def _cmd_sweep(args) -> int:
     sign = -1.0 if args.flip_sign else 1.0
     values = sign * args.scale * trace.values
     total = values.sum(axis=1)
+    tau = TAU_PER_PERIOD[args.protocol]
     if args.out:
-        write_csv(
-            args.out,
-            ["tau_us", "period_us", *trace.labels, "total"],
-            ([t / 4.0, t, *v, v.sum()] for t, v in zip(trace.periods, values)),
-        )
+        write_trace_csv(replace(trace, values=values), args.out, tau)
     t = trace.periods
     m = int(np.argmax(total))
     t_peak, v_peak = t[m], total[m]
@@ -130,11 +127,11 @@ def _cmd_sweep(args) -> int:
         _, _, t_star, v_star = local_minima(t[m - 1 : m + 2], -total[m - 1 : m + 2, None], inf)
         t_peak, v_peak = t_star[0], -v_star[0]
     _say(f"points: {t.size}")
-    _say(f"peak: period_us={fmt(t_peak)} tau_us={fmt(t_peak / 4.0)} total={fmt(v_peak)}")
+    _say(f"peak: period_us={fmt(t_peak)} tau_us={fmt(t_peak * tau)} total={fmt(v_peak)}")
     # Dips: local minima below 1 percent of the trace maximum.
     _, _, t_dips, v_dips = local_minima(t, total[:, None], 0.01 * total.max())
     for t_dip, v_dip in zip(t_dips, v_dips):
-        _say(f"dip: period_us={fmt(t_dip)} tau_us={fmt(t_dip / 4.0)} total={fmt(v_dip)}")
+        _say(f"dip: period_us={fmt(t_dip)} tau_us={fmt(t_dip * tau)} total={fmt(v_dip)}")
     if args.out:
         _say(f"wrote {args.out}")
     return 0
@@ -145,10 +142,15 @@ def _cmd_spectrum(args) -> int:
     grid = _grid(args)
     spectrum = compute_spectrum(_builder(args), register, grid, workers=args.workers)
     if args.out:
-        write_spectrum_csv(spectrum, args.out)
+        write_spectrum_csv(spectrum, args.out, TAU_PER_PERIOD[args.protocol])
     crossings = find_crossings(spectrum, gap_threshold=args.gap_threshold)
     _say(f"branches: {spectrum.dim}  points: {spectrum.periods.size}")
     _say(f"crossings below gap {args.gap_threshold}: {len(crossings)}")
+    if spectrum.sectors is not None:
+        # Branches of different parity sectors do not couple: no avoided crossing.
+        sector = spectrum.sectors
+        protected = sum(sector[c.branch_a] != sector[c.branch_b] for c in crossings)
+        _say(f"protected crossings (different sectors): {protected}")
     for c in crossings:
         who = ", ".join(f"{label} ({w:.3f})" for label, w in c.participants)
         _say(

@@ -21,6 +21,10 @@ class NoConvergence(NumericalError):
     """An iterative eigensolver failed to converge."""
 
 
+class SectorLeak(NumericalError):
+    """A map of a parity-conserving pattern has weight between its sectors."""
+
+
 class DimensionMismatch(NumericalError):
     """Operands have incompatible dimensions."""
 

@@ -12,16 +12,17 @@ from __future__ import annotations
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from math import inf
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, ValidityWarning
+from .errors import SectorLeak, ValidationError, ValidityWarning
 from .linalg import chunk_points, unitary_eigensolve
-from .protocols import SequenceBuilder, period_unitary
-from .spins import SpinRegister, build_operators
+from .protocols import SequenceBuilder, conserved_parity, period_unitary
+from .spins import SpinRegister, build_operators, require_joint_space
 from .table import write_csv
 
 #: Overlap below which branch assignment between neighbouring grid points is
@@ -31,22 +32,83 @@ STITCH_OVERLAP = 0.9
 #: Maximum bisection depth per grid interval.
 MAX_REFINE_DEPTH = 6
 
+#: Largest entry between two parity sectors a period map may have.
+SECTOR_TOL = 1e-12
+
+
+def _electron_hadamard(u: np.ndarray) -> np.ndarray:
+    """H_e U for a (P, D, m) stack, H_e the Hadamard on the electron."""
+    top, bottom = np.split(u, 2, axis=1)
+    return np.concatenate((top + bottom, top - bottom), axis=1) / np.sqrt(2.0)
+
+
+class _Sectors(NamedTuple):
+    """The eigenspaces of the parity a period conserves, or the whole space
+    as one sector (axis None). Q_z is (-1)^popcount(i) on basis state i, the
+    electron being its top bit, and Q_x = H_e Q_z H_e; index[s] lists the
+    states of sector s, Q = +1 then -1, taken after H_e for Q_x."""
+
+    axis: str | None
+    index: np.ndarray
+
+    @classmethod
+    def of(cls, seq, dim: int) -> _Sectors:
+        states = np.arange(dim)
+        axis = conserved_parity(seq)
+        if axis is None:
+            return cls(None, states[None])
+        odd = np.bitwise_count(states) % 2 == 1
+        return cls(axis, np.stack((states[~odd], states[odd])))
+
+    def blocks(self, u: np.ndarray) -> np.ndarray:
+        """The (P, S, n, n) sector blocks of a (P, D, D) stack. Raises
+        SectorLeak if an entry between two sectors exceeds SECTOR_TOL; a
+        non-finite entry is left to the unitarity checks."""
+        if self.axis is None:
+            return u[:, None]
+        if self.axis == "x":
+            u = _electron_hadamard(_electron_hadamard(u).swapaxes(1, 2)).swapaxes(1, 2)
+        rows = self.index[:, :, None]
+        leak = np.max(np.abs(u[:, rows, self.index[::-1, None, :]]), initial=0.0)
+        if leak > SECTOR_TOL:
+            raise SectorLeak(f"period map leaks {leak:.1e} out of its Q_{self.axis} sectors")
+        return u[:, rows, self.index[:, None, :]]
+
+    def vectors(self, blocks: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
+        """Write into the (D, D) ``out``, in the computational basis, the
+        ``columns`` of a point's (S, n, n) eigenvector blocks, column k of
+        block s being s n + k."""
+        s, k = np.divmod(columns, blocks.shape[-1])
+        out.fill(0.0)
+        out[self.index[s].T, np.arange(k.size)] = blocks[s, :, k].T
+        if self.axis == "x":
+            out[...] = _electron_hadamard(out[None])[0]
+
 
 class _Point(NamedTuple):
+    """Eigenphases in phase order and (S, n, n) eigenvector blocks: the
+    phase-order column j is column k of block s for order[j] = s n + k."""
+
     period: float
     phases: np.ndarray
     vectors: np.ndarray
+    order: np.ndarray
 
 
 def _spectrum_points(
-    builder: SequenceBuilder, register: SpinRegister, grid: np.ndarray
+    builder: SequenceBuilder, register: SpinRegister, grid: np.ndarray, sectors: _Sectors
 ) -> list[_Point]:
     """The points of a grid chunk, from one stacked period map and one
-    stacked eigensolve."""
+    stacked eigensolve of its sector blocks, whose phase orders are merged."""
     seqs = [builder(t) for t in grid]
-    eig = unitary_eigensolve(period_unitary(seqs, register))
-    phases = -np.angle(eig.eigenvalues)
-    return [_Point(*point) for point in zip((s.period for s in seqs), phases, eig.eigenvectors)]
+    blocks = sectors.blocks(period_unitary(seqs, register))
+    eig = unitary_eigensolve(blocks.reshape(-1, *blocks.shape[-2:]))
+    lam = eig.eigenvalues.reshape(len(seqs), -1)
+    order = np.argsort(np.angle(lam), axis=-1, kind="stable")
+    phases = -np.angle(np.take_along_axis(lam, order, -1))
+    vectors = eig.eigenvectors.reshape(blocks.shape)
+    periods = (s.period for s in seqs)
+    return [_Point(*point) for point in zip(periods, phases, vectors, order)]
 
 
 def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]:
@@ -54,51 +116,55 @@ def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]
 
     Returns (permutation, worst assigned overlap): permutation[j] is the
     column of ``nxt`` continuing branch j of ``prev``. Pairs are picked
-    greedily, largest overlap first, masking used rows and columns.
+    greedily, largest overlap first, masking used rows and columns. A
+    (S, n, n) stack of sector blocks is matched block by block, giving an
+    (S, n) permutation and the worst overlap of all blocks.
 
     When the rows' maxima fall in distinct columns, the greedy picks
     exactly those maxima, so no loop runs. With orthonormal bases this
     holds whenever every row's best overlap exceeds 1/sqrt(2), which is then
     the unique maximum of its row and of its column.
     """
-    overlap = np.abs(prev.conj().T @ nxt)
-    dim = overlap.shape[0]
-    perm = np.argmax(overlap, axis=1)
-    if np.unique(perm).size == dim:
-        return perm, float(overlap[np.arange(dim), perm].min())
-    worst = 1.0
-    work = overlap.copy()
-    for _ in range(dim):
-        i, j = np.unravel_index(np.argmax(work), work.shape)
-        perm[i] = j
-        worst = min(worst, overlap[i, j])
-        work[i, :] = -1.0
-        work[:, j] = -1.0
-    return perm, worst
+    overlap = np.abs(prev.conj().swapaxes(-1, -2) @ nxt)
+    perm = np.argmax(overlap, axis=-1)
+    best = np.max(overlap, axis=-1)
+    clash = (np.diff(np.sort(perm, axis=-1), axis=-1) == 0).any(axis=-1)
+    for s in map(tuple, np.argwhere(clash)):
+        work = overlap[s].copy()
+        for _ in range(perm.shape[-1]):
+            i, j = np.unravel_index(np.argmax(work), work.shape)
+            perm[s][i] = j
+            best[s][i] = overlap[s][i, j]
+            work[i, :] = -1.0
+            work[:, j] = -1.0
+    return perm, float(best.min())
 
 
 def _stitch(
     a: _Point,
     b: _Point,
-    builder: SequenceBuilder,
-    register: SpinRegister,
+    solve: Callable[[list[float]], list[_Point]],
     t_a: float,
     t_b: float,
     depth: int,
     capped: list[float],
 ) -> np.ndarray:
-    """Branch permutation from a to b; the worst overlap of every interval
-    accepted at the depth cap below STITCH_OVERLAP is appended to capped."""
-    perm, worst = _greedy_match(a.vectors, b.vectors)
+    """Branch permutation from a to b, matched inside each sector; the
+    worst overlap of every interval accepted at the depth cap below
+    STITCH_OVERLAP is appended to capped. ``solve`` maps a grid chunk to
+    its points."""
+    local, worst = _greedy_match(a.vectors, b.vectors)
+    flat = (local + local.shape[1] * np.arange(len(local))[:, None]).ravel()
+    perm = np.argsort(b.order)[flat[a.order]]
     if worst >= STITCH_OVERLAP:
         return perm
     if depth >= MAX_REFINE_DEPTH:
         capped.append(worst)
         return perm
     t_mid = 0.5 * (t_a + t_b)
-    (mid,) = _spectrum_points(builder, register, [t_mid])
-    left = _stitch(a, mid, builder, register, t_a, t_mid, depth + 1, capped)
-    right = _stitch(mid, b, builder, register, t_mid, t_b, depth + 1, capped)
+    (mid,) = solve([t_mid])
+    left = _stitch(a, mid, solve, t_a, t_mid, depth + 1, capped)
+    right = _stitch(mid, b, solve, t_mid, t_b, depth + 1, capped)
     return right[left]
 
 
@@ -108,13 +174,16 @@ class FloquetSpectrum:
 
     phases[i, j] is branch j's eigenphase in (-pi, pi] at periods[i];
     vectors[i][:, j] the matching eigenvector. Branch order is fixed by
-    the phase ordering at the first grid point.
+    the phase ordering at the first grid point. When the period conserves
+    a parity Q, sectors[j] is branch j's eigenvalue of Q (+1 or -1); a
+    branch never leaves its sector. Otherwise sectors is None.
     """
 
     periods: np.ndarray
     phases: np.ndarray
     vectors: np.ndarray
     register: SpinRegister
+    sectors: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -141,12 +210,18 @@ def compute_spectrum(
     ``unitary_eigensolve`` call; a bisection midpoint is a chunk of one.
     With ``workers`` > 1 a process pool maps the chunks, and the result
     does not depend on ``workers``.
+
+    When the first period conserves a parity (``protocols.conserved_parity``)
+    each map is solved as its two sector blocks, branches are stitched inside
+    their sector, and a map leaking above SECTOR_TOL raises SectorLeak.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("periods: need a 1-d grid of at least two points")
     if workers < 1:
         raise ValidationError(f"workers: must be >= 1, got {workers}")
+    require_joint_space(register)
+    sectors = _Sectors.of(builder(grid[0]), register.dim)
 
     # Per point: the gap propagators, the block product and its
     # intermediate, the squared map, the Hermitian part, its eigenvectors,
@@ -155,30 +230,32 @@ def compute_spectrum(
     chunks = [grid[i : i + size] for i in range(0, grid.size, size)]
     # Points are stitched as they arrive, so only one chunk is held besides
     # the branch-ordered arrays.
+    solve = partial(_spectrum_points, builder, register, sectors=sectors)
     with ExitStack() as stack:
         if workers == 1:
-            batches = (_spectrum_points(builder, register, chunk) for chunk in chunks)
+            batches = map(solve, chunks)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            n = len(chunks)
-            batches = pool.map(_spectrum_points, [builder] * n, [register] * n, chunks)
+            batches = pool.map(solve, chunks)
         points = chain.from_iterable(batches)
         prev = next(points)
         dim = prev.phases.size
         axis = np.empty(grid.size)
         phases = np.empty((grid.size, dim))
         vectors = np.empty((grid.size, dim, dim), dtype=complex)
-        axis[0], phases[0], vectors[0] = prev
+        axis[0], phases[0] = prev.period, prev.phases
+        labels = None if sectors.axis is None else 1 - 2 * (prev.order // (dim // 2))
         prev_perm = np.arange(dim)
+        sectors.vectors(prev.vectors, prev.order, vectors[0])
         capped: list[float] = []
         for i, point in enumerate(points, start=1):
-            step = _stitch(prev, point, builder, register, grid[i - 1], grid[i], 0, capped)
+            step = _stitch(prev, point, solve, grid[i - 1], grid[i], 0, capped)
             perm = step[prev_perm]
             axis[i] = point.period
             phases[i] = point.phases[perm]
-            vectors[i] = point.vectors[:, perm]
+            sectors.vectors(point.vectors, point.order[perm], vectors[i])
             prev = point
             prev_perm = perm
     if capped:
@@ -189,7 +266,7 @@ def compute_spectrum(
             ValidityWarning,
             stacklevel=2,
         )
-    return FloquetSpectrum(periods=axis, phases=phases, vectors=vectors, register=register)
+    return FloquetSpectrum(axis, phases, vectors, register, labels)
 
 
 class AvoidedCrossing(NamedTuple):
@@ -319,10 +396,11 @@ def _flip_flop_weights(
     return weights
 
 
-def write_spectrum_csv(spectrum: FloquetSpectrum, path: str) -> None:
-    """Write the stitched branches as CSV: tau_us, period_us, branch columns."""
+def write_spectrum_csv(spectrum: FloquetSpectrum, path: str, tau_per_period: float) -> None:
+    """Write the stitched branches as CSV: tau_us, period_us, branch columns;
+    tau is the period times the protocol's ``protocols.TAU_PER_PERIOD``."""
     write_csv(
         path,
         ["tau_us", "period_us", *(f"branch_{j}" for j in range(spectrum.dim))],
-        ([t / 4.0, t, *phases] for t, phases in zip(spectrum.periods, spectrum.phases)),
+        ([t * tau_per_period, t, *phases] for t, phases in zip(spectrum.periods, spectrum.phases)),
     )

@@ -11,6 +11,7 @@ plus drive for theta/Omega.
 ``period_unitary`` builds the one-period map of a sequence, or of a stack
 of them, with one kernel on electron block rows, whose free gaps are the
 two d x d electron blocks of exp(-i H0 t) from ``free_propagator``.
+``conserved_parity`` names the parity a period's event pattern conserves.
 
 The modulation functions f1, f2 are the piecewise-constant coefficients the
 toggled electron S_x and S_y acquire over one 4 tau period; their Fourier
@@ -197,9 +198,13 @@ def _by_pattern(seqs: tuple[PulseSequence, ...]) -> dict[tuple, list[int]]:
         squared = len(events) % 2 == 0 and events[:half] == events[half:]
         if squared:
             events = events[:half]
-        pattern = tuple(None if e.kind is EventKind.FREE_EVOLUTION else e for e in events)
-        groups.setdefault((pattern, squared), []).append(i)
+        groups.setdefault((_pulses(events), squared), []).append(i)
     return groups
+
+
+def _pulses(events: tuple[PulseEvent, ...]) -> tuple:
+    """The event pattern: the events with each free event replaced by None."""
+    return tuple(None if e.kind is EventKind.FREE_EVOLUTION else e for e in events)
 
 
 def _warn_weak_drive(pattern: tuple, register: SpinRegister) -> None:
@@ -260,6 +265,18 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
 def _mixed(mix: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The block rows of a (P, 2, d, D) stack mixed by a 2x2 electron rotation."""
     return (mix @ u.reshape(len(u), 2, -1)).reshape(u.shape)
+
+
+def conserved_parity(seq: PulseSequence) -> str | None:
+    """The parity sigma_axis^e (x) prod_n sigma_z^n a period of this pattern
+    conserves: "z" for the ideal polarisation bracket (any gaps), "x" when
+    every rotation is about +/-x (Q_x commutes with H0 and S_x), else None."""
+    pattern = _pulses(seq.events)
+    if pattern == _IDEAL_PULSEPOL:
+        return "z"
+    if all(e.phase % pi == 0.0 for e in pattern if e is not None):
+        return "x"
+    return None
 
 
 @lru_cache(maxsize=16)
@@ -442,6 +459,9 @@ _PULSEPOL = (
 )
 _CPMG = ((), ((pi, PHASE_X),), ())
 
+#: tau / T per protocol: the polarisation bracket spans 4 tau, the refocusing train 2 tau.
+TAU_PER_PERIOD = {"pulsepol": 0.25, "cpmg": 0.5}
+
 
 def _periodic(
     table: tuple, period: float, harmonic: int, rabi: float | None, label: str
@@ -491,3 +511,6 @@ def cpmg_for_period(
     """Refocusing period T = 2 tau, with finite pulses at Rabi frequency
     ``rabi`` (rad/us) or ideal ones if None."""
     return _periodic(_CPMG, period, harmonic, rabi, "cpmg")
+
+
+_IDEAL_PULSEPOL = _pulses(pulsepol_for_period(1.0).events)

@@ -438,8 +438,8 @@ def test_criterion_10_structural_battery(tmp_path, reg_c3_c21):
     serial = sweep_trace(pulsepol_for_period, reg_c3_c21, grid, 4, 3, workers=1)
     parallel = sweep_trace(pulsepol_for_period, reg_c3_c21, grid, 4, 3, workers=2)
     f1, f2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    write_trace_csv(serial, str(f1))
-    write_trace_csv(parallel, str(f2))
+    write_trace_csv(serial, str(f1), 0.25)
+    write_trace_csv(parallel, str(f2), 0.25)
     assert filecmp.cmp(str(f1), str(f2), shallow=False)
 
     # eigenphase branches stay continuous through their crossings

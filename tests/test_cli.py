@@ -15,8 +15,11 @@ from dnpsim import (
     PolarisationTrace,
     ScheduleStage,
     cli,
+    compute_spectrum,
     engine,
     errors,
+    find_crossings,
+    floquet,
     load_register_file,
     pulsepol_for_period,
     run_schedule,
@@ -348,6 +351,7 @@ EXIT_CODES = {
     "NotUnitary": 2,
     "NoConvergence": 2,
     "DimensionMismatch": 2,
+    "SectorLeak": 2,
     "FileNotFoundError": 1,
     "LinAlgError": 2,
 }
@@ -421,3 +425,67 @@ def test_broken_pipe_elsewhere_is_not_swallowed(monkeypatch):
     monkeypatch.setattr(cli, "sweep_trace", boom)
     with pytest.raises(BrokenPipeError):
         cli.main(["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3"])
+
+
+def test_a_map_leaking_out_of_its_sectors_exits_two(monkeypatch, capsys):
+    """Ideal PulsePol conserves Q_z; a period map rotated by 1e-9 between
+    basis states 0 and 1, of opposite parity, is still unitary but is never
+    solved: the spectrum ends with a numerical failure naming the leak."""
+    real_map = floquet.period_unitary
+
+    def leaky(seqs, register):
+        u = real_map(seqs, register)
+        mix = np.eye(register.dim, dtype=complex)
+        mix[:2, :2] = [[np.cos(1e-9), -1j * np.sin(1e-9)], [-1j * np.sin(1e-9), np.cos(1e-9)]]
+        return mix @ u
+
+    monkeypatch.setattr(floquet, "period_unitary", leaky)
+    rc = cli.main(["spectrum", "--config", C3_C21, "--t-start", "6.7", "--t-stop", "7.0",
+                   "--steps", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: period map leaks ")
+    assert captured.err.endswith(" out of its Q_z sectors\n")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cpmg_csvs_write_tau_as_half_the_period(tmp_path, capsys):
+    """The refocusing train spans two pulse intervals: tau_us = period_us / 2
+    in the sweep CSV, on the sweep's peak line and in the spectrum CSV."""
+    grid = ["--protocol", "cpmg", "--harmonic", "1", "--t-start", "2.2", "--t-stop", "2.4",
+            "--steps", "5"]
+    sweep, spectrum = tmp_path / "sweep.csv", tmp_path / "spectrum.csv"
+    assert cli.main(["sweep", "--config", C3, *grid, "--out", str(sweep)]) == 0
+    assert cli.main(["spectrum", "--config", C3, *grid, "--out", str(spectrum)]) == 0
+    for out in (sweep, spectrum):
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], rows[:, 1] / 2)
+    peak = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("peak:"))
+    period, tau = (float(field.split("=")[1]) for field in peak.split()[1:3])
+    assert tau == period / 2
+
+
+def test_spectrum_counts_the_protected_crossings(tmp_path, capsys):
+    """On two nuclei, the printed count of crossings between different
+    sectors equals a count from <v|Q_z|v> = +/-1 of the two branch states
+    at the grid sample nearest each crossing."""
+    argv = ["spectrum", "--config", C3_C21, "--t-start", "6.6", "--t-stop", "7.2",
+            "--steps", "121", "--gap-threshold", "0.2"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("crossings below gap 0.2: ")
+    assert lines[2].startswith("protected crossings (different sectors): ")
+    printed = int(lines[2].rsplit(" ", 1)[1])
+
+    register = load_register_file(C3_C21)
+    spec = compute_spectrum(pulsepol_for_period, register, np.linspace(6.6, 7.2, 121))
+    q_z = 1 - 2 * (np.array([bin(i).count("1") for i in range(spec.dim)]) % 2)
+    count = 0
+    for c in find_crossings(spec, gap_threshold=0.2):
+        m = int(np.argmin(np.abs(spec.periods - c.period)))
+        v = spec.vectors[m]
+        q = [np.vdot(v[:, b], q_z * v[:, b]).real for b in (c.branch_a, c.branch_b)]
+        assert np.allclose(np.abs(q), 1.0, atol=1e-12)
+        count += round(q[0]) != round(q[1])
+    assert 0 < printed == count < len(find_crossings(spec, gap_threshold=0.2))

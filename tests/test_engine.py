@@ -157,8 +157,8 @@ def test_sweep_workers_agree(reg_c3_c21, tmp_path):
     parallel = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 3, workers=2)
     assert np.array_equal(serial.values, parallel.values)
     f1, f2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    write_trace_csv(serial, str(f1))
-    write_trace_csv(parallel, str(f2))
+    write_trace_csv(serial, str(f1), 0.25)
+    write_trace_csv(parallel, str(f2), 0.25)
     assert filecmp.cmp(str(f1), str(f2), shallow=False)
 
 
@@ -166,7 +166,7 @@ def test_trace_csv_format(reg_c3_c21, tmp_path):
     periods = np.linspace(6.6, 7.0, 5)
     trace = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 2, 1)
     out = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(out))
+    write_trace_csv(trace, str(out), 0.25)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "tau_us,period_us,C3,C21,total"
     assert len(lines) == 6

@@ -9,9 +9,11 @@ import pytest
 from dnpsim import (
     EventKind,
     compute_spectrum,
+    cpmg_for_period,
     effective_params,
     find_crossings,
     load_register_file,
+    period_unitary,
     precession_frequency,
     pulsepol_for_period,
     resonant_period,
@@ -20,8 +22,9 @@ from dnpsim import (
 import reference_floquet as ref
 from dnpsim import floquet, linalg, protocols
 from dnpsim.errors import ValidationError, ValidityWarning
+from dnpsim.protocols import conserved_parity
 
-from conftest import CONFIG_DIR, LARMOR, make_register
+from conftest import CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, make_register, shipped_register
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +157,8 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     assert np.array_equal([t for c in chunks for t in c], got.periods)
     assert len(maps) == len(chunks) + midpoints
     assert all(len(c) == 1 for c in maps if c not in chunks)
-    assert eigs == [len(c) for c in maps]
+    # Ideal PulsePol conserves Q_z: each map is solved as its two sector blocks.
+    assert eigs == [2 * len(c) for c in maps]
     assert np.array_equal(got.phases, want.phases)
     assert np.array_equal(got.vectors, want.vectors)
 
@@ -188,7 +192,7 @@ def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spect
 def test_spectrum_csv(tmp_path, c21_spectrum):
     _, _, spec = c21_spectrum
     out = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, str(out))
+    write_spectrum_csv(spec, str(out), 0.25)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "tau_us,period_us," + ",".join(f"branch_{i}" for i in range(4))
     assert len(lines) == 42
@@ -326,3 +330,118 @@ def test_pooled_chunks_give_the_serial_spectrum(monkeypatch, c21_spectrum):
     assert np.array_equal(serial.phases, pooled.phases)
     assert np.array_equal(serial.vectors, pooled.vectors)
     assert np.array_equal(serial.periods, pooled.periods)
+
+
+SECTOR_BUILDERS = {
+    "pulsepol": pulsepol_for_period,
+    "cpmg": partial(cpmg_for_period, harmonic=1),
+    "cpmg-rabi2000": partial(cpmg_for_period, harmonic=1, rabi=2000.0),
+}
+
+
+def _full_vectors(point, sectors):
+    """A point's eigenvectors in phase order as one D x D matrix."""
+    out = np.empty((point.phases.size,) * 2, dtype=complex)
+    sectors.vectors(point.vectors, point.order, out)
+    return out
+
+
+def test_conserved_parity_follows_the_event_pattern():
+    """Ideal PulsePol conserves Q_z, +/-x rotations Q_x, finite PulsePol
+    nothing."""
+    assert conserved_parity(pulsepol_for_period(6.8)) == "z"
+    assert conserved_parity(cpmg_for_period(2.2)) == "x"
+    assert conserved_parity(cpmg_for_period(2.2, rabi=2000.0)) == "x"
+    assert conserved_parity(pulsepol_for_period(6.8, rabi=300.0)) is None
+
+
+@pytest.mark.parametrize("protocol", SECTOR_BUILDERS)
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_blocked_eigensolve_matches_the_grouped_solver(config, protocol):
+    """The eigenphases from the sector blocks agree with the theta = 0
+    grouped solver on the whole map to 1e-12, and so does the projector
+    onto every eigenspace, up to what the two residuals allow.
+
+    An eigenspace gathers eigenvalues within 1e-8 (ideal CPMG is doubly
+    degenerate throughout). Two solves whose residuals are r_1 and r_2
+    give projectors that differ by at most (r_1 + r_2) / gap, the gap being
+    the eigenspace's distance to the rest of the spectrum (Davis-Kahan);
+    the allowance below is twice that, plus 1e-12. It matters only for
+    eigenphases ~1e-5 apart, where no two solvers agree to 1e-12 and the
+    grouped solver's own residual reaches 1e-10. The blocked residual is
+    held to the eigensolver's own gate. register27 is cut to 7 nuclei.
+    """
+    register = shipped_register(config)
+    builder = SECTOR_BUILDERS[protocol]
+    grid = np.array([2.13, 2.41]) if protocol.startswith("cpmg") else np.array([6.71, 6.93])
+    sectors = floquet._Sectors.of(builder(grid[0]), register.dim)
+    assert sectors.axis is not None
+    points = floquet._spectrum_points(builder, register, grid, sectors)
+    maps = period_unitary([builder(t) for t in grid], register)
+    for point, u in zip(points, maps):
+        lam, v = linalg._grouped_eigensolve(u)
+        assert np.max(np.abs(point.phases + np.angle(lam))) <= 1e-12
+        got = _full_vectors(point, sectors)
+        mine = np.exp(-1j * point.phases)
+        assert np.max(np.abs(u @ got - got * mine)) <= linalg.EIG_RESIDUAL_TOL
+        seen = np.zeros(lam.size, dtype=bool)
+        for j in range(lam.size):
+            if seen[j]:
+                continue
+            group = np.abs(lam - lam[j]) <= 1e-8
+            seen |= group
+            gap = np.min(np.abs(lam[~group, None] - lam[group]), initial=2.0)
+            residual = sum(
+                np.linalg.norm(u @ w[:, group] - w[:, group] * e[group], 2)
+                for w, e in ((got, mine), (v, lam))
+            )
+            want = v[:, group] @ v[:, group].conj().T
+            have = got[:, group] @ got[:, group].conj().T
+            assert np.max(np.abs(have - want)) <= 1e-12 + 2.0 * residual / gap
+
+
+def test_finite_pulsepol_takes_the_full_path(monkeypatch, c21_spectrum):
+    """Finite PulsePol conserves no parity: each eigensolve gets whole
+    D x D maps, and the spectrum carries no sector labels."""
+    reg, t_r, _ = c21_spectrum
+    shapes = []
+    real_eig = floquet.unitary_eigensolve
+
+    def record(u):
+        shapes.append(u.shape[1:])
+        return real_eig(u)
+
+    monkeypatch.setattr(floquet, "unitary_eigensolve", record)
+    spec = compute_spectrum(
+        partial(pulsepol_for_period, rabi=300.0), reg, np.linspace(t_r - 0.12, t_r + 0.12, 41)
+    )
+    assert spec.sectors is None
+    assert set(shapes) == {(reg.dim, reg.dim)}
+
+
+def test_sector_stitching_equals_the_full_greedy_match(five_spin_spectrum):
+    """Matching inside each sector gives the permutation and worst overlap
+    of the greedy match on the whole eigenvector matrices."""
+    register = five_spin_spectrum.register
+    grid = np.linspace(6.6, 7.2, 61)
+    sectors = floquet._Sectors.of(pulsepol_for_period(grid[0]), register.dim)
+    points = floquet._spectrum_points(pulsepol_for_period, register, grid, sectors)
+    for a, b in zip(points, points[1:]):
+        local, worst = floquet._greedy_match(a.vectors, b.vectors)
+        capped = []
+        perm = floquet._stitch(a, b, None, 0.0, 1.0, floquet.MAX_REFINE_DEPTH, capped)
+        full, full_worst = floquet._greedy_match(
+            _full_vectors(a, sectors), _full_vectors(b, sectors)
+        )
+        assert np.array_equal(perm, full)
+        assert worst == full_worst
+
+
+def test_branches_keep_their_sector(five_spin_spectrum):
+    """Each branch is an eigenvector of Q_z with the eigenvalue it is
+    labelled with, at every grid point."""
+    q = 1 - 2 * (np.array([bin(i).count("1") for i in range(five_spin_spectrum.dim)]) % 2)
+    expect = np.einsum("pij,i,pij->pj", five_spin_spectrum.vectors.conj(), q,
+                       five_spin_spectrum.vectors).real
+    assert np.max(np.abs(expect - five_spin_spectrum.sectors)) <= 1e-12
+    assert sorted(five_spin_spectrum.sectors) == [-1] * 32 + [1] * 32

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -99,3 +101,20 @@ def test_importing_the_cli_loads_no_process_pool():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_every_benchmark_trace_hook_still_resolves():
+    """The benchmark's traced run wraps each ``(module, attribute)`` of
+    ``perfbench/child.py``'s HOOKS; a renamed target would silently read 0."""
+    path = SRC.parent.parent / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    missing = []
+    for module_name, attr_path, _, _ in child.HOOKS:
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{attr_path}")
+    assert child.HOOKS and missing == []
