@@ -113,12 +113,11 @@ def _cmd_sweep(args) -> int:
         reinit_state=args.reinit,
         workers=args.workers,
     )
-    sign = -1.0 if args.flip_sign else 1.0
-    values = sign * args.scale * trace.values
-    total = values.sum(axis=1)
+    scale = (-1.0 if args.flip_sign else 1.0) * args.scale
+    total = (scale * trace.values).sum(axis=1)
     tau = TAU_PER_PERIOD[args.protocol]
     if args.out:
-        write_trace_csv(replace(trace, values=values), args.out, tau)
+        write_trace_csv(trace, args.out, tau, scale)
     t = trace.periods
     m = int(np.argmax(total))
     t_peak, v_peak = t[m], total[m]

@@ -458,13 +458,16 @@ def asymptotic_envelope(
     return float(total_prev), done, False
 
 
-def write_trace_csv(trace: PolarisationTrace, path: str, tau_per_period: float) -> None:
+def write_trace_csv(
+    trace: PolarisationTrace, path: str, tau_per_period: float, scale: float = 1.0
+) -> None:
     """Write a sweep as CSV: tau_us, period_us, one column per spin, total;
-    tau is the period times the protocol's ``protocols.TAU_PER_PERIOD``."""
+    tau is the period times the protocol's ``protocols.TAU_PER_PERIOD`` and
+    every polarisation is multiplied by ``scale``."""
     write_csv(
         path,
         ["tau_us", "period_us", *trace.labels, "total"],
-        ([t * tau_per_period, t, *v, v.sum()] for t, v in zip(trace.periods, trace.values)),
+        ([t * tau_per_period, t, *v, v.sum()] for t, v in zip(trace.periods, scale * trace.values)),
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SectorLeak, ValidationError, ValidityWarning
 from .linalg import chunk_points, unitary_eigensolve
-from .protocols import SequenceBuilder, conserved_parity, period_unitary
+from .protocols import SequenceBuilder, conserved_parity, mix_electron_rows, period_unitary
 from .spins import SpinRegister, build_operators, require_joint_space
 from .table import write_csv
 
@@ -36,10 +36,8 @@ MAX_REFINE_DEPTH = 6
 SECTOR_TOL = 1e-12
 
 
-def _electron_hadamard(u: np.ndarray) -> np.ndarray:
-    """H_e U for a (P, D, m) stack, H_e the Hadamard on the electron."""
-    top, bottom = np.split(u, 2, axis=1)
-    return np.concatenate((top + bottom, top - bottom), axis=1) / np.sqrt(2.0)
+#: The Hadamard on the electron, which maps Q_z onto Q_x.
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 class _Sectors(NamedTuple):
@@ -57,7 +55,7 @@ class _Sectors(NamedTuple):
         axis = conserved_parity(seq)
         if axis is None:
             return cls(None, states[None])
-        odd = np.bitwise_count(states) % 2 == 1
+        odd = np.array([bin(i).count("1") % 2 == 1 for i in range(dim)])
         return cls(axis, np.stack((states[~odd], states[odd])))
 
     def blocks(self, u: np.ndarray) -> np.ndarray:
@@ -67,7 +65,8 @@ class _Sectors(NamedTuple):
         if self.axis is None:
             return u[:, None]
         if self.axis == "x":
-            u = _electron_hadamard(_electron_hadamard(u).swapaxes(1, 2)).swapaxes(1, 2)
+            for _ in range(2):  # H_e U, then (H_e (H_e U)^T)^T = H_e U H_e
+                u = mix_electron_rows(_HADAMARD, u).swapaxes(1, 2)
         rows = self.index[:, :, None]
         leak = np.max(np.abs(u[:, rows, self.index[::-1, None, :]]), initial=0.0)
         if leak > SECTOR_TOL:
@@ -82,7 +81,7 @@ class _Sectors(NamedTuple):
         out.fill(0.0)
         out[self.index[s].T, np.arange(k.size)] = blocks[s, :, k].T
         if self.axis == "x":
-            out[...] = _electron_hadamard(out[None])[0]
+            out[...] = mix_electron_rows(_HADAMARD, out[None])[0]
 
 
 class _Point(NamedTuple):

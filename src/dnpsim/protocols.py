@@ -251,19 +251,19 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
             if u is None:
                 u = (mix[:, None, :, None] * gap[:, :, :, None, :]).reshape(p, 2, d, dim)
             else:
-                u = gap @ _mixed(mix, u)
+                u = gap @ mix_electron_rows(mix, u)
         elif event.duration == 0.0:
             mix = _electron_rotation(event.angle, event.phase) @ mix
             continue
         else:
-            rows = _mixed(mix, np.eye(dim).reshape(1, 2, d, dim) if u is None else u)
+            rows = mix_electron_rows(mix, np.eye(dim).reshape(1, 2, d, dim) if u is None else u)
             u = (_finite_step(event, register) @ rows.reshape(-1, dim, dim)).reshape(-1, 2, d, dim)
         mix = np.eye(2, dtype=complex)
-    return np.broadcast_to(_mixed(mix, u).reshape(-1, dim, dim), (p, dim, dim))
+    return np.broadcast_to(mix_electron_rows(mix, u).reshape(-1, dim, dim), (p, dim, dim))
 
 
-def _mixed(mix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The block rows of a (P, 2, d, D) stack mixed by a 2x2 electron rotation."""
+def mix_electron_rows(mix: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The electron block rows of a (P, 2, d, D) or (P, D, m) stack mixed by ``mix``."""
     return (mix @ u.reshape(len(u), 2, -1)).reshape(u.shape)
 
 

@@ -80,19 +80,23 @@ def test_sweep_cpmg_protocol(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 6
 
 
-def test_sweep_scale_and_flip(tmp_path):
-    base = tmp_path / "a.csv"
-    flipped = tmp_path / "b.csv"
+def test_sweep_scale_and_flip(tmp_path, capsys):
+    # On resonance <I_z> passes 1/4, so --scale 2 writes values above 1/2.
     common = [
         "--config", C3, "--t-start", "6.8", "--t-stop", "6.9", "--steps", "3",
-        "--np", "4", "--reps", "1",
+        "--np", "8", "--reps", "5",
     ]
-    assert cli.main(["sweep", *common, "--out", str(base)]) == 0
-    assert cli.main(["sweep", *common, "--scale", "-1", "--out", str(flipped)]) == 0
-    rows_a = [line.split(",") for line in base.read_text().strip().splitlines()[1:]]
-    rows_b = [line.split(",") for line in flipped.read_text().strip().splitlines()[1:]]
-    for ra, rb in zip(rows_a, rows_b):
-        assert float(rb[2]) == pytest.approx(-float(ra[2]))
+    rows = {}
+    for scale in ("1", "-1", "2"):
+        out = tmp_path / f"s{scale}.csv"
+        assert cli.main(["sweep", *common, "--scale", scale, "--out", str(out)]) == 0
+        rows[scale] = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows["1"][:, 2].max() > 0.25
+    for scale in ("-1", "2"):
+        np.testing.assert_array_equal(rows[scale][:, :2], rows["1"][:, :2])
+        np.testing.assert_allclose(rows[scale][:, 2:], float(scale) * rows["1"][:, 2:], rtol=1e-11)
+    peaks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("peak:")]
+    assert float(peaks[2].rsplit("=", 1)[1]) == pytest.approx(2 * float(peaks[0].rsplit("=", 1)[1]))
 
 
 def test_sweep_worker_count_is_invisible_in_output(tmp_path):
