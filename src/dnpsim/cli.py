@@ -104,14 +104,8 @@ def _cmd_sweep(args) -> int:
     register = load_register_file(args.config)
     grid = _grid(args)
     trace = sweep_trace(
-        _builder(args),
-        register,
-        grid,
-        n_periods=args.n_periods,
-        repetitions=args.reps,
-        wait_us=args.wait_us,
-        reinit_state=args.reinit,
-        workers=args.workers,
+        _builder(args), register, grid, n_periods=args.n_periods, repetitions=args.reps,
+        wait_us=args.wait_us, reinit_state=args.reinit, workers=args.workers,
     )
     scale = (-1.0 if args.flip_sign else 1.0) * args.scale
     total = (scale * trace.values).sum(axis=1)
@@ -150,6 +144,8 @@ def _cmd_spectrum(args) -> int:
         sector = spectrum.sectors
         protected = sum(sector[c.branch_a] != sector[c.branch_b] for c in crossings)
         _say(f"protected crossings (different sectors): {protected}")
+    if args.protocol == "cpmg" and args.rabi is None:
+        _say("note: ideal CPMG is doubly degenerate; gap=0 partner crossings are rounding noise")
     for c in crossings:
         who = ", ".join(f"{label} ({w:.3f})" for label, w in c.participants)
         _say(
@@ -178,11 +174,7 @@ def _cmd_schedule(args) -> int:
     register = load_register_file(args.config)
     stages = tuple(_parse_stage(s) for s in args.stage)
     result = run_schedule(
-        _builder(args),
-        register,
-        stages,
-        n_periods=args.n_periods,
-        wait_us=args.wait_us,
+        _builder(args), register, stages, n_periods=args.n_periods, wait_us=args.wait_us,
         reinit_state=args.reinit,
     )
     sign = -1.0 if args.flip_sign else 1.0
@@ -217,11 +209,8 @@ def _cmd_compare(args) -> int:
             shift = t_shift = g_blocked = None
         else:
             bs = blockade_shift(strong_spin, spin, register.larmor, harmonic=k)
-            strong_p = effective_params(strong_spin, register.larmor, p.period, k)
-            pair = blockade_pair(strong_p, p)
-            shift = bs.ratio
-            t_shift = bs.shifted_period
-            g_blocked = blockade_rabi(pair)
+            pair = blockade_pair(effective_params(strong_spin, register.larmor, p.period, k), p)
+            shift, t_shift, g_blocked = bs.ratio, bs.shifted_period, blockade_rabi(pair)
         rows.append((spin.label, p, n_opt, shift, t_shift, g_blocked))
     # Every row is computed before the first line is printed, so a usage
     # error leaves stdout empty.

@@ -20,19 +20,19 @@ independent runs; the joint electron-nuclei ``DensityState`` is built at
 the API boundary, and ``run_protocol`` takes its first repetition as one
 joint-space step, so that it accepts any start state. Every pair comes from
 ``_kraus_stack`` and is checked once per run for completeness,
-sum_a K_a^dag K_a = I to 1e-10, and every repetition's nuclear state for
-finite entries, hermiticity, unit trace and positivity to 1e-9, which is
-the same check as on the joint state |r><r| (x) rho_n: its spectrum is
-that of rho_n plus zeros, and its hermiticity defect and trace are those
-of rho_n. Positivity is certified by a Cholesky factorisation of the
-state shifted by half the tolerance, at a fraction of the cost of an
-eigensolve; only a state that fails it gets ``eigvalsh``, which decides.
+sum_a K_a^dag K_a = I to 1e-10; states pass ``_check_states``, the same
+test as on the joint state |r><r| (x) rho_n, whose spectrum is that of
+rho_n plus zeros.
 
-A sweep runs the same burst pattern at many periods from a fresh thermal
-state each time, all grid points in one batched loop whose bursts come
-from stacked period maps; a schedule chains stages at different periods
-on one evolving nuclear state. Both are written as CSV through
-``dnpsim.table.write_csv``.
+Schedules, ``run_protocol`` and ``asymptotic_envelope`` record and check
+the state after every repetition. A sweep runs every grid point from a
+fresh thermal state in batched chunks and keeps only the final states:
+where ``_powered`` finds it cheaper (d <= 8 at 1000 repetitions, not
+d = 16) it applies S^R, S = sum_a K_a (x) conj(K_a), by repeated squaring
+and checks the state after each set bit of R (6 states for R = 1000);
+other sweeps loop and check every repetition. A schedule chains stages at
+different periods on one evolving nuclear state. Sweeps and schedules are
+written as CSV through ``dnpsim.table.write_csv``.
 """
 
 from __future__ import annotations
@@ -242,6 +242,33 @@ def _repeat(
     return rho
 
 
+#: Flop-equivalents of one loop repetition, Python overhead included.
+_LOOP_FLOPS = 2**14
+
+
+def _powered(d: int, repetitions: int) -> bool:
+    """Whether ``_power`` beats ``_repeat`` on a d-dim nuclear state: the d^6
+    squarings and d^4 build of its d^2 x d^2 superoperator against the loop."""
+    return (repetitions.bit_length() - 1) * d**6 + d**4 < _LOOP_FLOPS * repetitions
+
+
+def _power(kraus: np.ndarray, rho: np.ndarray, repetitions: int) -> np.ndarray:
+    """The final states of ``_repeat`` without history: S^repetitions, for
+    each pair's S = sum_a K_a (x) conj(K_a) on the row-major vec(rho), by
+    square-and-multiply on the vector, checking the state after each set bit."""
+    p, _, d, _ = kraus.shape
+    s = np.einsum("paij,pakl->pikjl", kraus, kraus.conj()).reshape(p, d * d, d * d)
+    vec = rho.reshape(p, d * d, 1)
+    while True:
+        if repetitions & 1:
+            vec = s @ vec
+            _check_states(vec.reshape(p, d, d))
+        repetitions >>= 1
+        if not repetitions:
+            return vec.reshape(p, d, d)
+        s = s @ s
+
+
 def run_protocol(
     run: ProtocolRun,
     register: SpinRegister,
@@ -304,10 +331,10 @@ def sweep_trace(
     """Run the repetition loop from a fresh thermal state at every period.
 
     ``builder`` maps each grid value to a PulseSequence; the trace axis
-    records the period of the sequence actually built. All points run in
-    one batched repetition loop in this process, in chunks that fit
-    ``linalg.CHUNK_BYTES``; each chunk's bursts come from stacked period
-    maps, built in sub-chunks that fit the same budget. ``workers`` is
+    records the period of the sequence actually built. Points run batched,
+    in chunks that fit ``linalg.CHUNK_BYTES``, through ``_power`` where
+    ``_powered`` says so and the loop otherwise; bursts come from stacked
+    period maps in sub-chunks that fit the same budget. ``workers`` is
     validated but does not change the work or the result.
     """
     periods = np.asarray(periods, dtype=float)
@@ -318,15 +345,18 @@ def sweep_trace(
     seqs = [builder(float(t)) for t in periods]
     run = ProtocolRun(seqs[0], n_periods, repetitions, wait_us, reinit_state)
     d = register.dim // 2
-    # Per point: the pair, its row-block and adjoint copies (two d x d
-    # complex matrices each), the state, the intermediate product (two) and
-    # the next state: ten matrices of 16 d^2 bytes.
-    chunk = chunk_points(10 * 16 * d * d)
+    powered = _powered(d, repetitions)
+    # Per point, powered: the superoperator, its square and temporaries,
+    # eight d^2 x d^2 complex matrices. Looping: the pair, its row-block and
+    # adjoint copies (two d x d matrices each), the state, the intermediate
+    # product (two) and the next state, ten d x d matrices.
+    chunk = chunk_points(16 * (8 * d**4 if powered else 10 * d * d))
+    step = _power if powered else _repeat
     values = []
     for start in range(0, len(seqs), chunk):
         part = seqs[start : start + chunk]
         _, kraus = _kraus_stack(part, run, register)
-        values.append(_polarisations(_repeat(kraus, _thermal(d, len(part)), repetitions)))
+        values.append(_polarisations(step(kraus, _thermal(d, len(part)), repetitions)))
     axis = np.array([seq.period for seq in seqs])
     labels = tuple(s.label for s in register.nuclei)
     return PolarisationTrace(periods=axis, labels=labels, values=np.vstack(values))

@@ -345,25 +345,6 @@ class ModulationFunctions:
         b1 = (2.0 - 4.0 * cos(k * pi / 4.0)) / (k * pi)
         return FourierCoefficients(a1, b1, a1, -b1)
 
-    def coefficient_table(self, k_max: int) -> np.ndarray:
-        """Array of shape (k_max, 4): rows k = 1..k_max, columns a1 b1 a2 b2."""
-        return np.array([self.fourier(k) for k in range(1, k_max + 1)])
-
-    def partial_sum(self, t, k_max: int, which: int = 1) -> np.ndarray:
-        """Fourier reconstruction of f1 or f2 truncated at k_max."""
-        if which not in (1, 2):
-            raise ValidationError(f"which: must be 1 or 2, got {which}")
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        w0 = pi / (2.0 * self.tau)
-        for k in range(1, k_max + 1):
-            c = self.fourier(k)
-            a, b = (c.a1, c.b1) if which == 1 else (c.a2, c.b2)
-            if a == 0.0 and b == 0.0:
-                continue
-            out += a * np.cos(k * w0 * t) + b * np.sin(k * w0 * t)
-        return out
-
 
 def modulation_functions(tau: float) -> ModulationFunctions:
     if not 0 < tau < inf:

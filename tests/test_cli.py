@@ -493,3 +493,21 @@ def test_spectrum_counts_the_protected_crossings(tmp_path, capsys):
         assert np.allclose(np.abs(q), 1.0, atol=1e-12)
         count += round(q[0]) != round(q[1])
     assert 0 < printed == count < len(find_crossings(spec, gap_threshold=0.2))
+
+
+@pytest.mark.parametrize(
+    "pulses, noted",
+    [(["--protocol", "cpmg"], True), (["--protocol", "cpmg", "--rabi", "2000"], False),
+     (["--protocol", "pulsepol", "--t-start", "6.6", "--t-stop", "7.0"], False)],
+    ids=["ideal-cpmg", "finite-cpmg", "pulsepol"],
+)
+def test_spectrum_notes_the_degenerate_cpmg_spectrum(capsys, pulses, noted):
+    """Ideal CPMG's doubly degenerate spectrum gets one caveat line after
+    the crossing counts; finite CPMG and PulsePol do not."""
+    argv = ["spectrum", "--config", C3_C16, "--harmonic", "1",
+            "--t-start", "2.0", "--t-stop", "2.6", "--steps", "21", "--gap-threshold", "0.5"]
+    assert cli.main(argv + pulses) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("protected crossings (different sectors): ")
+    note = "note: ideal CPMG is doubly degenerate; gap=0 partner crossings are rounding noise"
+    assert [i for i, line in enumerate(lines) if line.startswith(note)] == ([3] if noted else [])

@@ -406,3 +406,42 @@ def test_sweep_needs_no_eigensolve(monkeypatch):
     with pytest.raises(NoConvergence, match="lost positivity"):
         DensityState(rho=bad, register=register).validate()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "labels", [("C3",), ("C3", "C21"), ("C3", "C4", "C8")], ids=["d2", "d4", "d8"]
+)
+def test_powered_channel_matches_the_loop(labels):
+    """S^R by repeated squaring gives the loop's final states on the same
+    Kraus stack, here with a wait, the lower reset state and finite pulses."""
+    register = make_register(*labels)
+    seqs = [pulsepol_for_period(t, rabi=300.0) for t in (6.7, 6.8, 6.9)]
+    run = ProtocolRun(seqs[0], n_periods=4, repetitions=1, wait_us=1.5, reinit_state=1)
+    _, kraus = engine._kraus_stack(seqs, run, register)
+    start = engine._thermal(register.dim // 2, len(seqs))
+    for reps in (1, 2, 3, 64, 1000, 1023, 1024):
+        got = engine._power(kraus, start, reps)
+        assert np.max(np.abs(got - engine._repeat(kraus, start, reps))) <= 1e-12
+    # The rule sweep_trace picks its path by.
+    assert engine._powered(8, 1000)
+    assert not engine._powered(8, 20)
+    assert not engine._powered(16, 1000)
+
+
+@pytest.mark.parametrize("step", [engine._repeat, engine._power], ids=["loop", "powered"])
+def test_powered_and_looped_verdicts_agree(reg_c3_c21, step):
+    """A pair that passes the completeness check but gains 8e-11 of trace
+    per repetition drifts past the state tolerance in 1000 repetitions and
+    not in 5; a NaN pair fails the state check on either path."""
+    run = ProtocolRun(pulsepol_for_period(6.8), n_periods=4, repetitions=1)
+    _, kraus = engine._kraus_stack([run.sequence], run, reg_c3_c21)
+    start = engine._thermal(4, 1)
+    drifting = kraus * (1 + 4e-11)
+    engine._check_completeness(drifting)
+    step(drifting, start, 5)
+    with pytest.raises(NoConvergence, match="trace drifted"):
+        step(drifting, start, 1000)
+    broken = kraus.copy()
+    broken[0, 1, 2, 0] = np.nan
+    with pytest.raises(NoConvergence, match="^density matrix is not finite$"):
+        step(broken, start, 1000)

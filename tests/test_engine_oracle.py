@@ -114,15 +114,21 @@ def test_sweep_matches_per_point_reference(
     assert np.all(np.abs(trace.values) <= 0.5 + 1e-12)
 
 
-def test_sweep_chunks_do_not_change_the_trace(reg_c3_c21, monkeypatch):
+def test_sweep_chunks_do_not_change_the_trace(monkeypatch):
     periods = np.linspace(6.6, 7.0, 9)
-    whole = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
-    # One point per chunk; then, at dim 8, Kraus-loop chunks of 7 points
-    # whose period maps are built 2 at a time, the last of them alone.
-    for budget in (1, 18_000):
-        monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)
-        split = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 5, wait_us=1.0)
-        assert np.max(np.abs(whole.values - split.values)) <= 1e-12
+    # At 5 repetitions two nuclei (d = 4) take the powered path and three
+    # (d = 8) the loop. The first budget gives one point per chunk on both
+    # paths; the second splits the 9 points into powered chunks of 3, or
+    # into loop chunks of 4 whose period maps are built one at a time.
+    for config, budget in (("c3_c21.yaml", 100_000), ("c3_c4_c8.yaml", 50_000)):
+        register = shipped_register(config)
+        assert engine._powered(register.dim // 2, 5) == (config == "c3_c21.yaml")
+        whole = sweep_trace(pulsepol_for_period, register, periods, 4, 5, wait_us=1.0)
+        for split_budget in (1, budget):
+            monkeypatch.setattr(linalg, "CHUNK_BYTES", split_budget)
+            split = sweep_trace(pulsepol_for_period, register, periods, 4, 5, wait_us=1.0)
+            assert np.max(np.abs(whole.values - split.values)) <= 1e-12
+        monkeypatch.undo()
 
 
 def test_incomplete_kraus_pair_is_caught(reg_c3_c21, monkeypatch):

@@ -332,19 +332,16 @@ def test_fourier_selection_rule():
         assert abs(mf.fourier(k).a1 + mf.fourier(k).b1) > 0.05
 
 
-def test_coefficient_table_matches_single_calls():
-    mf = modulation_functions(1.3)
-    table = mf.coefficient_table(9)
-    assert table.shape == (9, 4)
-    for k, row in enumerate(table, start=1):
-        assert tuple(row) == tuple(mf.fourier(k))
-
-
 def test_partial_sum_converges_pointwise():
+    """The odd-harmonic Fourier series of f1, truncated at k = 201,
+    reconstructs f1 away from its switching instants, where it rings."""
     mf = modulation_functions(2.0)
-    # stay away from the switching instants, where the series rings
     t = np.array([0.7, 1.3, 2.7, 4.6, 6.9])
-    approx = mf.partial_sum(t, 201, which=1)
+    w0 = np.pi / (2.0 * mf.tau)
+    approx = np.zeros_like(t)
+    for k in range(1, 202):
+        c = mf.fourier(k)
+        approx += c.a1 * np.cos(k * w0 * t) + c.b1 * np.sin(k * w0 * t)
     assert np.max(np.abs(approx - mf.f1(t))) < 0.02
 
 
