@@ -2,37 +2,41 @@
 
 One repetition applies n_periods protocol periods coherently, discards the
 electron (optical reinitialisation), lets the nuclei precess for a wait
-interval with the electron held in its reset state r and re-tensors that
-electron state back on. The wait propagator is block r of
-``protocols.free_propagator``, the electron blocks of exp(-i H0 t) that
-also give the free gaps of a period. Nuclear polarisations are recorded
-once per repetition at the end of that cycle.
-
-Because the electron always enters a burst in its reset state r, a
-repetition acts on the nuclear state alone as the two-operator Kraus map
+with the electron held in its reset state r (block r of
+``protocols.free_propagator``) and re-tensors that electron state back on;
+nuclear polarisations are recorded at the end of each repetition. As the
+electron always enters a burst in state r, a repetition acts on the
+nuclear state alone as the two-operator Kraus map
 
     rho_n -> sum_a K_a rho_n K_a^dag,   K_a = u_wait U_burst[a, r],
 
-where U_burst[a, r] is the nuclear block of the burst propagator taking
-electron state r to a (operator-sum form, Nielsen & Chuang ch. 8). The
-loop carries only the 2^N-dim nuclear state, batched over a stack of
-independent runs; the joint electron-nuclei ``DensityState`` is built at
-the API boundary, and ``run_protocol`` takes its first repetition as one
-joint-space step, so that it accepts any start state. Every pair comes from
-``_kraus_stack`` and is checked once per run for completeness,
-sum_a K_a^dag K_a = I to 1e-10; states pass ``_check_states``, the same
-test as on the joint state |r><r| (x) rho_n, whose spectrum is that of
-rho_n plus zeros.
+U_burst[a, r] being the nuclear block of the burst propagator taking
+electron state r to a (operator-sum form, Nielsen & Chuang ch. 8). The loop
+carries only nuclear states, batched over independent runs; the joint
+``DensityState`` is built at the API boundary, and ``run_protocol`` takes
+its first repetition as one joint-space step, so it accepts any start
+state. Every pair comes from ``_kraus_stack`` and is checked once for
+completeness (sum_a K_a^dag K_a = I to 1e-10); every state passes
+``_check_states``, whose verdict is that on |r><r| (x) rho_n.
 
-Schedules, ``run_protocol`` and ``asymptotic_envelope`` record and check
-the state after every repetition. A sweep runs every grid point from a
-fresh thermal state in batched chunks and keeps only the final states:
-where ``_powered`` finds it cheaper (d <= 8 at 1000 repetitions, not
-d = 16) it applies S^R, S = sum_a K_a (x) conj(K_a), by repeated squaring
-and checks the state after each set bit of R (6 states for R = 1000);
-other sweeps loop and check every repetition. A schedule chains stages at
-different periods on one evolving nuclear state. Sweeps and schedules are
-written as CSV through ``dnpsim.table.write_csv``.
+When every burst conserves Q_z (``protocols.conserved_parity``: ideal
+PulsePol) and no wait follows it, K_r keeps each nuclear parity sector and
+K_{1-r} swaps the two, so a thermal start stays block-diagonal: sweeps,
+schedules and ``asymptotic_envelope`` then carry states as their two d/2
+parity blocks, at a quarter of the flops, and a pair with an entry above
+1e-12 outside its blocks raises SectorLeak. Otherwise, and in
+``run_protocol``, whose start state may hold parity coherences, the whole
+space is one sector.
+
+Schedules, ``run_protocol`` and ``asymptotic_envelope`` check the state
+after every repetition; a schedule chains stages at different periods on
+one evolving state. A sweep runs every grid point from a thermal state in
+batched chunks and keeps only final states: where ``_powered`` finds it
+cheaper (at 1000 repetitions, d <= 16 on parity blocks and d <= 8 on one
+sector) it applies S^R, S = sum_a K_a (x) conj(K_a) on the d^2/S entries of
+the blocks, by repeated squaring, checking the state after each set bit of
+R; other sweeps loop. Sweeps and schedules are written as CSV through
+``dnpsim.table.write_csv``.
 """
 
 from __future__ import annotations
@@ -43,15 +47,10 @@ from math import inf
 
 import numpy as np
 
-from .errors import (
-    ConvergenceCap,
-    NoConvergence,
-    NotHermitian,
-    NotUnitary,
-    ValidationError,
-)
+from .errors import ConvergenceCap, NoConvergence, NotHermitian, NotUnitary, ValidationError
 from .linalg import chunk_points, unitarity_defect
-from .protocols import PulseSequence, SequenceBuilder, free_propagator, period_unitary
+from .protocols import PulseSequence, SequenceBuilder, conserved_parity, free_propagator
+from .protocols import parity_sectors, period_unitary, sector_blocks
 from .spins import SpinRegister, require_joint_space
 from .table import fmt, write_csv
 
@@ -62,9 +61,10 @@ KRAUS_TOL = 1e-10
 
 
 def _check_states(rho: np.ndarray) -> None:
-    """Check a stack of density matrices for finite entries, hermiticity,
-    unit trace and positivity to 1e-9; the first condition violated
-    anywhere is raised.
+    """Check a (P, d, d) stack of density matrices, or the (P, S, h, h)
+    sector blocks of block-diagonal ones, for finite entries, hermiticity,
+    unit trace (summed over the blocks) and positivity to 1e-9; the first
+    condition violated anywhere is raised.
 
     Positivity is certified by a Cholesky factorisation of every
     rho + (STATE_TOL/2) I. A finite factor bounds the minimum eigenvalue
@@ -79,7 +79,7 @@ def _check_states(rho: np.ndarray) -> None:
     herm = float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
     if herm > STATE_TOL:
         raise NotHermitian(f"density matrix hermiticity defect {herm:.3e}")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
+    tr = np.trace(rho, axis1=-2, axis2=-1).reshape(len(rho), -1).sum(axis=1)
     worst = int(np.argmax(np.abs(tr - 1.0)))
     if abs(tr[worst] - 1.0) > STATE_TOL:
         raise NoConvergence(f"density matrix trace drifted to {fmt(tr[worst])}")
@@ -151,31 +151,43 @@ def initial_state(register: SpinRegister, reinit_state: int = 0) -> DensityState
     return DensityState(rho=rho, register=register)
 
 
-def _thermal(d: int, p: int) -> np.ndarray:
-    """A read-only (p, d, d) stack of maximally mixed nuclear states."""
-    return np.broadcast_to(np.eye(d, dtype=complex) / d, (p, d, d))
+def _thermal(d: int, p: int, sectors: int = 1) -> np.ndarray:
+    """The read-only (p, S, d/S, d/S) sector blocks of maximally mixed states."""
+    h = d // sectors
+    return np.broadcast_to(np.eye(h, dtype=complex) / d, (p, sectors, h, h))
 
 
-def _reset_product(rho_n: np.ndarray, reinit_state: int) -> np.ndarray:
-    """The joint density matrix |r><r| (x) rho_n."""
-    electron = np.zeros((2, 2), dtype=complex)
-    electron[reinit_state, reinit_state] = 1.0
-    return np.kron(electron, rho_n)
+def _sectors(seqs, wait_us: float, d: int) -> int:
+    """How many sectors the Kraus channel of these bursts keeps apart: the
+    two nuclear parity sectors when every burst conserves Q_z and no wait
+    follows it (K_r is then parity-even and K_{1-r} parity-odd), else one."""
+    return 2 if d > 1 and wait_us == 0 and all(conserved_parity(q) == "z" for q in seqs) else 1
 
 
-def _kraus_stack(seqs, run: ProtocolRun, register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
+def _reset_product(blocks: np.ndarray, reinit_state: int) -> np.ndarray:
+    """The joint density matrix |r><r| (x) rho_n of the (S, h, h) blocks of rho_n."""
+    s, h, _ = blocks.shape
+    index = parity_sectors(s * h, s)
+    rho_n = np.zeros((s * h, s * h), dtype=complex)
+    rho_n[index[:, :, None], index[:, None, :]] = blocks
+    return np.kron(np.diag(np.eye(2, dtype=complex)[reinit_state]), rho_n)
+
+
+def _kraus_stack(
+    seqs, run: ProtocolRun, register: SpinRegister, sectors: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """Kraus operators of each burst of ``seqs``, with the burst length,
-    wait and reset state of ``run``.
+    wait and reset state of ``run``, on ``sectors`` nuclear sectors.
 
     Returns ``(rows, kraus)``. ``rows`` is the (P, 2, d, D) stack of
-    V_a = u_wait U_burst[a, :], with U_burst a period map of ``seqs`` to
-    the power n_periods and u_wait the reset-state block of
-    ``free_propagator`` (the identity without a wait): the pair maps a joint
-    state to the nuclear state after the burst, the electron reset and the
-    wait. ``kraus`` is a copy of its reset-state columns, the (P, 2, d, d)
-    pair K_a = u_wait U_burst[a, r] that acts on the nuclear state alone,
-    checked for completeness; a caller that drops ``rows`` frees it. Period maps are built in sub-chunks that fit
-    ``linalg.CHUNK_BYTES``.
+    V_a = u_wait U_burst[a, :], U_burst a period map of ``seqs`` to the power
+    n_periods and u_wait the reset-state block of ``free_propagator`` (the
+    identity without a wait), which maps a joint state to the nuclear state
+    after a repetition. ``kraus`` is a copy of the (P, 2, S, h, h) sector
+    blocks of the pair (K_r, K_{1-r}), K_a = V_a[:, r], block (a, s) mapping
+    sector s to sector s + a mod S. The pair is checked for completeness,
+    then every entry the blocks drop against SECTOR_TOL. Period maps are
+    built in sub-chunks that fit ``linalg.CHUNK_BYTES``.
     """
     require_joint_space(register)
     d, dim, r = register.dim // 2, register.dim, run.reinit_state
@@ -187,55 +199,55 @@ def _kraus_stack(seqs, run: ProtocolRun, register: SpinRegister) -> tuple[np.nda
         rows[i : i + size] = np.linalg.matrix_power(u_burst, run.n_periods).reshape(-1, 2, d, dim)
     if run.wait_us > 0:
         rows = free_propagator(register, run.wait_us)[r] @ rows
-    kraus = rows[..., r * d : (r + 1) * d].copy()
+    kraus = rows[:, [r, 1 - r], :, r * d : (r + 1) * d]
     _check_completeness(kraus)
-    return rows, kraus
+    index = parity_sectors(d, sectors)
+    blocks = [sector_blocks(kraus[:, a], index, a, "Kraus pair", "nuclear parity") for a in (0, 1)]
+    return rows, np.stack(blocks, axis=1)
 
 
 def _check_completeness(kraus: np.ndarray) -> None:
     """Raise NotUnitary unless sum_a K_a^dag K_a = I to 1e-10 for every
-    pair in a (P, 2, d, d) stack; a pair with a non-finite entry fails.
-    The pair stacked as [K_0; K_1] is a 2d x d isometry exactly then."""
-    p, _, d, _ = kraus.shape
-    dev = unitarity_defect(kraus.reshape(p, 2 * d, d))
+    pair in a (P, 2, d, d) stack, or for every sector of a (P, 2, S, h, h)
+    stack of blocks; a pair with a non-finite entry fails. The pair's
+    blocks from one sector stacked as [K_0; K_1] are an isometry exactly then."""
+    dev = unitarity_defect(np.concatenate((kraus[:, 0], kraus[:, 1]), axis=-2))
     if dev > KRAUS_TOL:
         raise NotUnitary(f"Kraus pair is incomplete: max |sum K^dag K - I| = {dev:.3e}")
 
 
 def _polarisations(rho: np.ndarray) -> np.ndarray:
-    """<I_z> of every nucleus for a (..., d, d) stack of nuclear states.
+    """<I_z> of every nucleus for a (..., S, h, h) stack of the sector blocks
+    of nuclear states. I_z of nucleus i is diagonal: +1/2 where bit i of the
+    basis index, counted from the most significant of n bits, is 0, and -1/2
+    where it is 1."""
+    s, h = rho.shape[-3:-1]
+    n = (s * h).bit_length() - 1
+    bits = (parity_sectors(s * h, s).reshape(-1, 1) >> np.arange(n - 1, -1, -1)) & 1
+    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    return diag.reshape(*diag.shape[:-2], -1) @ (0.5 - bits)
 
-    I_z of nucleus i is diagonal: +1/2 where bit i of the basis index,
-    counted from the most significant of n bits, is 0, and -1/2 where it is 1.
-    """
-    d = rho.shape[-1]
-    n = d.bit_length() - 1
-    bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return np.real(np.diagonal(rho, axis1=-2, axis2=-1)) @ (0.5 - bits)
 
-
-def _repeat(
-    kraus: np.ndarray,
-    rho: np.ndarray,
-    repetitions: int,
-    history: np.ndarray | None = None,
-) -> np.ndarray:
+def _repeat(kraus: np.ndarray, rho: np.ndarray, repetitions: int, history=None) -> np.ndarray:
     """Apply each run's Kraus map ``repetitions`` times to its nuclear state.
 
-    ``kraus`` is a (P, 2, d, d) stack of pairs and ``rho`` a (P, d, d) stack
-    of states; every state is checked and the final ones are returned. With
-    ``history`` given, a (P, repetitions, n) array, the polarisations after
-    every repetition are written into it. A single repetition also takes a
-    (P, 2, d, D) stack of block rows from ``_kraus_stack`` with (P, D, D)
-    joint states.
+    ``kraus`` is a (P, 2, S, h, h) stack of pairs from ``_kraus_stack`` and
+    ``rho`` the (P, S, h, h) blocks of the states; every state is checked
+    and the final ones are returned. With ``history`` given, a
+    (P, repetitions, n) array, the polarisations after every repetition are
+    written into it. A single repetition also takes (P, 2, 1, d, D) block
+    rows from ``_kraus_stack`` with (P, 1, D, D) joint states.
     """
-    p, _, d, m = kraus.shape
-    # sum_a K_a (rho K_a^dag) as one product: the row block [K_0 K_1] times
-    # the column block [rho K_0^dag; rho K_1^dag].
-    k_row = kraus.transpose(0, 2, 1, 3).reshape(p, d, 2 * m)
-    k_dag = np.ascontiguousarray(kraus.conj().swapaxes(-1, -2))
+    p, _, s, h, m = kraus.shape
+    # src[t, a] is the sector K_a maps into sector t. Block t of the next
+    # state, sum_a K_a rho K_a^dag over those sources, is one product: the
+    # row block [K_0 K_1] times the column block [rho K_0^dag; rho K_1^dag].
+    src = (np.arange(s)[:, None] - np.arange(2)) % s
+    into = kraus[:, np.arange(2), src]
+    k_row = into.transpose(0, 1, 3, 2, 4).reshape(p, s, h, 2 * m)
+    k_dag = np.ascontiguousarray(into.conj().swapaxes(-1, -2))
     for rep in range(repetitions):
-        rho = k_row @ (rho[:, None] @ k_dag).reshape(p, 2 * m, d)
+        rho = k_row @ (rho[:, src] @ k_dag).reshape(p, s, 2 * m, h)
         _check_states(rho)
         if history is not None:
             history[:, rep] = _polarisations(rho)
@@ -243,30 +255,35 @@ def _repeat(
 
 
 #: Flop-equivalents of one loop repetition, Python overhead included.
-_LOOP_FLOPS = 2**14
+_LOOP_FLOPS = 2**15
 
 
-def _powered(d: int, repetitions: int) -> bool:
-    """Whether ``_power`` beats ``_repeat`` on a d-dim nuclear state: the d^6
-    squarings and d^4 build of its d^2 x d^2 superoperator against the loop."""
-    return (repetitions.bit_length() - 1) * d**6 + d**4 < _LOOP_FLOPS * repetitions
+def _powered(d: int, repetitions: int, sectors: int = 1) -> bool:
+    """Whether ``_power`` beats ``_repeat`` on a d-dim nuclear state kept as
+    ``sectors`` blocks: the n^3 squarings and n^2 build of its n x n
+    superoperator, n = d^2 / sectors, against the loop."""
+    n = d * d // sectors
+    return (repetitions.bit_length() - 1) * n**3 + n**2 < _LOOP_FLOPS * repetitions
 
 
 def _power(kraus: np.ndarray, rho: np.ndarray, repetitions: int) -> np.ndarray:
-    """The final states of ``_repeat`` without history: S^repetitions, for
-    each pair's S = sum_a K_a (x) conj(K_a) on the row-major vec(rho), by
-    square-and-multiply on the vector, checking the state after each set bit."""
-    p, _, d, _ = kraus.shape
-    s = np.einsum("paij,pakl->pikjl", kraus, kraus.conj()).reshape(p, d * d, d * d)
-    vec = rho.reshape(p, d * d, 1)
+    """The final states of ``_repeat`` without history: S^repetitions, by
+    square-and-multiply on the vector, checking the state after each set
+    bit. S = sum_a K_a (x) conj(K_a) acts on the row-major vec of the
+    blocks, block (a, s) of the pair feeding sector s + a mod S."""
+    p, _, s, h, _ = kraus.shape
+    n = s * h * h
+    hop = (np.arange(s)[:, None] - np.arange(s)) % s == np.arange(2)[:, None, None] % s
+    sup = np.einsum("ats,pasij,paskl->ptiksjl", hop, kraus, kraus.conj()).reshape(p, n, n)
+    vec = rho.reshape(p, n, 1)
     while True:
         if repetitions & 1:
-            vec = s @ vec
-            _check_states(vec.reshape(p, d, d))
+            vec = sup @ vec
+            _check_states(vec.reshape(p, s, h, h))
         repetitions >>= 1
         if not repetitions:
-            return vec.reshape(p, d, d)
-        s = s @ s
+            return vec.reshape(p, s, h, h)
+        sup = sup @ sup
 
 
 def run_protocol(
@@ -287,7 +304,7 @@ def run_protocol(
         raise ValidationError("state was built for a different register")
     rows, kraus = _kraus_stack([run.sequence], run, register)
     history = np.empty((1, run.repetitions, len(register.nuclei)))
-    rho = _repeat(rows, state.rho[None], 1, history)
+    rho = _repeat(rows[:, :, None], state.rho[None, None], 1, history)
     rho = _repeat(kraus, rho, run.repetitions - 1, history[:, 1:])
     final = DensityState(rho=_reset_product(rho[0], run.reinit_state), register=register)
     return final, history[0]
@@ -345,18 +362,20 @@ def sweep_trace(
     seqs = [builder(float(t)) for t in periods]
     run = ProtocolRun(seqs[0], n_periods, repetitions, wait_us, reinit_state)
     d = register.dim // 2
-    powered = _powered(d, repetitions)
-    # Per point, powered: the superoperator, its square and temporaries,
-    # eight d^2 x d^2 complex matrices. Looping: the pair, its row-block and
-    # adjoint copies (two d x d matrices each), the state, the intermediate
-    # product (two) and the next state, ten d x d matrices.
-    chunk = chunk_points(16 * (8 * d**4 if powered else 10 * d * d))
+    sectors = _sectors(seqs, wait_us, d)
+    powered = _powered(d, repetitions, sectors)
+    # Per point, in entries: powered, the n x n superoperator, n = d^2 / S,
+    # its square and temporaries (8 n^2); looping, at most 12 d^2, held by
+    # the Kraus build (rows, pair and blocks) or by the loop (pair, its row
+    # and adjoint copies, gathered state and product, state and next state).
+    n = d * d // sectors
+    chunk = chunk_points(16 * (8 * n * n if powered else 12 * d * d))
     step = _power if powered else _repeat
     values = []
     for start in range(0, len(seqs), chunk):
         part = seqs[start : start + chunk]
-        _, kraus = _kraus_stack(part, run, register)
-        values.append(_polarisations(step(kraus, _thermal(d, len(part)), repetitions)))
+        _, kraus = _kraus_stack(part, run, register, sectors)
+        values.append(_polarisations(step(kraus, _thermal(d, len(part), sectors), repetitions)))
     axis = np.array([seq.period for seq in seqs])
     labels = tuple(s.label for s in register.nuclei)
     return PolarisationTrace(periods=axis, labels=labels, values=np.vstack(values))
@@ -411,20 +430,18 @@ def run_schedule(
     require_joint_space(register)
     runs = [
         ProtocolRun(
-            builder(stage.period),
-            stage.n_periods if stage.n_periods is not None else n_periods,
-            stage.repetitions,
-            wait_us,
-            reinit_state,
+            builder(st.period), st.n_periods or n_periods, st.repetitions, wait_us, reinit_state
         )
-        for stage in stages
+        for st in stages
     ]
     reps = [run.repetitions for run in runs]
     history = np.empty((1, sum(reps), len(register.nuclei)))
-    rho = _thermal(register.dim // 2, 1)
+    d = register.dim // 2
+    sectors = _sectors([run.sequence for run in runs], wait_us, d)
+    rho = _thermal(d, 1, sectors)
     done = 0
     for run in runs:
-        _, kraus = _kraus_stack([run.sequence], run, register)
+        _, kraus = _kraus_stack([run.sequence], run, register, sectors)
         rho = _repeat(kraus, rho, run.repetitions, history[:, done : done + run.repetitions])
         done += run.repetitions
     periods = [run.sequence.period for run in runs]
@@ -461,21 +478,20 @@ def asymptotic_envelope(
         raise ValidationError(f"tol: must be > 0, got {tol}")
     if max_repetitions < 1:
         raise ValidationError(f"max_repetitions: must be >= 1, got {max_repetitions}")
-    _, kraus = _kraus_stack([run.sequence], run, register)
-    rho = _thermal(register.dim // 2, 1)
+    d = register.dim // 2
+    sectors = _sectors([run.sequence], run.wait_us, d)
+    _, kraus = _kraus_stack([run.sequence], run, register, sectors)
+    rho = _thermal(d, 1, sectors)
     block = min(run.repetitions, max_repetitions)
     history = np.empty((1, block, len(register.nuclei)))
     total_prev = None
-    below = 0
-    done = 0
+    below = done = 0
     while done < max_repetitions:
         reps = min(block, max_repetitions - done)
         rho = _repeat(kraus, rho, reps, history[:, :reps])
         for value in history[0, :reps].sum(axis=1):
-            if total_prev is not None and abs(value - total_prev) < tol:
-                below += 1
-            else:
-                below = 0
+            stalled = total_prev is not None and abs(value - total_prev) < tol
+            below = below + 1 if stalled else 0
             total_prev = value
             done += 1
             if below >= _ENVELOPE_WINDOW:

@@ -19,9 +19,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import SectorLeak, ValidationError, ValidityWarning
+from .errors import ValidationError, ValidityWarning
 from .linalg import chunk_points, unitary_eigensolve
-from .protocols import SequenceBuilder, conserved_parity, mix_electron_rows, period_unitary
+from .protocols import SequenceBuilder, conserved_parity, mix_electron_rows, parity_sectors
+from .protocols import period_unitary, sector_blocks
 from .spins import SpinRegister, build_operators, require_joint_space
 from .table import write_csv
 
@@ -31,10 +32,6 @@ STITCH_OVERLAP = 0.9
 
 #: Maximum bisection depth per grid interval.
 MAX_REFINE_DEPTH = 6
-
-#: Largest entry between two parity sectors a period map may have.
-SECTOR_TOL = 1e-12
-
 
 #: The Hadamard on the electron, which maps Q_z onto Q_x.
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -51,27 +48,18 @@ class _Sectors(NamedTuple):
 
     @classmethod
     def of(cls, seq, dim: int) -> _Sectors:
-        states = np.arange(dim)
         axis = conserved_parity(seq)
-        if axis is None:
-            return cls(None, states[None])
-        odd = np.array([bin(i).count("1") % 2 == 1 for i in range(dim)])
-        return cls(axis, np.stack((states[~odd], states[odd])))
+        return cls(axis, parity_sectors(dim, 1 if axis is None else 2))
 
     def blocks(self, u: np.ndarray) -> np.ndarray:
-        """The (P, S, n, n) sector blocks of a (P, D, D) stack. Raises
-        SectorLeak if an entry between two sectors exceeds SECTOR_TOL; a
-        non-finite entry is left to the unitarity checks."""
+        """The (P, S, n, n) sector blocks of a (P, D, D) stack, through
+        ``protocols.sector_blocks``: SectorLeak above SECTOR_TOL."""
         if self.axis is None:
             return u[:, None]
         if self.axis == "x":
             for _ in range(2):  # H_e U, then (H_e (H_e U)^T)^T = H_e U H_e
                 u = mix_electron_rows(_HADAMARD, u).swapaxes(1, 2)
-        rows = self.index[:, :, None]
-        leak = np.max(np.abs(u[:, rows, self.index[::-1, None, :]]), initial=0.0)
-        if leak > SECTOR_TOL:
-            raise SectorLeak(f"period map leaks {leak:.1e} out of its Q_{self.axis} sectors")
-        return u[:, rows, self.index[:, None, :]]
+        return sector_blocks(u, self.index, 0, "period map", f"Q_{self.axis}")
 
     def vectors(self, blocks: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
         """Write into the (D, D) ``out``, in the computational basis, the

@@ -87,26 +87,11 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 
 def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
-    """Diagonalise a Hermitian matrix, or each matrix of a (P, n, n) stack.
-
-    Parameters
-    ----------
-    h
-        Hermitian matrix or stack (checked to 1e-10 in max-entry norm).
-
-    Returns
-    -------
-    EigenDecomposition
-        Real eigenvalues in ascending order with orthonormal eigenvectors,
-        of shapes (n,) and (n, n), or (P, n) and (P, n, n) for a stack.
-
-    Raises
-    ------
-    NotHermitian
-        If the symmetry check fails.
-    NoConvergence
-        If the underlying iteration does not converge.
-    """
+    """Diagonalise a Hermitian matrix, or each matrix of a (P, n, n) stack:
+    real eigenvalues in ascending order with orthonormal eigenvectors, of
+    shapes (n,) and (n, n), or (P, n) and (P, n, n) for a stack. Raises
+    NotHermitian if max |H - H^dag| exceeds 1e-10, and NoConvergence if the
+    underlying iteration does not converge."""
     h = _as_square(h, "H", ndims=(2, 3))
     dev = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
     if dev > HERMITIAN_TOL:
@@ -140,15 +125,10 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
 
     Returns eigenvalues sorted by eigenphase in (-pi, pi], of shape (n,)
     for one matrix and (P, n) for a stack, with the matching eigenvectors.
-
-    Raises
-    ------
-    NotUnitary
-        If ``U^dag U`` deviates from identity by more than 1e-10 for any
-        matrix of the stack.
-    NoConvergence
-        Propagated from the Hermitian solver, or from the grouped solver
-        when its eigenvalues leave the unit circle.
+    Raises NotUnitary if ``U^dag U`` deviates from identity by more than
+    1e-10 for any matrix of the stack, and NoConvergence from the Hermitian
+    solver, or from the grouped solver when its eigenvalues leave the unit
+    circle.
     """
     u = _as_square(u, "U", ndims=(2, 3))
     dev = unitarity_defect(u)
@@ -213,11 +193,6 @@ def _phase_sorted(lam: np.ndarray, v: np.ndarray) -> EigenDecomposition:
 
 
 def matrix_exponential_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """Return ``exp(-i H t)`` for Hermitian ``H`` via eigendecomposition.
-
-    Raises
-    ------
-    NotHermitian
-        Propagated from the eigensolver.
-    """
+    """``exp(-i H t)`` for Hermitian ``H`` via eigendecomposition; the
+    eigensolver raises NotHermitian."""
     return hermitian_eigensolve(h).propagator(t)

@@ -11,7 +11,9 @@ plus drive for theta/Omega.
 ``period_unitary`` builds the one-period map of a sequence, or of a stack
 of them, with one kernel on electron block rows, whose free gaps are the
 two d x d electron blocks of exp(-i H0 t) from ``free_propagator``.
-``conserved_parity`` names the parity a period's event pattern conserves.
+``conserved_parity`` names the parity a period's event pattern conserves;
+``parity_sectors`` lists the basis states of each of its two sectors, and
+``sector_blocks`` cuts a map into its blocks between them.
 
 The modulation functions f1, f2 are the piecewise-constant coefficients the
 toggled electron S_x and S_y acquire over one 4 tau period; their Fourier
@@ -29,7 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTau, NotIdealPulses, NotUnitary, ValidationError, ValidityWarning
+from .errors import InvalidTau, NotIdealPulses, NotUnitary, SectorLeak, ValidationError
+from .errors import ValidityWarning
 from .linalg import UNITARY_TOL, matrix_exponential_hermitian, unitarity_defect
 from .spins import (
     SpinRegister,
@@ -45,6 +48,9 @@ PHASE_Y = pi / 2
 PHASE_MINUS_X = pi
 
 DURATION_TOL = 1e-12
+
+#: Largest entry between two parity sectors a map of a conserving pattern may have.
+SECTOR_TOL = 1e-12
 
 
 class EventKind(enum.Enum):
@@ -280,6 +286,32 @@ def conserved_parity(seq: PulseSequence) -> str | None:
 
 
 @lru_cache(maxsize=16)
+def parity_sectors(dim: int, count: int = 2) -> np.ndarray:
+    """The read-only (count, dim/count) basis states of each sector of a
+    dim-state register: even, then odd, popcount (the +1 and -1 eigenspaces
+    of prod sigma_z over every qubit), or all states as one sector."""
+    states = np.arange(dim)
+    odd = np.array([bin(i).count("1") % 2 == 1 for i in states])
+    index = np.stack((states[~odd], states[odd])) if count == 2 else states[None]
+    index.setflags(write=False)
+    return index
+
+
+def sector_blocks(u: np.ndarray, index: np.ndarray, shift: int, name: str, of: str) -> np.ndarray:
+    """The (..., S, h, h) blocks of a (..., n, n) stack that map each sector s
+    of ``index`` (one or two sectors) to sector s + shift mod S. Raises
+    SectorLeak ("``name`` leaks ... out of its ``of`` sectors") if an entry
+    outside them exceeds SECTOR_TOL; a non-finite entry is left to the
+    unitarity checks."""
+    s = len(index)
+    rows, cols = index[(np.arange(s) + shift) % s, :, None], index[:, None]
+    leak = np.max(np.abs(u[..., rows[::-1], cols]), initial=0.0) if s == 2 else 0.0
+    if leak > SECTOR_TOL:
+        raise SectorLeak(f"{name} leaks {leak:.1e} out of its {of} sectors")
+    return u[..., rows, cols]
+
+
+@lru_cache(maxsize=16)
 def _finite_step(event: PulseEvent, register: SpinRegister) -> np.ndarray:
     """exp(-i (H0 d + theta S_phi)) of a finite rotation, D x D; read-only."""
     ops = build_operators(register)
@@ -370,13 +402,9 @@ def average_hamiltonian_numeric(
     leftover Iz coefficient is the detuning from the chosen frame. The
     default frame is the protocol frequency 2 pi k / T, which coincides
     with omega_I exactly on resonance. Integration is a midpoint rule with
-    ``n_steps`` uniform steps over one period.
-
-    Raises
-    ------
-    NotIdealPulses
-        If the sequence is not the 4 tau polarisation bracket, or carries
-        finite-duration pulses.
+    ``n_steps`` uniform steps over one period. Raises NotIdealPulses if the
+    sequence is not the 4 tau polarisation bracket, or carries
+    finite-duration pulses.
     """
     if seq.label != "pulsepol":
         raise NotIdealPulses(
@@ -449,14 +477,9 @@ def _periodic(
 ) -> PulseSequence:
     """One period: the half-period ``table`` twice, with equal free gaps
     between its pulse groups. A pulse lasts 0 with ``rabi`` None (ideal)
-    and angle / rabi otherwise.
-
-    Raises
-    ------
-    ValidationError
-        For ``rabi`` not None and not finite and > 0.
-    InvalidTau
-        For a period not finite and > 0, or too short to fit the pulses.
+    and angle / rabi otherwise. Raises ValidationError for ``rabi`` not None
+    and not finite and > 0, and InvalidTau for a period not finite and > 0,
+    or too short to fit the pulses.
     """
     if rabi is not None and not 0 < rabi < inf:
         raise ValidationError(f"rabi: must be finite and > 0, got {rabi}")

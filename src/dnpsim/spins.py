@@ -28,6 +28,8 @@ KHZ_TO_RAD_PER_US = 2.0 * np.pi * 1e-3
 GYROMAGNETIC_13C_KHZ_PER_G = 1.0705
 DEFAULT_B_FIELD_GAUSS = 403.0
 MAX_NUCLEI_IN_JOINT_SPACE = 7
+#: pyyaml's libyaml parser where it was built with it (~8x faster), else the Python one.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _S_Z = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 _S_X = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -161,13 +163,8 @@ def require_joint_space(register: SpinRegister) -> None:
 
 @lru_cache(maxsize=64)
 def build_operators(register: SpinRegister) -> SpinOperatorSet:
-    """Embed all single-site operators into the joint space.
-
-    Raises
-    ------
-    DimensionOverflow
-        If the register holds more than 7 nuclei (dim > 256).
-    """
+    """Embed all single-site operators into the joint space; DimensionOverflow
+    if the register holds more than 7 nuclei (dim > 256)."""
     require_joint_space(register)
     n_sites = 1 + len(register.nuclei)
     return SpinOperatorSet(
@@ -248,7 +245,7 @@ def load_register(source: str) -> SpinRegister:
         A missing, unknown, or out-of-range field; the message names it.
     """
     try:
-        data = yaml.safe_load(source)
+        data = yaml.load(source, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = f"line {mark.line + 1}" if mark is not None else "unknown line"

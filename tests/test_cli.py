@@ -379,6 +379,32 @@ def test_each_error_family_has_its_exit_code(error, monkeypatch, capsys):
     assert capsys.readouterr().err == f"{prefix}stubbed failure\n"
 
 
+def test_kraus_pair_leaking_out_of_its_parity_sectors_exits_two(monkeypatch, capsys, tmp_path):
+    """A complete Kraus pair with an entry of ~1e-9 between the nuclear
+    parity sectors ends a sweep with one numerical-failure line, no
+    traceback and no CSV: every period map is followed by a rotation of
+    1e-9 rad between nuclear states 0 and 1 (even and odd) under the
+    electron's reset state, which keeps it unitary and the pair complete."""
+    eps = 1e-9
+    mix = np.eye(4, dtype=complex)
+    mix[:2, :2] = [[np.cos(eps), -1j * np.sin(eps)], [-1j * np.sin(eps), np.cos(eps)]]
+    real_period_unitary = engine.period_unitary
+    monkeypatch.setattr(
+        engine, "period_unitary", lambda seqs, reg: real_period_unitary(seqs, reg) @ mix
+    )
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(
+        ["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3",
+         "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("numerical failure: Kraus pair leaks ")
+    assert err.endswith("e-09 out of its nuclear parity sectors\n")
+    assert not out.exists()
+
+
 def test_non_finite_state_exits_two(monkeypatch, capsys):
     """A NaN period map reaches the per-repetition state check (the pair
     check is stubbed out), which ends the run with a numerical failure."""

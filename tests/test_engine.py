@@ -26,7 +26,7 @@ from dnpsim import (
     write_schedule_csv,
     write_trace_csv,
 )
-from dnpsim import engine
+from dnpsim import engine, linalg
 from dnpsim.engine import STATE_TOL
 from dnpsim.errors import ConvergenceCap, DnpsimError, NoConvergence, NotUnitary, ValidationError
 
@@ -428,20 +428,71 @@ def test_powered_channel_matches_the_loop(labels):
     assert not engine._powered(16, 1000)
 
 
+@pytest.mark.parametrize("reinit_state", [0, 1])
+@pytest.mark.parametrize(
+    "labels", [("C3",), ("C3", "C21"), ("C3", "C4", "C8")], ids=["d2", "d4", "d8"]
+)
+def test_parity_blocks_give_the_whole_final_state(labels, reinit_state):
+    """Whole final states, not polarisations: the parity-block channel,
+    looped and powered, and the one-sector powered channel give the joint
+    state |r><r| (x) rho_n of the one-sector loop to 1e-12, so an error that
+    keeps the diagonal of rho (conj(rho), say) cannot pass."""
+    register = make_register(*labels)
+    d = register.dim // 2
+    seqs = [pulsepol_for_period(t) for t in (6.7, 6.8, 6.9)]
+    run = ProtocolRun(seqs[0], n_periods=4, repetitions=1, reinit_state=reinit_state)
+    assert engine._sectors(seqs, run.wait_us, d) == 2
+    pairs = {s: engine._kraus_stack(seqs, run, register, s)[1] for s in (1, 2)}
+    assert pairs[2].shape == (3, 2, 2, d // 2, d // 2)
+
+    def joint(states):
+        return np.stack([engine._reset_product(rho, reinit_state) for rho in states])
+
+    imag = 0.0
+    for reps in (1, 2, 3, 64, 1000, 1023, 1024):
+        want = joint(engine._repeat(pairs[1], engine._thermal(d, 3), reps))
+        imag = max(imag, np.max(np.abs(want.imag)))
+        for sectors, step in ((2, engine._repeat), (2, engine._power), (1, engine._power)):
+            got = joint(step(pairs[sectors], engine._thermal(d, 3, sectors), reps))
+            assert np.max(np.abs(got - want)) <= 1e-12, (sectors, step.__name__, reps)
+    # Past d = 2, whose states stay diagonal, conj(rho) is not rho.
+    assert (imag > 1e-3) == (d > 2)
+
+
+def test_block_sweep_chunks_do_not_change_the_trace(monkeypatch):
+    """Sweeps on the parity blocks, powered (d = 8) and looped (d = 16), give
+    the same trace whatever the chunk budget: one point per chunk, or the
+    nine points split into powered chunks of 3, or into loop chunks of 4
+    whose period maps are built one at a time."""
+    periods = np.linspace(6.6, 7.0, 9)
+    for labels, budget in ((("C3", "C4", "C8"), 400_000), (("C3", "C4", "C8", "C21"), 200_000)):
+        register = make_register(*labels)
+        d = register.dim // 2
+        assert engine._powered(d, 5, 2) == (d == 8)
+        whole = sweep_trace(pulsepol_for_period, register, periods, 4, 5)
+        for split_budget in (1, budget):
+            monkeypatch.setattr(linalg, "CHUNK_BYTES", split_budget)
+            split = sweep_trace(pulsepol_for_period, register, periods, 4, 5)
+            assert np.max(np.abs(whole.values - split.values)) <= 1e-12
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("step", [engine._repeat, engine._power], ids=["loop", "powered"])
 def test_powered_and_looped_verdicts_agree(reg_c3_c21, step):
     """A pair that passes the completeness check but gains 8e-11 of trace
     per repetition drifts past the state tolerance in 1000 repetitions and
-    not in 5; a NaN pair fails the state check on either path."""
+    not in 5; a NaN pair fails the state check on either path, on the
+    whole nuclear space and on its two parity blocks."""
     run = ProtocolRun(pulsepol_for_period(6.8), n_periods=4, repetitions=1)
-    _, kraus = engine._kraus_stack([run.sequence], run, reg_c3_c21)
-    start = engine._thermal(4, 1)
-    drifting = kraus * (1 + 4e-11)
-    engine._check_completeness(drifting)
-    step(drifting, start, 5)
-    with pytest.raises(NoConvergence, match="trace drifted"):
-        step(drifting, start, 1000)
-    broken = kraus.copy()
-    broken[0, 1, 2, 0] = np.nan
-    with pytest.raises(NoConvergence, match="^density matrix is not finite$"):
-        step(broken, start, 1000)
+    for sectors in (1, 2):
+        _, kraus = engine._kraus_stack([run.sequence], run, reg_c3_c21, sectors)
+        start = engine._thermal(4, 1, sectors)
+        drifting = kraus * (1 + 4e-11)
+        engine._check_completeness(drifting)
+        step(drifting, start, 5)
+        with pytest.raises(NoConvergence, match="trace drifted"):
+            step(drifting, start, 1000)
+        broken = kraus.copy()
+        broken[0, 1, 0, 1, 0] = np.nan
+        with pytest.raises(NoConvergence, match="^density matrix is not finite$"):
+            step(broken, start, 1000)

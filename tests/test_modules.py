@@ -47,6 +47,14 @@ def test_only_free_propagator_reads_the_h0_eigensystems():
     assert _callers("static_hamiltonian_eig") == ["protocols.free_propagator"]
 
 
+def test_only_parity_sectors_computes_a_parity():
+    """One parity index: the popcount of a basis state is taken in
+    ``protocols.parity_sectors`` alone, and the Floquet sectors and the
+    engine's Kraus blocks both read it."""
+    assert _callers("bin") + _callers("bit_count") == ["protocols.parity_sectors"]
+    assert {c.split(".")[0] for c in _callers("parity_sectors")} == {"engine", "floquet"}
+
+
 def test_no_polyfit_in_the_package():
     """Sweeps and spectra share the closed-form vertex of
     ``floquet.local_minima``."""

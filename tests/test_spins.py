@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from dnpsim import (
     KHZ_TO_RAD_PER_US,
@@ -15,6 +16,7 @@ from dnpsim import (
     precession_frequency,
     static_hamiltonian,
 )
+from dnpsim import spins
 from dnpsim.errors import DimensionOverflow, ParseError, ValidationError
 
 from conftest import CONFIG_DIR, LARMOR, TABLE27, make_register, register_text
@@ -101,6 +103,27 @@ def test_parse_error_carries_line_number():
     text = "larmor_rad_per_us: 2.7\nnuclei:\n  - {label: X, a_parallel_khz: 1,\n"
     with pytest.raises(ParseError, match="line"):
         load_register(text)
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_parse_error_names_the_line_of_a_malformed_file(monkeypatch, tmp_path, loader):
+    """The libyaml parser, used when pyyaml has it, and the Python one
+    report the same line: the unclosed flow mapping opened on line 3 fails
+    at the bad token on line 4."""
+    if not hasattr(yaml, loader):
+        pytest.skip(f"this pyyaml has no {loader}")
+    monkeypatch.setattr(spins, "_YAML_LOADER", getattr(yaml, loader))
+    path = tmp_path / "bad.yaml"
+    path.write_text(
+        "larmor_rad_per_us: 2.7\nnuclei:\n  - {label: X, a_parallel_khz: 1,\n"
+        "     a_perp_khz: 2]\n"
+    )
+    with pytest.raises(ParseError, match=r"^config parse failed at line 4: "):
+        load_register_file(str(path))
+
+
+def test_configs_parse_with_libyaml_where_pyyaml_has_it():
+    assert spins._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def test_loader_rejects_non_mapping_root():
