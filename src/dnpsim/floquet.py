@@ -2,9 +2,11 @@
 
 The eigenphases of the one-period propagator, followed along a sweep of
 the period, form quasi-energy branches; nuclear resonances show up as
-avoided crossings between branches. Branch identity across the sweep is
-recovered by eigenvector overlap, with local grid refinement wherever the
-overlap assignment becomes ambiguous.
+avoided crossings between branches. Each map is solved as the sector
+blocks of the parity its period conserves, squared from the blocks of its
+half-period root. Branch identity across the sweep is recovered inside
+each sector by eigenvector overlap, with local grid refinement wherever
+the overlap assignment becomes ambiguous.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 from .errors import ValidationError, ValidityWarning
 from .linalg import chunk_points, unitary_eigensolve
 from .protocols import SequenceBuilder, conserved_parity, mix_electron_rows, parity_sectors
-from .protocols import period_unitary, sector_blocks
+# period_unitary is not called here; perfbench/child.py traces it under this name.
+from .protocols import period_roots, period_unitary, sector_blocks  # noqa: F401
 from .spins import SpinRegister, build_operators, require_joint_space
 from .table import write_csv
 
@@ -85,10 +88,16 @@ class _Point(NamedTuple):
 def _spectrum_points(
     builder: SequenceBuilder, register: SpinRegister, grid: np.ndarray, sectors: _Sectors
 ) -> list[_Point]:
-    """The points of a grid chunk, from one stacked period map and one
-    stacked eigensolve of its sector blocks, whose phase orders are merged."""
+    """The points of a grid chunk, from the sector blocks of its stacked
+    ``period_roots``, squared where a root is a half period, and one stacked
+    eigensolve of them, which checks their unitarity; phase orders merged."""
     seqs = [builder(t) for t in grid]
-    blocks = sectors.blocks(period_unitary(seqs, register))
+    roots, squared = period_roots(seqs, register)
+    blocks = sectors.blocks(roots)
+    if squared.all():  # as every periodic builder's roots are; a masked product costs more
+        blocks = blocks @ blocks
+    else:
+        blocks[squared] = blocks[squared] @ blocks[squared]
     eig = unitary_eigensolve(blocks.reshape(-1, *blocks.shape[-2:]))
     lam = eig.eigenvalues.reshape(len(seqs), -1)
     order = np.argsort(np.angle(lam), axis=-1, kind="stable")
@@ -192,15 +201,14 @@ def compute_spectrum(
     still ambiguous at that depth, one ValidityWarning gives their number
     and the worst overlap accepted.
 
-    Grid points are built in chunks that fit ``linalg.CHUNK_BYTES``, each
-    from one stacked ``period_unitary`` and one stacked
-    ``unitary_eigensolve`` call; a bisection midpoint is a chunk of one.
-    With ``workers`` > 1 a process pool maps the chunks, and the result
-    does not depend on ``workers``.
-
-    When the first period conserves a parity (``protocols.conserved_parity``)
-    each map is solved as its two sector blocks, branches are stitched inside
-    their sector, and a map leaking above SECTOR_TOL raises SectorLeak.
+    Grid points are built in chunks that fit ``linalg.CHUNK_BYTES``; a
+    bisection midpoint is a chunk of one. A chunk's stacked ``period_roots``
+    are cut into the sector blocks of the parity the first period conserves
+    (``protocols.conserved_parity``; SectorLeak above SECTOR_TOL), or kept
+    whole, squared where a root is a half period, and solved by one stacked
+    ``unitary_eigensolve``, which checks each map's blocks once for
+    unitarity. Branches are stitched inside their sector. With ``workers``
+    > 1 a process pool maps the chunks; the result does not depend on it.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -210,9 +218,9 @@ def compute_spectrum(
     require_joint_space(register)
     sectors = _Sectors.of(builder(grid[0]), register.dim)
 
-    # Per point: the gap propagators, the block product and its
-    # intermediate, the squared map, the Hermitian part, its eigenvectors,
-    # U V and the residual: eight D x D complex matrices of 16 D^2 bytes.
+    # Per point: the gap propagators, the root and its intermediate, then
+    # blocks: the squared map, the Hermitian part, its eigenvectors, U V and
+    # the residual: at most eight D x D complex matrices of 16 D^2 bytes.
     size = chunk_points(8 * 16 * register.dim**2)
     chunks = [grid[i : i + size] for i in range(0, grid.size, size)]
     # Points are stitched as they arrive, so only one chunk is held besides

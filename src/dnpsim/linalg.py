@@ -9,7 +9,7 @@ exit codes without parsing numpy messages.
 
 from __future__ import annotations
 
-from math import inf
+from math import inf, pi
 from typing import NamedTuple
 
 import numpy as np
@@ -105,30 +105,25 @@ def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
 
 def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
     """Diagonalise a unitary matrix, or a (P, n, n) stack of them, through
-    one Hermitian eigensolve.
+    one stacked Hermitian eigensolve.
 
     A unitary is normal, so every Hermitian part of e^{-i theta} U shares
     its eigenbasis, with eigenvalues cos(phi - theta) for the eigenphases
-    phi of U. The fast path diagonalises that part once at the fixed
-    irrational offset theta = ``EIG_PHASE_OFFSET``: at theta = 0 the
-    +/- phi pairs of a time-symmetric period map collide exactly, at theta
-    they stay apart. Eigenvalues are the per-column Rayleigh quotients
-    ``v^dag U v``. The basis is accepted when the residual
-    max |U V - V diag(lambda)| is at most ``EIG_RESIDUAL_TOL``; a pair of
-    eigenphases mirrored about theta (or theta + pi) fails that gate, and
-    the grouped solver at theta = 0 runs instead, unchanged: it
-    diagonalises (U + U^dag)/2 and sub-diagonalises the anti-Hermitian part
-    (U - U^dag)/(2i) inside each degenerate group.
-
-    A stack takes one stacked ``eigh``; the residual gate is applied to
-    each matrix, and only those that fail it take the grouped solver.
+    phi of U. The solve diagonalises that part once at the fixed irrational
+    offset theta = ``EIG_PHASE_OFFSET``: at theta = 0 the +/- phi pairs of a
+    time-symmetric period map collide exactly, at theta they stay apart.
+    Eigenvalues are the per-column Rayleigh quotients ``v^dag U v``. The
+    basis is accepted when the residual max |U V - V diag(lambda)| is at
+    most ``EIG_RESIDUAL_TOL``. A pair mirrored about theta or theta + pi
+    (phi_1 + phi_2 = 2 theta mod 2 pi) fails that gate, and cannot also sum
+    to 2 theta + pi: the matrices of a stack that fail are solved again, as
+    one stack, at theta + pi/2 under the same gate.
 
     Returns eigenvalues sorted by eigenphase in (-pi, pi], of shape (n,)
     for one matrix and (P, n) for a stack, with the matching eigenvectors.
     Raises NotUnitary if ``U^dag U`` deviates from identity by more than
     1e-10 for any matrix of the stack, and NoConvergence from the Hermitian
-    solver, or from the grouped solver when its eigenvalues leave the unit
-    circle.
+    solver, or when a matrix fails the gate at both offsets.
     """
     u = _as_square(u, "U", ndims=(2, 3))
     dev = unitarity_defect(u)
@@ -136,49 +131,34 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARY_TOL}")
 
     stack = u.reshape((-1,) + u.shape[-2:])
-    rotated = np.exp(-1j * EIG_PHASE_OFFSET) * stack
+    lam, v, residual = _offset_eigensolve(stack, EIG_PHASE_OFFSET)
+    fail = np.flatnonzero(~(residual <= EIG_RESIDUAL_TOL))
+    if fail.size:
+        lam[fail], v[fail], residual = _offset_eigensolve(stack[fail], EIG_PHASE_OFFSET + pi / 2)
+        if not np.all(residual <= EIG_RESIDUAL_TOL):
+            raise NoConvergence(
+                f"unitary eigensolve residual {np.max(residual):.3e} > {EIG_RESIDUAL_TOL} "
+                "at both phase offsets"
+            )
+    lam, v = _phase_sorted(lam, v)
+    return EigenDecomposition(lam.reshape(u.shape[:-1]), v.reshape(u.shape))
+
+
+def _offset_eigensolve(stack: np.ndarray, theta: float) -> tuple[np.ndarray, ...]:
+    """The Rayleigh quotients (P, n), eigenvectors (P, n, n) and residuals
+    max |U V - V diag(lambda)| (P,) of a (P, n, n) unitary stack, from one
+    stacked ``eigh`` of the Hermitian parts of e^{-i theta} U."""
+    h = stack * np.exp(-1j * theta)
+    h += h.conj().swapaxes(-1, -2)
+    h *= 0.5
     try:
-        _, v = np.linalg.eigh((rotated + rotated.conj().swapaxes(-1, -2)) / 2)
+        _, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     uv = stack @ v
     lam = np.einsum("pij,pij->pj", v.conj(), uv)
-    residual = np.max(np.abs(uv - v * lam[:, None, :]), axis=(1, 2))
-    lam, v = _phase_sorted(lam, v)
-    for i in np.flatnonzero(~(residual <= EIG_RESIDUAL_TOL)):
-        lam[i], v[i] = _grouped_eigensolve(stack[i])
-    return EigenDecomposition(lam.reshape(u.shape[:-1]), v.reshape(u.shape))
-
-
-def _grouped_eigensolve(u: np.ndarray) -> EigenDecomposition:
-    """The theta = 0 solver: Hermitian part first, then the anti-Hermitian
-    part inside each degenerate group of it."""
-    h_re = (u + u.conj().T) / 2
-    h_im = (u - u.conj().T) / (2j)
-    w_re, v = hermitian_eigensolve(h_re)
-
-    # Sub-diagonalise the anti-Hermitian part inside each degenerate group
-    # of the real part; tolerance a bit looser than machine precision so
-    # nearly-coincident cosines are treated as one group.
-    group_tol = 1e-7
-    start = 0
-    n = u.shape[0]
-    while start < n:
-        stop = start + 1
-        while stop < n and w_re[stop] - w_re[start] < group_tol:
-            stop += 1
-        if stop - start > 1:
-            block = v[:, start:stop]
-            sub = block.conj().T @ h_im @ block
-            sub = (sub + sub.conj().T) / 2
-            _, v_sub = hermitian_eigensolve(sub)
-            v[:, start:stop] = block @ v_sub
-        start = stop
-
-    lam = np.einsum("ij,jk,ki->i", v.conj().T, u, v)
-    if np.max(np.abs(np.abs(lam) - 1.0)) > 1e-9:
-        raise NoConvergence("eigenvalues left the unit circle; input may be ill-conditioned")
-    return _phase_sorted(lam, v)
+    uv -= v * lam[:, None, :]
+    return lam, v, np.max(np.abs(uv), axis=(1, 2))
 
 
 def _phase_sorted(lam: np.ndarray, v: np.ndarray) -> EigenDecomposition:

@@ -8,9 +8,11 @@ per half period. ``rabi`` None gives ideal (zero-duration) rotations; a
 Rabi frequency Omega gives finite ones that evolve the full Hamiltonian
 plus drive for theta/Omega.
 
-``period_unitary`` builds the one-period map of a sequence, or of a stack
-of them, with one kernel on electron block rows, whose free gaps are the
-two d x d electron blocks of exp(-i H0 t) from ``free_propagator``.
+``period_roots`` builds the root maps of a stack of periods (the half
+period when the second half repeats the first) with one kernel on electron
+block rows, whose free gaps are the two d x d electron blocks of
+exp(-i H0 t) from ``free_propagator``; ``period_unitary`` squares and
+checks them, and the Floquet solve squares their sector blocks.
 ``conserved_parity`` names the parity a period's event pattern conserves;
 ``parity_sectors`` lists the basis states of each of its two sectors, and
 ``sector_blocks`` cuts a map into its blocks between them.
@@ -159,53 +161,46 @@ def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
     ``seqs`` is one PulseSequence, giving a (D, D) map, or a sequence of
     them, giving a (P, D, D) stack. Free segments contribute exp(-i H0 d);
     ideal rotations exp(-i theta S_phi); finite rotations
-    exp(-i (H0 d + theta S_phi)). Every map's ``linalg.unitarity_defect``
-    is checked to be at most 1e-10, which a map with a non-finite entry
-    fails.
-
-    A period whose second half repeats its first event for event is built
-    as the half-period map squared. Sequences that share one event pattern
-    (the same events up to the gap durations) are multiplied out together
-    by ``_pattern_maps``.
-
-    A warning is emitted for finite pulses whose Rabi frequency is not
-    large against the strongest transverse coupling (the pulses then tilt
-    the nuclei noticeably and the ideal-pulse analysis drifts).
+    exp(-i (H0 d + theta S_phi)). Each map is its ``period_roots`` root,
+    squared where that is the half period, and its ``unitarity_defect`` is
+    checked to be at most 1e-10, which a map with a non-finite entry fails.
     """
     single = isinstance(seqs, PulseSequence)
-    stack = (seqs,) if single else tuple(seqs)
-    if not stack:
-        raise ValidationError("seqs: need at least one pulse sequence")
-    require_joint_space(register)
-
-    u = np.empty((len(stack), register.dim, register.dim), dtype=complex)
-    for (pattern, squared), members in _by_pattern(stack).items():
-        _warn_weak_drive(pattern, register)
-        maps = _pattern_maps(pattern, [stack[i] for i in members], register)
-        u[members] = maps @ maps if squared else maps
-
+    u, squared = period_roots((seqs,) if single else seqs, register)
+    u[squared] = u[squared] @ u[squared]
     dev = unitarity_defect(u)
     if dev > UNITARY_TOL:
         raise NotUnitary(f"period propagator drifted off unitarity by {dev:.3e}")
     return u[0] if single else u
 
 
-def _by_pattern(seqs: tuple[PulseSequence, ...]) -> dict[tuple, list[int]]:
-    """Indices of ``seqs`` keyed by (pattern, squared).
+def period_roots(seqs, register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
+    """The unchecked (P, D, D) root maps of P PulseSequences and the (P,)
+    mask of those whose period map is the root squared: the half-period map
+    when the second half repeats the first event for event, else the whole
+    period map. Roots that share one event pattern (the same events up to
+    the gap durations) are multiplied out together by ``_pattern_maps``.
 
-    The pattern is the events to multiply out, each free event replaced by
-    None: the first half when the second half repeats it (squared True),
-    else the whole period.
+    A warning is emitted for finite pulses whose Rabi frequency is not
+    large against the strongest transverse coupling (the pulses then tilt
+    the nuclei noticeably and the ideal-pulse analysis drifts).
     """
+    stack = tuple(seqs)
+    if not stack:
+        raise ValidationError("seqs: need at least one pulse sequence")
+    require_joint_space(register)
+
+    squared = np.empty(len(stack), dtype=bool)
     groups: dict[tuple, list[int]] = {}
-    for i, seq in enumerate(seqs):
-        events = seq.events
-        half = len(events) // 2
-        squared = len(events) % 2 == 0 and events[:half] == events[half:]
-        if squared:
-            events = events[:half]
-        groups.setdefault((_pulses(events), squared), []).append(i)
-    return groups
+    for i, seq in enumerate(stack):
+        events, half = seq.events, len(seq.events) // 2
+        squared[i] = len(events) % 2 == 0 and events[:half] == events[half:]
+        groups.setdefault(_pulses(events[:half] if squared[i] else events), []).append(i)
+    u = np.empty((len(stack), register.dim, register.dim), dtype=complex)
+    for pattern, members in groups.items():
+        _warn_weak_drive(pattern, register)
+        u[members] = _pattern_maps(pattern, [stack[i] for i in members], register)
+    return u, squared
 
 
 def _pulses(events: tuple[PulseEvent, ...]) -> tuple:
@@ -224,7 +219,7 @@ def _warn_weak_drive(pattern: tuple, register: SpinRegister) -> None:
                 f"finite-pulse rabi {rabi:.3g} rad/us is below 100x the strongest "
                 f"transverse coupling {max_perp:.3g}; pulse errors will be visible",
                 ValidityWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
 

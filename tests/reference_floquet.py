@@ -4,13 +4,40 @@ crossing search, one branch pair and one candidate at a time.
 They are slow and simple on purpose; ``floquet._greedy_match`` must return
 what ``greedy_match`` returns, and ``floquet.find_crossings`` the same
 branch pairs and participants with periods and gaps within 1e-9.
+``grouped_eigensolve`` is an independent unitary eigensolver for the
+eigenphases that ``linalg.unitary_eigensolve`` returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dnpsim import AvoidedCrossing, build_operators
+from dnpsim import AvoidedCrossing, EigenDecomposition, build_operators, hermitian_eigensolve
+from dnpsim.linalg import _phase_sorted
+
+
+def grouped_eigensolve(u: np.ndarray) -> EigenDecomposition:
+    """The theta = 0 solver of one unitary: the Hermitian part (U + U^dag)/2
+    first, then the anti-Hermitian part (U - U^dag)/(2i) inside each group
+    of its eigenvalues closer than 1e-7. Its residual can exceed 1e-10 for
+    eigenphases ~1e-5 apart, whose cosines the grouping cannot resolve."""
+    h_re = (u + u.conj().T) / 2
+    h_im = (u - u.conj().T) / (2j)
+    w_re, v = hermitian_eigensolve(h_re)
+    start, n = 0, u.shape[0]
+    while start < n:
+        stop = start + 1
+        while stop < n and w_re[stop] - w_re[start] < 1e-7:
+            stop += 1
+        if stop - start > 1:
+            block = v[:, start:stop]
+            sub = block.conj().T @ h_im @ block
+            _, v_sub = hermitian_eigensolve((sub + sub.conj().T) / 2)
+            v[:, start:stop] = block @ v_sub
+        start = stop
+    lam = np.einsum("ij,jk,ki->i", v.conj().T, u, v)
+    assert np.max(np.abs(np.abs(lam) - 1.0)) <= 1e-9
+    return _phase_sorted(lam, v)
 
 
 def greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]:

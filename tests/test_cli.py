@@ -458,18 +458,19 @@ def test_broken_pipe_elsewhere_is_not_swallowed(monkeypatch):
 
 
 def test_a_map_leaking_out_of_its_sectors_exits_two(monkeypatch, capsys):
-    """Ideal PulsePol conserves Q_z; a period map rotated by 1e-9 between
-    basis states 0 and 1, of opposite parity, is still unitary but is never
-    solved: the spectrum ends with a numerical failure naming the leak."""
-    real_map = floquet.period_unitary
+    """Ideal PulsePol conserves Q_z, and so does its half-period root; a
+    root rotated by 1e-9 between basis states 0 and 1, of opposite parity,
+    is still unitary but is never solved: the spectrum ends with a numerical
+    failure naming the leak."""
+    real_roots = floquet.period_roots
 
     def leaky(seqs, register):
-        u = real_map(seqs, register)
+        u, squared = real_roots(seqs, register)
         mix = np.eye(register.dim, dtype=complex)
         mix[:2, :2] = [[np.cos(1e-9), -1j * np.sin(1e-9)], [-1j * np.sin(1e-9), np.cos(1e-9)]]
-        return mix @ u
+        return mix @ u, squared
 
-    monkeypatch.setattr(floquet, "period_unitary", leaky)
+    monkeypatch.setattr(floquet, "period_roots", leaky)
     rc = cli.main(["spectrum", "--config", C3_C21, "--t-start", "6.7", "--t-stop", "7.0",
                    "--steps", "5"])
     assert rc == 2

@@ -8,6 +8,8 @@ import pytest
 
 from dnpsim import (
     EventKind,
+    PulseEvent,
+    PulseSequence,
     compute_spectrum,
     cpmg_for_period,
     effective_params,
@@ -21,7 +23,7 @@ from dnpsim import (
 )
 import reference_floquet as ref
 from dnpsim import floquet, linalg, protocols
-from dnpsim.errors import ValidationError, ValidityWarning
+from dnpsim.errors import NotUnitary, ValidationError, ValidityWarning
 from dnpsim.protocols import conserved_parity
 
 from conftest import CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, make_register, shipped_register
@@ -128,7 +130,7 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     want = compute_spectrum(pulsepol_for_period, reg, grid)
     maps, eigs, matches = [], [], []
     real_map, real_eig, real_match = (
-        floquet.period_unitary, floquet.unitary_eigensolve, floquet._greedy_match
+        floquet.period_roots, floquet.unitary_eigensolve, floquet._greedy_match
     )
 
     def count_maps(seqs, register):
@@ -143,7 +145,7 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
         matches.append(1)
         return real_match(prev, nxt)
 
-    monkeypatch.setattr(floquet, "period_unitary", count_maps)
+    monkeypatch.setattr(floquet, "period_roots", count_maps)
     monkeypatch.setattr(floquet, "unitary_eigensolve", count_eigs)
     monkeypatch.setattr(floquet, "_greedy_match", count_matches)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
@@ -169,7 +171,7 @@ def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spect
     reg, t_r, _ = c21_spectrum
     builder = partial(pulsepol_for_period, rabi=300.0)
     maps, built = [], []
-    real_map, real_exp = floquet.period_unitary, protocols.matrix_exponential_hermitian
+    real_map, real_exp = floquet.period_roots, protocols.matrix_exponential_hermitian
 
     def count_maps(seqs, register):
         maps.append(len(seqs))
@@ -179,7 +181,7 @@ def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spect
         built.append(t)
         return real_exp(h, t)
 
-    monkeypatch.setattr(floquet, "period_unitary", count_maps)
+    monkeypatch.setattr(floquet, "period_roots", count_maps)
     monkeypatch.setattr(protocols, "matrix_exponential_hermitian", count_exps)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
     protocols._finite_step.cache_clear()
@@ -355,11 +357,111 @@ def test_conserved_parity_follows_the_event_pattern():
     assert conserved_parity(pulsepol_for_period(6.8, rabi=300.0)) is None
 
 
+def _random_gaps(seq, rng):
+    """``seq`` with each free gap of its first half drawn from [0.2, 2] us,
+    and the second half repeating the first."""
+    half = tuple(
+        PulseEvent(EventKind.FREE_EVOLUTION, duration=rng.uniform(0.2, 2.0))
+        if e.kind is EventKind.FREE_EVOLUTION else e
+        for e in seq.events[: len(seq.events) // 2]
+    )
+    period = sum(e.duration for e in half + half)
+    return PulseSequence(half + half, period, seq.harmonic, seq.label)
+
+
+@pytest.mark.parametrize("protocol", SECTOR_BUILDERS)
+@pytest.mark.parametrize("config", ["c3_c16.yaml", "c3_c4_c8.yaml", "c4_c8.yaml"])
+def test_half_period_roots_keep_the_period_parity(config, protocol):
+    """The half-period root of ideal PulsePol commutes with Q_z, and the
+    CPMG roots, ideal and finite, commute with Q_x, to 1e-12 at random
+    unequal gaps: so the Floquet solve may cut the root into sector blocks
+    before it squares them."""
+    register = shipped_register(config)
+    rng = np.random.default_rng(7)
+    seqs = [_random_gaps(SECTOR_BUILDERS[protocol](6.8), rng) for _ in range(4)]
+    assert len({e.duration for e in seqs[0].events if e.kind is EventKind.FREE_EVOLUTION}) > 1
+    roots, squared = protocols.period_roots(seqs, register)
+    assert squared.all()
+    d = register.dim // 2
+    nuclear = np.diag([(-1.0) ** bin(i).count("1") for i in range(d)])
+    electron = np.diag([1.0, -1.0]) if protocol == "pulsepol" else np.array([[0.0, 1.0], [1.0, 0.0]])
+    q = np.kron(electron, nuclear)
+    assert conserved_parity(seqs[0]) == ("z" if protocol == "pulsepol" else "x")
+    assert np.max(np.abs(roots @ q - q @ roots)) <= 1e-12
+    assert np.array_equal(period_unitary(seqs, register), roots @ roots)
+
+
+def test_a_chunk_of_whole_and_half_period_roots():
+    """A chunk whose periods alternate between a repeated half and two
+    unequal halves squares only the half-period roots: every point's
+    eigenphases are those of its whole period map."""
+    register = shipped_register("c3_c4_c8.yaml")
+    rng = np.random.default_rng(3)
+
+    def builder(t):
+        seq = pulsepol_for_period(t)
+        if round(10 * t) % 2 == 0:
+            return seq
+        first, second = (_random_gaps(seq, rng).events for _ in range(2))
+        events = first[: len(first) // 2] + second[len(second) // 2 :]
+        return PulseSequence(events, sum(e.duration for e in events), 3, "pulsepol")
+
+    grid = np.array([6.6, 6.7, 6.8, 6.9])
+    seqs = [builder(t) for t in grid]
+    assert protocols.period_roots(seqs, register)[1].tolist() == [True, False, True, False]
+    sectors = floquet._Sectors.of(seqs[0], register.dim)
+    points = floquet._spectrum_points(lambda t: seqs[list(grid).index(t)], register, grid, sectors)
+    for point, seq in zip(points, seqs):
+        want = -np.angle(np.linalg.eigvals(period_unitary(seq, register)))
+        gap = np.abs(np.exp(1j * point.phases[:, None]) - np.exp(1j * want[None, :]))
+        assert np.max(np.min(gap, axis=1)) <= 1e-10
+        assert np.max(np.min(gap, axis=0)) <= 1e-10
+
+
+@pytest.mark.parametrize("protocol", [*SECTOR_BUILDERS, "pulsepol-rabi300"])
+def test_each_map_is_checked_for_unitarity_once(monkeypatch, c21_spectrum, protocol):
+    """Every chunk, bisection midpoints included, builds its roots once and
+    checks unitarity once, on the squared sector blocks that it solves; a
+    root whose square is off unitarity by ~4e-10 ends the spectrum with
+    NotUnitary."""
+    reg, t_r, _ = c21_spectrum
+    builder = SECTOR_BUILDERS.get(protocol, partial(pulsepol_for_period, rabi=300.0))
+    sectors = floquet._Sectors.of(builder(t_r), reg.dim).index.shape
+    roots, checked = [], []
+    real_roots, real_defect = floquet.period_roots, linalg.unitarity_defect
+
+    def count_roots(seqs, register):
+        roots.append(len(seqs))
+        return real_roots(seqs, register)
+
+    def count_checks(u):
+        checked.append(u.shape)
+        return real_defect(u)
+
+    monkeypatch.setattr(floquet, "period_roots", count_roots)
+    monkeypatch.setattr(linalg, "unitarity_defect", count_checks)
+    monkeypatch.setattr(protocols, "unitarity_defect", count_checks)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
+    grid = np.linspace(t_r - 0.12, t_r + 0.12, 41)
+    compute_spectrum(builder, reg, grid)
+    assert len(roots) >= 6
+    assert checked == [(p * sectors[0], sectors[1], sectors[1]) for p in roots]
+
+    def scaled_roots(seqs, register):
+        u, squared = real_roots(seqs, register)
+        return u * (1.0 + 1e-10), squared
+
+    monkeypatch.setattr(floquet, "period_roots", scaled_roots)
+    with pytest.raises(NotUnitary):
+        compute_spectrum(builder, reg, grid)
+
+
 @pytest.mark.parametrize("protocol", SECTOR_BUILDERS)
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
 def test_blocked_eigensolve_matches_the_grouped_solver(config, protocol):
     """The eigenphases from the sector blocks agree with the theta = 0
-    grouped solver on the whole map to 1e-12, and so does the projector
+    grouped solver of ``reference_floquet`` on the whole map to 1e-12, and
+    so does the projector
     onto every eigenspace, up to what the two residuals allow.
 
     An eigenspace gathers eigenvalues within 1e-8 (ideal CPMG is doubly
@@ -379,7 +481,7 @@ def test_blocked_eigensolve_matches_the_grouped_solver(config, protocol):
     points = floquet._spectrum_points(builder, register, grid, sectors)
     maps = period_unitary([builder(t) for t in grid], register)
     for point, u in zip(points, maps):
-        lam, v = linalg._grouped_eigensolve(u)
+        lam, v = ref.grouped_eigensolve(u)
         assert np.max(np.abs(point.phases + np.angle(lam))) <= 1e-12
         got = _full_vectors(point, sectors)
         mine = np.exp(-1j * point.phases)

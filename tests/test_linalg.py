@@ -16,8 +16,9 @@ from dnpsim import (
     matrix_exponential_hermitian,
     unitary_eigensolve,
 )
+import reference_floquet as ref
 from dnpsim import linalg
-from dnpsim.errors import DimensionMismatch, NotHermitian, NotUnitary
+from dnpsim.errors import DimensionMismatch, NoConvergence, NotHermitian, NotUnitary
 
 from conftest import SHIPPED_CONFIGS, shipped_register
 
@@ -127,15 +128,16 @@ def with_phases(phases, seed):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Count the calls of the grouped theta = 0 solver."""
+    """The dimension of every matrix solved again at theta + pi/2."""
     calls = []
-    grouped = linalg._grouped_eigensolve
+    solve = linalg._offset_eigensolve
 
-    def counted(u):
-        calls.append(u.shape[0])
-        return grouped(u)
+    def counted(stack, theta):
+        if theta != linalg.EIG_PHASE_OFFSET:
+            calls.extend([stack.shape[-1]] * len(stack))
+        return solve(stack, theta)
 
-    monkeypatch.setattr(linalg, "_grouped_eigensolve", counted)
+    monkeypatch.setattr(linalg, "_offset_eigensolve", counted)
     return calls
 
 
@@ -195,6 +197,16 @@ def test_unitary_pair_mirrored_about_the_offset_falls_back(fallbacks):
     assert np.allclose(np.angle(lam), np.sort(phases), atol=1e-12)
 
 
+def test_unitary_pairs_mirrored_about_both_offsets_raise(fallbacks):
+    """A pair mirrored about theta fails the first solve and a pair
+    mirrored about theta + pi/2 the retry: the solver says so."""
+    theta = linalg.EIG_PHASE_OFFSET
+    phases = [theta + 0.3, theta - 0.3, theta + np.pi / 2 + 0.4, theta + np.pi / 2 - 0.4]
+    with pytest.raises(NoConvergence, match="at both phase offsets"):
+        unitary_eigensolve(with_phases(phases, 24))
+    assert fallbacks == [4]
+
+
 def test_unitary_stack_equals_per_matrix_calls(fallbacks):
     """One stacked call gives each matrix's own result bit for bit; only
     the matrix with a pair mirrored about the offset falls back."""
@@ -248,7 +260,7 @@ def test_unitary_eigensolve_agrees_with_grouped_solver(config):
     t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor))
     u = period_unitary(pulsepol_for_period(t_r), register)
     fast = unitary_eigensolve(u)
-    grouped = linalg._grouped_eigensolve(u)
+    grouped = ref.grouped_eigensolve(u)
     assert np.max(np.abs(np.angle(fast.eigenvalues) - np.angle(grouped.eigenvalues))) <= 1e-12
 
 

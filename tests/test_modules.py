@@ -96,6 +96,38 @@ def test_only_the_table_module_imports_csv():
     assert importers == ["table.py"]
 
 
+def test_write_csv_is_byte_identical_to_the_csv_module(tmp_path):
+    """The per-row %-templates write what ``csv.writer`` writes from the
+    cells converted one by one: ``fmt`` for floats, an empty cell for None,
+    ``str`` otherwise, quoted where a cell holds a comma, quote or newline."""
+    import csv
+    import io
+
+    import numpy as np
+
+    from dnpsim.table import fmt, write_csv
+
+    row = [0.1, -0.0, float("nan"), None, 7, "plain", "a, b"]
+    rows = [
+        row,
+        [np.float64(1 / 3), float("inf"), None, np.int64(-2), 'say "hi"', "two\nlines", 2.5e-300],
+        iter(row),
+        [1e22, -12345678901234.5, 0.0, True, "", "x\ry", None],
+    ]
+    header = [f"c{i}" for i in range(len(row))]
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    for cells in [row, rows[1], row, rows[3]]:
+        writer.writerow(
+            [fmt(x) if isinstance(x, float) else "" if x is None else str(x) for x in cells]
+        )
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), header, rows)
+    assert path.read_bytes() == want.getvalue().encode()
+    assert path.read_bytes().splitlines()[1] == b'0.1,-0,nan,,7,plain,"a, b"'
+
+
 def test_importing_the_cli_loads_no_process_pool():
     """The spectrum pool imports its machinery only when it is used."""
     code = (

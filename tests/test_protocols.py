@@ -281,8 +281,9 @@ def test_finite_pulses_converge_to_ideal(reg_c3):
 def test_weak_drive_warns(reg_c3):
     # C3's transverse coupling is ~0.372 rad/us; 100x that is the guard line
     seq = pulsepol_for_period(6.85, rabi=30.0)
-    with pytest.warns(ValidityWarning):
+    with pytest.warns(ValidityWarning) as record:
         period_unitary(seq, reg_c3)
+    assert record[0].filename == __file__  # the warning names the caller's line
 
 
 def test_strong_drive_does_not_warn(recwarn, reg_c3):
