@@ -62,7 +62,6 @@ from .floquet import (
 from .linalg import (
     EigenDecomposition,
     hermitian_eigensolve,
-    is_unitary,
     matrix_exponential_hermitian,
     unitary_eigensolve,
 )

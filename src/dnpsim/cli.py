@@ -105,7 +105,7 @@ def _cmd_sweep(args) -> int:
     grid = _grid(args)
     trace = sweep_trace(
         _builder(args), register, grid, n_periods=args.n_periods, repetitions=args.reps,
-        wait_us=args.wait_us, reinit_state=args.reinit, workers=args.workers,
+        wait_us=args.wait_us, reinit_state=args.reinit,
     )
     scale = (-1.0 if args.flip_sign else 1.0) * args.scale
     total = (scale * trace.values).sum(axis=1)
@@ -133,7 +133,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectrum(args) -> int:
     register = load_register_file(args.config)
     grid = _grid(args)
-    spectrum = compute_spectrum(_builder(args), register, grid, workers=args.workers)
+    spectrum = compute_spectrum(_builder(args), register, grid)
     if args.out:
         write_spectrum_csv(spectrum, args.out, TAU_PER_PERIOD[args.protocol])
     crossings = find_crossings(spectrum, gap_threshold=args.gap_threshold)
@@ -249,7 +249,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--workers", type=_positive_int, default=1,
-        help="process count for spectrum (sweeps run batched in one process)",
+        help="accepted and ignored: every verb runs in one process",
     )
 
 

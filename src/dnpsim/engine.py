@@ -343,22 +343,18 @@ def sweep_trace(
     repetitions: int,
     wait_us: float = 0.0,
     reinit_state: int = 0,
-    workers: int = 1,
 ) -> PolarisationTrace:
     """Run the repetition loop from a fresh thermal state at every period.
 
     ``builder`` maps each grid value to a PulseSequence; the trace axis
-    records the period of the sequence actually built. Points run batched,
-    in chunks that fit ``linalg.CHUNK_BYTES``, through ``_power`` where
-    ``_powered`` says so and the loop otherwise; bursts come from stacked
-    period maps in sub-chunks that fit the same budget. ``workers`` is
-    validated but does not change the work or the result.
+    records the period of the sequence actually built. Points run batched
+    in this process, in chunks that fit ``linalg.CHUNK_BYTES``, through
+    ``_power`` where ``_powered`` says so and the loop otherwise; bursts
+    come from stacked period maps in sub-chunks that fit the same budget.
     """
     periods = np.asarray(periods, dtype=float)
     if periods.ndim != 1 or periods.size == 0:
         raise ValidationError("periods: need a non-empty 1-d grid")
-    if workers < 1:
-        raise ValidationError(f"workers: must be >= 1, got {workers}")
     seqs = [builder(float(t)) for t in periods]
     run = ProtocolRun(seqs[0], n_periods, repetitions, wait_us, reinit_state)
     d = register.dim // 2

@@ -12,7 +12,6 @@ the overlap assignment becomes ambiguous.
 from __future__ import annotations
 
 import warnings
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -190,7 +189,6 @@ def compute_spectrum(
     builder: SequenceBuilder,
     register: SpinRegister,
     periods: np.ndarray,
-    workers: int = 1,
 ) -> FloquetSpectrum:
     """Diagonalise the period map over a grid and stitch branches together.
 
@@ -207,14 +205,12 @@ def compute_spectrum(
     (``protocols.conserved_parity``; SectorLeak above SECTOR_TOL), or kept
     whole, squared where a root is a half period, and solved by one stacked
     ``unitary_eigensolve``, which checks each map's blocks once for
-    unitarity. Branches are stitched inside their sector. With ``workers``
-    > 1 a process pool maps the chunks; the result does not depend on it.
+    unitarity. Branches are stitched inside their sector. Chunks are
+    solved one after another in this process and stitched as they arrive.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("periods: need a 1-d grid of at least two points")
-    if workers < 1:
-        raise ValidationError(f"workers: must be >= 1, got {workers}")
     require_joint_space(register)
     sectors = _Sectors.of(builder(grid[0]), register.dim)
 
@@ -226,33 +222,25 @@ def compute_spectrum(
     # Points are stitched as they arrive, so only one chunk is held besides
     # the branch-ordered arrays.
     solve = partial(_spectrum_points, builder, register, sectors=sectors)
-    with ExitStack() as stack:
-        if workers == 1:
-            batches = map(solve, chunks)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            batches = pool.map(solve, chunks)
-        points = chain.from_iterable(batches)
-        prev = next(points)
-        dim = prev.phases.size
-        axis = np.empty(grid.size)
-        phases = np.empty((grid.size, dim))
-        vectors = np.empty((grid.size, dim, dim), dtype=complex)
-        axis[0], phases[0] = prev.period, prev.phases
-        labels = None if sectors.axis is None else 1 - 2 * (prev.order // (dim // 2))
-        prev_perm = np.arange(dim)
-        sectors.vectors(prev.vectors, prev.order, vectors[0])
-        capped: list[float] = []
-        for i, point in enumerate(points, start=1):
-            step = _stitch(prev, point, solve, grid[i - 1], grid[i], 0, capped)
-            perm = step[prev_perm]
-            axis[i] = point.period
-            phases[i] = point.phases[perm]
-            sectors.vectors(point.vectors, point.order[perm], vectors[i])
-            prev = point
-            prev_perm = perm
+    points = chain.from_iterable(map(solve, chunks))
+    prev = next(points)
+    dim = prev.phases.size
+    axis = np.empty(grid.size)
+    phases = np.empty((grid.size, dim))
+    vectors = np.empty((grid.size, dim, dim), dtype=complex)
+    axis[0], phases[0] = prev.period, prev.phases
+    labels = None if sectors.axis is None else 1 - 2 * (prev.order // (dim // 2))
+    prev_perm = np.arange(dim)
+    sectors.vectors(prev.vectors, prev.order, vectors[0])
+    capped: list[float] = []
+    for i, point in enumerate(points, start=1):
+        step = _stitch(prev, point, solve, grid[i - 1], grid[i], 0, capped)
+        perm = step[prev_perm]
+        axis[i] = point.period
+        phases[i] = point.phases[perm]
+        sectors.vectors(point.vectors, point.order[perm], vectors[i])
+        prev = point
+        prev_perm = perm
     if capped:
         warnings.warn(
             f"{len(capped)} stitch interval(s) reached refinement depth "

@@ -82,10 +82,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return unitarity_defect(u) <= tol
-
-
 def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
     """Diagonalise a Hermitian matrix, or each matrix of a (P, n, n) stack:
     real eigenvalues in ascending order with orthonormal eigenvectors, of

@@ -21,10 +21,10 @@ from dnpsim import (
     ScheduleStage,
     average_hamiltonian_numeric,
     build_operators,
+    cli,
     compute_spectrum,
     effective_params,
     initial_state,
-    is_unitary,
     period_unitary,
     precession_frequency,
     pulsepol_for_period,
@@ -34,10 +34,10 @@ from dnpsim import (
     side_dips,
     single_spin_polarisation,
     sweep_trace,
-    write_trace_csv,
 )
+from dnpsim.linalg import unitarity_defect
 
-from conftest import LARMOR, TABLE27, make_register
+from conftest import CONFIG_DIR, LARMOR, TABLE27, make_register
 
 G_COEFF = (math.sqrt(2.0) + 2.0) / (6.0 * math.pi)
 
@@ -385,8 +385,8 @@ def test_criterion_09_three_spin_competition(reg_c4_c8, reg_c3_c4_c8):
     start = time.time()
     builder = partial(pulsepol_for_period, harmonic=11)
     grid = np.linspace(25.4, 27.0, 81)
-    pair = sweep_trace(builder, reg_c4_c8, grid, 8, 1000, workers=4)
-    triple = sweep_trace(builder, reg_c3_c4_c8, grid, 8, 1000, workers=4)
+    pair = sweep_trace(builder, reg_c4_c8, grid, 8, 1000)
+    triple = sweep_trace(builder, reg_c3_c4_c8, grid, 8, 1000)
 
     c8_pair = pair.values[:, 1]
     c8_triple = triple.values[:, 2]
@@ -418,10 +418,10 @@ def test_criterion_10_structural_battery(tmp_path, reg_c3_c21):
     for labels in (("C3",), ("C3", "C21"), ("C3", "C4", "C8")):
         reg = make_register(*labels)
         for period in (5.5, 6.85, 7.4):
-            assert is_unitary(period_unitary(pulsepol_for_period(period), reg), 1e-10)
-        assert is_unitary(
-            period_unitary(pulsepol_for_period(25.7, harmonic=11), reg), 1e-10
-        )
+            u = period_unitary(pulsepol_for_period(period), reg)
+            assert unitarity_defect(u) <= 1e-10
+        u = period_unitary(pulsepol_for_period(25.7, harmonic=11), reg)
+        assert unitarity_defect(u) <= 1e-10
 
     # density state stays Hermitian, unit-trace and positive through a run
     run = ProtocolRun(
@@ -434,12 +434,13 @@ def test_criterion_10_structural_battery(tmp_path, reg_c3_c21):
     assert np.all(np.abs(history) <= 0.5 + 1e-9)
 
     # identical CSV bytes whatever the worker count
-    grid = np.linspace(6.6, 7.0, 9)
-    serial = sweep_trace(pulsepol_for_period, reg_c3_c21, grid, 4, 3, workers=1)
-    parallel = sweep_trace(pulsepol_for_period, reg_c3_c21, grid, 4, 3, workers=2)
     f1, f2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    write_trace_csv(serial, str(f1), 0.25)
-    write_trace_csv(parallel, str(f2), 0.25)
+    for workers, out in (("1", f1), ("2", f2)):
+        assert cli.main(
+            ["sweep", "--config", str(CONFIG_DIR / "c3_c21.yaml"),
+             "--t-start", "6.6", "--t-stop", "7.0", "--steps", "9", "--np", "4", "--reps", "3",
+             "--workers", workers, "--out", str(out)]
+        ) == 0
     assert filecmp.cmp(str(f1), str(f2), shallow=False)
 
     # eigenphase branches stay continuous through their crossings

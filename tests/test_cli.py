@@ -1,7 +1,6 @@
 """Command-line entry points, exit codes and output files."""
 from __future__ import annotations
 
-import filecmp
 import os
 import subprocess
 import sys
@@ -99,21 +98,29 @@ def test_sweep_scale_and_flip(tmp_path, capsys):
     assert float(peaks[2].rsplit("=", 1)[1]) == pytest.approx(2 * float(peaks[0].rsplit("=", 1)[1]))
 
 
-def test_sweep_worker_count_is_invisible_in_output(tmp_path):
-    outs = []
-    for i, workers in enumerate(("1", "2")):
-        out = tmp_path / f"w{i}.csv"
+WORKER_VERBS = {
+    "sweep": ["--np", "4", "--reps", "2"],
+    "spectrum": ["--gap-threshold", "0.5"],
+}
+
+
+@pytest.mark.parametrize("verb", WORKER_VERBS)
+def test_worker_count_is_invisible_in_output(verb, tmp_path, capsys):
+    """--workers is accepted and ignored: the CSV and stdout are the same
+    bytes for 1 and 2."""
+    out = tmp_path / "out.csv"
+    seen = []
+    for workers in ("1", "2"):
         rc = cli.main(
             [
-                "sweep", "--config", C3_C21,
+                verb, "--config", C3_C21,
                 "--t-start", "6.6", "--t-stop", "7.0", "--steps", "9",
-                "--np", "4", "--reps", "2", "--workers", workers,
-                "--out", str(out),
+                *WORKER_VERBS[verb], "--workers", workers, "--out", str(out),
             ]
         )
         assert rc == 0
-        outs.append(out)
-    assert filecmp.cmp(str(outs[0]), str(outs[1]), shallow=False)
+        seen.append((out.read_bytes(), capsys.readouterr().out))
+    assert seen[0] == seen[1]
 
 
 def test_spectrum_verb(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Density-matrix propagation: repetitions, sweeps, schedules, CSV output."""
 from __future__ import annotations
 
-import filecmp
 import math
 from functools import partial
 
@@ -149,17 +148,6 @@ def test_sweep_peaks_on_resonance(reg_c21):
     peak = periods[np.argmax(trace.values[:, 0])]
     step = periods[1] - periods[0]
     assert abs(peak - period) <= step
-
-
-def test_sweep_workers_agree(reg_c3_c21, tmp_path):
-    periods = np.linspace(6.6, 7.0, 9)
-    serial = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 3, workers=1)
-    parallel = sweep_trace(pulsepol_for_period, reg_c3_c21, periods, 4, 3, workers=2)
-    assert np.array_equal(serial.values, parallel.values)
-    f1, f2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    write_trace_csv(serial, str(f1), 0.25)
-    write_trace_csv(parallel, str(f2), 0.25)
-    assert filecmp.cmp(str(f1), str(f2), shallow=False)
 
 
 def test_trace_csv_format(reg_c3_c21, tmp_path):

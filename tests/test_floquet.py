@@ -312,28 +312,6 @@ def test_gap_threshold_is_strict(c21_spectrum):
     assert len(find_crossings(spec, gap_threshold=float(np.nextafter(gap.min(), 1.0)))) == 1
 
 
-def test_spectrum_is_the_same_with_two_workers(c21_spectrum):
-    reg, t_r, _ = c21_spectrum
-    periods = np.linspace(t_r - 0.12, t_r + 0.12, 9)
-    serial = compute_spectrum(pulsepol_for_period, reg, periods, workers=1)
-    pooled = compute_spectrum(pulsepol_for_period, reg, periods, workers=2)
-    assert np.array_equal(serial.phases, pooled.phases)
-    assert np.array_equal(serial.periods, pooled.periods)
-
-
-def test_pooled_chunks_give_the_serial_spectrum(monkeypatch, c21_spectrum):
-    """Two workers map chunks of two points; the spectrum is bit for bit
-    the serial one."""
-    reg, t_r, _ = c21_spectrum
-    periods = np.linspace(t_r - 0.12, t_r + 0.12, 9)
-    serial = compute_spectrum(pulsepol_for_period, reg, periods, workers=1)
-    monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * 8 * 16 * reg.dim**2)
-    pooled = compute_spectrum(pulsepol_for_period, reg, periods, workers=2)
-    assert np.array_equal(serial.phases, pooled.phases)
-    assert np.array_equal(serial.vectors, pooled.vectors)
-    assert np.array_equal(serial.periods, pooled.periods)
-
-
 SECTOR_BUILDERS = {
     "pulsepol": pulsepol_for_period,
     "cpmg": partial(cpmg_for_period, harmonic=1),

@@ -129,10 +129,15 @@ def test_write_csv_is_byte_identical_to_the_csv_module(tmp_path):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    """The spectrum pool imports its machinery only when it is used."""
+    """Every verb runs in one process: neither importing the CLI nor a
+    ``spectrum`` run with ``--workers 2`` loads a process pool's machinery."""
+    config = str(SRC.parent.parent / "configs" / "c3.yaml")
+    argv = ["spectrum", "--config", config, "--t-start", "6.6", "--t-stop", "7.0",
+            "--steps", "5", "--workers", "2"]
     code = (
         "import sys, dnpsim.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        f"rc = dnpsim.cli.main({argv!r}); "
+        "print(rc, sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
     path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -140,7 +145,7 @@ def test_importing_the_cli_loads_no_process_pool():
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_every_benchmark_trace_hook_still_resolves():
