@@ -188,6 +188,51 @@ def test_compare_explicit_blockade_spin(capsys):
     assert "blockade spin: C21" in capsys.readouterr().out
 
 
+COMPARE_PINS = {
+    "c3_c4_c8": (
+        [],
+        """\
+blockade spin: C3  harmonic: k=3
+label       omega_i        T_r          g  N_opt      shift  T_shifted  g_blocked
+C3         2.752584   6.847949   0.067385      3          -          -          -
+C4         2.686234   7.017094   0.023899      9  -0.025477   6.838323   0.025255
+C8         2.686540   7.016295   0.004552     49  -0.025592   6.836735   0.004817
+""",
+        """\
+label,omega_i,resonant_period_us,g,n_opt,shift_ratio,shifted_period_us,g_blocked
+C3,2.75258430448,6.84794863172,0.0673851950094,3,,,
+C4,2.68623382309,7.01709425275,0.0238994949366,9,-0.0254765776742,6.83832270597,0.0252545490615
+C8,2.68653993359,7.01629470899,0.00455228474983,49,-0.0255917433073,6.83673549583,0.00481746074262
+""",
+    ),
+    "c3_c21": (
+        ["--blockade", "C21"],
+        """\
+blockade spin: C21  harmonic: k=3
+label       omega_i        T_r          g  N_opt      shift  T_shifted  g_blocked
+C3         2.752584   6.847949   0.067385      3   0.001056   6.855183   0.124229
+C21        2.741449   6.875765   0.005690     40          -          -          -
+""",
+        """\
+label,omega_i,resonant_period_us,g,n_opt,shift_ratio,shifted_period_us,g_blocked
+C3,2.75258430448,6.84794863172,0.0673851950094,3,0.00105638034988,6.85518267009,0.124229183823
+C21,2.74144859422,6.87576486433,0.00569035593729,40,,,
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", COMPARE_PINS)
+def test_compare_output_is_pinned(config, tmp_path, capsys):
+    """compare's stdout and CSV, byte for byte."""
+    extra, stdout, csv_text = COMPARE_PINS[config]
+    out = tmp_path / "compare.csv"
+    argv = ["compare", "--config", str(CONFIG_DIR / f"{config}.yaml"), *extra, "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == stdout + f"wrote {out}\n"
+    assert out.read_bytes() == csv_text.replace("\n", "\r\n").encode()
+
+
 def test_degenerate_compare_prints_nothing(tmp_path, capsys):
     """Two spins with equal couplings make the blockade row a usage error,
     raised before the title and header lines are printed."""
