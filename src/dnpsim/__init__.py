@@ -2,19 +2,15 @@
 
 from .analytic import (
     BlockadePair,
-    BlockadeShift,
     DarkBrightDecomposition,
     EffectiveSpinParams,
     SideDip,
     ThreeLevelSystem,
     blockade_pair,
-    blockade_rabi,
-    blockade_shift,
     dark_bright,
     effective_params,
     optimal_pulse_count,
     polarisation_ceiling,
-    shifted_crossing_frequency,
     side_dips,
     single_spin_polarisation,
     three_level_eigensystem,
@@ -62,7 +58,6 @@ from .floquet import (
 from .linalg import (
     EigenDecomposition,
     hermitian_eigensolve,
-    matrix_exponential_hermitian,
     unitary_eigensolve,
 )
 from .protocols import (

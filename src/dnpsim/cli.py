@@ -22,13 +22,7 @@ from math import inf, isfinite, pi
 
 import numpy as np
 
-from .analytic import (
-    blockade_pair,
-    blockade_rabi,
-    blockade_shift,
-    effective_params,
-    optimal_pulse_count,
-)
+from .analytic import blockade_pair, effective_params, optimal_pulse_count
 from .engine import ScheduleStage, run_schedule, sweep_trace, write_schedule_csv, write_trace_csv
 from .errors import DnpsimError, NumericalError, ValidationError
 from .floquet import compute_spectrum, find_crossings, local_minima, write_spectrum_csv
@@ -107,11 +101,10 @@ def _cmd_sweep(args) -> int:
         _builder(args), register, grid, n_periods=args.n_periods, repetitions=args.reps,
         wait_us=args.wait_us, reinit_state=args.reinit,
     )
-    scale = (-1.0 if args.flip_sign else 1.0) * args.scale
-    total = (scale * trace.values).sum(axis=1)
+    total = (args.scale * trace.values).sum(axis=1)
     tau = TAU_PER_PERIOD[args.protocol]
     if args.out:
-        write_trace_csv(trace, args.out, tau, scale)
+        write_trace_csv(trace, args.out, tau, args.scale)
     t = trace.periods
     m = int(np.argmax(total))
     t_peak, v_peak = t[m], total[m]
@@ -177,8 +170,7 @@ def _cmd_schedule(args) -> int:
         _builder(args), register, stages, n_periods=args.n_periods, wait_us=args.wait_us,
         reinit_state=args.reinit,
     )
-    sign = -1.0 if args.flip_sign else 1.0
-    values = sign * args.scale * result.values
+    values = args.scale * result.values
     if args.out:
         write_schedule_csv(replace(result, values=values), args.out)
     final = values[-1]
@@ -206,12 +198,11 @@ def _cmd_compare(args) -> int:
         p = effective_params(spin, register.larmor, 2 * pi * k / omega_i, k)
         n_opt = optimal_pulse_count(p) if p.g > 0 else 0
         if spin.label == strong_spin.label:
-            shift = t_shift = g_blocked = None
+            blocked = (None, None, None)
         else:
-            bs = blockade_shift(strong_spin, spin, register.larmor, harmonic=k)
             pair = blockade_pair(effective_params(strong_spin, register.larmor, p.period, k), p)
-            shift, t_shift, g_blocked = bs.ratio, bs.shifted_period, blockade_rabi(pair)
-        rows.append((spin.label, p, n_opt, shift, t_shift, g_blocked))
+            blocked = (pair.ratio, pair.shifted_period, pair.rabi)
+        rows.append((spin.label, p, n_opt, *blocked))
     # Every row is computed before the first line is printed, so a usage
     # error leaves stdout empty.
     _say(f"blockade spin: {strong_spin.label}  harmonic: k={k}")
@@ -266,8 +257,6 @@ def _add_run(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--wait-us", type=float, default=0.0, help="wait between repetitions")
     sub.add_argument("--reinit", type=int, choices=(0, 1), default=0,
                      help="electron reset state index")
-    sub.add_argument("--flip-sign", action="store_true",
-                     help="negate reported polarisations")
     sub.add_argument("--scale", type=_finite, default=1.0,
                      help="multiply reported polarisations (2 maps spin-1/2 onto [-1, 1])")
 

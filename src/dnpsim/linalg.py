@@ -166,9 +166,3 @@ def _phase_sorted(lam: np.ndarray, v: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(
         np.take_along_axis(lam, order, -1), np.take_along_axis(v, order[..., None, :], -1)
     )
-
-
-def matrix_exponential_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """``exp(-i H t)`` for Hermitian ``H`` via eigendecomposition; the
-    eigensolver raises NotHermitian."""
-    return hermitian_eigensolve(h).propagator(t)

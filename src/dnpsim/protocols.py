@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidTau, NotIdealPulses, NotUnitary, SectorLeak, ValidationError
 from .errors import ValidityWarning
-from .linalg import UNITARY_TOL, matrix_exponential_hermitian, unitarity_defect
+from .linalg import UNITARY_TOL, hermitian_eigensolve, unitarity_defect
 from .spins import (
     SpinRegister,
     build_operators,
@@ -111,11 +111,6 @@ class PulseSequence:
             raise ValidationError(
                 f"events: durations sum to {total!r}, period is {self.period!r}"
             )
-
-    def is_ideal(self) -> bool:
-        return all(
-            e.duration == 0.0 for e in self.events if e.kind is EventKind.ROTATION
-        )
 
 
 def _rot(angle: float, phase: float, duration: float = 0.0) -> PulseEvent:
@@ -312,7 +307,7 @@ def _finite_step(event: PulseEvent, register: SpinRegister) -> np.ndarray:
     ops = build_operators(register)
     s_phi = cos(event.phase) * ops.electron.x + sin(event.phase) * ops.electron.y
     h0 = static_hamiltonian(register, ops)
-    step = matrix_exponential_hermitian(h0 * event.duration + event.angle * s_phi, 1.0)
+    step = hermitian_eigensolve(h0 * event.duration + event.angle * s_phi).propagator(1.0)
     step.setflags(write=False)
     return step
 
@@ -397,16 +392,13 @@ def average_hamiltonian_numeric(
     leftover Iz coefficient is the detuning from the chosen frame. The
     default frame is the protocol frequency 2 pi k / T, which coincides
     with omega_I exactly on resonance. Integration is a midpoint rule with
-    ``n_steps`` uniform steps over one period. Raises NotIdealPulses if the
-    sequence is not the 4 tau polarisation bracket, or carries
-    finite-duration pulses.
+    ``n_steps`` uniform steps over one period, which reads only the period
+    and harmonic of ``seq``. Raises NotIdealPulses unless ``seq`` is exactly
+    ``pulsepol_for_period(seq.period, seq.harmonic)``, the ideal 4 tau
+    polarisation bracket with equal gaps.
     """
-    if seq.label != "pulsepol":
-        raise NotIdealPulses(
-            f"average Hamiltonian is defined for the 4 tau polarisation bracket, got {seq.label!r}"
-        )
-    if not seq.is_ideal():
-        raise NotIdealPulses("sequence has finite-duration pulses")
+    if seq != pulsepol_for_period(seq.period, seq.harmonic):
+        raise NotIdealPulses(f"{seq.label!r} is not the ideal 4 tau polarisation bracket")
 
     period = seq.period
     omega = frame_frequency if frame_frequency is not None else 2.0 * pi * seq.harmonic / period

@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 
 from dnpsim import (
     blockade_pair,
-    blockade_rabi,
-    blockade_shift,
     dark_bright,
     effective_params,
     optimal_pulse_count,
     polarisation_ceiling,
     precession_frequency,
     resonant_period,
-    shifted_crossing_frequency,
     side_dips,
     single_spin_polarisation,
     three_level_eigensystem,
@@ -37,6 +34,12 @@ def params_for(label, period=None, harmonic=3):
     if period is None:
         period = resonant_period(precession_frequency(spin, LARMOR), harmonic)
     return effective_params(spin, LARMOR, period, harmonic)
+
+
+def pair_for(strong, weak, harmonic=3):
+    """The blockade pair of two labels at the weak spin's resonant period."""
+    target = params_for(weak, harmonic=harmonic)
+    return blockade_pair(params_for(strong, target.period, harmonic), target)
 
 
 def test_effective_params_on_resonance():
@@ -149,27 +152,28 @@ def test_dark_bright_mixing_is_scale_free(scale, ratio):
 
 
 def test_blockade_shift_anchors():
-    reg = make_register("C3", "C21", "C16")
-    c3, c21, c16 = reg.nuclei
-    down = blockade_shift(c3, c21, LARMOR)
-    up = blockade_shift(c3, c16, LARMOR)
+    down = pair_for("C3", "C21")
+    up = pair_for("C3", "C16")
     assert down.ratio == pytest.approx(-0.1487411, abs=1e-6)
     assert up.ratio == pytest.approx(0.0804136, abs=1e-6)
-    assert down.base_period == pytest.approx(6.875765, abs=1e-5)
-    assert up.base_period == pytest.approx(6.797659, abs=1e-5)
-    assert down.shifted_period == pytest.approx(down.base_period * (1 + down.ratio), rel=1e-12)
+    assert down.weak.resonant_period == pytest.approx(6.875765, abs=1e-5)
+    assert up.weak.resonant_period == pytest.approx(6.797659, abs=1e-5)
+    assert down.shifted_period == pytest.approx(
+        down.weak.resonant_period * (1 + down.ratio), rel=1e-12
+    )
     # a blockade spin below the target in frequency pushes the dip up instead
-    assert up.shifted_period > up.base_period
+    assert up.shifted_period > up.weak.resonant_period
 
 
 def test_blockade_shift_rejects_degenerate_pair():
     reg = make_register("C4", "C8")
     c4, c8 = reg.nuclei
     near = c4.__class__(label="C4b", a_parallel=c4.a_parallel, a_perp=c4.a_perp)
+    period = resonant_period(precession_frequency(near, LARMOR))
     with pytest.raises(DegenerateSpins):
-        blockade_shift(c4, near, LARMOR)
+        blockade_pair(effective_params(c4, LARMOR, period), effective_params(near, LARMOR, period))
     # C4 and C8 are close but sit just outside the guard band
-    assert blockade_shift(c4, c8, LARMOR).ratio != 0
+    assert pair_for("C4", "C8").ratio != 0
 
 
 def test_blockade_pair_requires_common_period():
@@ -182,45 +186,35 @@ def test_blockade_pair_requires_common_period():
 
 
 def test_blockade_rabi_attenuation():
-    reg = make_register("C3", "C21")
-    c3, c21 = reg.nuclei
-    period = resonant_period(precession_frequency(c21, LARMOR))
-    pair = blockade_pair(
-        effective_params(c3, LARMOR, period), effective_params(c21, LARMOR, period)
-    )
-    rabi = blockade_rabi(pair)
-    bare = 2 * effective_params(c21, LARMOR, period).g
-    assert rabi == pytest.approx(bare * math.sin(pair.theta_p / 2), rel=1e-12)
+    pair = pair_for("C3", "C21")
+    bare = 2 * pair.weak.g
+    assert pair.rabi == pytest.approx(bare * math.sin(pair.theta_p / 2), rel=1e-12)
     # deep in the blockade the mixing angle tends to pi/2, so the width
     # settles near 1/sqrt(2) of the bare splitting rather than collapsing
-    assert 0.5 * bare < rabi < bare
-    assert rabi == pytest.approx(0.0077, abs=0.0005)
+    assert 0.5 * bare < pair.rabi < bare
+    assert pair.rabi == pytest.approx(0.0077, abs=0.0005)
 
 
 def test_shifted_crossing_anchors():
-    reg = make_register("C3", "C21", "C16")
-    c3, c21, c16 = reg.nuclei
-    assert shifted_crossing_frequency(c3, c21, LARMOR) == pytest.approx(3.1492146, abs=1e-6)
-    assert shifted_crossing_frequency(c3, c16, LARMOR) == pytest.approx(2.5499653, abs=1e-6)
+    assert pair_for("C3", "C21").crossing_frequency == pytest.approx(3.1492146, abs=1e-6)
+    assert pair_for("C3", "C16").crossing_frequency == pytest.approx(2.5499653, abs=1e-6)
 
 
-def test_shifted_crossing_matches_perturbative_ratio():
-    reg = make_register("C3", "C16")
-    c3, c16 = reg.nuclei
-    omega_s = precession_frequency(c16, LARMOR)
-    omega_b = precession_frequency(c3, LARMOR)
-    period = resonant_period(omega_s)
-    g_blockade = effective_params(c3, LARMOR, period).g
-    first_order = omega_s + g_blockade**2 / (omega_b - omega_s)
-    exact = shifted_crossing_frequency(c3, c16, LARMOR)
-    assert exact == pytest.approx(first_order, rel=5e-3)
+@pytest.mark.parametrize("strong, weak", [("C3", "C21"), ("C3", "C16"), ("C4", "C8")])
+def test_crossing_period_is_the_exact_form_of_the_shift(strong, weak):
+    """2 pi k / crossing_frequency is T_r / (1 - ratio) exactly, and the
+    first-order shifted_period falls short of it by T_r ratio^2 / (1 - ratio)."""
+    pair = pair_for(strong, weak)
+    t_r, ratio = pair.weak.resonant_period, pair.ratio
+    exact = 2 * math.pi * pair.weak.harmonic / pair.crossing_frequency
+    assert exact == pytest.approx(t_r / (1 - ratio), rel=1e-12)
+    assert (exact - pair.shifted_period) / t_r == pytest.approx(ratio**2 / (1 - ratio), rel=1e-12)
 
 
 def test_three_level_crossing_degeneracy():
     reg = make_register("C3", "C21")
     c3, c21 = reg.nuclei
-    omega_t = shifted_crossing_frequency(c3, c21, LARMOR)
-    period = 6 * math.pi / omega_t
+    period = 6 * math.pi / pair_for("C3", "C21").crossing_frequency
     sys = three_level_eigensystem(
         blockade_pair(
             effective_params(c3, LARMOR, period), effective_params(c21, LARMOR, period)

@@ -171,18 +171,18 @@ def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spect
     reg, t_r, _ = c21_spectrum
     builder = partial(pulsepol_for_period, rabi=300.0)
     maps, built = [], []
-    real_map, real_exp = floquet.period_roots, protocols.matrix_exponential_hermitian
+    real_map, real_eig = floquet.period_roots, protocols.hermitian_eigensolve
 
     def count_maps(seqs, register):
         maps.append(len(seqs))
         return real_map(seqs, register)
 
-    def count_exps(h, t):
-        built.append(t)
-        return real_exp(h, t)
+    def count_eigs(h):
+        built.append(h)
+        return real_eig(h)
 
     monkeypatch.setattr(floquet, "period_roots", count_maps)
-    monkeypatch.setattr(protocols, "matrix_exponential_hermitian", count_exps)
+    monkeypatch.setattr(protocols, "hermitian_eigensolve", count_eigs)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
     protocols._finite_step.cache_clear()
     compute_spectrum(builder, reg, np.linspace(t_r - 0.12, t_r + 0.12, 41))

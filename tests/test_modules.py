@@ -163,3 +163,11 @@ def test_every_benchmark_trace_hook_still_resolves():
         if owner is None:
             missing.append(f"{module_name}.{attr_path}")
     assert child.HOOKS and missing == []
+
+
+def test_source_stays_within_the_line_budget():
+    """``wc -l src/dnpsim/*.py`` stays at most 2866 lines; a ``telemetry.py``
+    has a budget of its own of up to 120 lines."""
+    lines = {path.name: path.read_bytes().count(b"\n") for path in SRC.glob("*.py")}
+    assert lines.pop("telemetry.py", 0) <= 120
+    assert sum(lines.values()) <= 2866, lines

@@ -40,7 +40,7 @@ def test_polarisation_period_structure():
     assert kinds.count(EventKind.FREE_EVOLUTION) == 8
     free_total = sum(e.duration for e in seq.events if e.kind is EventKind.FREE_EVOLUTION)
     assert free_total == pytest.approx(seq.period)  # ideal pulses take no time
-    assert seq.is_ideal()
+    assert all(e.duration == 0.0 for e in seq.events if e.kind is EventKind.ROTATION)
     # Finite pulses keep the layout: each pi is two pi/2 events of one phase.
     kinds = [e.kind for e in pulsepol_for_period(4 * 1.7, rabi=500.0).events]
     assert kinds.count(EventKind.ROTATION) == 16
@@ -166,7 +166,7 @@ def test_finite_pulses_must_fit():
 
 def test_finite_sequence_keeps_period():
     seq = pulsepol_for_period(4 * 1.7, rabi=500.0)
-    assert not seq.is_ideal()
+    assert all(e.duration > 0.0 for e in seq.events if e.kind is EventKind.ROTATION)
     total = sum(e.duration for e in seq.events)
     assert total == pytest.approx(seq.period)
 
@@ -376,6 +376,21 @@ def test_averaged_generator_requires_ideal_polarisation_block(reg_c3):
         average_hamiltonian_numeric(cpmg_for_period(2 * 1.7), reg_c3)
     with pytest.raises(NotIdealPulses):
         average_hamiltonian_numeric(pulsepol_for_period(4 * 1.7, rabi=500.0), reg_c3)
+
+
+def test_averaged_generator_reads_the_events_not_the_label(reg_c3):
+    """Only the ideal, equally spaced bracket passes: CPMG events labelled
+    "pulsepol", and the bracket with unequal gaps, are both refused."""
+    cpmg = cpmg_for_period(4 * 1.7, harmonic=3)
+    with pytest.raises(NotIdealPulses):
+        average_hamiltonian_numeric(PulseSequence(cpmg.events, cpmg.period, 3, "pulsepol"), reg_c3)
+    seq = pulsepol_for_period(4 * 1.7)
+    gaps = [i for i, e in enumerate(seq.events) if e.kind is EventKind.FREE_EVOLUTION]
+    events = list(seq.events)
+    events[gaps[0]] = PulseEvent(EventKind.FREE_EVOLUTION, duration=seq.events[gaps[0]].duration + 0.1)
+    events[gaps[1]] = PulseEvent(EventKind.FREE_EVOLUTION, duration=seq.events[gaps[1]].duration - 0.1)
+    with pytest.raises(NotIdealPulses):
+        average_hamiltonian_numeric(PulseSequence(tuple(events), seq.period, 3, "pulsepol"), reg_c3)
 
 
 def test_resonant_period_definition():
