@@ -263,8 +263,8 @@ class BlockadePair:
     def ratio(self) -> float:
         """Relative displacement of the target resonance, -G^2 / (omega_target
         delta_minus). A blockade spin above the target in frequency pushes
-        the dip to shorter periods."""
-        return -(self.strong.g**2) / (self.weak.omega_i * self.delta_minus)
+        the dip to shorter periods; 0, without a sign, when G is 0."""
+        return 0.0 - self.strong.g**2 / (self.weak.omega_i * self.delta_minus)
 
     @property
     def shifted_period(self) -> float:

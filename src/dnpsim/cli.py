@@ -8,7 +8,7 @@ resonance table against the engine's conventions).
 Exit codes: 0 on success, 1 for configuration or argument problems, 2 for
 numerical failures, 141 (the status of a writer killed by SIGPIPE) when the
 reader of stdout closes it early, as ``| head`` does; that last case prints
-nothing on stderr.
+nothing on stderr. Each warning is one ``warning: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 from math import inf, isfinite, pi
@@ -48,6 +49,11 @@ def _say(line: str) -> None:
         print(line)
     except BrokenPipeError as exc:
         raise _StdoutClosed from exc
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` for the CLI: the message alone, one line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _finite(text: str) -> float:
@@ -296,6 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _main(argv)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
+from itertools import count
 from math import inf
 from typing import Callable, NamedTuple
 
@@ -39,37 +38,55 @@ MAX_REFINE_DEPTH = 6
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
+#: The phase on electron-down states that makes every ideal PulsePol map
+#: complex symmetric (found, not derived: ``unitary_eigensolve`` checks it).
+_DOWN_PHASE = np.exp(0.75j * np.pi)
+
+
 class _Sectors(NamedTuple):
     """The eigenspaces of the parity a period conserves, or the whole space
     as one sector (axis None). Q_z is (-1)^popcount(i) on basis state i, the
     electron being its top bit, and Q_x = H_e Q_z H_e; index[s] lists the
-    states of sector s, Q = +1 then -1, taken after H_e for Q_x."""
+    states of sector s, Q = +1 then -1, taken after H_e for Q_x. phase[s]
+    is the diagonal of the phase P on sector s: ``_DOWN_PHASE`` on the
+    electron-down states of Q_z, None (P = 1) for Q_x and the whole space.
+    The blocks are those of P U P*, symmetric for ideal PulsePol and CPMG
+    maps, so ``unitary_eigensolve`` solves them in real arithmetic."""
 
     axis: str | None
     index: np.ndarray
+    phase: np.ndarray | None
 
     @classmethod
     def of(cls, seq, dim: int) -> _Sectors:
         axis = conserved_parity(seq)
-        return cls(axis, parity_sectors(dim, 1 if axis is None else 2))
+        index = parity_sectors(dim, 1 if axis is None else 2)
+        phase = np.where(index >= dim // 2, _DOWN_PHASE, 1.0) if axis == "z" else None
+        return cls(axis, index, phase)
 
     def blocks(self, u: np.ndarray) -> np.ndarray:
-        """The (P, S, n, n) sector blocks of a (P, D, D) stack, through
-        ``protocols.sector_blocks``: SectorLeak above SECTOR_TOL."""
+        """The (P, S, n, n) sector blocks of P U P* for a (P, D, D) stack U,
+        through ``protocols.sector_blocks``: SectorLeak above SECTOR_TOL."""
         if self.axis is None:
             return u[:, None]
         if self.axis == "x":
             for _ in range(2):  # H_e U, then (H_e (H_e U)^T)^T = H_e U H_e
                 u = mix_electron_rows(_HADAMARD, u).swapaxes(1, 2)
-        return sector_blocks(u, self.index, 0, "period map", f"Q_{self.axis}")
+        blocks = sector_blocks(u, self.index, 0, "period map", f"Q_{self.axis}")
+        if self.phase is not None:
+            blocks *= self.phase[:, :, None] * self.phase[:, None, :].conj()
+        return blocks
 
     def vectors(self, blocks: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
-        """Write into the (D, D) ``out``, in the computational basis, the
-        ``columns`` of a point's (S, n, n) eigenvector blocks, column k of
+        """Write into the (D, D) ``out``, in the computational basis, P* times
+        the ``columns`` of a point's (S, n, n) eigenvector blocks, column k of
         block s being s n + k."""
         s, k = np.divmod(columns, blocks.shape[-1])
         out.fill(0.0)
-        out[self.index[s].T, np.arange(k.size)] = blocks[s, :, k].T
+        cols = blocks[s, :, k].T
+        if self.phase is not None:
+            cols = cols * self.phase[s].T.conj()
+        out[self.index[s].T, np.arange(k.size)] = cols
         if self.axis == "x":
             out[...] = mix_electron_rows(_HADAMARD, out[None])[0]
 
@@ -136,31 +153,38 @@ def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]
 
 
 def _stitch(
-    a: _Point,
-    b: _Point,
+    intervals: list[tuple[float, _Point, float, _Point]],
     solve: Callable[[list[float]], list[_Point]],
-    t_a: float,
-    t_b: float,
     depth: int,
     capped: list[float],
-) -> np.ndarray:
-    """Branch permutation from a to b, matched inside each sector; the
+) -> list[np.ndarray]:
+    """The branch permutation from a to b of each (t_a, a, t_b, b) interval,
+    matched inside each sector. Intervals whose worst overlap is below
+    STITCH_OVERLAP are bisected, and the midpoints of one level are solved
+    together by ``solve``, which maps a list of periods to their points; the
     worst overlap of every interval accepted at the depth cap below
-    STITCH_OVERLAP is appended to capped. ``solve`` maps a grid chunk to
-    its points."""
-    local, worst = _greedy_match(a.vectors, b.vectors)
-    flat = (local + local.shape[1] * np.arange(len(local))[:, None]).ravel()
-    perm = np.argsort(b.order)[flat[a.order]]
-    if worst >= STITCH_OVERLAP:
-        return perm
-    if depth >= MAX_REFINE_DEPTH:
-        capped.append(worst)
-        return perm
-    t_mid = 0.5 * (t_a + t_b)
-    (mid,) = solve([t_mid])
-    left = _stitch(a, mid, solve, t_a, t_mid, depth + 1, capped)
-    right = _stitch(mid, b, solve, t_mid, t_b, depth + 1, capped)
-    return right[left]
+    STITCH_OVERLAP is appended to capped."""
+    perms, split = [], []
+    for i, (_, a, _, b) in enumerate(intervals):
+        local, worst = _greedy_match(a.vectors, b.vectors)
+        flat = (local + local.shape[1] * np.arange(len(local))[:, None]).ravel()
+        perms.append(np.argsort(b.order)[flat[a.order]])
+        if worst >= STITCH_OVERLAP:
+            continue
+        if depth >= MAX_REFINE_DEPTH:
+            capped.append(worst)
+        else:
+            split.append(i)
+    if split:
+        t_mid = [0.5 * (intervals[i][0] + intervals[i][2]) for i in split]
+        halves = []
+        for i, t, mid in zip(split, t_mid, solve(t_mid)):
+            t_a, a, t_b, b = intervals[i]
+            halves += [(t_a, a, t, mid), (t, mid, t_b, b)]
+        refined = _stitch(halves, solve, depth + 1, capped)
+        for j, i in enumerate(split):
+            perms[i] = refined[2 * j + 1][refined[2 * j]]
+    return perms
 
 
 @dataclass(frozen=True)
@@ -199,14 +223,17 @@ def compute_spectrum(
     still ambiguous at that depth, one ValidityWarning gives their number
     and the worst overlap accepted.
 
-    Grid points are built in chunks that fit ``linalg.CHUNK_BYTES``; a
-    bisection midpoint is a chunk of one. A chunk's stacked ``period_roots``
+    Grid points are built in chunks that fit ``linalg.CHUNK_BYTES``, and
+    the bisection midpoints of one refinement level within a chunk are built
+    together, in chunks of the same size. A chunk's stacked ``period_roots``
     are cut into the sector blocks of the parity the first period conserves
     (``protocols.conserved_parity``; SectorLeak above SECTOR_TOL), or kept
     whole, squared where a root is a half period, and solved by one stacked
     ``unitary_eigensolve``, which checks each map's blocks once for
-    unitarity. Branches are stitched inside their sector. Chunks are
-    solved one after another in this process and stitched as they arrive.
+    unitarity, and solves them in real arithmetic when they are symmetric
+    (ideal PulsePol after the phase of ``_Sectors``, and CPMG). Branches are
+    stitched inside their sector. Chunks are solved one after another in
+    this process and stitched as they arrive.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -218,29 +245,40 @@ def compute_spectrum(
     # blocks: the squared map, the Hermitian part, its eigenvectors, U V and
     # the residual: at most eight D x D complex matrices of 16 D^2 bytes.
     size = chunk_points(8 * 16 * register.dim**2)
-    chunks = [grid[i : i + size] for i in range(0, grid.size, size)]
-    # Points are stitched as they arrive, so only one chunk is held besides
-    # the branch-ordered arrays.
-    solve = partial(_spectrum_points, builder, register, sectors=sectors)
-    points = chain.from_iterable(map(solve, chunks))
-    prev = next(points)
-    dim = prev.phases.size
+
+    def solve(periods) -> list[_Point]:
+        return [
+            point
+            for i in range(0, len(periods), size)
+            for point in _spectrum_points(builder, register, periods[i : i + size], sectors)
+        ]
+
+    dim = register.dim
     axis = np.empty(grid.size)
     phases = np.empty((grid.size, dim))
     vectors = np.empty((grid.size, dim, dim), dtype=complex)
-    axis[0], phases[0] = prev.period, prev.phases
-    labels = None if sectors.axis is None else 1 - 2 * (prev.order // (dim // 2))
-    prev_perm = np.arange(dim)
-    sectors.vectors(prev.vectors, prev.order, vectors[0])
-    capped: list[float] = []
-    for i, point in enumerate(points, start=1):
-        step = _stitch(prev, point, solve, grid[i - 1], grid[i], 0, capped)
-        perm = step[prev_perm]
+
+    def record(i: int, point: _Point, perm: np.ndarray) -> None:
         axis[i] = point.period
         phases[i] = point.phases[perm]
         sectors.vectors(point.vectors, point.order[perm], vectors[i])
-        prev = point
-        prev_perm = perm
+
+    # Points are stitched as they arrive, so only one chunk and its
+    # midpoints are held besides the branch-ordered arrays.
+    perm = np.arange(dim)
+    tail: list[_Point] = []  # the last point of the previous chunk
+    capped: list[float] = []
+    for start in range(0, grid.size, size):
+        points = tail + solve(grid[start : start + size])
+        t = grid[start - len(tail) : start + size]
+        if not tail:
+            labels = None if sectors.axis is None else 1 - 2 * (points[0].order // (dim // 2))
+            record(0, points[0], perm)
+        steps = _stitch(list(zip(t, points, t[1:], points[1:])), solve, 0, capped)
+        for i, step, point in zip(count(start - len(tail) + 1), steps, points[1:]):
+            perm = step[perm]
+            record(i, point, perm)
+        tail = points[-1:]
     if capped:
         warnings.warn(
             f"{len(capped)} stitch interval(s) reached refinement depth "

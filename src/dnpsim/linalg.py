@@ -26,6 +26,9 @@ EIG_PHASE_OFFSET = 0.6180339887498949
 #: Largest max |U V - V diag(lambda)| the one-eigh path may leave.
 EIG_RESIDUAL_TOL = 1e-10
 
+#: Largest max |U - U^T| of a stack the unitary eigensolve solves in real arithmetic.
+SYMMETRY_TOL = 1e-12
+
 #: Bytes of working set a batched computation over a grid may hold at once.
 CHUNK_BYTES = 4 * 2**20
 
@@ -115,6 +118,12 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
     to 2 theta + pi: the matrices of a stack that fail are solved again, as
     one stack, at theta + pi/2 under the same gate.
 
+    A stack with max |U - U^T| <= ``SYMMETRY_TOL`` is solved in real
+    arithmetic: U = A + iB with A, B real symmetric and commuting, so U has
+    a real orthogonal eigenbasis (Takagi), and the Hermitian part is the
+    real symmetric cos(theta) A + sin(theta) B. Its eigenvectors come back
+    real. Any other stack is solved in complex arithmetic.
+
     Returns eigenvalues sorted by eigenphase in (-pi, pi], of shape (n,)
     for one matrix and (P, n) for a stack, with the matching eigenvectors.
     Raises NotUnitary if ``U^dag U`` deviates from identity by more than
@@ -127,6 +136,8 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARY_TOL}")
 
     stack = u.reshape((-1,) + u.shape[-2:])
+    if np.max(np.abs(stack - stack.swapaxes(1, 2))) <= SYMMETRY_TOL:
+        stack = np.stack((stack.real, stack.imag), axis=1)
     lam, v, residual = _offset_eigensolve(stack, EIG_PHASE_OFFSET)
     fail = np.flatnonzero(~(residual <= EIG_RESIDUAL_TOL))
     if fail.size:
@@ -143,14 +154,28 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
 def _offset_eigensolve(stack: np.ndarray, theta: float) -> tuple[np.ndarray, ...]:
     """The Rayleigh quotients (P, n), eigenvectors (P, n, n) and residuals
     max |U V - V diag(lambda)| (P,) of a (P, n, n) unitary stack, from one
-    stacked ``eigh`` of the Hermitian parts of e^{-i theta} U."""
-    h = stack * np.exp(-1j * theta)
-    h += h.conj().swapaxes(-1, -2)
-    h *= 0.5
+    stacked ``eigh`` of the Hermitian parts of e^{-i theta} U. A real
+    (P, 2, n, n) stack holds (Re U, Im U) of symmetric maps: the Hermitian
+    parts are then cos(theta) Re U + sin(theta) Im U, the eigenvectors are
+    real, and U V is formed as (Re U) V and (Im U) V."""
+    pair = stack.ndim == 4
+    if pair:
+        h = stack[:, 0] * np.cos(theta)
+        h += stack[:, 1] * np.sin(theta)
+    else:
+        h = stack * np.exp(-1j * theta)
+        h += h.conj().swapaxes(-1, -2)
+        h *= 0.5
     try:
         _, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+    if pair:
+        uv = stack @ v[:, None]
+        parts = np.einsum("pij,pkij->pkj", v, uv)
+        uv -= v[:, None] * parts[..., None, :]
+        lam = parts[:, 0] + 1j * parts[:, 1]
+        return lam, v, np.max(np.hypot(uv[:, 0], uv[:, 1]), axis=(1, 2))
     uv = stack @ v
     lam = np.einsum("pij,pij->pj", v.conj(), uv)
     uv -= v * lam[:, None, :]

@@ -472,20 +472,29 @@ def _periodic(
         raise ValidationError(f"rabi: must be finite and > 0, got {rabi}")
     if not 0 < period < inf:
         raise InvalidTau(f"period must be finite and > 0, got {period}")
-    groups = [
-        [_rot(angle, phase, 0.0 if rabi is None else angle / rabi) for angle, phase in group]
-        for group in table
-    ]
-    pulsed = sum(e.duration for group in groups for e in group)
+    groups, pulsed = _pulse_groups(table, rabi)
     gap = (period / 2.0 - pulsed) / (len(groups) - 1)
     if gap < 0:
         raise InvalidTau(
             f"period = {period} cannot fit {label} pulses; need period >= {2 * pulsed:.6g}"
         )
+    free = _free(gap)
     half = groups[0]
     for group in groups[1:]:
-        half = [*half, _free(gap), *group]
-    return PulseSequence(tuple(half + half), period, harmonic, label)
+        half += (free, *group)
+    return PulseSequence(half + half, period, harmonic, label)
+
+
+@lru_cache(maxsize=16)
+def _pulse_groups(table: tuple, rabi: float | None) -> tuple[tuple, float]:
+    """The pulse events of each group of a half-period ``table``, lasting 0
+    with ``rabi`` None and angle / rabi otherwise, and their total duration;
+    cached, so every period of one protocol shares its pulse events."""
+    groups = tuple(
+        tuple(_rot(angle, phase, 0.0 if rabi is None else angle / rabi) for angle, phase in group)
+        for group in table
+    )
+    return groups, sum(e.duration for group in groups for e in group)
 
 
 def pulsepol_for_period(

@@ -233,6 +233,37 @@ def test_compare_output_is_pinned(config, tmp_path, capsys):
     assert out.read_bytes() == csv_text.replace("\n", "\r\n").encode()
 
 
+@pytest.mark.parametrize(
+    "argv, warned",
+    [
+        (["compare", "--config", str(CONFIG_DIR / "c3_c4_c8.yaml"), "--blockade", "C8",
+          "--harmonic", "5"], "zero flip-flop rate"),
+        (["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3",
+          "--rabi", "20"], "pulse errors will be visible"),
+        (["spectrum", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "3",
+          "--rabi", "20"], "pulse errors will be visible"),
+    ],
+    ids=["compare-k5", "sweep", "spectrum"],
+)
+def test_warnings_are_one_line_each(argv, warned):
+    """Each warning is one "warning: ..." line on stderr, without the source
+    file and code line Python would print. At k = 5 every g is 0, so every
+    shift is 0, printed without a sign."""
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnpsim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: ") for line in lines)
+    assert all(warned in line for line in lines)
+    assert ".py" not in proc.stderr
+    assert "-0.0" not in proc.stdout
+    if argv[0] == "compare":
+        assert [row.split()[5] for row in proc.stdout.splitlines()[2:4]] == ["0.000000"] * 2
+
+
 def test_degenerate_compare_prints_nothing(tmp_path, capsys):
     """Two spins with equal couplings make the blockade row a usage error,
     raised before the title and header lines are printed."""

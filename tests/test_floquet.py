@@ -123,8 +123,10 @@ def test_stitching_warns_once_at_the_depth_cap(monkeypatch):
 
 def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     """On a coarse 41-point grid around the C21 resonance, with chunks of
-    8 points, the period map and the eigensolve run once per chunk and once
-    per bisection midpoint, and the spectrum is the one-chunk spectrum."""
+    8 points, the period map and the eigensolve run once per chunk, the
+    bisection midpoints of one refinement level within a chunk are built
+    together, every map is built and solved once, and the spectrum is the
+    one-chunk spectrum."""
     reg, t_r, _ = c21_spectrum
     grid = np.linspace(t_r - 2.4, t_r + 2.4, 41)
     want = compute_spectrum(pulsepol_for_period, reg, grid)
@@ -157,10 +159,39 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     chunks = [c for c in maps if c[0] in got.periods]
     assert [len(c) for c in chunks] == [8] * 5 + [1]
     assert np.array_equal([t for c in chunks for t in c], got.periods)
-    assert len(maps) == len(chunks) + midpoints
-    assert all(len(c) == 1 for c in maps if c not in chunks)
+    mids = [t for c in maps if c not in chunks for t in c]
+    assert len(mids) == len(set(mids)) == midpoints
+    assert len(maps) - len(chunks) < midpoints
     # Ideal PulsePol conserves Q_z: each map is solved as its two sector blocks.
     assert eigs == [2 * len(c) for c in maps]
+    assert np.array_equal(got.phases, want.phases)
+    assert np.array_equal(got.vectors, want.vectors)
+
+
+def test_midpoints_are_solved_in_chunks_of_the_chunk_size(monkeypatch, c21_spectrum):
+    """With every interval taken as ambiguous and two refinement levels, a
+    level's midpoints within a grid chunk outnumber the 8 points a chunk
+    holds and are solved in chunks of at most 8; the spectrum is the one
+    of one grid chunk, whose levels are solved whole."""
+    reg, t_r, _ = c21_spectrum
+    grid = np.linspace(t_r - 0.12, t_r + 0.12, 17)
+    monkeypatch.setattr(floquet, "STITCH_OVERLAP", 2.0)
+    monkeypatch.setattr(floquet, "MAX_REFINE_DEPTH", 2)
+    with pytest.warns(ValidityWarning, match="^64 stitch interval"):
+        want = compute_spectrum(pulsepol_for_period, reg, grid)
+    maps = []
+    real_map = floquet.period_roots
+
+    def count_maps(seqs, register):
+        maps.append(len(seqs))
+        return real_map(seqs, register)
+
+    monkeypatch.setattr(floquet, "period_roots", count_maps)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
+    with pytest.warns(ValidityWarning, match="^64 stitch interval"):
+        got = compute_spectrum(pulsepol_for_period, reg, grid)
+    # Per grid chunk: its points, then level 0's midpoints, then level 1's.
+    assert maps == [8, 7, 8, 6] + [8, 8, 8, 8] + [1, 1, 2]
     assert np.array_equal(got.phases, want.phases)
     assert np.array_equal(got.vectors, want.vectors)
 
@@ -480,6 +511,37 @@ def test_blocked_eigensolve_matches_the_grouped_solver(config, protocol):
             assert np.max(np.abs(have - want)) <= 1e-12 + 2.0 * residual / gap
 
 
+@pytest.mark.parametrize("protocol", SECTOR_BUILDERS)
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_symmetric_maps_take_the_real_path(config, protocol):
+    """Ideal PulsePol blocks, after the electron phase of ``_Sectors``, and
+    CPMG blocks, ideal and finite, are symmetric: each is solved in real
+    arithmetic, and its eigenvectors are real. register27 is cut to 7
+    nuclei."""
+    register = shipped_register(config)
+    builder = SECTOR_BUILDERS[protocol]
+    grid = np.array([2.13, 2.41]) if protocol.startswith("cpmg") else np.array([6.71, 6.93])
+    sectors = floquet._Sectors.of(builder(grid[0]), register.dim)
+    for point in floquet._spectrum_points(builder, register, grid, sectors):
+        assert point.vectors.dtype == np.float64
+
+
+@pytest.mark.parametrize("protocol", [*SECTOR_BUILDERS, "pulsepol-rabi300"])
+def test_spectrum_vectors_are_eigenvectors_of_the_map(protocol):
+    """Every stored vector v_j of a spectrum, in the computational basis, has
+    U v_j = exp(-i phase_j) v_j for the period map U at its point, and the
+    vectors are orthonormal."""
+    register = shipped_register("c3_c4_c8.yaml")
+    builder = SECTOR_BUILDERS.get(protocol, partial(pulsepol_for_period, rabi=300.0))
+    grid = np.linspace(2.1, 2.5, 5) if protocol.startswith("cpmg") else np.linspace(6.6, 7.0, 5)
+    spec = compute_spectrum(builder, register, grid)
+    maps = period_unitary([builder(t) for t in spec.periods], register)
+    lam = np.exp(-1j * spec.phases)[:, None, :]
+    assert np.max(np.abs(maps @ spec.vectors - spec.vectors * lam)) <= linalg.EIG_RESIDUAL_TOL
+    gram = spec.vectors.conj().swapaxes(1, 2) @ spec.vectors
+    assert np.max(np.abs(gram - np.eye(register.dim))) <= 1e-12
+
+
 def test_finite_pulsepol_takes_the_full_path(monkeypatch, c21_spectrum):
     """Finite PulsePol conserves no parity: each eigensolve gets whole
     D x D maps, and the spectrum carries no sector labels."""
@@ -501,17 +563,19 @@ def test_finite_pulsepol_takes_the_full_path(monkeypatch, c21_spectrum):
 
 def test_sector_stitching_equals_the_full_greedy_match(five_spin_spectrum):
     """Matching inside each sector gives the permutation and worst overlap
-    of the greedy match on the whole eigenvector matrices."""
+    of the greedy match on the whole eigenvector matrices of the phased map
+    P U P* (P diagonal, so its overlaps are those of U's eigenvectors)."""
     register = five_spin_spectrum.register
     grid = np.linspace(6.6, 7.2, 61)
     sectors = floquet._Sectors.of(pulsepol_for_period(grid[0]), register.dim)
     points = floquet._spectrum_points(pulsepol_for_period, register, grid, sectors)
+    unphased = sectors._replace(phase=None)
     for a, b in zip(points, points[1:]):
         local, worst = floquet._greedy_match(a.vectors, b.vectors)
         capped = []
-        perm = floquet._stitch(a, b, None, 0.0, 1.0, floquet.MAX_REFINE_DEPTH, capped)
+        (perm,) = floquet._stitch([(0.0, a, 1.0, b)], None, floquet.MAX_REFINE_DEPTH, capped)
         full, full_worst = floquet._greedy_match(
-            _full_vectors(a, sectors), _full_vectors(b, sectors)
+            _full_vectors(a, unphased), _full_vectors(b, unphased)
         )
         assert np.array_equal(perm, full)
         assert worst == full_worst

@@ -228,6 +228,77 @@ def test_unitary_stack_equals_per_matrix_calls(fallbacks):
     assert np.angle(lam[2])[-2:].tolist() == [np.pi, np.pi]
 
 
+def symmetric_with_phases(phases, seed):
+    """Q diag(e^{i phi}) Q^T for a random real orthogonal Q: a symmetric unitary."""
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(phases),) * 2))[0]
+    return q @ np.diag(np.exp(1j * np.asarray(phases))) @ q.T
+
+
+def complex_path(u):
+    """The complex one-eigh solve at the offset, taken whatever the structure."""
+    lam, v, residual = linalg._offset_eigensolve(u.reshape(-1, *u.shape[-2:]), linalg.EIG_PHASE_OFFSET)
+    assert np.all(residual <= linalg.EIG_RESIDUAL_TOL)
+    lam, v = linalg._phase_sorted(lam, v)
+    return lam.reshape(u.shape[:-1]), v.reshape(u.shape)
+
+
+def test_symmetric_stack_is_solved_in_real_arithmetic(fallbacks):
+    """Symmetric unitaries, degenerate and +/- paired phases among them,
+    get real orthogonal eigenvectors that meet the gate."""
+    phases = [[0.4, -0.4, 1.3, -1.3, 2.9, 0.7], [0.7, 0.7, -1.1, 2.4, 2.4, -np.pi]]
+    stack = np.stack([symmetric_with_phases(p, 40 + i) for i, p in enumerate(phases)])
+    lam, v = unitary_eigensolve(stack)
+    assert v.dtype == np.float64
+    assert fallbacks == []
+    for u, p, w, x in zip(stack, phases, lam, v):
+        assert_sound_eigensystem(u, w, x)
+        assert np.allclose(np.angle(w), np.sort(np.where(np.array(p) == -np.pi, np.pi, p)), atol=1e-12)
+
+
+def test_nearly_symmetric_stack_keeps_the_complex_path():
+    """A symmetric stack turned by exp(-i 1e-9 H), unitary still but 1e-9
+    off symmetric, is solved by the complex path, bit for bit."""
+    rng = np.random.default_rng(41)
+    stack = np.stack([symmetric_with_phases(rng.uniform(-3, 3, 6), 42 + i) for i in range(3)])
+    assert unitary_eigensolve(stack).eigenvectors.dtype == np.float64
+    stack = stack @ hermitian_eigensolve(random_hermitian(6, rng)).propagator(1e-9)
+    assert 1e-10 < np.max(np.abs(stack - stack.swapaxes(1, 2))) < 1e-8
+    lam, v = unitary_eigensolve(stack)
+    want = complex_path(stack)
+    assert v.dtype == complex
+    assert np.array_equal(lam, want[0]) and np.array_equal(v, want[1])
+
+
+def test_finite_pulsepol_map_keeps_the_complex_path():
+    """Finite PulsePol maps are not symmetric: their solve is the complex
+    one, bit for bit."""
+    register = shipped_register("c3_c4_c8.yaml")
+    stack = period_unitary([pulsepol_for_period(t, rabi=300.0) for t in (6.7, 6.9)], register)
+    lam, v = unitary_eigensolve(stack)
+    want = complex_path(stack)
+    assert v.dtype == complex
+    assert np.array_equal(lam, want[0]) and np.array_equal(v, want[1])
+
+
+def test_symmetric_pair_mirrored_about_the_offset_falls_back(fallbacks):
+    theta = linalg.EIG_PHASE_OFFSET
+    phases = [theta + 0.3, theta - 0.3, 2.5, -0.9]
+    u = symmetric_with_phases(phases, 43)
+    lam, v = unitary_eigensolve(u)
+    assert fallbacks == [4]
+    assert v.dtype == np.float64
+    assert_sound_eigensystem(u, lam, v)
+    assert np.allclose(np.angle(lam), np.sort(phases), atol=1e-12)
+
+
+def test_symmetric_pairs_mirrored_about_both_offsets_raise(fallbacks):
+    theta = linalg.EIG_PHASE_OFFSET
+    phases = [theta + 0.3, theta - 0.3, theta + np.pi / 2 + 0.4, theta + np.pi / 2 - 0.4]
+    with pytest.raises(NoConvergence, match="at both phase offsets"):
+        unitary_eigensolve(symmetric_with_phases(phases, 44))
+    assert fallbacks == [4]
+
+
 @pytest.mark.parametrize("bad, error", [(np.nan, DimensionMismatch), (1.001, NotUnitary)])
 def test_unitary_stack_with_one_bad_matrix_raises(bad, error):
     """The finite-entry check comes first, then the unitarity check."""
