@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import count
 from math import inf
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class _Point(NamedTuple):
 
 
 def _spectrum_points(
-    builder: SequenceBuilder, register: SpinRegister, grid: np.ndarray, sectors: _Sectors
+    builder: SequenceBuilder, register: SpinRegister, grid: Sequence[float], sectors: _Sectors
 ) -> list[_Point]:
     """The points of a grid chunk, from the sector blocks of its stacked
     ``period_roots``, squared where a root is a half period, and one stacked
@@ -154,7 +154,7 @@ def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]
 
 def _stitch(
     intervals: list[tuple[float, _Point, float, _Point]],
-    solve: Callable[[list[float]], list[_Point]],
+    solve: Callable[[Sequence[float]], list[_Point]],
     depth: int,
     capped: list[float],
 ) -> list[np.ndarray]:
@@ -246,11 +246,11 @@ def compute_spectrum(
     # the residual: at most eight D x D complex matrices of 16 D^2 bytes.
     size = chunk_points(8 * 16 * register.dim**2)
 
-    def solve(periods) -> list[_Point]:
+    def solve(times: Sequence[float]) -> list[_Point]:
         return [
             point
-            for i in range(0, len(periods), size)
-            for point in _spectrum_points(builder, register, periods[i : i + size], sectors)
+            for i in range(0, len(times), size)
+            for point in _spectrum_points(builder, register, times[i : i + size], sectors)
         ]
 
     dim = register.dim
