@@ -77,19 +77,6 @@ class _Sectors(NamedTuple):
             blocks *= self.phase[:, :, None] * self.phase[:, None, :].conj()
         return blocks
 
-    def vectors(self, blocks: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
-        """Write into the (D, D) ``out``, in the computational basis, P* times
-        the ``columns`` of a point's (S, n, n) eigenvector blocks, column k of
-        block s being s n + k."""
-        s, k = np.divmod(columns, blocks.shape[-1])
-        out.fill(0.0)
-        cols = blocks[s, :, k].T
-        if self.phase is not None:
-            cols = cols * self.phase[s].T.conj()
-        out[self.index[s].T, np.arange(k.size)] = cols
-        if self.axis == "x":
-            out[...] = mix_electron_rows(_HADAMARD, out[None])[0]
-
 
 class _Point(NamedTuple):
     """Eigenphases in phase order and (S, n, n) eigenvector blocks: the
@@ -191,16 +178,20 @@ def _stitch(
 class FloquetSpectrum:
     """Branch-ordered eigenphases of the period map along a period sweep.
 
-    phases[i, j] is branch j's eigenphase in (-pi, pi] at periods[i];
-    vectors[i][:, j] the matching eigenvector. Branch order is fixed by
-    the phase ordering at the first grid point. When the period conserves
-    a parity Q, sectors[j] is branch j's eigenvalue of Q (+1 or -1); a
-    branch never leaves its sector. Otherwise sectors is None.
+    phases[i, j] is branch j's eigenphase in (-pi, pi] at periods[i]; its
+    eigenvector is column k of block s of blocks[i], the (S, n, n) blocks of
+    the ``basis`` sectors as solved (float64 on the real path), for
+    columns[i, j] = s n + k. Branch order is fixed by the phase ordering at
+    the first grid point. When the period conserves a parity Q, sectors[j]
+    is branch j's eigenvalue of Q (+1 or -1); a branch never leaves its
+    sector. Otherwise sectors is None.
     """
 
     periods: np.ndarray
     phases: np.ndarray
-    vectors: np.ndarray
+    blocks: np.ndarray
+    columns: np.ndarray
+    basis: _Sectors
     register: SpinRegister
     sectors: np.ndarray | None = None
 
@@ -208,11 +199,30 @@ class FloquetSpectrum:
     def dim(self) -> int:
         return self.phases.shape[1]
 
+    def eigenvectors(self, points: np.ndarray, branches: np.ndarray) -> np.ndarray:
+        """The (K, D) complex eigenvectors of branches[k] at points[k], for
+        1-d index arrays: each pair's one block column, times P*, placed at
+        its sector's states, then mixed by H_e for Q_x."""
+        s, k = np.divmod(self.columns[points, branches], self.blocks.shape[-1])
+        cols = self.blocks[points, s, :, k].T
+        if self.basis.phase is not None:
+            cols = cols * self.basis.phase[s].T.conj()
+        out = np.zeros((self.basis.index.size, k.size), dtype=complex)
+        out[self.basis.index[s].T, np.arange(k.size)] = cols
+        if self.basis.axis == "x":
+            out = mix_electron_rows(_HADAMARD, out[None])[0]
+        return out.T.copy()
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The dense (P, D, D) eigenvectors, vectors[i][:, j] branch j's at
+        periods[i]; built from ``blocks`` on each access, in O(P D^2)."""
+        p, d = self.phases.shape
+        return self.eigenvectors(*np.divmod(np.arange(p * d), d)).reshape(p, d, -1).swapaxes(1, 2)
+
 
 def compute_spectrum(
-    builder: SequenceBuilder,
-    register: SpinRegister,
-    periods: np.ndarray,
+    builder: SequenceBuilder, register: SpinRegister, periods: np.ndarray
 ) -> FloquetSpectrum:
     """Diagonalise the period map over a grid and stitch branches together.
 
@@ -233,7 +243,9 @@ def compute_spectrum(
     unitarity, and solves them in real arithmetic when they are symmetric
     (ideal PulsePol after the phase of ``_Sectors``, and CPMG). Branches are
     stitched inside their sector. Chunks are solved one after another in
-    this process and stitched as they arrive.
+    this process and stitched as they arrive; each point's eigenvector
+    blocks are copied as solved into the result's (P, S, n, n) ``blocks``,
+    P D^2 / 2 floats on the real path, complex once any map is not.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -247,21 +259,21 @@ def compute_spectrum(
     size = chunk_points(8 * 16 * register.dim**2)
 
     def solve(times: Sequence[float]) -> list[_Point]:
-        return [
-            point
-            for i in range(0, len(times), size)
-            for point in _spectrum_points(builder, register, times[i : i + size], sectors)
-        ]
+        chunks = (times[i : i + size] for i in range(0, len(times), size))
+        return [p for chunk in chunks for p in _spectrum_points(builder, register, chunk, sectors)]
 
     dim = register.dim
     axis = np.empty(grid.size)
     phases = np.empty((grid.size, dim))
-    vectors = np.empty((grid.size, dim, dim), dtype=complex)
+    columns = np.empty((grid.size, dim), dtype=int)
 
     def record(i: int, point: _Point, perm: np.ndarray) -> None:
+        nonlocal blocks
+        blocks = blocks.astype(np.result_type(blocks, point.vectors), copy=False)
         axis[i] = point.period
         phases[i] = point.phases[perm]
-        sectors.vectors(point.vectors, point.order[perm], vectors[i])
+        columns[i] = point.order[perm]
+        blocks[i] = point.vectors
 
     # Points are stitched as they arrive, so only one chunk and its
     # midpoints are held besides the branch-ordered arrays.
@@ -273,6 +285,7 @@ def compute_spectrum(
         t = grid[start - len(tail) : start + size]
         if not tail:
             labels = None if sectors.axis is None else 1 - 2 * (points[0].order // (dim // 2))
+            blocks = np.empty((grid.size, *points[0].vectors.shape), points[0].vectors.dtype)
             record(0, points[0], perm)
         steps = _stitch(list(zip(t, points, t[1:], points[1:])), solve, 0, capped)
         for i, step, point in zip(count(start - len(tail) + 1), steps, points[1:]):
@@ -287,7 +300,7 @@ def compute_spectrum(
             ValidityWarning,
             stacklevel=2,
         )
-    return FloquetSpectrum(axis, phases, vectors, register, labels)
+    return FloquetSpectrum(axis, phases, blocks, columns, sectors, register, labels)
 
 
 class AvoidedCrossing(NamedTuple):
@@ -341,9 +354,7 @@ def local_minima(
 
 
 def find_crossings(
-    spectrum: FloquetSpectrum,
-    gap_threshold: float,
-    participation_min: float = 0.2,
+    spectrum: FloquetSpectrum, gap_threshold: float, participation_min: float = 0.2
 ) -> tuple[AvoidedCrossing, ...]:
     """Locate avoided crossings below a phase-gap threshold.
 
@@ -351,19 +362,23 @@ def find_crossings(
     threshold are refined by ``local_minima``. Each crossing is tagged
     with the nuclei whose electron-nuclear flip-flop operator has
     expectation weight >= participation_min on either branch state there;
-    minima in which no nucleus takes part are dropped. Crossings come
-    sorted by (period, branch_a, branch_b).
+    minima in which no nucleus takes part are dropped. Gaps and weights
+    are built in chunks of branch pairs and of minima that fit
+    ``linalg.CHUNK_BYTES``; crossings come sorted by (period, branch_a, branch_b).
     """
     if not 0 < gap_threshold < inf:
         raise ValidationError(f"gap_threshold: must be finite and > 0, got {gap_threshold}")
     branch_a, branch_b = np.triu_indices(spectrum.dim, 1)
-    # The (points, pairs) gaps are the largest temporary here; build them in place.
-    gap = spectrum.phases[:, branch_a]
-    gap -= spectrum.phases[:, branch_b]
-    m, pair, t_star, gap_star = local_minima(
-        spectrum.periods, _circular_gap(gap), gap_threshold
-    )
-    a, b = branch_a[pair], branch_b[pair]
+    # The (points, pairs) gaps and their subtrahend are built in chunks of pairs.
+    size = chunk_points(2 * 8 * spectrum.periods.size)
+    minima = []
+    for i in range(0, branch_a.size, size):
+        a, b = branch_a[i : i + size], branch_b[i : i + size]
+        gap = spectrum.phases[:, a]
+        gap -= spectrum.phases[:, b]
+        m, pair, *minimum = local_minima(spectrum.periods, _circular_gap(gap), gap_threshold)
+        minima.append((m, a[pair], b[pair], *minimum))
+    m, a, b, t_star, gap_star = map(np.concatenate, zip(*minima))
     gap_star = np.maximum(gap_star, 0.0)
 
     weights = _flip_flop_weights(spectrum, m, a, b)
@@ -371,21 +386,11 @@ def find_crossings(
     strongest = np.argsort(-weights, axis=1, kind="stable")
     found = []
     for k in np.lexsort((m, b, a, t_star)):
-        participants = tuple(
-            (labels[n], float(weights[k, n]))
-            for n in strongest[k]
-            if weights[k, n] >= participation_min
-        )
-        if participants:
-            found.append(
-                AvoidedCrossing(
-                    period=float(t_star[k]),
-                    gap=float(gap_star[k]),
-                    branch_a=int(a[k]),
-                    branch_b=int(b[k]),
-                    participants=participants,
-                )
-            )
+        keep = [n for n in strongest[k] if weights[k, n] >= participation_min]
+        if keep:
+            participants = tuple((labels[n], float(weights[k, n])) for n in keep)
+            period, gap = float(t_star[k]), float(gap_star[k])
+            found.append(AvoidedCrossing(period, gap, int(a[k]), int(b[k]), participants))
     return tuple(found)
 
 
@@ -393,7 +398,8 @@ def _flip_flop_weights(
     spectrum: FloquetSpectrum, m: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """(candidates, nuclei) array of max over c in (a, b) of |<v_c|F_n|v_c>|,
-    with v_c = spectrum.vectors[m][:, c] and F_n = S+ I-_n + S- I+_n.
+    with v_c = spectrum.eigenvectors(m, c) and F_n = S+ I-_n + S- I+_n,
+    gathered in chunks of candidates that fit ``linalg.CHUNK_BYTES``.
 
     Each F_n has at most one nonzero per row, so F_n v is a gather:
     (F_n v)[i] = F_n[i, src[i]] v[src[i]].
@@ -406,14 +412,18 @@ def _flip_flop_weights(
         src = np.argmax(np.abs(flip), axis=1)
         gathers.append((src, flip[rows, src]))
     weights = np.zeros((m.size, len(gathers)))
-    for c in (a, b):
-        v = spectrum.vectors[m, :, c]
-        v_conj = v.conj()
-        for n, (src, val) in enumerate(gathers):
-            flipped = v[:, src]
-            flipped *= val
-            w = np.abs(np.einsum("ki,ki->k", v_conj, flipped))
-            np.maximum(weights[:, n], w, out=weights[:, n])
+    # Per candidate, at most eight complex D-vectors: v scattered, mixed and
+    # copied, v_conj and F_n v, with room to spare.
+    size = chunk_points(8 * 16 * ops.dim)
+    for part in (slice(i, i + size) for i in range(0, m.size, size)):
+        for c in (a[part], b[part]):
+            v = spectrum.eigenvectors(m[part], c)
+            v_conj = v.conj()
+            for n, (src, val) in enumerate(gathers):
+                flipped = v[:, src]
+                flipped *= val
+                w = np.abs(np.einsum("ki,ki->k", v_conj, flipped))
+                np.maximum(weights[part, n], w, out=weights[part, n])
     return weights
 
 

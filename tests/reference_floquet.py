@@ -70,6 +70,7 @@ def find_crossings(spectrum, gap_threshold: float, participation_min: float = 0.
     labels = [s.label for s in spectrum.register.nuclei]
 
     t = spectrum.periods
+    vectors = spectrum.vectors  # built on each access: once, outside the loop
     found = []
     dim = spectrum.dim
     for a in range(dim):
@@ -93,8 +94,8 @@ def find_crossings(spectrum, gap_threshold: float, participation_min: float = 0.
                     w = max(
                         abs(
                             np.vdot(
-                                spectrum.vectors[m][:, c],
-                                flip @ spectrum.vectors[m][:, c],
+                                vectors[m][:, c],
+                                flip @ vectors[m][:, c],
                             )
                         )
                         for c in (a, b)

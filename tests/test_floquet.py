@@ -1,6 +1,7 @@
 """Stroboscopic eigenphase spectra and avoided-crossing detection."""
 from __future__ import annotations
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -323,7 +324,9 @@ def test_crossings_at_one_period_sort_by_branch_pair(c21_spectrum):
     copies = floquet.FloquetSpectrum(
         periods=spec.periods,
         phases=spec.phases[:, cols],
-        vectors=spec.vectors[:, :, cols],
+        blocks=spec.vectors[:, None],
+        columns=np.tile(cols, (spec.periods.size, 1)),
+        basis=floquet._Sectors(None, protocols.parity_sectors(reg.dim, 1), None),
         register=reg,
     )
     got = find_crossings(copies, gap_threshold=0.5)
@@ -352,9 +355,11 @@ SECTOR_BUILDERS = {
 
 def _full_vectors(point, sectors):
     """A point's eigenvectors in phase order as one D x D matrix."""
-    out = np.empty((point.phases.size,) * 2, dtype=complex)
-    sectors.vectors(point.vectors, point.order, out)
-    return out
+    one = floquet.FloquetSpectrum(
+        np.array([point.period]), point.phases[None], point.vectors[None], point.order[None],
+        sectors, register=None,
+    )
+    return one.eigenvectors(np.zeros(point.order.size, dtype=int), np.arange(point.order.size)).T
 
 
 def test_conserved_parity_follows_the_event_pattern():
@@ -530,7 +535,11 @@ def test_symmetric_maps_take_the_real_path(config, protocol):
 def test_spectrum_vectors_are_eigenvectors_of_the_map(protocol):
     """Every stored vector v_j of a spectrum, in the computational basis, has
     U v_j = exp(-i phase_j) v_j for the period map U at its point, and the
-    vectors are orthonormal."""
+    vectors are orthonormal: the dense view, and ``eigenvectors`` gathering
+    (point, branch) pairs in any order from the stored blocks, which are
+    phased for Q_z, in the Hadamard basis for Q_x and one complex
+    whole-space block for finite PulsePol. Wherever the real path runs the
+    blocks are P D^2 / 2 float64."""
     register = shipped_register("c3_c4_c8.yaml")
     builder = SECTOR_BUILDERS.get(protocol, partial(pulsepol_for_period, rabi=300.0))
     grid = np.linspace(2.1, 2.5, 5) if protocol.startswith("cpmg") else np.linspace(6.6, 7.0, 5)
@@ -540,6 +549,63 @@ def test_spectrum_vectors_are_eigenvectors_of_the_map(protocol):
     assert np.max(np.abs(maps @ spec.vectors - spec.vectors * lam)) <= linalg.EIG_RESIDUAL_TOL
     gram = spec.vectors.conj().swapaxes(1, 2) @ spec.vectors
     assert np.max(np.abs(gram - np.eye(register.dim))) <= 1e-12
+
+    p, d = spec.phases.shape
+    axis = {"pulsepol": "z", "pulsepol-rabi300": None}.get(protocol, "x")
+    assert spec.basis.axis == axis
+    if axis is None:
+        assert spec.blocks.dtype == np.complex128 and spec.blocks.shape == (p, 1, d, d)
+    else:
+        assert spec.blocks.dtype == np.float64 and spec.blocks.nbytes == p * d**2 // 2 * 8
+    m, c = np.divmod(np.random.default_rng(5).permutation(p * d), d)
+    v = spec.eigenvectors(m, c)
+    uv = np.einsum("kij,kj->ki", maps[m], v)
+    assert np.max(np.abs(uv - v * np.exp(-1j * spec.phases[m, c])[:, None])) <= linalg.EIG_RESIDUAL_TOL
+    same = m[:, None] == m[None, :]
+    gram = v.conj() @ v.T - (c[:, None] == c[None, :])
+    assert np.max(np.abs(gram[same])) <= 1e-12
+
+
+def test_a_complex_solve_after_real_ones_loses_nothing(monkeypatch):
+    """A chunk solved in complex arithmetic after real ones turns the stored
+    blocks complex: with every chunk after the first returning its
+    eigenvectors times exp(i/3), the phases are unchanged and so are the
+    vectors, up to that factor from the second point on."""
+    register = shipped_register("c3_c4_c8.yaml")
+    grid = np.linspace(6.6, 7.0, 5)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 16 * register.dim**2)  # one point per chunk
+    want = compute_spectrum(pulsepol_for_period, register, grid)
+    real_eig, calls = floquet.unitary_eigensolve, []
+
+    def turned(u):
+        calls.append(len(u))
+        eig = real_eig(u)
+        return eig if len(calls) == 1 else eig._replace(eigenvectors=eig.eigenvectors * np.exp(1j / 3))
+
+    monkeypatch.setattr(floquet, "unitary_eigensolve", turned)
+    got = compute_spectrum(pulsepol_for_period, register, grid)
+    assert len(calls) >= grid.size and got.blocks.dtype == np.complex128
+    assert np.array_equal(got.phases, want.phases)
+    assert np.array_equal(got.vectors[0], want.vectors[0])
+    assert np.max(np.abs(got.vectors[1:] - want.vectors[1:] * np.exp(1j / 3))) <= 1e-15
+
+
+@pytest.fixture(scope="module")
+def ideal_cpmg_spectrum():
+    register = shipped_register("c3_c4_c8.yaml")
+    return compute_spectrum(SECTOR_BUILDERS["cpmg"], register, np.linspace(2.0, 2.6, 121))
+
+
+@pytest.mark.parametrize("name", ["five_spin_spectrum", "ideal_cpmg_spectrum"])
+def test_crossings_do_not_depend_on_the_chunk_size(monkeypatch, request, name):
+    """With one branch pair per gap chunk and one minimum per weight chunk,
+    ``find_crossings`` returns exactly the crossings of the default chunks,
+    in the same order."""
+    spec = request.getfixturevalue(name)
+    want = find_crossings(spec, gap_threshold=0.3)
+    assert len(want) > 50
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 1)
+    assert find_crossings(spec, gap_threshold=0.3) == want
 
 
 def test_finite_pulsepol_takes_the_full_path(monkeypatch, c21_spectrum):
@@ -589,3 +655,27 @@ def test_branches_keep_their_sector(five_spin_spectrum):
                        five_spin_spectrum.vectors).real
     assert np.max(np.abs(expect - five_spin_spectrum.sectors)) <= 1e-12
     assert sorted(five_spin_spectrum.sectors) == [-1] * 32 + [1] * 32
+
+
+def test_spectrum_memory_stays_within_two_chunks():
+    """Neither ``compute_spectrum`` nor ``find_crossings`` builds a dense
+    (P, D, D) eigenvector array (10.7 MB at D = 128 over 41 points): by
+    tracemalloc, the spectrum's peak stays within two ``CHUNK_BYTES`` of
+    its P D^2 / 2 float64 real blocks, and the crossing search's peak
+    within two ``CHUNK_BYTES`` of what it leaves allocated."""
+    table = load_register_file(str(CONFIG_DIR / "register27.yaml"))
+    register = table.subset([s.label for s in table.nuclei[:6]])
+    grid = np.linspace(6.6, 7.0, 41)
+    find_crossings(compute_spectrum(pulsepol_for_period, register, grid[:3]), 0.2)  # fill caches
+    tracemalloc.start()
+    try:
+        spec = compute_spectrum(pulsepol_for_period, register, grid)
+        spectrum_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        found = find_crossings(spec, gap_threshold=0.2)
+        held, crossings_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert register.dim == 128 and len(found) > 1000
+    assert spectrum_peak <= grid.size * register.dim**2 // 2 * 8 + 2 * linalg.CHUNK_BYTES
+    assert crossings_peak <= held + 2 * linalg.CHUNK_BYTES
