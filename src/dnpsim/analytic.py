@@ -94,15 +94,8 @@ def effective_params(
             ZeroCoupling,
             stacklevel=2,
         )
-    return EffectiveSpinParams(
-        label=spin.label,
-        omega_i=omega_i,
-        period=period,
-        harmonic=harmonic,
-        detuning=omega_i - 2.0 * pi * harmonic / period,
-        g=g,
-        chi=chi,
-    )
+    detuning = omega_i - 2.0 * pi * harmonic / period
+    return EffectiveSpinParams(spin.label, omega_i, period, harmonic, detuning, g, chi)
 
 
 def single_spin_polarisation(params: EffectiveSpinParams, n_periods: int) -> float:
@@ -127,8 +120,7 @@ def polarisation_ceiling(params: EffectiveSpinParams) -> float:
     """
     if params.g == 0.0:
         return 0.0
-    omega_r_sq = params.detuning**2 + 4.0 * params.g**2
-    return 4.0 * params.g**2 / omega_r_sq
+    return 4.0 * params.g**2 / (params.detuning**2 + 4.0 * params.g**2)
 
 
 def optimal_pulse_count(params: EffectiveSpinParams) -> int:
@@ -178,13 +170,7 @@ def side_dips(
         if disc <= 0.0:
             continue
         r = (n / (k * n_periods)) * sqrt(disc)
-        out.append(
-            SideDip(
-                order=n,
-                lower=t_r * (1.0 - r) / (1.0 + mu_sq),
-                upper=t_r * (1.0 + r) / (1.0 + mu_sq),
-            )
-        )
+        out.append(SideDip(n, t_r * (1.0 - r) / (1.0 + mu_sq), t_r * (1.0 + r) / (1.0 + mu_sq)))
     return tuple(out)
 
 
@@ -206,9 +192,7 @@ class DarkBrightDecomposition:
     transfer_ceiling: float
 
 
-def dark_bright(
-    p1: EffectiveSpinParams, p2: EffectiveSpinParams
-) -> DarkBrightDecomposition:
+def dark_bright(p1: EffectiveSpinParams, p2: EffectiveSpinParams) -> DarkBrightDecomposition:
     """Decompose a spin pair addressed at the same period into collective modes.
 
     bright_ceiling = cos^2(phi) is the fraction of a shared excitation that
@@ -228,14 +212,7 @@ def dark_bright(
     theta = atan2(2.0 * g_rms, detuning)
     sin_theta_sq = (2.0 * g_rms) ** 2 / (detuning**2 + 4.0 * g_rms**2)
     bright = cos(phi) ** 2
-    return DarkBrightDecomposition(
-        phi=phi,
-        theta=theta,
-        g_rms=g_rms,
-        detuning=detuning,
-        bright_ceiling=bright,
-        transfer_ceiling=bright * sin_theta_sq,
-    )
+    return DarkBrightDecomposition(phi, theta, g_rms, detuning, bright, bright * sin_theta_sq)
 
 
 @dataclass(frozen=True)
@@ -283,9 +260,7 @@ class BlockadePair:
         return self.weak.omega_i + self.strong.g**2 / self.delta_minus
 
 
-def blockade_pair(
-    strong: EffectiveSpinParams, weak: EffectiveSpinParams
-) -> BlockadePair:
+def blockade_pair(strong: EffectiveSpinParams, weak: EffectiveSpinParams) -> BlockadePair:
     """Pair up a blockade spin with the target it detunes.
 
     Both parameter sets must refer to the same period and harmonic; the
@@ -301,10 +276,7 @@ def blockade_pair(
             f"{strong.label} and {weak.label} differ by {delta_minus:.2e} rad/us; "
             "the blockade formulas diverge for coinciding precession frequencies"
         )
-    theta_p = atan2(2.0 * strong.g, strong.detuning)
-    return BlockadePair(
-        strong=strong, weak=weak, delta_minus=delta_minus, theta_p=theta_p
-    )
+    return BlockadePair(strong, weak, delta_minus, atan2(2.0 * strong.g, strong.detuning))
 
 
 class ThreeLevelSystem(NamedTuple):
@@ -335,17 +307,9 @@ def three_level_eigensystem(pair: BlockadePair) -> ThreeLevelSystem:
     small_g = pair.weak.g
     dm = delta_b - delta_t
     dp = delta_b + delta_t
-    h = np.array(
-        [
-            [-dm / 2.0, big_g, 0.0],
-            [big_g, dp / 2.0, small_g],
-            [0.0, small_g, dm / 2.0],
-        ]
-    )
+    h = np.array([[-dm / 2.0, big_g, 0.0], [big_g, dp / 2.0, small_g], [0.0, small_g, dm / 2.0]])
     exact = np.linalg.eigvalsh(h)
     w = hypot(delta_b, 2.0 * big_g)
-    unperturbed = np.sort(
-        np.array([(delta_t - w) / 2.0, (delta_t + w) / 2.0, dm / 2.0])
-    )
+    unperturbed = np.sort(np.array([(delta_t - w) / 2.0, (delta_t + w) / 2.0, dm / 2.0]))
     return ThreeLevelSystem(hamiltonian=h, exact=exact, unperturbed=unperturbed)
 

@@ -56,40 +56,29 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float."""
-    value = float(text)
-    if not isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _checked(kind: type, ok, rule: str):
+    """An argparse type: ``kind`` of the text, refused unless ``ok`` holds,
+    and named by ``kind`` in usage errors ("invalid float value: 'x'")."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
-def _gap_threshold(text: str) -> float:
-    """argparse type of --gap-threshold: a float, finite and > 0 as
-    ``find_crossings`` requires, checked before any work is done."""
-    value = float(text)
-    if not 0 < value < inf:
-        raise argparse.ArgumentTypeError(f"gap_threshold: must be finite and > 0, got {text!r}")
-    return value
-
-
-# argparse names the type in its usage errors: "invalid float value: 'x'".
-_finite.__name__ = _gap_threshold.__name__ = "float"
-_positive_int.__name__ = "int"
+_finite = _checked(float, isfinite, "must be finite")
+_positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
+# find_crossings' own check on --gap-threshold, made before any work is done.
+_gap_threshold = _checked(float, lambda v: 0 < v < inf, "gap_threshold: must be finite and > 0")
 
 
 def _builder(args):
-    if args.protocol == "pulsepol":
-        return partial(pulsepol_for_period, harmonic=args.harmonic, rabi=args.rabi)
-    return partial(cpmg_for_period, harmonic=args.harmonic, rabi=args.rabi)
+    build = pulsepol_for_period if args.protocol == "pulsepol" else cpmg_for_period
+    return partial(build, harmonic=args.harmonic, rabi=args.rabi)
 
 
 def _grid(args) -> np.ndarray:
@@ -235,19 +224,17 @@ def _cmd_compare(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="register YAML file")
     sub.add_argument("--out", help="output CSV path")
-    sub.add_argument(
-        "--protocol", choices=("pulsepol", "cpmg"), default="pulsepol",
-        help="period builder (default pulsepol)",
-    )
     sub.add_argument("--harmonic", type=_positive_int, default=3, help="resonance harmonic k")
-    sub.add_argument(
-        "--rabi", type=float, default=None,
-        help="finite-pulse Rabi frequency in rad/us (default: ideal pulses)",
-    )
-    sub.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="accepted and ignored: every verb runs in one process",
-    )
+
+
+def _add_protocol(sub: argparse.ArgumentParser) -> None:
+    """The period builder's options, for the verbs that build periods."""
+    sub.add_argument("--protocol", choices=("pulsepol", "cpmg"), default="pulsepol",
+                     help="period builder (default pulsepol)")
+    sub.add_argument("--rabi", type=float, default=None,
+                     help="finite-pulse Rabi frequency in rad/us (default: ideal pulses)")
+    sub.add_argument("--workers", type=_positive_int, default=1,
+                     help="accepted and ignored: every verb runs in one process")
 
 
 def _add_grid(sub: argparse.ArgumentParser) -> None:
@@ -273,12 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="polarisation vs protocol period")
     _add_common(sweep)
+    _add_protocol(sweep)
     _add_grid(sweep)
     _add_run(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     spectrum = subs.add_parser("spectrum", help="quasi-energy branches and crossings")
     _add_common(spectrum)
+    _add_protocol(spectrum)
     _add_grid(spectrum)
     spectrum.add_argument("--gap-threshold", type=_gap_threshold, default=0.5,
                           help="report crossings with phase gap below this")
@@ -286,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     schedule = subs.add_parser("schedule", help="staged protocol on one state")
     _add_common(schedule)
+    _add_protocol(schedule)
     _add_run(schedule)
     schedule.add_argument(
         "--stage", action="append", required=True, metavar="PERIOD:REPS[:NP]",
@@ -293,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     schedule.set_defaults(func=_cmd_schedule)
 
-    compare = subs.add_parser("compare", help="closed-form resonance table")
+    compare = subs.add_parser("compare", help="closed-form resonance table (ideal PulsePol)")
     _add_common(compare)
     compare.add_argument("--blockade", default=None,
                          help="blockade spin label (default: largest transverse coupling)")

@@ -51,7 +51,13 @@ class _Sectors(NamedTuple):
     is the diagonal of the phase P on sector s: ``_DOWN_PHASE`` on the
     electron-down states of Q_z, None (P = 1) for Q_x and the whole space.
     The blocks are those of P U P*, symmetric for ideal PulsePol and CPMG
-    maps, so ``unitary_eigensolve`` solves them in real arithmetic."""
+    maps, so ``unitary_eigensolve`` solves them in real arithmetic.
+
+    T = (i Y_e (x) X^(x)N) K, K complex conjugation, commutes with every
+    event propagator. Its flip i -> D - 1 - i keeps each sector when the
+    register has an odd number of nuclei; index[s] then lists the sector's
+    electron-up states, then their partners in the same order, which gives
+    the blocks the paired shape ``unitary_eigensolve`` solves at half size."""
 
     axis: str | None
     index: np.ndarray
@@ -61,6 +67,9 @@ class _Sectors(NamedTuple):
     def of(cls, seq, dim: int) -> _Sectors:
         axis = conserved_parity(seq)
         index = parity_sectors(dim, 1 if axis is None else 2)
+        up = index[:, : index.shape[1] // 2]  # the electron-up half: each sector ascends
+        if axis is not None and np.array_equal(dim - 1 - up[:, ::-1], index[:, up.shape[1] :]):
+            index = np.concatenate((up, dim - 1 - up), axis=1)
         phase = np.where(index >= dim // 2, _DOWN_PHASE, 1.0) if axis == "z" else None
         return cls(axis, index, phase)
 
@@ -241,7 +250,8 @@ def compute_spectrum(
     whole, squared where a root is a half period, and solved by one stacked
     ``unitary_eigensolve``, which checks each map's blocks once for
     unitarity, and solves them in real arithmetic when they are symmetric
-    (ideal PulsePol after the phase of ``_Sectors``, and CPMG). Branches are
+    (ideal PulsePol after the phase of ``_Sectors``, and CPMG), at half size
+    when a register of odd N gives them the flip pairing. Branches are
     stitched inside their sector. Chunks are solved one after another in
     this process and stitched as they arrive; each point's eigenvector
     blocks are copied as solved into the result's (P, S, n, n) ``blocks``,

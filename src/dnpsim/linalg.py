@@ -1,6 +1,7 @@
-"""Dense complex linear algebra for joint spin spaces up to dimension 256.
+"""Dense linear algebra for joint spin spaces up to dimension 256.
 
-All operators live in plain ``numpy.ndarray`` matrices of ``complex128``.
+Operators are plain ``numpy.ndarray`` matrices of ``complex128``; the
+unitary eigensolve works in ``float64`` where a stack's symmetry allows.
 Angles are radians, times are microseconds, angular frequencies rad/us.
 Every function validates its numerical preconditions explicitly and raises
 the typed errors from :mod:`dnpsim.errors` so callers can map failures to
@@ -95,16 +96,12 @@ def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:
     dev = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
     if dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e} exceeds {HERMITIAN_TOL}")
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return EigenDecomposition(w, v)
+    return EigenDecomposition(*_eigh(h))
 
 
 def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
     """Diagonalise a unitary matrix, or a (P, n, n) stack of them, through
-    one stacked Hermitian eigensolve.
+    one stacked Hermitian eigensolve, of half size where the stack allows.
 
     A unitary is normal, so every Hermitian part of e^{-i theta} U shares
     its eigenbasis, with eigenvalues cos(phi - theta) for the eigenphases
@@ -124,6 +121,16 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
     real symmetric cos(theta) A + sin(theta) B. Its eigenvectors come back
     real. Any other stack is solved in complex arithmetic.
 
+    A symmetric stack of even n with max |V conj(U) V^T - U| <= ``SYMMETRY_TOL``,
+    V = [[0, I], [-I, 0]], has A = [[P, -Q], [Q, P]], the real form of the
+    Hermitian H = P + iQ, and B = [[R, S], [S, -R]], that of z -> M conj(z)
+    for M = R + iS. Its eigenphases come in +/- pairs, and one m x m
+    ``eigh`` of H (m = n / 2) gives each pair's cos(phi) and a vector z.
+    Turned by sqrt(mu / |mu|), mu = z^dag M conj(z), z gives the pair's real
+    eigenvectors (Re z; Im z) and (-Im z; Re z), at sin(phi) = +|mu| and
+    -|mu|. Matrices that fail the gate (as two pairs sharing a cos(phi) may)
+    are solved again at theta, then at theta + pi/2.
+
     Returns eigenvalues sorted by eigenphase in (-pi, pi], of shape (n,)
     for one matrix and (P, n) for a stack, with the matching eigenvectors.
     Raises NotUnitary if ``U^dag U`` deviates from identity by more than
@@ -136,17 +143,24 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARY_TOL}")
 
     stack = u.reshape((-1,) + u.shape[-2:])
-    if np.max(np.abs(stack - stack.swapaxes(1, 2))) <= SYMMETRY_TOL:
+    symmetric = np.max(np.abs(stack - stack.swapaxes(1, 2))) <= SYMMETRY_TOL
+    paired = symmetric and stack.shape[-1] % 2 == 0 and _flip_defect(stack) <= SYMMETRY_TOL
+    if symmetric:
         stack = np.stack((stack.real, stack.imag), axis=1)
-    lam, v, residual = _offset_eigensolve(stack, EIG_PHASE_OFFSET)
-    fail = np.flatnonzero(~(residual <= EIG_RESIDUAL_TOL))
-    if fail.size:
-        lam[fail], v[fail], residual = _offset_eigensolve(stack[fail], EIG_PHASE_OFFSET + pi / 2)
-        if not np.all(residual <= EIG_RESIDUAL_TOL):
-            raise NoConvergence(
-                f"unitary eigensolve residual {np.max(residual):.3e} > {EIG_RESIDUAL_TOL} "
-                "at both phase offsets"
-            )
+    thetas = [EIG_PHASE_OFFSET, EIG_PHASE_OFFSET + pi / 2]
+    if paired:
+        lam, v, residual = _paired_eigensolve(stack)
+    else:
+        lam, v, residual = _offset_eigensolve(stack, thetas.pop(0))
+    for theta in thetas:
+        fail = np.flatnonzero(~(residual <= EIG_RESIDUAL_TOL))
+        if fail.size:
+            lam[fail], v[fail], residual[fail] = _offset_eigensolve(stack[fail], theta)
+    if not np.all(residual <= EIG_RESIDUAL_TOL):
+        raise NoConvergence(
+            f"unitary eigensolve residual {np.max(residual):.3e} > {EIG_RESIDUAL_TOL} "
+            "at both phase offsets"
+        )
     lam, v = _phase_sorted(lam, v)
     return EigenDecomposition(lam.reshape(u.shape[:-1]), v.reshape(u.shape))
 
@@ -157,7 +171,7 @@ def _offset_eigensolve(stack: np.ndarray, theta: float) -> tuple[np.ndarray, ...
     stacked ``eigh`` of the Hermitian parts of e^{-i theta} U. A real
     (P, 2, n, n) stack holds (Re U, Im U) of symmetric maps: the Hermitian
     parts are then cos(theta) Re U + sin(theta) Im U, the eigenvectors are
-    real, and U V is formed as (Re U) V and (Im U) V."""
+    real, and the gate is ``_real_gate``."""
     pair = stack.ndim == 4
     if pair:
         h = stack[:, 0] * np.cos(theta)
@@ -166,20 +180,50 @@ def _offset_eigensolve(stack: np.ndarray, theta: float) -> tuple[np.ndarray, ...
         h = stack * np.exp(-1j * theta)
         h += h.conj().swapaxes(-1, -2)
         h *= 0.5
-    try:
-        _, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    _, v = _eigh(h)
     if pair:
-        uv = stack @ v[:, None]
-        parts = np.einsum("pij,pkij->pkj", v, uv)
-        uv -= v[:, None] * parts[..., None, :]
-        lam = parts[:, 0] + 1j * parts[:, 1]
-        return lam, v, np.max(np.hypot(uv[:, 0], uv[:, 1]), axis=(1, 2))
+        return _real_gate(stack, v)
     uv = stack @ v
     lam = np.einsum("pij,pij->pj", v.conj(), uv)
     uv -= v * lam[:, None, :]
     return lam, v, np.max(np.abs(uv), axis=(1, 2))
+
+
+def _flip_defect(stack: np.ndarray) -> float:
+    """max |V conj(U) V^T - U| over a (P, n, n) stack of even n, V = [[0, I], [-I, 0]]."""
+    m = stack.shape[-1] // 2
+    top, bottom = stack[:, :m], stack[:, m:].conj()
+    diag, off = np.abs(top[..., :m] - bottom[..., m:]), np.abs(top[..., m:] + bottom[..., :m])
+    return max(np.max(diag), np.max(off))
+
+
+def _paired_eigensolve(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_offset_eigensolve``'s results for a real (P, 2, n, n) stack whose
+    maps have the flip symmetry, from a half-size ``eigh`` (see ``unitary_eigensolve``)."""
+    m = stack.shape[-1] // 2
+    _, z = _eigh(stack[:, 0, :m, :m] + 1j * stack[:, 0, m:, :m])
+    mz = (stack[:, 1, :m, :m] + 1j * stack[:, 1, :m, m:]) @ z.conj()
+    mu = np.einsum("pij,pij->pj", z.conj(), mz)
+    z *= np.exp(0.5j * np.angle(mu))[:, None, :]
+    return _real_gate(stack, np.block([[z.real, -z.imag], [z.imag, z.real]]))
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a Hermitian matrix or stack; NoConvergence where it fails."""
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
+def _real_gate(stack: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Rayleigh quotients, ``v`` and residuals of real eigenvectors v
+    (P, n, n) of a (P, 2, n, n) stack (Re U, Im U), U v formed as (Re U) v
+    and (Im U) v."""
+    uv = stack @ v[:, None]
+    parts = np.einsum("pij,pkij->pkj", v, uv)
+    uv -= v[:, None] * parts[..., None, :]
+    return parts[:, 0] + 1j * parts[:, 1], v, np.max(np.hypot(uv[:, 0], uv[:, 1]), axis=(1, 2))
 
 
 def _phase_sorted(lam: np.ndarray, v: np.ndarray) -> EigenDecomposition:

@@ -108,11 +108,8 @@ class SpinRegister:
 
     def subset(self, labels: list[str] | tuple[str, ...]) -> "SpinRegister":
         """New register keeping only the named nuclei, in the given order."""
-        return SpinRegister(
-            larmor=self.larmor,
-            nuclei=tuple(self.nucleus(lb) for lb in labels),
-            b_field_gauss=self.b_field_gauss,
-        )
+        nuclei = tuple(self.nucleus(lb) for lb in labels)
+        return SpinRegister(self.larmor, nuclei, self.b_field_gauss)
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,8 @@ def _embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
 
 
 def _site_operators(site: int, n_sites: int) -> SiteOperators:
-    return SiteOperators(
-        z=_embed(_S_Z, site, n_sites),
-        x=_embed(_S_X, site, n_sites),
-        y=_embed(_S_Y, site, n_sites),
-        plus=_embed(_S_PLUS, site, n_sites),
-        minus=_embed(_S_MINUS, site, n_sites),
-    )
+    ops = (_S_Z, _S_X, _S_Y, _S_PLUS, _S_MINUS)
+    return SiteOperators(*(_embed(op, site, n_sites) for op in ops))
 
 
 def require_joint_space(register: SpinRegister) -> None:
@@ -294,13 +286,7 @@ def load_register(source: str) -> SpinRegister:
         a_perp = _require_number(row["a_perp_khz"], f"{where}.a_perp_khz")
         if a_perp < 0:
             raise ValidationError(f"{where}.a_perp_khz: must be >= 0, got {a_perp}")
-        nuclei.append(
-            NuclearSpin(
-                label=label,
-                a_parallel=a_par * KHZ_TO_RAD_PER_US,
-                a_perp=a_perp * KHZ_TO_RAD_PER_US,
-            )
-        )
+        nuclei.append(NuclearSpin(label, a_par * KHZ_TO_RAD_PER_US, a_perp * KHZ_TO_RAD_PER_US))
 
     return SpinRegister(larmor=larmor, nuclei=tuple(nuclei), b_field_gauss=b_field)
 

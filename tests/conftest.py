@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dnpsim import load_register, load_register_file
+from dnpsim import linalg, load_register, load_register_file
 
 LARMOR = 2.7106474  # rad/us at the working field
 
@@ -106,3 +106,25 @@ def reg_twins():
         f"  - {{label: D2, a_parallel_khz: {az}, a_perp_khz: {ax}}}\n"
     )
     return load_register(text)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The dimension of every matrix each path of ``linalg.unitary_eigensolve``
+    is given: "paired" for the half-size solve, "theta" for the real or
+    complex solve at the offset, first or as the half-size solve's fallback."""
+    calls = {"paired": [], "theta": []}
+    paired, offset = linalg._paired_eigensolve, linalg._offset_eigensolve
+
+    def counted_paired(stack):
+        calls["paired"].extend([stack.shape[-1]] * len(stack))
+        return paired(stack)
+
+    def counted_offset(stack, theta):
+        if theta == linalg.EIG_PHASE_OFFSET:
+            calls["theta"].extend([stack.shape[-1]] * len(stack))
+        return offset(stack, theta)
+
+    monkeypatch.setattr(linalg, "_paired_eigensolve", counted_paired)
+    monkeypatch.setattr(linalg, "_offset_eigensolve", counted_offset)
+    return calls

@@ -387,16 +387,34 @@ VERB_ARGS = {
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
-@pytest.mark.parametrize("option", ["--harmonic", "--workers"])
-@pytest.mark.parametrize("verb", VERB_ARGS)
+@pytest.mark.parametrize(
+    "verb, option",
+    [(verb, option) for option in ("--harmonic", "--workers") for verb in VERB_ARGS
+     if (verb, option) != ("compare", "--workers")],
+)
 def test_counts_below_one_are_usage_errors(verb, option, value, capsys):
-    """Every verb refuses the option before any output: exit 1, the
-    option named, nothing on stdout."""
+    """Every verb that takes the option refuses it before any output: exit
+    1, the option named, nothing on stdout."""
     argv = [verb, "--config", C3, *VERB_ARGS[verb], f"{option}={value}"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: argument {option}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--protocol", "cpmg"], ["--rabi", "300"], ["--workers", "2"]], ids=lambda e: e[0]
+)
+def test_compare_refuses_the_options_it_does_not_read(extra, tmp_path, capsys):
+    """compare tabulates the closed forms of ideal PulsePol alone: a period
+    builder option is a usage error (exit 1, nothing written), not a table
+    that silently ignores it."""
+    out = tmp_path / "compare.csv"
+    assert cli.main(["compare", "--config", C3_C21, *extra, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: unrecognized arguments: {extra[0]}")
     assert "Traceback" not in captured.err
 
 

@@ -608,6 +608,55 @@ def test_crossings_do_not_depend_on_the_chunk_size(monkeypatch, request, name):
     assert find_crossings(spec, gap_threshold=0.3) == want
 
 
+@pytest.mark.parametrize("protocol", SECTOR_BUILDERS)
+def test_half_size_solve_engages_on_odd_registers(solves, protocol):
+    """With five nuclei the spin flip keeps each parity sector, and at
+    least 99% of the real-path matrices pass the gate at half size (the
+    rest are solved again at the offset); with two (c3_c21, c3_c16) it
+    swaps the sectors, and every matrix takes the full real solve."""
+    table = load_register_file(str(CONFIG_DIR / "register27.yaml"))
+    builder = SECTOR_BUILDERS[protocol]
+    grid = np.linspace(2.0, 2.6, 61) if protocol.startswith("cpmg") else np.linspace(6.6, 7.2, 61)
+    compute_spectrum(builder, table.subset(["C3", "C1", "C4", "C5", "C8"]), grid)
+    assert len(solves["paired"]) >= 61 * 2
+    assert len(solves["theta"]) <= 0.01 * len(solves["paired"])
+    for config in ("c3_c21.yaml", "c3_c16.yaml"):
+        solves.update(paired=[], theta=[])
+        compute_spectrum(builder, shipped_register(config), grid[:9])
+        assert solves["paired"] == [] and len(solves["theta"]) >= 9 * 2
+
+
+SPECTRUM_BUILDERS = {
+    **SECTOR_BUILDERS, "pulsepol-rabi300": partial(pulsepol_for_period, rabi=300.0)
+}
+
+
+# Finite PulsePol on the cut register27 reaches the stitch depth cap with
+# either solve; the warning is not what this test compares.
+@pytest.mark.filterwarnings("ignore:.*refinement depth:dnpsim.errors.ValidityWarning")
+@pytest.mark.parametrize("protocol", SPECTRUM_BUILDERS)
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_half_size_solve_gives_the_full_solve_spectrum(monkeypatch, config, protocol):
+    """The branch phases the CSV holds agree to 1e-12, and the crossings
+    match, with the half-size solve and without it (every stack then
+    taking the full-size real solve). register27 is cut to its first five
+    nuclei, an odd count. Ideal CPMG is doubly degenerate: which of its
+    gap-0 partner pairs dips below the threshold, and the weights of a
+    degenerate pair, are set by rounding, so only its phases are compared."""
+    register = shipped_register(config)
+    if config == "register27.yaml":
+        register = register.subset([s.label for s in register.nuclei[:5]])
+    builder = SPECTRUM_BUILDERS[protocol]
+    grid = np.linspace(2.0, 2.6, 13) if protocol.startswith("cpmg") else np.linspace(6.6, 7.2, 13)
+    got = compute_spectrum(builder, register, grid)
+    monkeypatch.setattr(linalg, "_flip_defect", lambda stack: np.inf)
+    want = compute_spectrum(builder, register, grid)
+    assert np.array_equal(got.periods, want.periods)
+    assert np.max(np.abs(got.phases - want.phases)) <= 1e-12
+    if protocol != "cpmg":
+        assert_same_crossings(find_crossings(got, 0.3), find_crossings(want, 0.3))
+
+
 def test_finite_pulsepol_takes_the_full_path(monkeypatch, c21_spectrum):
     """Finite PulsePol conserves no parity: each eigensolve gets whole
     D x D maps, and the spectrum carries no sector labels."""
@@ -630,18 +679,21 @@ def test_finite_pulsepol_takes_the_full_path(monkeypatch, c21_spectrum):
 def test_sector_stitching_equals_the_full_greedy_match(five_spin_spectrum):
     """Matching inside each sector gives the permutation and worst overlap
     of the greedy match on the whole eigenvector matrices of the phased map
-    P U P* (P diagonal, so its overlaps are those of U's eigenvectors)."""
+    P U P* (P diagonal, so its overlaps are those of U's eigenvectors).
+    The full rows are taken in the sectors' state order, so that both
+    overlaps sum the same products in the same order."""
     register = five_spin_spectrum.register
     grid = np.linspace(6.6, 7.2, 61)
     sectors = floquet._Sectors.of(pulsepol_for_period(grid[0]), register.dim)
     points = floquet._spectrum_points(pulsepol_for_period, register, grid, sectors)
     unphased = sectors._replace(phase=None)
+    rows = sectors.index.ravel()
     for a, b in zip(points, points[1:]):
         local, worst = floquet._greedy_match(a.vectors, b.vectors)
         capped = []
         (perm,) = floquet._stitch([(0.0, a, 1.0, b)], None, floquet.MAX_REFINE_DEPTH, capped)
         full, full_worst = floquet._greedy_match(
-            _full_vectors(a, unphased), _full_vectors(b, unphased)
+            _full_vectors(a, unphased)[rows], _full_vectors(b, unphased)[rows]
         )
         assert np.array_equal(perm, full)
         assert worst == full_worst

@@ -15,7 +15,7 @@ from dnpsim import (
     unitary_eigensolve,
 )
 import reference_floquet as ref
-from dnpsim import linalg
+from dnpsim import floquet, linalg, protocols
 from dnpsim.errors import DimensionMismatch, NoConvergence, NotHermitian, NotUnitary
 
 from conftest import SHIPPED_CONFIGS, shipped_register
@@ -234,9 +234,13 @@ def symmetric_with_phases(phases, seed):
     return q @ np.diag(np.exp(1j * np.asarray(phases))) @ q.T
 
 
-def complex_path(u):
-    """The complex one-eigh solve at the offset, taken whatever the structure."""
-    lam, v, residual = linalg._offset_eigensolve(u.reshape(-1, *u.shape[-2:]), linalg.EIG_PHASE_OFFSET)
+def offset_path(u, real=False):
+    """The one-eigh solve at the offset, complex or, with ``real``, on
+    (Re U, Im U), taken whatever the structure."""
+    stack = u.reshape(-1, *u.shape[-2:])
+    if real:
+        stack = np.stack((stack.real, stack.imag), axis=1)
+    lam, v, residual = linalg._offset_eigensolve(stack, linalg.EIG_PHASE_OFFSET)
     assert np.all(residual <= linalg.EIG_RESIDUAL_TOL)
     lam, v = linalg._phase_sorted(lam, v)
     return lam.reshape(u.shape[:-1]), v.reshape(u.shape)
@@ -264,7 +268,7 @@ def test_nearly_symmetric_stack_keeps_the_complex_path():
     stack = stack @ hermitian_eigensolve(random_hermitian(6, rng)).propagator(1e-9)
     assert 1e-10 < np.max(np.abs(stack - stack.swapaxes(1, 2))) < 1e-8
     lam, v = unitary_eigensolve(stack)
-    want = complex_path(stack)
+    want = offset_path(stack)
     assert v.dtype == complex
     assert np.array_equal(lam, want[0]) and np.array_equal(v, want[1])
 
@@ -275,7 +279,7 @@ def test_finite_pulsepol_map_keeps_the_complex_path():
     register = shipped_register("c3_c4_c8.yaml")
     stack = period_unitary([pulsepol_for_period(t, rabi=300.0) for t in (6.7, 6.9)], register)
     lam, v = unitary_eigensolve(stack)
-    want = complex_path(stack)
+    want = offset_path(stack)
     assert v.dtype == complex
     assert np.array_equal(lam, want[0]) and np.array_equal(v, want[1])
 
@@ -297,6 +301,79 @@ def test_symmetric_pairs_mirrored_about_both_offsets_raise(fallbacks):
     with pytest.raises(NoConvergence, match="at both phase offsets"):
         unitary_eigensolve(symmetric_with_phases(phases, 44))
     assert fallbacks == [4]
+
+
+def paired_with_phases(phases, seed):
+    """A symmetric unitary with max |V conj(U) V^T - U| = 0 up to rounding,
+    V = [[0, I], [-I, 0]], and eigenphases +/- phases: O diag(e^{i phi},
+    e^{-i phi}) O^T, O = [[Re W, -Im W], [Im W, Re W]] real orthogonal for
+    a random unitary W."""
+    w = random_unitary(len(phases), np.random.default_rng(seed))
+    o = np.block([[w.real, -w.imag], [w.imag, w.real]])
+    phases = np.asarray(phases)
+    return o @ np.diag(np.exp(1j * np.concatenate((phases, -phases)))) @ o.T
+
+
+def test_paired_stack_is_solved_at_half_size(solves, fallbacks):
+    """Stacks with the flip symmetry, +/- pi and 0 pairs among them, take
+    one m x m eigh and pass the gate: real orthonormal eigenvectors, the
+    eigenphases of the full real solve to 1e-12."""
+    phases = [[0.4, 1.3, 2.9, 1e-3], [0.7, -2.4, np.pi, 0.0], [0.2, 0.5, 0.8, 1.1]]
+    stack = np.stack([paired_with_phases(p, 50 + i) for i, p in enumerate(phases)])
+    assert linalg._flip_defect(stack) <= 1e-14
+    lam, v = unitary_eigensolve(stack)
+    assert solves == {"paired": [8, 8, 8], "theta": []} and fallbacks == []
+    assert v.dtype == np.float64
+    want, _ = offset_path(stack, real=True)
+    for u, p, w, x, ref_w in zip(stack, phases, lam, v, want):
+        assert_sound_eigensystem(u, w, x)
+        assert np.max(np.abs(np.angle(w) - np.angle(ref_w))) <= 1e-12
+        expect = np.concatenate((p, np.negative(p)))
+        expect = np.sort(np.where(np.abs(expect) == np.pi, np.pi, expect))
+        assert np.allclose(np.angle(w), expect, atol=1e-12)
+
+
+def test_paired_stack_equals_per_matrix_calls():
+    """One stacked half-size solve gives each matrix's own result bit for bit."""
+    phases = np.linspace(0.3, 2.7, 5)
+    stack = np.stack([paired_with_phases(phases + i / 10, 60 + i) for i in range(3)])
+    lam, v = unitary_eigensolve(stack)
+    for i, u in enumerate(stack):
+        one = unitary_eigensolve(u)
+        assert np.array_equal(one.eigenvalues, lam[i]) and np.array_equal(one.eigenvectors, v[i])
+
+
+def test_paired_matrix_with_a_shared_cosine_falls_back(solves, fallbacks):
+    """Two pairs at the same |phi| leave the half-size eigh a degenerate
+    eigenspace whose vectors the flip does not map onto themselves: that
+    matrix alone fails the gate and is solved again at the offset, soundly."""
+    stack = np.stack(
+        [paired_with_phases([0.4, 0.4, 1.3, 2.0], 70), paired_with_phases([0.4, 1.3, 2.0, 2.5], 71)]
+    )
+    lam, v = unitary_eigensolve(stack)
+    assert solves == {"paired": [8, 8], "theta": [8]} and fallbacks == []
+    for u, w, x in zip(stack, lam, v):
+        assert_sound_eigensystem(u, w, x)
+    want = offset_path(stack[0], real=True)
+    assert np.array_equal(lam[0], want[0]) and np.array_equal(v[0], want[1])
+
+
+def test_symmetric_stacks_without_the_pair_shape_keep_the_real_path(solves, reg_c3_c21):
+    """Random symmetric unitaries, and the sector blocks of ideal PulsePol
+    on two nuclei (where the flip swaps the two sectors), are solved by
+    the full-size real path, bit for bit."""
+    phases = np.linspace(-2.5, 2.9, 8)
+    random = np.stack([symmetric_with_phases(phases + i / 10, 80 + i) for i in range(3)])
+    sectors = floquet._Sectors.of(pulsepol_for_period(6.8), reg_c3_c21.dim)
+    roots, _ = protocols.period_roots([pulsepol_for_period(t) for t in (6.7, 6.8, 6.9)], reg_c3_c21)
+    blocks = sectors.blocks(roots)
+    blocks = (blocks @ blocks).reshape(-1, 4, 4)
+    for stack in (random, blocks):
+        assert linalg._flip_defect(stack) > 1e-3
+        lam, v = unitary_eigensolve(stack)
+        want = offset_path(stack, real=True)
+        assert np.array_equal(lam, want[0]) and np.array_equal(v, want[1])
+    assert solves["paired"] == []
 
 
 @pytest.mark.parametrize("bad, error", [(np.nan, DimensionMismatch), (1.001, NotUnitary)])

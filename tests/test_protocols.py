@@ -193,6 +193,52 @@ def test_free_propagator_is_the_diagonal_blocks_of_expm(config):
             assert np.max(np.abs(got[r] - want[r, :, r])) <= 1e-12
 
 
+SMALL_CONFIGS = [name for name in SHIPPED_CONFIGS if name != "register27.yaml"]
+
+
+def spin_flip(dim: int) -> np.ndarray:
+    """V = i Y_e (x) X^(x)N: the all-spin flip i -> D - 1 - i, with -1 on
+    the electron-down rows (the electron is the top bit)."""
+    v = np.zeros((dim, dim))
+    v[np.arange(dim), dim - 1 - np.arange(dim)] = np.where(np.arange(dim) < dim // 2, 1.0, -1.0)
+    return v
+
+
+@pytest.mark.parametrize("rabi", [None, 300.0, 2000.0], ids=["ideal", "rabi300", "rabi2000"])
+@pytest.mark.parametrize(
+    "builder", [pulsepol_for_period, cpmg_for_period], ids=["pulsepol", "cpmg"]
+)
+@pytest.mark.parametrize("config", SMALL_CONFIGS)
+def test_every_map_commutes_with_the_antiunitary_spin_flip(config, builder, rabi):
+    """max |V conj(R) V^T - R| <= 1e-12 for every root and period map, at
+    k = 3 and 11, ideal and finite.
+
+    Take V = i Y_e (x) X^(x)N, real and orthogonal, and T = V K with K
+    complex conjugation. X Z X = -Z, X X X = X, and (iY) Z (iY)^T = -Z,
+    (iY) X (iY)^T = -X, (iY) Y (iY)^T = Y. H0 = sum_n w_n Iz_n + Sz sum_n
+    A_perp_n Ix_n is real, so V conj(H0) V^T = -H0; and conj(S_phi) =
+    cos(phi) Sx - sin(phi) Sy gives V conj(S_phi) V^T = -S_phi. Every event
+    propagator E = exp(-i (H0 d + theta S_phi)), the free gaps (theta = 0)
+    and ideal pulses (d = 0) among them, then has V conj(E) V^T =
+    exp(+i V conj(H0 d + theta S_phi) V^T) = E, and so has every product
+    of them: T commutes with every root and period map, with T^2 = -1, and
+    pairs each eigenvalue e^{i phi} with e^{-i phi}. The Floquet solve
+    orders its sectors so that this gives each block the shape
+    ``linalg.unitary_eigensolve`` solves at half size; a change to
+    ``static_hamiltonian`` or ``_electron_rotation`` that breaks T fails
+    here rather than silently in the count of fallbacks.
+    """
+    register = shipped_register(config)
+    v = spin_flip(register.dim)
+    omega = precession_frequency(register.nuclei[0], register.larmor)
+    for k in (3, 11):
+        t_r = resonant_period(omega, k)
+        seqs = [builder(t, harmonic=k, rabi=rabi) for t in (0.98 * t_r, t_r, 1.03 * t_r)]
+        roots, _ = protocols.period_roots(seqs, register)
+        for maps in (roots, period_unitary(seqs, register)):
+            assert np.max(np.abs(v @ maps.conj() @ v.T - maps)) <= 1e-12
+
+
 @pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
 def test_period_unitary_rejects_a_non_finite_map(reg_c3, monkeypatch, rabi):
     monkeypatch.setattr(
