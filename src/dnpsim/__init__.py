@@ -2,18 +2,16 @@
 
 from .analytic import (
     BlockadePair,
-    DarkBrightDecomposition,
     EffectiveSpinParams,
+    ExcitationManifold,
     SideDip,
-    ThreeLevelSystem,
     blockade_pair,
-    dark_bright,
     effective_params,
+    excitation_manifold,
     optimal_pulse_count,
     polarisation_ceiling,
     side_dips,
     single_spin_polarisation,
-    three_level_eigensystem,
 )
 from .engine import (
     DensityState,

@@ -2,9 +2,9 @@
 
 Everything here is derived from the first-order average Hamiltonian of the
 4 tau bracket: per-spin flip-flop rates and detunings, the transfer
-probability and its ceiling, side-dip locations, the dark/bright
-decomposition of a spin pair, and the three-level algebra behind the
-spin-blockade shift of a resonance.
+probability and its ceiling, side-dip locations, the blockade shift of a
+weak spin's resonance by a stronger one, and the single-flip manifold of
+N spins behind both the blockade and the dark/bright modes of a pair.
 
 All frequencies are rad/us and all times us, as everywhere else.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import atan2, cos, hypot, pi, sin, sqrt
-from typing import NamedTuple
+from math import atan2, hypot, pi, sin, sqrt
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -174,45 +174,12 @@ def side_dips(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DarkBrightDecomposition:
-    """Collective-mode picture of two spins sharing one resonance.
-
-    The electron couples only to the bright combination
-    cos(phi) |1> + sin(phi) |2| with tan(phi) = g2 / g1; the orthogonal
-    dark mode decouples entirely. The bright mode behaves like a single
-    spin of coupling g_rms at the common detuning.
-    """
-
-    phi: float
-    theta: float
-    g_rms: float
-    detuning: float
-    bright_ceiling: float
-    transfer_ceiling: float
-
-
-def dark_bright(p1: EffectiveSpinParams, p2: EffectiveSpinParams) -> DarkBrightDecomposition:
-    """Decompose a spin pair addressed at the same period into collective modes.
-
-    bright_ceiling = cos^2(phi) is the fraction of a shared excitation that
-    lives in the bright mode when starting from spin 1; the transfer
-    ceiling multiplies that by the bright mode's own detuning envelope
-    sin^2(theta), tan(theta) = 2 g_rms / detuning.
-    """
-    if abs(p1.period - p2.period) > 1e-12 or p1.harmonic != p2.harmonic:
-        raise ValidationError(
-            "dark/bright decomposition needs both spins at the same period and harmonic"
-        )
-    g_rms = hypot(p1.g, p2.g)
-    if g_rms == 0.0:
-        raise ValidationError("both couplings vanish; no bright mode exists")
-    phi = atan2(p2.g, p1.g)
-    detuning = 0.5 * (p1.detuning + p2.detuning)
-    theta = atan2(2.0 * g_rms, detuning)
-    sin_theta_sq = (2.0 * g_rms) ** 2 / (detuning**2 + 4.0 * g_rms**2)
-    bright = cos(phi) ** 2
-    return DarkBrightDecomposition(phi, theta, g_rms, detuning, bright, bright * sin_theta_sq)
+def _require_common_period(params: Sequence[EffectiveSpinParams]) -> None:
+    """ValidationError unless every parameter set has the first one's period
+    and harmonic: the formulas combining spins need one drive frame."""
+    first = params[0]
+    if any(abs(p.period - first.period) > 1e-12 or p.harmonic != first.harmonic for p in params):
+        raise ValidationError("spins need a common period and harmonic")
 
 
 @dataclass(frozen=True)
@@ -251,11 +218,12 @@ class BlockadePair:
     @property
     def crossing_frequency(self) -> float:
         """Exact drive frequency omega_target + G^2 / delta_minus at which the
-        blockaded target line crosses: with g = 0, two levels of the three-state
-        manifold are degenerate there. Its period 2 pi k / crossing_frequency is
-        exactly T_r / (1 - ratio), which differs from ``shifted_period`` by
-        T_r ratio^2 / (1 - ratio); the two part for large |ratio|: 5.985 against
-        5.853 us for C3 over C21, 22.97 against 11.89 us for C4 over C8 at k = 3.
+        blockaded target line crosses: with g = 0, two levels of
+        ``excitation_manifold([strong, weak])`` are degenerate there. Its period
+        2 pi k / crossing_frequency is exactly T_r / (1 - ratio), which differs
+        from ``shifted_period`` by T_r ratio^2 / (1 - ratio); the two part for
+        large |ratio|: 5.985 against 5.853 us for C3 over C21, 22.97 against
+        11.89 us for C4 over C8 at k = 3.
         """
         return self.weak.omega_i + self.strong.g**2 / self.delta_minus
 
@@ -268,8 +236,7 @@ def blockade_pair(strong: EffectiveSpinParams, weak: EffectiveSpinParams) -> Blo
     detuning vanishes. DegenerateSpins when the precession frequencies
     coincide within DEGENERACY_TOL.
     """
-    if abs(strong.period - weak.period) > 1e-12 or strong.harmonic != weak.harmonic:
-        raise ValidationError("blockade pair needs a common period and harmonic")
+    _require_common_period((strong, weak))
     delta_minus = strong.omega_i - weak.omega_i
     if abs(delta_minus) < DEGENERACY_TOL:
         raise DegenerateSpins(
@@ -279,37 +246,33 @@ def blockade_pair(strong: EffectiveSpinParams, weak: EffectiveSpinParams) -> Blo
     return BlockadePair(strong, weak, delta_minus, atan2(2.0 * strong.g, strong.detuning))
 
 
-class ThreeLevelSystem(NamedTuple):
-    """Exact and zeroth-order spectra of the single-flip blockade manifold."""
+class ExcitationManifold(NamedTuple):
+    """Hamiltonian of the single-flip manifold with its eigenvalues in
+    ascending order and its eigenvectors as the columns of ``states``."""
 
     hamiltonian: np.ndarray
-    exact: np.ndarray
-    unperturbed: np.ndarray
+    energies: np.ndarray
+    states: np.ndarray
 
 
-def three_level_eigensystem(pair: BlockadePair) -> ThreeLevelSystem:
-    """Diagonalise the three-state manifold {electron flip, blockade flip, target flip}.
+def excitation_manifold(params: Sequence[EffectiveSpinParams]) -> ExcitationManifold:
+    """Diagonalise the single-flip manifold of N >= 1 spins at one period.
 
-    In the frame of the drive the manifold Hamiltonian is
-
-        [ -dm/2   G     0   ]
-        [  G      dp/2  g   ]      dm = delta_B - delta_t,  dp = delta_B + delta_t,
-        [  0      g     dm/2]
-
-    with G, g the blockade and target flip-flop rates. ``unperturbed``
-    holds the g = 0 spectrum {(delta_t - w)/2, (delta_t + w)/2, dm/2},
-    w = sqrt(delta_B^2 + 4 G^2); the target line anticrosses the dressed
-    doublet where the exact and unperturbed branches pull apart.
+    Index 0 is the electron flip and index j + 1 the flip of spin j. In the
+    frame of the drive the electron flip sits at c = sum_j delta_j / 2,
+    spin j's flip at c - delta_j, and the flip-flop rate g_j couples the
+    two. One spin splits by Omega_r = sqrt(delta^2 + 4 g^2); a strong spin
+    dresses the electron flip and displaces a weaker spin's crossing (the
+    blockade); spins at a common detuning leave one dark mode per extra
+    spin, orthogonal to (g_1, ..., g_N), with no electron amplitude. The
+    g_j = 0 spectrum is the manifold of ``dataclasses.replace(p, g=0.0)``.
     """
-    delta_b = pair.strong.detuning
-    delta_t = pair.weak.detuning
-    big_g = pair.strong.g
-    small_g = pair.weak.g
-    dm = delta_b - delta_t
-    dp = delta_b + delta_t
-    h = np.array([[-dm / 2.0, big_g, 0.0], [big_g, dp / 2.0, small_g], [0.0, small_g, dm / 2.0]])
-    exact = np.linalg.eigvalsh(h)
-    w = hypot(delta_b, 2.0 * big_g)
-    unperturbed = np.sort(np.array([(delta_t - w) / 2.0, (delta_t + w) / 2.0, dm / 2.0]))
-    return ThreeLevelSystem(hamiltonian=h, exact=exact, unperturbed=unperturbed)
-
+    if not params:
+        raise ValidationError("excitation manifold needs at least one spin")
+    _require_common_period(params)
+    detunings = np.array([p.detuning for p in params])
+    c = 0.5 * detunings.sum()
+    h = np.diag(np.concatenate(([c], c - detunings)))
+    h[0, 1:] = h[1:, 0] = [p.g for p in params]
+    energies, states = np.linalg.eigh(h)
+    return ExcitationManifold(h, energies, states)

@@ -246,7 +246,6 @@ def _add_grid(sub: argparse.ArgumentParser) -> None:
 def _add_run(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--np", dest="n_periods", type=int, default=4,
                      help="protocol periods per repetition")
-    sub.add_argument("--reps", type=int, default=1, help="repetitions")
     sub.add_argument("--wait-us", type=float, default=0.0, help="wait between repetitions")
     sub.add_argument("--reinit", type=int, choices=(0, 1), default=0,
                      help="electron reset state index")
@@ -263,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol(sweep)
     _add_grid(sweep)
     _add_run(sweep)
+    sweep.add_argument("--reps", type=int, default=1, help="repetitions per grid point")
     sweep.set_defaults(func=_cmd_sweep)
 
     spectrum = subs.add_parser("spectrum", help="quasi-energy branches and crossings")

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from dnpsim import (
     blockade_pair,
-    dark_bright,
     effective_params,
+    excitation_manifold,
     optimal_pulse_count,
     polarisation_ceiling,
     precession_frequency,
     resonant_period,
     side_dips,
     single_spin_polarisation,
-    three_level_eigensystem,
 )
 from dnpsim.errors import DegenerateSpins, ValidationError, ZeroCoupling
 
@@ -128,29 +127,6 @@ def test_side_dips_drop_swallowed_orders():
         side_dips(p, 0)
 
 
-def test_dark_bright_equal_pair():
-    p = params_for("C21")
-    db = dark_bright(p, p)
-    assert db.phi == pytest.approx(math.pi / 4)
-    assert db.bright_ceiling == pytest.approx(0.5)
-    assert db.g_rms == pytest.approx(math.sqrt(2) * p.g, rel=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(0.1, 10.0), st.floats(0.01, 1.0))
-def test_dark_bright_mixing_is_scale_free(scale, ratio):
-    base = params_for("C3")
-    other = params_for("C21", period=base.period)
-    db1 = dark_bright(base, other)
-    db2 = dark_bright(
-        dataclasses.replace(base, g=base.g * scale),
-        dataclasses.replace(other, g=other.g * scale),
-    )
-    assert db2.phi == pytest.approx(db1.phi, rel=1e-9)
-    assert db2.bright_ceiling == pytest.approx(db1.bright_ceiling, rel=1e-9)
-    del ratio  # vary the draw, the invariance holds pointwise
-
-
 def test_blockade_shift_anchors():
     down = pair_for("C3", "C21")
     up = pair_for("C3", "C16")
@@ -211,18 +187,97 @@ def test_crossing_period_is_the_exact_form_of_the_shift(strong, weak):
     assert (exact - pair.shifted_period) / t_r == pytest.approx(ratio**2 / (1 - ratio), rel=1e-12)
 
 
-def test_three_level_crossing_degeneracy():
+def crossing_pair():
+    """C3 and C21 at the period where C21's blockaded line crosses."""
     reg = make_register("C3", "C21")
-    c3, c21 = reg.nuclei
     period = 6 * math.pi / pair_for("C3", "C21").crossing_frequency
-    sys = three_level_eigensystem(
-        blockade_pair(
-            effective_params(c3, LARMOR, period), effective_params(c21, LARMOR, period)
-        )
+    return [effective_params(spin, LARMOR, period) for spin in reg.nuclei]
+
+
+def test_manifold_of_a_pair_is_the_three_level_matrix():
+    """Ordered (strong flip, electron flip, weak flip), the two-spin manifold
+    is the blockade matrix with dm = delta_B - delta_t, dp = delta_B + delta_t."""
+    strong, weak = crossing_pair()
+    manifold = excitation_manifold([strong, weak])
+    big_g, small_g = strong.g, weak.g
+    dm, dp = strong.detuning - weak.detuning, strong.detuning + weak.detuning
+    three_level = np.array(
+        [[-dm / 2, big_g, 0.0], [big_g, dp / 2, small_g], [0.0, small_g, dm / 2]]
     )
-    assert sys.hamiltonian.shape == (3, 3)
-    assert np.allclose(sys.hamiltonian, sys.hamiltonian.conj().T, atol=1e-12)
-    gaps = np.abs(np.subtract.outer(sys.unperturbed, sys.unperturbed))
-    off_diag = gaps[np.triu_indices(3, k=1)]
+    order = [1, 0, 2]
+    h = manifold.hamiltonian[np.ix_(order, order)]
+    np.testing.assert_allclose(h, three_level, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(manifold.energies, np.linalg.eigvalsh(three_level), atol=1e-14)
+    assert np.all(np.diff(manifold.energies) >= 0)
+    np.testing.assert_allclose(
+        manifold.hamiltonian @ manifold.states, manifold.states * manifold.energies, atol=1e-14
+    )
+
+
+def test_manifold_levels_cross_at_the_crossing_frequency():
+    strong, weak = crossing_pair()
+    bare = excitation_manifold([strong, dataclasses.replace(weak, g=0.0)]).energies
+    w = math.hypot(strong.detuning, 2 * strong.g)
+    dm = strong.detuning - weak.detuning
+    expected = np.sort([(weak.detuning - w) / 2, (weak.detuning + w) / 2, dm / 2])
+    np.testing.assert_allclose(bare, expected, atol=1e-14)
     # at the shifted crossing two unperturbed levels coincide
-    assert np.min(off_diag) == pytest.approx(0.0, abs=1e-9)
+    assert np.min(np.diff(bare)) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_manifold_of_one_spin_splits_by_the_rabi_frequency():
+    p = params_for("C3", period=6.9)
+    energies = excitation_manifold([p]).energies
+    assert energies[1] - energies[0] == pytest.approx(math.hypot(p.detuning, 2 * p.g), abs=1e-12)
+
+
+def test_manifold_of_an_equal_pair_has_a_dark_mode():
+    """The antisymmetric flip has no electron amplitude; the symmetric one is
+    bright and splits with the collective rate sqrt(2) g."""
+    p = params_for("C21", period=6.9)
+    manifold = excitation_manifold([p, p])
+    dark = np.argmin(np.abs(manifold.states[0]))
+    assert manifold.states[0, dark] == pytest.approx(0.0, abs=1e-12)
+    nuclear = manifold.states[1:, dark] * np.sign(manifold.states[2, dark])
+    np.testing.assert_allclose(nuclear, np.array([-1.0, 1.0]) / math.sqrt(2), atol=1e-12)
+    lo, hi = np.delete(manifold.energies, dark)
+    assert hi - lo == pytest.approx(math.hypot(p.detuning, 2 * math.sqrt(2) * p.g), abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.1, 10.0))
+def test_manifold_dark_mode_is_scale_free(scale):
+    """At a common detuning the dark mode is (g2, -g1) / hypot(g1, g2),
+    whatever the common scale of the couplings."""
+    base = params_for("C3", period=6.9)
+    other = dataclasses.replace(params_for("C21", period=6.9), detuning=base.detuning)
+    g1, g2 = base.g * scale, other.g * scale
+    states = excitation_manifold(
+        [dataclasses.replace(base, g=g1), dataclasses.replace(other, g=g2)]
+    ).states
+    dark = np.argmin(np.abs(states[0]))
+    assert states[0, dark] == pytest.approx(0.0, abs=1e-12)
+    expected = np.array([g2, -g1]) / math.hypot(g1, g2)
+    assert abs(states[1:, dark] @ expected) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_decoupled_spin_leaves_the_rest_of_the_manifold_shifted():
+    """With C8's coupling off at k = 11, C3/C4/C8 holds C8's bare flip at
+    c - delta_C8 and the C3/C4 levels raised by delta_C8 / 2."""
+    c4_c8 = pair_for("C4", "C8", harmonic=11)
+    c3 = params_for("C3", period=c4_c8.weak.period, harmonic=11)
+    c8 = dataclasses.replace(c4_c8.weak, g=0.0)
+    triple = excitation_manifold([c3, c4_c8.strong, c8])
+    pair = excitation_manifold([c3, c4_c8.strong]).energies
+    bare = 0.5 * (c3.detuning + c4_c8.strong.detuning + c8.detuning) - c8.detuning
+    expected = np.sort(np.append(pair + c8.detuning / 2, bare))
+    np.testing.assert_allclose(triple.energies, expected, rtol=0, atol=1e-12)
+
+
+def test_manifold_requires_a_common_period():
+    with pytest.raises(ValidationError, match="common period"):
+        excitation_manifold([params_for("C3", period=6.8), params_for("C21", period=6.9)])
+    with pytest.raises(ValidationError, match="common period"):
+        excitation_manifold([params_for("C3", 6.9), params_for("C21", 6.9, harmonic=11)])
+    with pytest.raises(ValidationError):
+        excitation_manifold([])

@@ -1,11 +1,14 @@
 """Command-line entry points, exit codes and output files."""
 from __future__ import annotations
 
+import argparse
+import ast
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +419,77 @@ def test_compare_refuses_the_options_it_does_not_read(extra, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith(f"error: unrecognized arguments: {extra[0]}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep", "--config", C3, "--t-start", "6.6", "--t-stop", "7.0", "--steps", "1"],
+         "--steps"),
+        (["schedule", "--config", C3, "--stage", "6.8:x"], "--stage"),
+        (["schedule", "--config", C3, "--stage", "6.8:3", "--reps", "5"], "--reps"),
+    ],
+    ids=["one-step", "stage-reps-not-a-number", "schedule-reps"],
+)
+def test_run_options_a_verb_cannot_honour_exit_one(argv, field, capsys):
+    """A one-point grid, a malformed stage and a ``--reps`` on ``schedule``
+    (whose repetitions come from its stages alone) are usage errors with
+    nothing on stdout."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_compare_on_a_register_without_nuclei_exits_one(tmp_path, capsys):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("larmor_rad_per_us: 2.7106474\nnuclei: []\n")
+    assert cli.main(["compare", "--config", str(empty)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config contains no nuclei\n"
+
+
+def _args_read(name: str, functions: dict, seen: set) -> set:
+    """Attributes of ``args`` that the cli function ``name`` reads, itself or
+    through the cli functions it passes ``args`` to."""
+    if name in seen:
+        return set()
+    seen.add(name)
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in functions
+            and any(getattr(arg, "id", None) == "args" for arg in node.args)
+        ):
+            read |= _args_read(node.func.id, functions, seen)
+    return read
+
+
+def test_every_option_a_verb_accepts_is_one_it_reads():
+    """No flag is parsed and then dropped. ``--workers`` alone is accepted
+    and ignored, as the README documents."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    verbs = next(
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    unread = []
+    for verb, sub in verbs.items():
+        read = _args_read(sub.get_default("func").__name__, functions, set())
+        unread.extend(
+            f"{verb} {action.option_strings[0]}"
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            and action.dest not in read | {"workers"}
+        )
+    assert sorted(verbs) == ["compare", "schedule", "spectrum", "sweep"]
+    assert unread == []
 
 
 def test_bad_config_exits_one(tmp_path, capsys):

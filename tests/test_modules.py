@@ -72,6 +72,20 @@ def test_degenerate_spins_is_raised_at_one_site():
     assert len(sites) == 1, sites
 
 
+def test_common_period_is_checked_at_one_site():
+    """``blockade_pair`` and ``excitation_manifold`` share one check that
+    their spins were evaluated at one period and harmonic."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and "common period" in ast.unparse(node):
+                sites.append(f"{path.stem}:{node.lineno}")
+    assert len(sites) == 1, sites
+    assert set(_callers("_require_common_period")) == {
+        "analytic.blockade_pair", "analytic.excitation_manifold"
+    }
+
+
 def test_one_kraus_builder_in_the_engine():
     """Every Kraus stack is powered and checked in one place."""
     for name in ("_check_completeness", "matrix_power"):

@@ -131,6 +131,40 @@ def test_loader_rejects_non_mapping_root():
         load_register("- 1\n- 2\n")
 
 
+NUCLEUS = "nuclei:\n  - {label: %s, a_parallel_khz: %s, a_perp_khz: %s}\n"
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("larmor_rad_per_us: fast\n", "larmor_rad_per_us: expected a number"),
+        (NUCLEUS % ("X", "one", "1"), r"nuclei\[0\]\.a_parallel_khz: expected a number"),
+        (NUCLEUS % ("X", "1", "true"), r"nuclei\[0\]\.a_perp_khz: expected a number"),
+        ("b_field_gauss: 0\n", "b_field_gauss: must be > 0"),
+        ("larmor_rad_per_us: 0\n", "larmor_rad_per_us: must be > 0"),
+        ("nuclei: 5\n", "nuclei: expected a list"),
+        ("nuclei: [5]\n", r"nuclei\[0\]: expected a mapping"),
+        (NUCLEUS % ("''", "1", "1"), r"nuclei\[0\]\.label: expected a non-empty string"),
+        (NUCLEUS % ("X", "1", "-1"), r"nuclei\[0\]\.a_perp_khz: must be >= 0"),
+    ],
+    ids=["not-a-number", "row-not-a-number", "bool-is-not-a-number", "zero-field",
+         "zero-larmor", "nuclei-not-a-list", "row-not-a-mapping", "empty-label",
+         "negative-a-perp"],
+)
+def test_loader_names_the_field_it_refuses(text, field):
+    """Each check of the file's own fields answers in the file's terms
+    (``nuclei[0].a_perp_khz``, not the converted ``X.a_perp``)."""
+    with pytest.raises(ValidationError, match=f"^{field}"):
+        load_register(text)
+
+
+@pytest.mark.parametrize("text", ["", "# no fields\n", "nuclei: null\n"])
+def test_loader_reads_an_empty_document_as_an_empty_register(text):
+    reg = load_register(text)
+    assert reg.nuclei == ()
+    assert reg.larmor == pytest.approx(larmor_from_field(403.0))
+
+
 def test_load_register_file(tmp_path):
     p = tmp_path / "reg.yaml"
     p.write_text(register_text(["C3", "C21"]))
