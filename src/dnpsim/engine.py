@@ -470,8 +470,8 @@ def asymptotic_envelope(
     the run's own repetition count. If the cap is hit first a warning is
     emitted and converged is False.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol: must be > 0, got {tol}")
+    if not 0 < tol < inf:
+        raise ValidationError(f"tol: must be finite and > 0, got {tol}")
     if max_repetitions < 1:
         raise ValidationError(f"max_repetitions: must be >= 1, got {max_repetitions}")
     d = register.dim // 2

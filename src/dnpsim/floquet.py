@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import count
 from math import inf
 from typing import Callable, NamedTuple, Sequence
 
@@ -88,13 +87,12 @@ class _Sectors(NamedTuple):
 
 
 class _Point(NamedTuple):
-    """Eigenphases in phase order and (S, n, n) eigenvector blocks: the
-    phase-order column j is column k of block s for order[j] = s n + k."""
+    """A period's (S, n, n) eigenvector blocks as solved, and its
+    eigenphases by block column: phases[s n + k] belongs to column k of block s."""
 
     period: float
     phases: np.ndarray
     vectors: np.ndarray
-    order: np.ndarray
 
 
 def _spectrum_points(
@@ -102,7 +100,7 @@ def _spectrum_points(
 ) -> list[_Point]:
     """The points of a grid chunk, from the sector blocks of its stacked
     ``period_roots``, squared where a root is a half period, and one stacked
-    eigensolve of them, which checks their unitarity; phase orders merged."""
+    eigensolve of them, which checks their unitarity."""
     seqs = [builder(t) for t in grid]
     roots, squared = period_roots(seqs, register)
     blocks = sectors.blocks(roots)
@@ -111,12 +109,9 @@ def _spectrum_points(
     else:
         blocks[squared] = blocks[squared] @ blocks[squared]
     eig = unitary_eigensolve(blocks.reshape(-1, *blocks.shape[-2:]))
-    lam = eig.eigenvalues.reshape(len(seqs), -1)
-    order = np.argsort(np.angle(lam), axis=-1, kind="stable")
-    phases = -np.angle(np.take_along_axis(lam, order, -1))
+    phases = -np.angle(eig.eigenvalues.reshape(len(seqs), -1))
     vectors = eig.eigenvectors.reshape(blocks.shape)
-    periods = (s.period for s in seqs)
-    return [_Point(*point) for point in zip(periods, phases, vectors, order)]
+    return [_Point(*point) for point in zip((s.period for s in seqs), phases, vectors)]
 
 
 def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]:
@@ -154,17 +149,16 @@ def _stitch(
     depth: int,
     capped: list[float],
 ) -> list[np.ndarray]:
-    """The branch permutation from a to b of each (t_a, a, t_b, b) interval,
-    matched inside each sector. Intervals whose worst overlap is below
-    STITCH_OVERLAP are bisected, and the midpoints of one level are solved
-    together by ``solve``, which maps a list of periods to their points; the
-    worst overlap of every interval accepted at the depth cap below
-    STITCH_OVERLAP is appended to capped."""
+    """The column map perm of each (t_a, a, t_b, b) interval, matched inside
+    each sector: b's column perm[c] continues a's column c. Intervals whose
+    worst overlap is below STITCH_OVERLAP are bisected, and the midpoints of
+    one level are solved together by ``solve``, which maps a list of periods
+    to their points; the worst overlap of every interval accepted at the
+    depth cap below STITCH_OVERLAP is appended to capped."""
     perms, split = [], []
     for i, (_, a, _, b) in enumerate(intervals):
         local, worst = _greedy_match(a.vectors, b.vectors)
-        flat = (local + local.shape[1] * np.arange(len(local))[:, None]).ravel()
-        perms.append(np.argsort(b.order)[flat[a.order]])
+        perms.append((local + local.shape[1] * np.arange(len(local))[:, None]).ravel())
         if worst >= STITCH_OVERLAP:
             continue
         if depth >= MAX_REFINE_DEPTH:
@@ -191,9 +185,7 @@ class FloquetSpectrum:
     eigenvector is column k of block s of blocks[i], the (S, n, n) blocks of
     the ``basis`` sectors as solved (float64 on the real path), for
     columns[i, j] = s n + k. Branch order is fixed by the phase ordering at
-    the first grid point. When the period conserves a parity Q, sectors[j]
-    is branch j's eigenvalue of Q (+1 or -1); a branch never leaves its
-    sector. Otherwise sectors is None.
+    the first grid point, and a branch never leaves its sector.
     """
 
     periods: np.ndarray
@@ -202,7 +194,11 @@ class FloquetSpectrum:
     columns: np.ndarray
     basis: _Sectors
     register: SpinRegister
-    sectors: np.ndarray | None = None
+
+    @property
+    def sectors(self) -> np.ndarray | None:
+        """Branch j's eigenvalue of the conserved parity Q (block 0 is +1), or None."""
+        return None if self.basis.axis is None else 1 - 2 * (self.columns[0] // (self.dim // 2))
 
     @property
     def dim(self) -> int:
@@ -251,11 +247,11 @@ def compute_spectrum(
     ``unitary_eigensolve``, which checks each map's blocks once for
     unitarity, and solves them in real arithmetic when they are symmetric
     (ideal PulsePol after the phase of ``_Sectors``, and CPMG), at half size
-    when a register of odd N gives them the flip pairing. Branches are
-    stitched inside their sector. Chunks are solved one after another in
-    this process and stitched as they arrive; each point's eigenvector
-    blocks are copied as solved into the result's (P, S, n, n) ``blocks``,
-    P D^2 / 2 floats on the real path, complex once any map is not.
+    when a register of odd N gives them the flip pairing. Chunks are solved
+    one after another in this process, written straight into the result's
+    arrays (``blocks`` P D^2 / 2 floats on the real path, complex once any
+    map is not), and stitched inside each sector from the stored point
+    before them: each column map carries ``columns`` on by one point.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -272,36 +268,23 @@ def compute_spectrum(
         chunks = (times[i : i + size] for i in range(0, len(times), size))
         return [p for chunk in chunks for p in _spectrum_points(builder, register, chunk, sectors)]
 
-    dim = register.dim
     axis = np.empty(grid.size)
-    phases = np.empty((grid.size, dim))
-    columns = np.empty((grid.size, dim), dtype=int)
-
-    def record(i: int, point: _Point, perm: np.ndarray) -> None:
-        nonlocal blocks
-        blocks = blocks.astype(np.result_type(blocks, point.vectors), copy=False)
-        axis[i] = point.period
-        phases[i] = point.phases[perm]
-        columns[i] = point.order[perm]
-        blocks[i] = point.vectors
-
-    # Points are stitched as they arrive, so only one chunk and its
-    # midpoints are held besides the branch-ordered arrays.
-    perm = np.arange(dim)
-    tail: list[_Point] = []  # the last point of the previous chunk
+    raw = np.empty((grid.size, register.dim))  # eigenphases by block column
+    columns = np.empty((grid.size, register.dim), dtype=int)
     capped: list[float] = []
     for start in range(0, grid.size, size):
-        points = tail + solve(grid[start : start + size])
-        t = grid[start - len(tail) : start + size]
-        if not tail:
-            labels = None if sectors.axis is None else 1 - 2 * (points[0].order // (dim // 2))
+        points = solve(grid[start : start + size])
+        if not start:
             blocks = np.empty((grid.size, *points[0].vectors.shape), points[0].vectors.dtype)
-            record(0, points[0], perm)
+            columns[0] = np.argsort(-points[0].phases, kind="stable")
+        blocks = blocks.astype(np.result_type(blocks, points[0].vectors), copy=False)
+        for i, point in enumerate(points, start):
+            axis[i], raw[i], blocks[i] = point
+        at = slice(max(start - 1, 0), start + len(points))
+        points, t = list(map(_Point, axis[at], raw[at], blocks[at])), grid[at]
         steps = _stitch(list(zip(t, points, t[1:], points[1:])), solve, 0, capped)
-        for i, step, point in zip(count(start - len(tail) + 1), steps, points[1:]):
-            perm = step[perm]
-            record(i, point, perm)
-        tail = points[-1:]
+        for i, step in enumerate(steps, at.start + 1):
+            columns[i] = step[columns[i - 1]]
     if capped:
         warnings.warn(
             f"{len(capped)} stitch interval(s) reached refinement depth "
@@ -310,7 +293,8 @@ def compute_spectrum(
             ValidityWarning,
             stacklevel=2,
         )
-    return FloquetSpectrum(axis, phases, blocks, columns, sectors, register, labels)
+    phases = np.take_along_axis(raw, columns, 1)
+    return FloquetSpectrum(axis, phases, blocks, columns, sectors, register)
 
 
 class AvoidedCrossing(NamedTuple):
@@ -378,6 +362,8 @@ def find_crossings(
     """
     if not 0 < gap_threshold < inf:
         raise ValidationError(f"gap_threshold: must be finite and > 0, got {gap_threshold}")
+    if not abs(participation_min) < inf:
+        raise ValidationError(f"participation_min: must be finite, got {participation_min}")
     branch_a, branch_b = np.triu_indices(spectrum.dim, 1)
     # The (points, pairs) gaps and their subtrahend are built in chunks of pairs.
     size = chunk_points(2 * 8 * spectrum.periods.size)

@@ -433,6 +433,8 @@ def resonant_period(omega_i: float, harmonic: int = 3) -> float:
     """Period T putting the given precession frequency on the k-th harmonic."""
     if harmonic < 1:
         raise ValidationError(f"harmonic: must be >= 1, got {harmonic}")
+    if not 0 < omega_i < inf:
+        raise ValidationError(f"omega_i: must be finite and > 0, got {omega_i}")
     return 2.0 * pi * harmonic / omega_i
 
 

@@ -60,8 +60,10 @@ class NuclearSpin:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValidationError("label: must be a non-empty string")
-        if self.a_perp < 0:
-            raise ValidationError(f"{self.label}.a_perp: must be >= 0, got {self.a_perp}")
+        if not np.isfinite(self.a_parallel):
+            raise ValidationError(f"{self.label}.a_parallel: must be finite, got {self.a_parallel}")
+        if not 0 <= self.a_perp < np.inf:
+            raise ValidationError(f"{self.label}.a_perp: must be finite, >= 0, got {self.a_perp}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ class SpinRegister:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nuclei", tuple(self.nuclei))
-        if not self.larmor > 0:
-            raise ValidationError(f"larmor: must be > 0, got {self.larmor}")
+        if not 0 < self.larmor < np.inf:
+            raise ValidationError(f"larmor: must be finite and > 0, got {self.larmor}")
         labels = [n.label for n in self.nuclei]
         if len(set(labels)) != len(labels):
             dupes = sorted({x for x in labels if labels.count(x) > 1})
@@ -217,6 +219,8 @@ _NUCLEUS_KEYS = {"label", "a_parallel_khz", "a_perp_khz"}
 def _require_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{field}: expected a number, got {value!r}")
+    if not abs(value) <= float(np.finfo(float).max):  # nan, inf, ints past float range
+        raise ValidationError(f"{field}: must be finite, got {value!r}")
     return float(value)
 
 

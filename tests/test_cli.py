@@ -364,6 +364,19 @@ def test_non_finite_numbers_are_usage_errors(argv, field, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb", ["sweep", "spectrum", "compare"])
+def test_non_finite_config_numbers_are_usage_errors(verb, tmp_path, capsys):
+    """A .nan coupling in the register file ends the run with exit 1 and the
+    field named, before numpy sees it: no ``warning:`` line, no traceback."""
+    config = tmp_path / "nan.yaml"
+    config.write_text("nuclei:\n  - {label: C3, a_parallel_khz: .nan, a_perp_khz: 40}\n")
+    argv = [verb, "--config", str(config), *VERB_ARGS[verb]]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: nuclei[0].a_parallel_khz: must be finite, got nan\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_bad_gap_threshold_is_rejected_before_any_work(value, tmp_path, capsys, monkeypatch):
     """No spectrum is computed and no --out file is written."""

@@ -104,6 +104,14 @@ def test_envelope_warns_when_capped(reg_c21):
     assert 0 < value < 0.5
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+def test_envelope_refuses_a_tolerance_it_cannot_meet(reg_c3, tol):
+    """A nan tolerance never stalls the loop, so it would run to the cap."""
+    run = ProtocolRun(pulsepol_for_period(t_resonance(reg_c3, "C3")), n_periods=3, repetitions=1)
+    with pytest.raises(ValidationError, match="^tol: must be finite and > 0"):
+        asymptotic_envelope(run, reg_c3, tol=tol)
+
+
 def test_envelope_builds_one_period_map(reg_c3, monkeypatch):
     calls = []
     real_period_unitary = engine.period_unitary

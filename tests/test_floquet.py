@@ -75,6 +75,14 @@ def test_gap_threshold_filters(c21_spectrum):
             find_crossings(spec, gap_threshold=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_participation_floor_must_be_finite(c21_spectrum, bad):
+    """A nan floor would keep no participant and so drop every crossing."""
+    _, _, spec = c21_spectrum
+    with pytest.raises(ValidationError, match="^participation_min: must be finite"):
+        find_crossings(spec, gap_threshold=0.5, participation_min=bad)
+
+
 def test_high_participation_cut_drops_crossing(c21_spectrum):
     _, _, spec = c21_spectrum
     assert find_crossings(spec, gap_threshold=0.5, participation_min=0.99) == ()
@@ -354,12 +362,13 @@ SECTOR_BUILDERS = {
 
 
 def _full_vectors(point, sectors):
-    """A point's eigenvectors in phase order as one D x D matrix."""
+    """A point's eigenvectors in block-column order as one D x D matrix."""
+    d = point.phases.size
     one = floquet.FloquetSpectrum(
-        np.array([point.period]), point.phases[None], point.vectors[None], point.order[None],
+        np.array([point.period]), point.phases[None], point.vectors[None], np.arange(d)[None],
         sectors, register=None,
     )
-    return one.eigenvectors(np.zeros(point.order.size, dtype=int), np.arange(point.order.size)).T
+    return one.eigenvectors(np.zeros(d, dtype=int), np.arange(d)).T
 
 
 def test_conserved_parity_follows_the_event_pattern():
@@ -496,9 +505,10 @@ def test_blocked_eigensolve_matches_the_grouped_solver(config, protocol):
     maps = period_unitary([builder(t) for t in grid], register)
     for point, u in zip(points, maps):
         lam, v = ref.grouped_eigensolve(u)
-        assert np.max(np.abs(point.phases + np.angle(lam))) <= 1e-12
-        got = _full_vectors(point, sectors)
-        mine = np.exp(-1j * point.phases)
+        order = np.argsort(-point.phases, kind="stable")
+        assert np.max(np.abs(point.phases[order] + np.angle(lam))) <= 1e-12
+        got = _full_vectors(point, sectors)[:, order]
+        mine = np.exp(-1j * point.phases[order])
         assert np.max(np.abs(u @ got - got * mine)) <= linalg.EIG_RESIDUAL_TOL
         seen = np.zeros(lam.size, dtype=bool)
         for j in range(lam.size):
@@ -679,9 +689,10 @@ def test_finite_pulsepol_takes_the_full_path(monkeypatch, c21_spectrum):
 def test_sector_stitching_equals_the_full_greedy_match(five_spin_spectrum):
     """Matching inside each sector gives the permutation and worst overlap
     of the greedy match on the whole eigenvector matrices of the phased map
-    P U P* (P diagonal, so its overlaps are those of U's eigenvectors).
-    The full rows are taken in the sectors' state order, so that both
-    overlaps sum the same products in the same order."""
+    P U P* (P diagonal, so its overlaps are those of U's eigenvectors), both
+    as maps between block columns. The full rows are taken in the sectors'
+    state order, so that both overlaps sum the same products in the same
+    order."""
     register = five_spin_spectrum.register
     grid = np.linspace(6.6, 7.2, 61)
     sectors = floquet._Sectors.of(pulsepol_for_period(grid[0]), register.dim)
@@ -707,6 +718,15 @@ def test_branches_keep_their_sector(five_spin_spectrum):
                        five_spin_spectrum.vectors).real
     assert np.max(np.abs(expect - five_spin_spectrum.sectors)) <= 1e-12
     assert sorted(five_spin_spectrum.sectors) == [-1] * 32 + [1] * 32
+
+
+@pytest.mark.parametrize("name", ["five_spin_spectrum", "ideal_cpmg_spectrum"])
+def test_sector_labels_hold_at_every_grid_point(request, name):
+    """The labels are read from the first point's columns alone; at every
+    later point each branch's column still lies in that sector's block."""
+    spec = request.getfixturevalue(name)
+    assert spec.sectors is not None
+    assert np.all(1 - 2 * (spec.columns // spec.blocks.shape[-1]) == spec.sectors)
 
 
 def test_spectrum_memory_stays_within_two_chunks():

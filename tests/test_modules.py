@@ -55,6 +55,14 @@ def test_only_parity_sectors_computes_a_parity():
     assert {c.split(".")[0] for c in _callers("parity_sectors")} == {"engine", "floquet"}
 
 
+def test_floquet_sorts_phases_once_per_spectrum():
+    """A Floquet branch is a block column: its phases are sorted at the
+    first grid point of each spectrum only, and the crossing search sorts
+    its weights; no per-point phase order is kept."""
+    floquet = [c for c in _callers("argsort") if c.startswith("floquet.")]
+    assert floquet == ["floquet.compute_spectrum", "floquet.find_crossings"]
+
+
 def test_no_polyfit_in_the_package():
     """Sweeps and spectra share the closed-form vertex of
     ``floquet.local_minima``."""

@@ -442,3 +442,9 @@ def test_averaged_generator_reads_the_events_not_the_label(reg_c3):
 def test_resonant_period_definition():
     assert resonant_period(2.0, harmonic=3) == pytest.approx(3 * math.pi)
     assert resonant_period(2.0, harmonic=1) == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("omega_i", [0.0, -1.0, np.nan, np.inf])
+def test_resonant_period_needs_a_finite_positive_frequency(omega_i):
+    with pytest.raises(ValidationError, match="^omega_i: must be finite and > 0"):
+        resonant_period(omega_i)

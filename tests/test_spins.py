@@ -9,6 +9,8 @@ import yaml
 
 from dnpsim import (
     KHZ_TO_RAD_PER_US,
+    NuclearSpin,
+    SpinRegister,
     build_operators,
     larmor_from_field,
     load_register,
@@ -146,16 +148,49 @@ NUCLEUS = "nuclei:\n  - {label: %s, a_parallel_khz: %s, a_perp_khz: %s}\n"
         ("nuclei: [5]\n", r"nuclei\[0\]: expected a mapping"),
         (NUCLEUS % ("''", "1", "1"), r"nuclei\[0\]\.label: expected a non-empty string"),
         (NUCLEUS % ("X", "1", "-1"), r"nuclei\[0\]\.a_perp_khz: must be >= 0"),
+        (NUCLEUS % ("X", "1" + "0" * 400, "1"), r"nuclei\[0\]\.a_parallel_khz: must be finite"),
     ],
     ids=["not-a-number", "row-not-a-number", "bool-is-not-a-number", "zero-field",
          "zero-larmor", "nuclei-not-a-list", "row-not-a-mapping", "empty-label",
-         "negative-a-perp"],
+         "negative-a-perp", "int-past-float-range"],
 )
 def test_loader_names_the_field_it_refuses(text, field):
     """Each check of the file's own fields answers in the file's terms
     (``nuclei[0].a_perp_khz``, not the converted ``X.a_perp``)."""
     with pytest.raises(ValidationError, match=f"^{field}"):
         load_register(text)
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize(
+    "field", ["a_parallel_khz", "a_perp_khz", "larmor_rad_per_us", "b_field_gauss"]
+)
+def test_loader_refuses_non_finite_numbers(field, value):
+    """A non-finite number is refused where it is read, with its field named,
+    before it can reach the Hamiltonian or a period."""
+    if field.startswith("a_"):
+        row = {"a_parallel_khz": "1", "a_perp_khz": "1", field: value}
+        text = NUCLEUS % ("X", row["a_parallel_khz"], row["a_perp_khz"])
+        field = rf"nuclei\[0\]\.{field}"
+    else:
+        text = f"{field}: {value}\n"
+    with pytest.raises(ValidationError, match=rf"^{field}: must be finite, got -?(nan|inf)$"):
+        load_register(text)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda bad: NuclearSpin("X", bad, 0.1), "X.a_parallel"),
+        (lambda bad: NuclearSpin("X", 0.1, bad), "X.a_perp"),
+        (lambda bad: SpinRegister(larmor=bad, nuclei=()), "larmor"),
+    ],
+    ids=["a_parallel", "a_perp", "larmor"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_registers_built_in_code_refuse_non_finite_numbers(build, field, bad):
+    with pytest.raises(ValidationError, match=rf"^{field}: must be finite"):
+        build(bad)
 
 
 @pytest.mark.parametrize("text", ["", "# no fields\n", "nuclei: null\n"])
