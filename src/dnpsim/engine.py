@@ -254,16 +254,18 @@ def _repeat(kraus: np.ndarray, rho: np.ndarray, repetitions: int, history=None) 
     return rho
 
 
-#: Flop-equivalents of one loop repetition, Python overhead included.
-_LOOP_FLOPS = 2**15
+#: Flop-equivalents of one loop repetition per entry of the state's blocks,
+#: Python overhead included.
+_LOOP_FLOPS_PER_ENTRY = 2**8
 
 
 def _powered(d: int, repetitions: int, sectors: int = 1) -> bool:
     """Whether ``_power`` beats ``_repeat`` on a d-dim nuclear state kept as
     ``sectors`` blocks: the n^3 squarings and n^2 build of its n x n
-    superoperator, n = d^2 / sectors, against the loop."""
+    superoperator, n = d^2 / sectors, against repetitions that each cost
+    ``_LOOP_FLOPS_PER_ENTRY`` per entry of the blocks, n = d (d / sectors)."""
     n = d * d // sectors
-    return (repetitions.bit_length() - 1) * n**3 + n**2 < _LOOP_FLOPS * repetitions
+    return (repetitions.bit_length() - 1) * n**3 + n**2 < _LOOP_FLOPS_PER_ENTRY * n * repetitions
 
 
 def _power(kraus: np.ndarray, rho: np.ndarray, repetitions: int) -> np.ndarray:

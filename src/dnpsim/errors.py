@@ -14,7 +14,7 @@ class NotHermitian(NumericalError):
 
 
 class NotUnitary(NumericalError):
-    """Matrix fails the unitarity check."""
+    """Matrix fails the unitarity check, or H0 the spin-flip symmetry a map is mirrored by."""
 
 
 class NoConvergence(NumericalError):

@@ -9,10 +9,12 @@ Rabi frequency Omega gives finite ones that evolve the full Hamiltonian
 plus drive for theta/Omega.
 
 ``period_roots`` builds the root maps of a stack of periods (the half
-period when the second half repeats the first) with one kernel on electron
-block rows, whose free gaps are the two d x d electron blocks of
-exp(-i H0 t) from ``free_propagator``; ``period_unitary`` squares and
-checks them, and the Floquet solve squares their sector blocks.
+period when the second half repeats the first) with one kernel on the
+electron block rows of their d = D / 2 electron-up columns, whose free
+gaps are the two d x d electron blocks of exp(-i H0 t) from
+``free_propagator``; the other d columns are their image under the
+antiunitary spin flip every event commutes with. ``period_unitary``
+squares and checks them, and the Floquet solve squares their sector blocks.
 ``conserved_parity`` names the parity a period's event pattern conserves;
 ``parity_sectors`` lists the basis states of each of its two sectors, and
 ``sector_blocks`` cuts a map into its blocks between them.
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidTau, NotIdealPulses, NotUnitary, SectorLeak, ValidationError
 from .errors import ValidityWarning
-from .linalg import UNITARY_TOL, hermitian_eigensolve, unitarity_defect
+from .linalg import UNITARY_TOL, EigenDecomposition, hermitian_eigensolve, unitarity_defect
 from .spins import (
     SpinRegister,
     build_operators,
@@ -146,8 +148,19 @@ def free_propagator(register: SpinRegister, duration) -> np.ndarray:
     """exp(-i H0 t) as its two d x d electron blocks, shape (2, d, d) with
     d = D / 2, or ``duration.shape + (2, d, d)`` for an array of durations.
     H0 is block-diagonal in the electron basis; block r is the nuclear
-    precession with the electron held in basis state r."""
-    return static_hamiltonian_eig(register).propagator(duration)
+    precession with the electron held in basis state r. Block 1 is taken
+    as block 0's spin-flip image conj(B_0)[::-1, ::-1], since H0's two
+    blocks are real with H_1 = -X^(x)N H_0 X^(x)N; NotUnitary if their
+    spectra are not mirrored to UNITARY_TOL in phase over the longest
+    duration."""
+    eig = static_hamiltonian_eig(register)
+    w, v = eig.eigenvalues, eig.eigenvectors
+    t = np.asarray(duration, dtype=float)
+    drift = np.max(np.abs(w[1] + w[0, ::-1])) * np.max(np.abs(t), initial=0.0)
+    if not drift <= UNITARY_TOL:
+        raise NotUnitary(f"H0 breaks the spin flip: its blocks' phases differ by {drift:.3e}")
+    up = EigenDecomposition(w[0], v[0]).propagator(t)
+    return np.stack((up, up[..., ::-1, ::-1].conj()), axis=-3)
 
 
 def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
@@ -174,7 +187,9 @@ def period_roots(seqs, register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
     mask of those whose period map is the root squared: the half-period map
     when the second half repeats the first event for event, else the whole
     period map. Roots that share one event pattern (the same events up to
-    the gap durations) are multiplied out together by ``_pattern_maps``.
+    the gap durations) are multiplied out together by ``_pattern_maps``,
+    which builds each root's D/2 electron-up columns and mirrors the other
+    D/2 from them; the callers' unitarity checks run on the full map.
 
     A warning is emitted for finite pulses whose Rabi frequency is not
     large against the strongest transverse coupling (the pulses then tilt
@@ -221,14 +236,19 @@ def _warn_weak_drive(pattern: tuple, register: SpinRegister) -> None:
 def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegister) -> np.ndarray:
     """(P, D, D) maps of the sequences sharing ``pattern``.
 
-    The maps are multiplied out as (P, 2, d, D) electron block rows: block
-    row r is the d x D slab of rows r d to r d + d - 1. A free gap
-    multiplies block row r by block r of ``free_propagator``. Consecutive
-    ideal rotations merge into one pending 2x2 electron rotation, which
-    mixes the block rows with scalars before the next gap or finite
-    rotation. A finite rotation is one D x D product. While the map is
-    still the identity, a gap places its blocks times the pending
-    rotation's scalars, with no matrix product.
+    Only the d = D / 2 electron-up columns are multiplied out, as
+    (P, 2, d, d) electron block rows: block row r is the d x d slab of rows
+    r d to r d + d - 1. A free gap multiplies block row r by block r of
+    ``free_propagator``. Consecutive ideal rotations merge into one pending
+    2x2 electron rotation, which mixes the block rows with scalars before
+    the next gap or finite rotation. A finite rotation is one D x D times
+    D x d product. While the map is still the identity, a gap places its
+    blocks times the pending rotation's scalars, with no matrix product.
+    The electron-down columns are the mirror image under the spin flip
+    T = (i Y_e (x) X^(x)N) K that every event commutes with:
+    R[i, d + j] = s_i conj(R[D - 1 - i, d - 1 - j]), s_i = -1 on the
+    electron-up rows and +1 on the electron-down ones. Were T broken, the
+    rebuilt map would not be unitary and the callers' checks would refuse it.
     """
     p, dim = len(seqs), register.dim
     d = dim // 2
@@ -239,27 +259,28 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
     times, which = np.unique(gaps, return_inverse=True)
     blocks = free_propagator(register, times)
     gap_blocks = (blocks[w] for w in which.reshape(gaps.shape).T)
-    u = None  # the identity
+    u = None  # the identity's first d columns
     mix = np.eye(2, dtype=complex)
     for event in pattern:
         if event is None:
             gap = next(gap_blocks)
-            if u is None:
-                u = (mix[:, None, :, None] * gap[:, :, :, None, :]).reshape(p, 2, d, dim)
-            else:
-                u = gap @ mix_electron_rows(mix, u)
+            u = mix[:, :1, None] * gap if u is None else gap @ mix_electron_rows(mix, u)
         elif event.duration == 0.0:
             mix = _electron_rotation(event.angle, event.phase) @ mix
             continue
         else:
-            rows = mix_electron_rows(mix, np.eye(dim).reshape(1, 2, d, dim) if u is None else u)
-            u = (_finite_step(event, register) @ rows.reshape(-1, dim, dim)).reshape(-1, 2, d, dim)
+            rows = mix_electron_rows(mix, np.eye(dim, d).reshape(1, 2, d, d) if u is None else u)
+            u = (_finite_step(event, register) @ rows.reshape(-1, dim, d)).reshape(-1, 2, d, d)
         mix = np.eye(2, dtype=complex)
-    return np.broadcast_to(mix_electron_rows(mix, u).reshape(-1, dim, dim), (p, dim, dim))
+    half = mix_electron_rows(mix, u)
+    mirror = half[:, ::-1, ::-1, ::-1].conj()
+    mirror[:, 0] *= -1.0
+    full = np.concatenate((half, mirror), axis=-1).reshape(-1, dim, dim)
+    return np.broadcast_to(full, (p, dim, dim))
 
 
 def mix_electron_rows(mix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The electron block rows of a (P, 2, d, D) or (P, D, m) stack mixed by ``mix``."""
+    """The electron block rows of a (P, 2, d, m) or (P, D, m) stack mixed by ``mix``."""
     return (mix @ u.reshape(len(u), 2, -1)).reshape(u.shape)
 
 

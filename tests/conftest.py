@@ -3,9 +3,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dnpsim import linalg, load_register, load_register_file
+from dnpsim import build_operators, linalg, load_register, load_register_file, static_hamiltonian
 
 LARMOR = 2.7106474  # rad/us at the working field
 
@@ -63,6 +64,22 @@ def register_text(labels, larmor: float = LARMOR) -> str:
 
 def make_register(*labels, larmor: float = LARMOR):
     return load_register(register_text(labels, larmor))
+
+
+def flip_breaking_eig(eps: float):
+    """A stand-in for ``static_hamiltonian_eig`` whose H0 carries
+    eps S_z (x) I_z on the first nucleus: +eps/2 I_z in the electron-up
+    block and -eps/2 in the other, so the blocks are no longer each
+    other's spin-flip images."""
+
+    def eig(register):
+        ops = build_operators(register)
+        d = register.dim // 2
+        h = static_hamiltonian(register) + eps * ops.electron.z @ ops.nuclei[0].z
+        h = h.reshape(2, d, 2, d)
+        return linalg.hermitian_eigensolve(np.stack((h[0, :, 0], h[1, :, 1])))
+
+    return eig
 
 
 @pytest.fixture(scope="session")

@@ -424,6 +424,30 @@ def test_powered_channel_matches_the_loop(labels):
     assert not engine._powered(16, 1000)
 
 
+#: (d, sectors, repetitions): whether the powered sweep was the faster, timed
+#: on 21 ideal PulsePol points (6.6-7.2 us, 4 periods per repetition) of the
+#: first log2(d) ``register27`` nuclei, in-process, best of 3-5, BLAS on one
+#: thread, 2-core Intel Xeon. (8, 2, 1000) is ``sweep-blockade``'s shape and
+#: (128, 2, 20) ``sweep-register7``'s (not timed: S would be 2^26 entries).
+#: Cells the timing could not separate (d = 8 at R = 100 on one sector, and
+#: at R = 5-10 on blocks) are left out.
+CROSSOVER_GRID = {
+    (2, 1, 10): True, (4, 1, 10): True, (8, 1, 20): False, (8, 1, 60): False,
+    (8, 1, 1000): True, (16, 1, 1000): False, (16, 1, 2048): False, (16, 1, 4000): True,
+    (2, 2, 10): True, (4, 2, 10): True, (8, 2, 20): True, (8, 2, 60): True,
+    (8, 2, 1000): True, (16, 2, 20): False, (16, 2, 100): False, (16, 2, 300): False,
+    (16, 2, 600): True, (16, 2, 1000): True, (128, 2, 20): False,
+}
+
+
+def test_powered_rule_picks_the_faster_path_on_the_timed_grid():
+    """A loop repetition is priced per entry of the state's blocks, so the
+    rule follows the timings on both sides of each crossover, where one
+    constant price powered d = 8 at R = 60 and looped d = 16 at R = 4000."""
+    got = {cell: engine._powered(cell[0], cell[2], cell[1]) for cell in CROSSOVER_GRID}
+    assert got == CROSSOVER_GRID
+
+
 @pytest.mark.parametrize("reinit_state", [0, 1])
 @pytest.mark.parametrize(
     "labels", [("C3",), ("C3", "C21"), ("C3", "C4", "C8")], ids=["d2", "d4", "d8"]
@@ -464,11 +488,11 @@ def test_block_sweep_chunks_do_not_change_the_trace(monkeypatch):
     for labels, budget in ((("C3", "C4", "C8"), 400_000), (("C3", "C4", "C8", "C21"), 200_000)):
         register = make_register(*labels)
         d = register.dim // 2
-        assert engine._powered(d, 5, 2) == (d == 8)
-        whole = sweep_trace(pulsepol_for_period, register, periods, 4, 5)
+        assert engine._powered(d, 20, 2) == (d == 8)
+        whole = sweep_trace(pulsepol_for_period, register, periods, 4, 20)
         for split_budget in (1, budget):
             monkeypatch.setattr(linalg, "CHUNK_BYTES", split_budget)
-            split = sweep_trace(pulsepol_for_period, register, periods, 4, 5)
+            split = sweep_trace(pulsepol_for_period, register, periods, 4, 20)
             assert np.max(np.abs(whole.values - split.values)) <= 1e-12
         monkeypatch.undo()
 

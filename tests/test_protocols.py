@@ -26,7 +26,8 @@ from dnpsim import protocols
 from dnpsim.errors import InvalidTau, NotIdealPulses, NotUnitary, ValidationError, ValidityWarning
 from dnpsim.linalg import unitarity_defect
 
-from conftest import LARMOR, SHIPPED_CONFIGS, make_register, shipped_register
+import reference_engine as ref
+from conftest import LARMOR, SHIPPED_CONFIGS, flip_breaking_eig, make_register, shipped_register
 
 G_COEFF = (math.sqrt(2.0) + 2.0) / (6.0 * math.pi)
 
@@ -211,7 +212,10 @@ def spin_flip(dim: int) -> np.ndarray:
 @pytest.mark.parametrize("config", SMALL_CONFIGS)
 def test_every_map_commutes_with_the_antiunitary_spin_flip(config, builder, rabi):
     """max |V conj(R) V^T - R| <= 1e-12 for every root and period map, at
-    k = 3 and 11, ideal and finite.
+    k = 3 and 11, ideal and finite, the root the full-width product of
+    ``reference_engine.dense_period_unitary`` and the map its square:
+    ``period_roots`` builds half of every map from the other half by this
+    symmetry, so it would pass by construction.
 
     Take V = i Y_e (x) X^(x)N, real and orthogonal, and T = V K with K
     complex conjugation. X Z X = -Z, X X X = X, and (iY) Z (iY)^T = -Z,
@@ -233,10 +237,55 @@ def test_every_map_commutes_with_the_antiunitary_spin_flip(config, builder, rabi
     omega = precession_frequency(register.nuclei[0], register.larmor)
     for k in (3, 11):
         t_r = resonant_period(omega, k)
-        seqs = [builder(t, harmonic=k, rabi=rabi) for t in (0.98 * t_r, t_r, 1.03 * t_r)]
-        roots, _ = protocols.period_roots(seqs, register)
-        for maps in (roots, period_unitary(seqs, register)):
-            assert np.max(np.abs(v @ maps.conj() @ v.T - maps)) <= 1e-12
+        for seq in (builder(t, harmonic=k, rabi=rabi) for t in (0.98 * t_r, t_r, 1.03 * t_r)):
+            half = seq.events[: len(seq.events) // 2]
+            root = ref.dense_period_unitary(
+                PulseSequence(half, sum(e.duration for e in half), k, seq.label), register
+            )
+            for u in (root, root @ root):  # the root and the period map
+                assert np.max(np.abs(v @ u.conj() @ v.T - u)) <= 1e-12
+
+
+@pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
+def test_a_hamiltonian_that_breaks_the_spin_flip_is_refused(reg_c3_c21, monkeypatch, rabi):
+    """With eps S_z (x) I_z in H0, eps = 1e-3, ``free_propagator`` cannot
+    mirror its electron-down block from the other and says so."""
+    monkeypatch.setattr(protocols, "static_hamiltonian_eig", flip_breaking_eig(1e-3))
+    with pytest.raises(NotUnitary, match="H0 breaks the spin flip"):
+        period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3_c21)
+
+
+@pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
+def test_a_map_mirrored_across_a_broken_spin_flip_is_not_unitary(reg_c3_c21, monkeypatch, rabi):
+    """Free gaps that break T (both blocks of exp(-i (H0 + eps S_z I_z) t),
+    eps = 1e-3) make the mirrored half of each map miss the other half's
+    orthogonal complement by 1.4e-6, linear in eps: the unitarity check
+    refuses it."""
+    eig = flip_breaking_eig(1e-3)
+    monkeypatch.setattr(protocols, "free_propagator", lambda register, t: eig(register).propagator(t))
+    with pytest.raises(NotUnitary, match=r"drifted off unitarity by 1\.4\d\de-06"):
+        period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3_c21)
+
+
+@pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
+@pytest.mark.parametrize("builder", [pulsepol_for_period, cpmg_for_period], ids=["pulsepol", "cpmg"])
+def test_pattern_maps_carry_half_the_columns(reg_c3_c4_c8, monkeypatch, builder, rabi):
+    """Every gap and finite-rotation product of ``_pattern_maps`` multiplies
+    the D/2 electron-up columns alone: the operands it takes from
+    ``free_propagator`` and ``_finite_step`` record the width of what they
+    multiply."""
+    widths = []
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            widths.append(np.shape(other)[-1])
+            return np.asarray(self) @ other
+
+    real_free, real_step = protocols.free_propagator, protocols._finite_step
+    monkeypatch.setattr(protocols, "free_propagator", lambda reg, t: real_free(reg, t).view(Spy))
+    monkeypatch.setattr(protocols, "_finite_step", lambda e, reg: real_step(e, reg).view(Spy))
+    period_unitary([builder(t, rabi=rabi) for t in (6.7, 6.8)], reg_c3_c4_c8)
+    assert widths and set(widths) == {reg_c3_c4_c8.dim // 2}
 
 
 @pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
