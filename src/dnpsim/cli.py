@@ -253,41 +253,41 @@ def _add_run(sub: argparse.ArgumentParser) -> None:
                      help="multiply reported polarisations (2 maps spin-1/2 onto [-1, 1])")
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Each verb: its help line, the option groups it takes, its own options
+#: as {flag: keyword arguments}, and the command that runs it.
+_VERBS = {
+    "sweep": ("polarisation vs protocol period", (_add_common, _add_protocol, _add_grid, _add_run),
+              {"--reps": dict(type=int, default=1, help="repetitions per grid point")}, _cmd_sweep),
+    "spectrum": ("quasi-energy branches and crossings", (_add_common, _add_protocol, _add_grid),
+                 {"--gap-threshold": dict(type=_gap_threshold, default=0.5,
+                                          help="report crossings with phase gap below this")},
+                 _cmd_spectrum),
+    "schedule": ("staged protocol on one state", (_add_common, _add_protocol, _add_run),
+                 {"--stage": dict(action="append", required=True, metavar="PERIOD:REPS[:NP]",
+                                  help="stage spec; repeat for several stages")},
+                 _cmd_schedule),
+    "compare": ("closed-form resonance table (ideal PulsePol)", (_add_common,),
+                {"--blockade": dict(
+                    help="blockade spin label (default: largest transverse coupling)")},
+                _cmd_compare),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The dnpsim parser with every verb, or with ``verb`` alone when it
+    names one: a run parses only its own verb's options, and the help,
+    usage and error text of that verb is the same either way."""
     parser = _Parser(prog="dnpsim", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sweep = subs.add_parser("sweep", help="polarisation vs protocol period")
-    _add_common(sweep)
-    _add_protocol(sweep)
-    _add_grid(sweep)
-    _add_run(sweep)
-    sweep.add_argument("--reps", type=int, default=1, help="repetitions per grid point")
-    sweep.set_defaults(func=_cmd_sweep)
-
-    spectrum = subs.add_parser("spectrum", help="quasi-energy branches and crossings")
-    _add_common(spectrum)
-    _add_protocol(spectrum)
-    _add_grid(spectrum)
-    spectrum.add_argument("--gap-threshold", type=_gap_threshold, default=0.5,
-                          help="report crossings with phase gap below this")
-    spectrum.set_defaults(func=_cmd_spectrum)
-
-    schedule = subs.add_parser("schedule", help="staged protocol on one state")
-    _add_common(schedule)
-    _add_protocol(schedule)
-    _add_run(schedule)
-    schedule.add_argument(
-        "--stage", action="append", required=True, metavar="PERIOD:REPS[:NP]",
-        help="stage spec; repeat for several stages",
-    )
-    schedule.set_defaults(func=_cmd_schedule)
-
-    compare = subs.add_parser("compare", help="closed-form resonance table (ideal PulsePol)")
-    _add_common(compare)
-    compare.add_argument("--blockade", default=None,
-                         help="blockade spin label (default: largest transverse coupling)")
-    compare.set_defaults(func=_cmd_compare)
+    for name, (help_text, adders, options, command) in _VERBS.items():
+        if verb in _VERBS and name != verb:
+            continue
+        sub = subs.add_parser(name, help=help_text)
+        for add in adders:
+            add(sub)
+        for flag, kwargs in options.items():
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=command)
     return parser
 
 
@@ -298,7 +298,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    parser = build_parser()
+    words = sys.argv[1:] if argv is None else argv
+    parser = build_parser(words[0] if words else None)
     try:
         args = parser.parse_args(argv)
         rc = args.func(args)

@@ -33,10 +33,10 @@ after every repetition; a schedule chains stages at different periods on
 one evolving state. A sweep runs every grid point from a thermal state in
 batched chunks and keeps only final states: where ``_powered`` finds it
 cheaper (at 1000 repetitions, d <= 16 on parity blocks and d <= 8 on one
-sector) it applies S^R, S = sum_a K_a (x) conj(K_a) on the d^2/S entries of
-the blocks, by repeated squaring, checking the state after each set bit of
-R; other sweeps loop. Sweeps and schedules are written as CSV through
-``dnpsim.table.write_csv``.
+sector) it applies S^R, S = sum_a K_a (x) conj(K_a), by repeated squaring in
+float64 on the d^2/S real coordinates of the Hermitian blocks, checking the
+state after each set bit of R; other sweeps loop. Sweeps and schedules are
+written as CSV through ``dnpsim.table.write_csv``.
 """
 
 from __future__ import annotations
@@ -254,37 +254,64 @@ def _repeat(kraus: np.ndarray, rho: np.ndarray, repetitions: int, history=None) 
     return rho
 
 
-#: Flop-equivalents of one loop repetition per entry of the state's blocks,
-#: Python overhead included.
-_LOOP_FLOPS_PER_ENTRY = 2**8
+#: Flop-equivalents, Python overhead included: a loop repetition costs the
+#: first per entry of the state's blocks plus the second, and building S the
+#: third per entry of its block products.
+_LOOP_FLOPS_PER_ENTRY, _LOOP_FLOPS_PER_REP, _BUILD_FLOPS_PER_ENTRY = 2**8, 2**17, 2**10
 
 
 def _powered(d: int, repetitions: int, sectors: int = 1) -> bool:
     """Whether ``_power`` beats ``_repeat`` on a d-dim nuclear state kept as
-    ``sectors`` blocks: the n^3 squarings and n^2 build of its n x n
-    superoperator, n = d^2 / sectors, against repetitions that each cost
-    ``_LOOP_FLOPS_PER_ENTRY`` per entry of the blocks, n = d (d / sectors)."""
+    ``sectors`` blocks: the real n^3 squarings of its n x n superoperator,
+    n = d^2 / sectors, and the 2 n^2 / sectors entries of the block products
+    that build it, against repetitions on the n = d (d / sectors) entries."""
     n = d * d // sectors
-    return (repetitions.bit_length() - 1) * n**3 + n**2 < _LOOP_FLOPS_PER_ENTRY * n * repetitions
+    build = _BUILD_FLOPS_PER_ENTRY * 2 * n * n // sectors
+    loop = (_LOOP_FLOPS_PER_ENTRY * n + _LOOP_FLOPS_PER_REP) * repetitions
+    return (repetitions.bit_length() - 1) * n**3 + build < loop
+
+
+def _hermitian_weights(h: int) -> np.ndarray:
+    """The (h, h) weights alpha of the unitary B from the row-major vec of
+    an h x h block to coordinates that are real exactly on Hermitian blocks:
+    (B rho)_ik = alpha_ik rho_ik + conj(alpha_ik) rho_ki, which is rho_ii,
+    and sqrt(2) Re rho_ik at (i, k) and sqrt(2) Im rho_ik at (k, i), i < k."""
+    return 0.5 * np.eye(h) + 0.5**0.5 * (np.tri(h, k=-1).T + 1j * np.tri(h, k=-1))
+
+
+def _real_superoperator(kraus: np.ndarray) -> np.ndarray:
+    """B S B^dag, real (P, n, n), n = S h^2, for S = sum_a K_a (x) conj(K_a) of a
+    (P, 2, S, h, h) Kraus stack, block (a, s) feeding sector s + a mod S: with
+    X_ikjl = K_ij conj(K_kl), 2 Re(conj(alpha_jl) (alpha_ik X_ikjl + conj(alpha_ik) X_kijl))."""
+    p, _, s, h, _ = kraus.shape
+    alpha = _hermitian_weights(h)
+    w, v = (2 * c[:, :, None, None] * alpha.conj() for c in (alpha, alpha.conj()))
+    sup = np.zeros((p, s, h * h, s, h * h))
+    for a, u in np.ndindex(2, s):
+        k = kraus[:, a, u]
+        x = k[:, :, None, :, None] * k.conj()[:, None, :, None, :]
+        sup[:, (u + a) % s, :, u] += (w * x + v * x.swapaxes(1, 2)).real.reshape(p, h * h, -1)
+    return sup.reshape(p, s * h * h, -1)
 
 
 def _power(kraus: np.ndarray, rho: np.ndarray, repetitions: int) -> np.ndarray:
     """The final states of ``_repeat`` without history: S^repetitions, by
     square-and-multiply on the vector, checking the state after each set
-    bit. S = sum_a K_a (x) conj(K_a) acts on the row-major vec of the
-    blocks, block (a, s) of the pair feeding sector s + a mod S."""
+    bit. S keeps blocks Hermitian, so it is squared and applied in float64 on
+    their coordinates x = B vec(rho); each check rebuilds the blocks, B^dag x."""
     p, _, s, h, _ = kraus.shape
-    n = s * h * h
-    hop = (np.arange(s)[:, None] - np.arange(s)) % s == np.arange(2)[:, None, None] % s
-    sup = np.einsum("ats,pasij,paskl->ptiksjl", hop, kraus, kraus.conj()).reshape(p, n, n)
-    vec = rho.reshape(p, n, 1)
+    alpha = _hermitian_weights(h)
+    sup = _real_superoperator(kraus)
+    vec = (alpha * rho + alpha.conj() * rho.swapaxes(-1, -2)).real.reshape(p, -1, 1)
     while True:
         if repetitions & 1:
             vec = sup @ vec
-            _check_states(vec.reshape(p, s, h, h))
+            x = vec.reshape(p, s, h, h)
+            rho = alpha.conj() * x + (alpha * x).swapaxes(-1, -2)
+            _check_states(rho)
         repetitions >>= 1
         if not repetitions:
-            return vec.reshape(p, s, h, h)
+            return rho
         sup = sup @ sup
 
 
@@ -362,10 +389,10 @@ def sweep_trace(
     d = register.dim // 2
     sectors = _sectors(seqs, wait_us, d)
     powered = _powered(d, repetitions, sectors)
-    # Per point, in entries: powered, the n x n superoperator, n = d^2 / S,
-    # its square and temporaries (8 n^2); looping, at most 12 d^2, held by
-    # the Kraus build (rows, pair and blocks) or by the loop (pair, its row
-    # and adjoint copies, gathered state and product, state and next state).
+    # Per point, in entries: powered, at most 8 n^2, n = d^2 / S, held by the
+    # products that build the real S or by S and its square; looping, 12 d^2,
+    # held by the Kraus build (rows, pair and blocks) or by the loop (pair, its
+    # row and adjoint copies, gathered state and product, state and next state).
     n = d * d // sectors
     chunk = chunk_points(16 * (8 * n * n if powered else 12 * d * d))
     step = _power if powered else _repeat

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidTau, NotIdealPulses, NotUnitary, SectorLeak, ValidationError
 from .errors import ValidityWarning
-from .linalg import UNITARY_TOL, EigenDecomposition, hermitian_eigensolve, unitarity_defect
+from .linalg import UNITARY_TOL, hermitian_eigensolve, unitarity_defect
 from .spins import (
     SpinRegister,
     build_operators,
@@ -153,13 +153,12 @@ def free_propagator(register: SpinRegister, duration) -> np.ndarray:
     blocks are real with H_1 = -X^(x)N H_0 X^(x)N; NotUnitary if their
     spectra are not mirrored to UNITARY_TOL in phase over the longest
     duration."""
-    eig = static_hamiltonian_eig(register)
-    w, v = eig.eigenvalues, eig.eigenvectors
+    eig, w_down = static_hamiltonian_eig(register)
     t = np.asarray(duration, dtype=float)
-    drift = np.max(np.abs(w[1] + w[0, ::-1])) * np.max(np.abs(t), initial=0.0)
+    drift = np.max(np.abs(w_down + eig.eigenvalues[::-1])) * np.max(np.abs(t), initial=0.0)
     if not drift <= UNITARY_TOL:
         raise NotUnitary(f"H0 breaks the spin flip: its blocks' phases differ by {drift:.3e}")
-    up = EigenDecomposition(w[0], v[0]).propagator(t)
+    up = eig.propagator(t)
     return np.stack((up, up[..., ::-1, ::-1].conj()), axis=-3)
 
 
@@ -206,10 +205,13 @@ def period_roots(seqs, register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
         events, half = seq.events, len(seq.events) // 2
         squared[i] = len(events) % 2 == 0 and events[:half] == events[half:]
         groups.setdefault(_pulses(events[:half] if squared[i] else events), []).append(i)
-    u = np.empty((len(stack), register.dim, register.dim), dtype=complex)
+    u = None if len(groups) == 1 else np.empty((len(stack),) + (register.dim,) * 2, dtype=complex)
     for pattern, members in groups.items():
         _warn_weak_drive(pattern, register)
-        u[members] = _pattern_maps(pattern, [stack[i] for i in members], register)
+        maps = _pattern_maps(pattern, [stack[i] for i in members], register)
+        if u is None:
+            return maps, squared
+        u[members] = maps
     return u, squared
 
 
@@ -234,7 +236,7 @@ def _warn_weak_drive(pattern: tuple, register: SpinRegister) -> None:
 
 
 def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegister) -> np.ndarray:
-    """(P, D, D) maps of the sequences sharing ``pattern``.
+    """The new, writable (P, D, D) maps of the sequences sharing ``pattern``.
 
     Only the d = D / 2 electron-up columns are multiplied out, as
     (P, 2, d, d) electron block rows: block row r is the d x d slab of rows
@@ -276,7 +278,7 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
     mirror = half[:, ::-1, ::-1, ::-1].conj()
     mirror[:, 0] *= -1.0
     full = np.concatenate((half, mirror), axis=-1).reshape(-1, dim, dim)
-    return np.broadcast_to(full, (p, dim, dim))
+    return full if len(full) == p else full.repeat(p, axis=0)
 
 
 def mix_electron_rows(mix: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ electron factor first. The electron is the {|0>, |-1>} two-level subspace
 with S_z eigenvalues +1/2 and -1/2; the hyperfine term is conditioned on
 S_z, so the model is pure dephasing for the electron (no electron flips in
 the static Hamiltonian). H0 is therefore block-diagonal in the electron
-basis, and ``static_hamiltonian_eig`` caches the eigensystems of its two
-d x d electron blocks (d = 2^N), the nuclear Hamiltonians conditioned on
-the electron state; every free-evolution propagator comes from them.
+basis, and ``static_hamiltonian_eig`` caches the spectra of its two d x d
+electron blocks (d = 2^N), the nuclear Hamiltonians conditioned on the
+electron state, and block 0's eigenvectors, whence every free propagator.
 
 Config ingestion converts kHz coupling columns to rad/us (x 2 pi 1e-3) and
 derives the Larmor frequency from the field when it is not given directly.
@@ -205,11 +205,11 @@ def precession_frequency(nucleus: NuclearSpin, larmor: float) -> float:
 
 @lru_cache(maxsize=256)
 def static_hamiltonian_eig(register: SpinRegister):
-    """Cached eigensystems of H0's blocks with the electron held in basis
-    state 0 and 1: eigenvalues (2, d) and eigenvectors (2, d, d), d = dim / 2."""
+    """Cached eigensystem of H0's d x d block with the electron held in basis
+    state 0, and the eigenvalues alone of the block with it in 1, d = dim / 2."""
     d = register.dim // 2
     h = static_hamiltonian(register).reshape(2, d, 2, d)
-    return hermitian_eigensolve(np.stack((h[0, :, 0], h[1, :, 1])))
+    return hermitian_eigensolve(h[0, :, 0]), np.linalg.eigvalsh(h[1, :, 1])
 
 
 _TOP_LEVEL_KEYS = {"larmor_rad_per_us", "b_field_gauss", "nuclei"}

@@ -66,18 +66,25 @@ def make_register(*labels, larmor: float = LARMOR):
     return load_register(register_text(labels, larmor))
 
 
-def flip_breaking_eig(eps: float):
-    """A stand-in for ``static_hamiltonian_eig`` whose H0 carries
+def flip_breaking_blocks(register, eps: float) -> np.ndarray:
+    """The two (d, d) electron blocks of an H0 that carries
     eps S_z (x) I_z on the first nucleus: +eps/2 I_z in the electron-up
     block and -eps/2 in the other, so the blocks are no longer each
     other's spin-flip images."""
+    ops = build_operators(register)
+    d = register.dim // 2
+    h = static_hamiltonian(register) + eps * ops.electron.z @ ops.nuclei[0].z
+    h = h.reshape(2, d, 2, d)
+    return np.stack((h[0, :, 0], h[1, :, 1]))
+
+
+def flip_breaking_eig(eps: float):
+    """A stand-in for ``static_hamiltonian_eig`` on ``flip_breaking_blocks``:
+    block 0's eigensystem and block 1's eigenvalues."""
 
     def eig(register):
-        ops = build_operators(register)
-        d = register.dim // 2
-        h = static_hamiltonian(register) + eps * ops.electron.z @ ops.nuclei[0].z
-        h = h.reshape(2, d, 2, d)
-        return linalg.hermitian_eigensolve(np.stack((h[0, :, 0], h[1, :, 1])))
+        h = flip_breaking_blocks(register, eps)
+        return linalg.hermitian_eigensolve(h[0]), np.linalg.eigvalsh(h[1])
 
     return eig
 

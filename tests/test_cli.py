@@ -506,6 +506,64 @@ def test_every_option_a_verb_accepts_is_one_it_reads():
     assert unread == []
 
 
+#: For each verb a valid argv, a usage error and -h; then the top-level help,
+#: no arguments and an unknown verb; each with what ``main`` gives.
+PARSER_CASES = [
+    (0, ["sweep", "--config", C3, "--t-start", "6.7", "--t-stop", "6.9", "--steps", "3",
+         "--reps", "2"]),
+    (1, ["sweep", "--config", C3]),
+    (("exit", 0), ["sweep", "-h"]),
+    (0, ["spectrum", "--config", C3, "--t-start", "6.7", "--t-stop", "6.9", "--steps", "5",
+         "--gap-threshold", "0.4"]),
+    (1, ["spectrum", "--config", C3, "--t-start", "6", "--t-stop", "7", "--gap-threshold", "x"]),
+    (("exit", 0), ["spectrum", "-h"]),
+    (0, ["schedule", "--config", C3, "--stage", "6.8:2", "--stage", "6.9:1", "--scale", "2"]),
+    (1, ["schedule", "--config", C3, "--stage", "6.8:2", "--reps", "5"]),
+    (("exit", 0), ["schedule", "-h"]),
+    (0, ["compare", "--config", C3_C21, "--blockade", "C21"]),
+    (1, ["compare", "--config", C3, "--rabi", "300"]),
+    (("exit", 0), ["compare", "-h"]),
+    (("exit", 0), ["-h"]),
+    (1, []),
+    (1, ["nonsense", "--config", C3]),
+]
+
+
+def _outcome(run, argv, capsysbinary):
+    """What ``run(argv)`` returns, or the code it exits with, or the usage
+    error it raises; and the bytes it wrote to stdout and stderr."""
+    try:
+        got = run(argv)
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    except errors.ValidationError as exc:
+        got = ("usage error", str(exc))
+    captured = capsysbinary.readouterr()
+    return got, captured.out, captured.err
+
+
+_KIND = {0: "run", 1: "error", ("exit", 0): "help"}
+
+
+@pytest.mark.parametrize(
+    ("rc", "argv"), PARSER_CASES, ids=[f"{(a or ['none'])[0]}-{_KIND[rc]}" for rc, a in PARSER_CASES]
+)
+def test_the_one_verb_parser_equals_the_full_parser(rc, argv, monkeypatch, capsysbinary):
+    """A run builds only the verb it names; the parsed namespace, the exit
+    code and every byte of help, usage and error text are those of the
+    full four-verb parser, which anything but a verb name builds."""
+    full = cli.build_parser
+    one = full(argv[0] if argv else None)
+    verbs = next(a.choices for a in one._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(verbs) == ([argv[0]] if argv and argv[0] in cli._VERBS else list(cli._VERBS))
+    parsed = _outcome(lambda a: vars(one.parse_args(a)), argv, capsysbinary)
+    assert parsed == _outcome(lambda a: vars(full().parse_args(a)), argv, capsysbinary)
+    ran = _outcome(cli.main, argv, capsysbinary)
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+    assert ran == _outcome(cli.main, argv, capsysbinary)
+    assert ran[0] == rc
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("larmor_rad_per_us: 2.7\nnuclei:\n  - {label: X, a_parallel_khz: 1,\n")

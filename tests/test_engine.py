@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -424,26 +425,88 @@ def test_powered_channel_matches_the_loop(labels):
     assert not engine._powered(16, 1000)
 
 
+def _hermitian_basis(s, h):
+    """The dense (n, n) map B of ``engine._hermitian_weights`` on the
+    row-major vec of S blocks of h x h, n = S h^2."""
+    alpha = engine._hermitian_weights(h).ravel()
+    swap = np.arange(h * h).reshape(h, h).T.ravel()  # vec index of the transposed entry
+    one = np.diag(alpha)
+    one[np.arange(h * h), swap] += alpha.conj()
+    return np.kron(np.eye(s), one)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_hermitian_coordinates_are_a_real_unitary_change_of_basis(s):
+    """B is unitary and B vec(rho) is real for Hermitian blocks, so
+    B S B^dag is real: ``_real_superoperator`` is it to rounding, against
+    the complex S = sum_a K_a (x) conj(K_a) built term by term."""
+    rng = np.random.default_rng(s)
+    h = 8 // s
+    b = _hermitian_basis(s, h)
+    assert np.max(np.abs(b @ b.conj().T - np.eye(s * h * h))) <= 1e-15
+    z = rng.normal(size=(5, s, h, h)) + 1j * rng.normal(size=(5, s, h, h))
+    rho = z + z.conj().swapaxes(-1, -2)
+    x = b @ rho.reshape(5, -1, 1)
+    assert np.max(np.abs(x.imag)) <= 1e-15
+    assert np.max(np.abs((b.conj().T @ x).reshape(rho.shape) - rho)) <= 1e-14
+    assert np.max(np.abs((b @ z.reshape(5, -1, 1)).imag)) > 0.1  # not real off Hermitian blocks
+
+    register = make_register("C3", "C4", "C8")
+    seqs = [pulsepol_for_period(t, harmonic=11) for t in (25.6, 25.7, 26.4)]
+    _, kraus = engine._kraus_stack(seqs, ProtocolRun(seqs[0], 8, 1), register, s)
+    sup = np.zeros((3, s, h, h, s, h, h), dtype=complex)
+    for a in range(2):
+        for u in range(s):
+            k = kraus[:, a, u]
+            sup[:, (u + a) % s, :, :, u] += np.einsum("pij,pkl->pikjl", k, k.conj())
+    want = b @ sup.reshape(3, s * h * h, -1) @ b.conj().T
+    assert np.max(np.abs(want.imag)) <= 1e-15
+    assert np.max(np.abs(engine._real_superoperator(kraus) - want.real)) <= 1e-15
+
+
+def test_powered_channel_peak_memory_at_the_blockade_sweep_shape():
+    """``sweep-blockade``'s chunk, 21 points of 2 parity blocks of 4 x 4
+    (n = 32), powered over 1000 repetitions: a real S is half the size of
+    the complex one, and the peak stays at or below the 684 KiB of
+    squaring the complex S."""
+    register = shipped_register("c3_c4_c8.yaml")
+    seqs = [pulsepol_for_period(t, harmonic=11) for t in np.linspace(25.4, 27.0, 21)]
+    _, kraus = engine._kraus_stack(seqs, ProtocolRun(seqs[0], 8, 1000), register, 2)
+    start = engine._thermal(8, 21, 2)
+    assert kraus.shape == (21, 2, 2, 4, 4)
+    engine._power(kraus, start, 1000)
+    tracemalloc.start()
+    try:
+        engine._power(kraus, start, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 684 * 1024
+
+
 #: (d, sectors, repetitions): whether the powered sweep was the faster, timed
 #: on 21 ideal PulsePol points (6.6-7.2 us, 4 periods per repetition) of the
 #: first log2(d) ``register27`` nuclei, in-process, best of 3-5, BLAS on one
-#: thread, 2-core Intel Xeon. (8, 2, 1000) is ``sweep-blockade``'s shape and
-#: (128, 2, 20) ``sweep-register7``'s (not timed: S would be 2^26 entries).
-#: Cells the timing could not separate (d = 8 at R = 100 on one sector, and
-#: at R = 5-10 on blocks) are left out.
+#: thread, 2-core Intel Xeon, with S squared in real coordinates (which made
+#: (16, 1, 2048) and (16, 2, 300) powered). (8, 2, 1000) is ``sweep-blockade``'s
+#: shape and (128, 2, 20) ``sweep-register7``'s (not timed: S would be 2^26
+#: entries). Cells the timing could not separate over three or four runs
+#: (d = 16 at R = 1000 on one sector, d = 4 at R = 5 on one sector and d = 8
+#: at R = 5 on blocks) are left out.
 CROSSOVER_GRID = {
     (2, 1, 10): True, (4, 1, 10): True, (8, 1, 20): False, (8, 1, 60): False,
-    (8, 1, 1000): True, (16, 1, 1000): False, (16, 1, 2048): False, (16, 1, 4000): True,
-    (2, 2, 10): True, (4, 2, 10): True, (8, 2, 20): True, (8, 2, 60): True,
-    (8, 2, 1000): True, (16, 2, 20): False, (16, 2, 100): False, (16, 2, 300): False,
-    (16, 2, 600): True, (16, 2, 1000): True, (128, 2, 20): False,
+    (8, 1, 100): True, (8, 1, 1000): True, (16, 1, 2048): True, (16, 1, 4000): True,
+    (2, 2, 10): True, (4, 2, 10): True, (8, 2, 10): True, (8, 2, 20): True,
+    (8, 2, 60): True, (8, 2, 1000): True, (16, 2, 20): False, (16, 2, 100): False,
+    (16, 2, 300): True, (16, 2, 600): True, (16, 2, 1000): True, (128, 2, 20): False,
 }
 
 
 def test_powered_rule_picks_the_faster_path_on_the_timed_grid():
-    """A loop repetition is priced per entry of the state's blocks, so the
-    rule follows the timings on both sides of each crossover, where one
-    constant price powered d = 8 at R = 60 and looped d = 16 at R = 4000."""
+    """A loop repetition is priced per entry of the state's blocks plus a
+    fixed overhead, and the build of S per entry of its block products, so
+    the rule follows the timings on both sides of each crossover, where the
+    squarings alone would power d = 8 at R = 60 on one sector."""
     got = {cell: engine._powered(cell[0], cell[2], cell[1]) for cell in CROSSOVER_GRID}
     assert got == CROSSOVER_GRID
 

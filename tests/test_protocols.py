@@ -24,10 +24,11 @@ from dnpsim import (
 )
 from dnpsim import protocols
 from dnpsim.errors import InvalidTau, NotIdealPulses, NotUnitary, ValidationError, ValidityWarning
-from dnpsim.linalg import unitarity_defect
+from dnpsim.linalg import hermitian_eigensolve, unitarity_defect
 
 import reference_engine as ref
-from conftest import LARMOR, SHIPPED_CONFIGS, flip_breaking_eig, make_register, shipped_register
+from conftest import LARMOR, SHIPPED_CONFIGS, flip_breaking_blocks, flip_breaking_eig, make_register
+from conftest import shipped_register
 
 G_COEFF = (math.sqrt(2.0) + 2.0) / (6.0 * math.pi)
 
@@ -255,14 +256,31 @@ def test_a_hamiltonian_that_breaks_the_spin_flip_is_refused(reg_c3_c21, monkeypa
         period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3_c21)
 
 
+def test_a_one_pattern_chunk_gets_its_maps_as_built(reg_c3_c21, monkeypatch):
+    """``period_roots`` hands a chunk of one event pattern the array
+    ``_pattern_maps`` built, with no copy; it is writable, as
+    ``period_unitary`` squares it in place, and holds the same maps as
+    when another pattern shares the chunk."""
+    built = []
+    build = protocols._pattern_maps
+    monkeypatch.setattr(protocols, "_pattern_maps", lambda *a: built.append(build(*a)) or built[-1])
+    seqs = [pulsepol_for_period(t) for t in (6.7, 6.8, 6.9)]
+    alone, squared = protocols.period_roots(seqs, reg_c3_c21)
+    assert alone is built[0] and alone.flags.writeable and squared.all()
+    mixed, _ = protocols.period_roots(seqs + [cpmg_for_period(6.8)], reg_c3_c21)
+    assert len(built) == 3 and np.array_equal(mixed[:3], alone)
+
+
 @pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
 def test_a_map_mirrored_across_a_broken_spin_flip_is_not_unitary(reg_c3_c21, monkeypatch, rabi):
     """Free gaps that break T (both blocks of exp(-i (H0 + eps S_z I_z) t),
     eps = 1e-3) make the mirrored half of each map miss the other half's
     orthogonal complement by 1.4e-6, linear in eps: the unitarity check
     refuses it."""
-    eig = flip_breaking_eig(1e-3)
-    monkeypatch.setattr(protocols, "free_propagator", lambda register, t: eig(register).propagator(t))
+    def both_blocks(register, t):
+        return hermitian_eigensolve(flip_breaking_blocks(register, 1e-3)).propagator(t)
+
+    monkeypatch.setattr(protocols, "free_propagator", both_blocks)
     with pytest.raises(NotUnitary, match=r"drifted off unitarity by 1\.4\d\de-06"):
         period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3_c21)
 
