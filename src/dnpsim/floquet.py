@@ -4,9 +4,10 @@ The eigenphases of the one-period propagator, followed along a sweep of
 the period, form quasi-energy branches; nuclear resonances show up as
 avoided crossings between branches. Each map is solved as the sector
 blocks of the parity its period conserves, squared from the blocks of its
-half-period root. Branch identity across the sweep is recovered inside
-each sector by eigenvector overlap, with local grid refinement wherever
-the overlap assignment becomes ambiguous.
+half-period root. The grid is solved in chunks; then its intervals are
+stitched in chunks of the same size, inside each sector by eigenvector
+overlap, and an interval whose assignment is ambiguous is bisected, each
+level's midpoints solved together.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,19 +87,12 @@ class _Sectors(NamedTuple):
         return blocks
 
 
-class _Point(NamedTuple):
-    """A period's (S, n, n) eigenvector blocks as solved, and its
-    eigenphases by block column: phases[s n + k] belongs to column k of block s."""
-
-    period: float
-    phases: np.ndarray
-    vectors: np.ndarray
-
-
 def _spectrum_points(
-    builder: SequenceBuilder, register: SpinRegister, grid: Sequence[float], sectors: _Sectors
-) -> list[_Point]:
-    """The points of a grid chunk, from the sector blocks of its stacked
+    builder: SequenceBuilder, register: SpinRegister, grid: np.ndarray, sectors: _Sectors
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The built periods (P,), eigenphases (P, D) by block column (phases[i,
+    s n + k] belongs to column k of block s) and (P, S, n, n) eigenvector
+    blocks of a grid chunk, from the sector blocks of its stacked
     ``period_roots``, squared where a root is a half period, and one stacked
     eigensolve of them, which checks their unitarity."""
     seqs = [builder(t) for t in grid]
@@ -110,18 +104,17 @@ def _spectrum_points(
         blocks[squared] = blocks[squared] @ blocks[squared]
     eig = unitary_eigensolve(blocks.reshape(-1, *blocks.shape[-2:]))
     phases = -np.angle(eig.eigenvalues.reshape(len(seqs), -1))
-    vectors = eig.eigenvectors.reshape(blocks.shape)
-    return [_Point(*point) for point in zip((s.period for s in seqs), phases, vectors)]
+    return np.array([s.period for s in seqs]), phases, eig.eigenvectors.reshape(blocks.shape)
 
 
-def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]:
-    """Assign next-point eigenvectors to previous branches by overlap.
+def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Assign next-point eigenvectors to previous branches by overlap, for
+    each (n, n) block of two (..., n, n) stacks.
 
-    Returns (permutation, worst assigned overlap): permutation[j] is the
-    column of ``nxt`` continuing branch j of ``prev``. Pairs are picked
-    greedily, largest overlap first, masking used rows and columns. A
-    (S, n, n) stack of sector blocks is matched block by block, giving an
-    (S, n) permutation and the worst overlap of all blocks.
+    Returns (permutation, worst assigned overlap), of shapes (..., n) and
+    (...): permutation[..., j] is the column of ``nxt`` continuing branch j
+    of ``prev``. Pairs are picked greedily, largest overlap first, masking
+    used rows and columns.
 
     When the rows' maxima fall in distinct columns, the greedy picks
     exactly those maxima, so no loop runs. With orthonormal bases this
@@ -140,40 +133,35 @@ def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, float]
             best[s][i] = overlap[s][i, j]
             work[i, :] = -1.0
             work[:, j] = -1.0
-    return perm, float(best.min())
+    return perm, best.min(axis=-1)
 
 
 def _stitch(
-    intervals: list[tuple[float, _Point, float, _Point]],
-    solve: Callable[[Sequence[float]], list[_Point]],
-    depth: int,
-    capped: list[float],
-) -> list[np.ndarray]:
-    """The column map perm of each (t_a, a, t_b, b) interval, matched inside
-    each sector: b's column perm[c] continues a's column c. Intervals whose
-    worst overlap is below STITCH_OVERLAP are bisected, and the midpoints of
-    one level are solved together by ``solve``, which maps a list of periods
-    to their points; the worst overlap of every interval accepted at the
-    depth cap below STITCH_OVERLAP is appended to capped."""
-    perms, split = [], []
-    for i, (_, a, _, b) in enumerate(intervals):
-        local, worst = _greedy_match(a.vectors, b.vectors)
-        perms.append((local + local.shape[1] * np.arange(len(local))[:, None]).ravel())
-        if worst >= STITCH_OVERLAP:
-            continue
-        if depth >= MAX_REFINE_DEPTH:
-            capped.append(worst)
-        else:
-            split.append(i)
-    if split:
-        t_mid = [0.5 * (intervals[i][0] + intervals[i][2]) for i in split]
-        halves = []
-        for i, t, mid in zip(split, t_mid, solve(t_mid)):
-            t_a, a, t_b, b = intervals[i]
-            halves += [(t_a, a, t, mid), (t, mid, t_b, b)]
-        refined = _stitch(halves, solve, depth + 1, capped)
-        for j, i in enumerate(split):
-            perms[i] = refined[2 * j + 1][refined[2 * j]]
+    t_a: np.ndarray, a: np.ndarray, t_b: np.ndarray, b: np.ndarray, solve, depth: int, capped: list
+) -> np.ndarray:
+    """The (K, D) column maps of K intervals from the periods t_a (K,) the
+    builder was given, with blocks a (K, S, n, n), to t_b with b, matched inside
+    each sector: b's column perm[k, c] continues a's column c. Intervals
+    whose worst overlap is below STITCH_OVERLAP are bisected: one level's
+    midpoints are solved together by ``solve``, which maps periods to their
+    ``_spectrum_points``, and the next level stitches the split intervals'
+    first halves, then their second halves, as one stack. The worst overlap
+    of every interval accepted at the depth cap below STITCH_OVERLAP is
+    appended to capped."""
+    local, worst = _greedy_match(a, b)
+    perms = (local + local.shape[-1] * np.arange(local.shape[1])[:, None]).reshape(len(a), -1)
+    split = np.flatnonzero(worst.min(axis=1) < STITCH_OVERLAP)
+    if depth >= MAX_REFINE_DEPTH:
+        capped.extend(worst[split].min(axis=1))
+    elif split.size:
+        t_mid = 0.5 * (t_a[split] + t_b[split])
+        mid = solve(t_mid)[2]
+        halves = _stitch(
+            np.concatenate((t_a[split], t_mid)), np.concatenate((a[split], mid)),
+            np.concatenate((t_mid, t_b[split])), np.concatenate((mid, b[split])),
+            solve, depth + 1, capped,
+        )
+        perms[split] = np.take_along_axis(halves[split.size :], halves[: split.size], axis=1)
     return perms
 
 
@@ -218,13 +206,6 @@ class FloquetSpectrum:
             out = mix_electron_rows(_HADAMARD, out[None])[0]
         return out.T.copy()
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """The dense (P, D, D) eigenvectors, vectors[i][:, j] branch j's at
-        periods[i]; built from ``blocks`` on each access, in O(P D^2)."""
-        p, d = self.phases.shape
-        return self.eigenvectors(*np.divmod(np.arange(p * d), d)).reshape(p, d, -1).swapaxes(1, 2)
-
 
 def compute_spectrum(
     builder: SequenceBuilder, register: SpinRegister, periods: np.ndarray
@@ -238,20 +219,20 @@ def compute_spectrum(
     still ambiguous at that depth, one ValidityWarning gives their number
     and the worst overlap accepted.
 
-    Grid points are built in chunks that fit ``linalg.CHUNK_BYTES``, and
-    the bisection midpoints of one refinement level within a chunk are built
-    together, in chunks of the same size. A chunk's stacked ``period_roots``
-    are cut into the sector blocks of the parity the first period conserves
-    (``protocols.conserved_parity``; SectorLeak above SECTOR_TOL), or kept
-    whole, squared where a root is a half period, and solved by one stacked
-    ``unitary_eigensolve``, which checks each map's blocks once for
-    unitarity, and solves them in real arithmetic when they are symmetric
-    (ideal PulsePol after the phase of ``_Sectors``, and CPMG), at half size
-    when a register of odd N gives them the flip pairing. Chunks are solved
-    one after another in this process, written straight into the result's
-    arrays (``blocks`` P D^2 / 2 floats on the real path, complex once any
-    map is not), and stitched inside each sector from the stored point
-    before them: each column map carries ``columns`` on by one point.
+    Points are built in chunks that fit ``linalg.CHUNK_BYTES``. A chunk's
+    stacked ``period_roots`` are cut into the sector blocks of the parity
+    the first period conserves (``protocols.conserved_parity``; SectorLeak
+    above SECTOR_TOL), or kept whole, squared where a root is a half
+    period, and solved by one stacked ``unitary_eigensolve``, which checks
+    each map's blocks once for unitarity, and solves them in real
+    arithmetic when they are symmetric (ideal PulsePol after the phase of
+    ``_Sectors``, and CPMG), at half size when a register of odd N gives
+    them the flip pairing. The whole grid is solved first (``blocks``: P
+    D^2 / 2 floats on the real path, complex if any map is not). Then the
+    intervals are stitched inside each sector in chunks of the same size,
+    each refinement level's midpoints within an interval chunk solved
+    together, in chunks of that size; each column map carries ``columns``
+    on by one point.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -264,26 +245,20 @@ def compute_spectrum(
     # the residual: at most eight D x D complex matrices of 16 D^2 bytes.
     size = chunk_points(8 * 16 * register.dim**2)
 
-    def solve(times: Sequence[float]) -> list[_Point]:
+    def solve(times: np.ndarray) -> list[np.ndarray]:
         chunks = (times[i : i + size] for i in range(0, len(times), size))
-        return [p for chunk in chunks for p in _spectrum_points(builder, register, chunk, sectors)]
+        points = [_spectrum_points(builder, register, chunk, sectors) for chunk in chunks]
+        return [np.concatenate(part) for part in zip(*points)]
 
-    axis = np.empty(grid.size)
-    raw = np.empty((grid.size, register.dim))  # eigenphases by block column
+    axis, raw, blocks = solve(grid)  # raw: eigenphases by block column
     columns = np.empty((grid.size, register.dim), dtype=int)
+    columns[0] = np.argsort(-raw[0], kind="stable")
     capped: list[float] = []
-    for start in range(0, grid.size, size):
-        points = solve(grid[start : start + size])
-        if not start:
-            blocks = np.empty((grid.size, *points[0].vectors.shape), points[0].vectors.dtype)
-            columns[0] = np.argsort(-points[0].phases, kind="stable")
-        blocks = blocks.astype(np.result_type(blocks, points[0].vectors), copy=False)
-        for i, point in enumerate(points, start):
-            axis[i], raw[i], blocks[i] = point
-        at = slice(max(start - 1, 0), start + len(points))
-        points, t = list(map(_Point, axis[at], raw[at], blocks[at])), grid[at]
-        steps = _stitch(list(zip(t, points, t[1:], points[1:])), solve, 0, capped)
-        for i, step in enumerate(steps, at.start + 1):
+    t_a, a, t_b, b = grid[:-1], blocks[:-1], grid[1:], blocks[1:]  # interval k: points k, k + 1
+    for start in range(0, grid.size - 1, size):
+        at = slice(start, start + size)
+        steps = _stitch(t_a[at], a[at], t_b[at], b[at], solve, 0, capped)
+        for i, step in enumerate(steps, start + 1):
             columns[i] = step[columns[i - 1]]
     if capped:
         warnings.warn(

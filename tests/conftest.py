@@ -62,6 +62,14 @@ def register_text(labels, larmor: float = LARMOR) -> str:
     return "\n".join(lines) + "\n"
 
 
+def dense_vectors(spectrum) -> np.ndarray:
+    """A spectrum's (P, D, D) eigenvectors, [i][:, j] branch j's at
+    periods[i], gathered by ``FloquetSpectrum.eigenvectors``."""
+    p, d = spectrum.phases.shape
+    points, branches = np.divmod(np.arange(p * d), d)
+    return spectrum.eigenvectors(points, branches).reshape(p, d, d).swapaxes(1, 2)
+
+
 def make_register(*labels, larmor: float = LARMOR):
     return load_register(register_text(labels, larmor))
 

@@ -70,7 +70,6 @@ def find_crossings(spectrum, gap_threshold: float, participation_min: float = 0.
     labels = [s.label for s in spectrum.register.nuclei]
 
     t = spectrum.periods
-    vectors = spectrum.vectors  # built on each access: once, outside the loop
     found = []
     dim = spectrum.dim
     for a in range(dim):
@@ -89,17 +88,10 @@ def find_crossings(spectrum, gap_threshold: float, participation_min: float = 0.
                     t_star, gap_star = float(t[m]), float(gap[m])
                 gap_star = max(gap_star, 0.0)
 
+                pair = spectrum.eigenvectors(np.array([m, m]), np.array([a, b]))
                 weights = []
                 for n, flip in enumerate(flip_ops):
-                    w = max(
-                        abs(
-                            np.vdot(
-                                vectors[m][:, c],
-                                flip @ vectors[m][:, c],
-                            )
-                        )
-                        for c in (a, b)
-                    )
+                    w = max(abs(np.vdot(v, flip @ v)) for v in pair)
                     weights.append((labels[n], float(w)))
                 participants = tuple(
                     sorted(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -27,7 +28,9 @@ from dnpsim import floquet, linalg, protocols
 from dnpsim.errors import NotUnitary, ValidationError, ValidityWarning
 from dnpsim.protocols import conserved_parity
 
-from conftest import CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, make_register, shipped_register
+from conftest import (
+    CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, dense_vectors, make_register, shipped_register
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +45,8 @@ def c21_spectrum():
 def test_spectrum_shapes(c21_spectrum):
     reg, _, spec = c21_spectrum
     assert spec.phases.shape == (41, 4)
-    assert spec.vectors.shape == (41, 4, 4)
+    assert spec.blocks.shape == (41, 2, 2, 2)
+    assert dense_vectors(spec).shape == (41, 4, 4)
     assert spec.register is reg
     assert np.all(np.isfinite(spec.phases))
 
@@ -130,18 +134,25 @@ def test_stitching_warns_once_at_the_depth_cap(monkeypatch):
     assert "overlap down to 0.78" in message
 
 
+def _chunk_sizes(count, size):
+    """The lengths of ``count`` items taken in chunks of ``size``."""
+    return [min(size, count - i) for i in range(0, count, size)]
+
+
 def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     """On a coarse 41-point grid around the C21 resonance, with chunks of
-    8 points, the period map and the eigensolve run once per chunk, the
-    bisection midpoints of one refinement level within a chunk are built
-    together, every map is built and solved once, and the spectrum is the
-    one-chunk spectrum."""
+    8 points, the period map and the eigensolve run once per grid chunk,
+    all grid chunks first; then the 40 intervals are stitched in chunks of
+    8, each ``_stitch`` call matching its whole stack with one
+    ``_greedy_match`` and solving the next level's midpoints together, in
+    chunks of 8. Every map is built and solved once, and the spectrum is
+    the one-chunk spectrum."""
     reg, t_r, _ = c21_spectrum
     grid = np.linspace(t_r - 2.4, t_r + 2.4, 41)
     want = compute_spectrum(pulsepol_for_period, reg, grid)
-    maps, eigs, matches = [], [], []
-    real_map, real_eig, real_match = (
-        floquet.period_roots, floquet.unitary_eigensolve, floquet._greedy_match
+    maps, eigs, matches, stitches = [], [], [], []
+    real_map, real_eig, real_match, real_stitch = (
+        floquet.period_roots, floquet.unitary_eigensolve, floquet._greedy_match, floquet._stitch
     )
 
     def count_maps(seqs, register):
@@ -153,35 +164,46 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
         return real_eig(u)
 
     def count_matches(prev, nxt):
-        matches.append(1)
+        matches.append(prev.shape)
         return real_match(prev, nxt)
+
+    def count_stitches(t_a, a, t_b, b, solve, depth, capped):
+        stitches.append((depth, len(t_a)))
+        return real_stitch(t_a, a, t_b, b, solve, depth, capped)
 
     monkeypatch.setattr(floquet, "period_roots", count_maps)
     monkeypatch.setattr(floquet, "unitary_eigensolve", count_eigs)
     monkeypatch.setattr(floquet, "_greedy_match", count_matches)
+    monkeypatch.setattr(floquet, "_stitch", count_stitches)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
     got = compute_spectrum(pulsepol_for_period, reg, grid)
 
-    # Each bisection adds one midpoint and turns one stitch into two.
-    midpoints = (len(matches) - (grid.size - 1)) // 2
-    assert midpoints > 0
-    chunks = [c for c in maps if c[0] in got.periods]
+    chunks, mids = maps[:6], [t for c in maps[6:] for t in c]
     assert [len(c) for c in chunks] == [8] * 5 + [1]
     assert np.array_equal([t for c in chunks for t in c], got.periods)
-    mids = [t for c in maps if c not in chunks for t in c]
-    assert len(mids) == len(set(mids)) == midpoints
-    assert len(maps) - len(chunks) < midpoints
+    # Each bisection adds one midpoint and turns one interval into two.
+    assert len(mids) == len(set(mids)) > 0 and not set(mids) & set(grid)
+    assert len(maps) - len(chunks) < len(mids)
+    assert sum(k for _, k in stitches) == grid.size - 1 + 2 * len(mids)
+    assert [s for s in stitches if s[0] == 0] == [(0, 8)] * 5
+    # A call at depth d + 1 stitches the two halves of each interval split at depth d.
+    assert [len(c) for c in maps[6:]] == [
+        n for depth, k in stitches if depth for n in _chunk_sizes(k // 2, 8)
+    ]
+    assert matches == [(k, 2, 2, 2) for _, k in stitches]
     # Ideal PulsePol conserves Q_z: each map is solved as its two sector blocks.
     assert eigs == [2 * len(c) for c in maps]
     assert np.array_equal(got.phases, want.phases)
-    assert np.array_equal(got.vectors, want.vectors)
+    assert np.array_equal(got.columns, want.columns)
+    assert np.array_equal(got.blocks, want.blocks)
 
 
 def test_midpoints_are_solved_in_chunks_of_the_chunk_size(monkeypatch, c21_spectrum):
-    """With every interval taken as ambiguous and two refinement levels, a
-    level's midpoints within a grid chunk outnumber the 8 points a chunk
-    holds and are solved in chunks of at most 8; the spectrum is the one
-    of one grid chunk, whose levels are solved whole."""
+    """With every interval taken as ambiguous and two refinement levels, the
+    16 intervals of a 17-point grid are stitched in two chunks of 8: a
+    chunk's 8 level-0 midpoints are solved as one chunk, and its 16 level-1
+    midpoints, which outnumber the 8 points a chunk holds, as two. The
+    spectrum is the one-chunk spectrum, whose levels are solved whole."""
     reg, t_r, _ = c21_spectrum
     grid = np.linspace(t_r - 0.12, t_r + 0.12, 17)
     monkeypatch.setattr(floquet, "STITCH_OVERLAP", 2.0)
@@ -199,10 +221,11 @@ def test_midpoints_are_solved_in_chunks_of_the_chunk_size(monkeypatch, c21_spect
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
     with pytest.warns(ValidityWarning, match="^64 stitch interval"):
         got = compute_spectrum(pulsepol_for_period, reg, grid)
-    # Per grid chunk: its points, then level 0's midpoints, then level 1's.
-    assert maps == [8, 7, 8, 6] + [8, 8, 8, 8] + [1, 1, 2]
+    # The grid's chunks, then per interval chunk level 0's midpoints and level 1's.
+    assert maps == [8, 8, 1] + [8, 8, 8] + [8, 8, 8]
     assert np.array_equal(got.phases, want.phases)
-    assert np.array_equal(got.vectors, want.vectors)
+    assert np.array_equal(got.columns, want.columns)
+    assert np.array_equal(got.blocks, want.blocks)
 
 
 def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spectrum):
@@ -288,15 +311,31 @@ def _random_unitary(dim, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def _near_identity_pair(seed, dim):
+    """Neighbouring eigenbases, the second's columns shuffled and phased."""
+    rng = np.random.default_rng(seed)
+    prev = _random_unitary(dim, rng)
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    drift = (v * np.exp(-0.05j * w)) @ v.conj().T
+    nxt = (prev @ drift)[:, rng.permutation(dim)] * np.exp(1j * rng.uniform(0, 6, dim))
+    return prev, nxt
+
+
+def _mixed_pair(seed):
+    """Two 8 x 8 eigenbases whose first three branches are mixed evenly."""
+    rng = np.random.default_rng(seed)
+    prev = _random_unitary(8, rng)
+    mix = np.eye(8, dtype=complex)
+    mix[:3, :3] = np.array([[2, 2, 1], [2, -1, -2], [1, -2, 2]]) / 3
+    tilt = np.linalg.qr(np.eye(8) + 0.02 * rng.normal(size=(8, 8)))[0]
+    return prev, prev @ mix @ tilt
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_greedy_match_near_identity(seed):
     """Neighbouring eigenbases: every row's best overlap clears 1/sqrt(2)."""
-    rng = np.random.default_rng(seed)
-    prev = _random_unitary(16, rng)
-    h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    drift = (v * np.exp(-0.05j * w)) @ v.conj().T
-    nxt = (prev @ drift)[:, rng.permutation(16)] * np.exp(1j * rng.uniform(0, 6, 16))
+    prev, nxt = _near_identity_pair(seed, 16)
     assert np.all(np.abs(prev.conj().T @ nxt).max(axis=1) > np.sqrt(0.5))
     perm, worst = floquet._greedy_match(prev, nxt)
     want_perm, want_worst = ref.greedy_match(prev, nxt)
@@ -308,12 +347,7 @@ def test_greedy_match_near_identity(seed):
 def test_greedy_match_with_rows_below_one_over_root_two(seed):
     """Three branches mixed evenly: two rows' best overlaps share a column,
     and the greedy loop decides the order."""
-    rng = np.random.default_rng(seed)
-    prev = _random_unitary(8, rng)
-    mix = np.eye(8, dtype=complex)
-    mix[:3, :3] = np.array([[2, 2, 1], [2, -1, -2], [1, -2, 2]]) / 3
-    tilt = np.linalg.qr(np.eye(8) + 0.02 * rng.normal(size=(8, 8)))[0]
-    nxt = prev @ mix @ tilt
+    prev, nxt = _mixed_pair(seed)
     overlap = np.abs(prev.conj().T @ nxt)
     assert overlap.max(axis=1).min() < np.sqrt(0.5)
     assert np.unique(overlap.argmax(axis=1)).size < 8
@@ -321,6 +355,28 @@ def test_greedy_match_with_rows_below_one_over_root_two(seed):
     want_perm, want_worst = ref.greedy_match(prev, nxt)
     assert np.array_equal(perm, want_perm)
     assert worst == want_worst
+
+
+def test_greedy_match_on_a_stack_of_blocks():
+    """One (K, S, n, n) = (3, 2, 8, 8) stack, near-identity and evenly mixed
+    blocks alternating, is matched block by block: every (k, s) block gets
+    the loop reference's permutation and worst overlap, the mixed ones by
+    the greedy loop."""
+    pairs = [_mixed_pair(k + 1) if (k + s) % 2 else _near_identity_pair(k, 8)
+             for k in range(3) for s in range(2)]
+    prev, nxt = (np.array(side).reshape(3, 2, 8, 8) for side in zip(*pairs))
+    overlap = np.abs(prev.conj().swapaxes(-1, -2) @ nxt)
+    mixed = [[False, True], [True, False], [False, True]]
+    assert np.array_equal(overlap.max(axis=-1).min(axis=-1) < np.sqrt(0.5), mixed)
+    clash = [[np.unique(block.argmax(axis=1)).size < 8 for block in row] for row in overlap]
+    assert clash == mixed
+    perm, worst = floquet._greedy_match(prev, nxt)
+    assert perm.shape == (3, 2, 8) and worst.shape == (3, 2)
+    for k in range(3):
+        for s in range(2):
+            want_perm, want_worst = ref.greedy_match(prev[k, s], nxt[k, s])
+            assert np.array_equal(perm[k, s], want_perm)
+            assert worst[k, s] == want_worst
 
 
 def test_crossings_at_one_period_sort_by_branch_pair(c21_spectrum):
@@ -332,7 +388,7 @@ def test_crossings_at_one_period_sort_by_branch_pair(c21_spectrum):
     copies = floquet.FloquetSpectrum(
         periods=spec.periods,
         phases=spec.phases[:, cols],
-        blocks=spec.vectors[:, None],
+        blocks=dense_vectors(spec)[:, None],
         columns=np.tile(cols, (spec.periods.size, 1)),
         basis=floquet._Sectors(None, protocols.parity_sectors(reg.dim, 1), None),
         register=reg,
@@ -361,12 +417,12 @@ SECTOR_BUILDERS = {
 }
 
 
-def _full_vectors(point, sectors):
-    """A point's eigenvectors in block-column order as one D x D matrix."""
-    d = point.phases.size
+def _full_vectors(phases, blocks, sectors):
+    """One point's eigenvectors, from its eigenphases (D,) and (S, n, n)
+    eigenvector blocks, in block-column order as one D x D matrix."""
+    d = phases.size
     one = floquet.FloquetSpectrum(
-        np.array([point.period]), point.phases[None], point.vectors[None], np.arange(d)[None],
-        sectors, register=None,
+        np.zeros(1), phases[None], blocks[None], np.arange(d)[None], sectors, register=None
     )
     return one.eigenvectors(np.zeros(d, dtype=int), np.arange(d)).T
 
@@ -433,10 +489,14 @@ def test_a_chunk_of_whole_and_half_period_roots():
     seqs = [builder(t) for t in grid]
     assert protocols.period_roots(seqs, register)[1].tolist() == [True, False, True, False]
     sectors = floquet._Sectors.of(seqs[0], register.dim)
-    points = floquet._spectrum_points(lambda t: seqs[list(grid).index(t)], register, grid, sectors)
-    for point, seq in zip(points, seqs):
+    periods, phases, blocks = floquet._spectrum_points(
+        lambda t: seqs[list(grid).index(t)], register, grid, sectors
+    )
+    assert np.array_equal(periods, [seq.period for seq in seqs])
+    assert phases.shape == (4, register.dim) and len(blocks) == 4
+    for point_phases, seq in zip(phases, seqs):
         want = -np.angle(np.linalg.eigvals(period_unitary(seq, register)))
-        gap = np.abs(np.exp(1j * point.phases[:, None]) - np.exp(1j * want[None, :]))
+        gap = np.abs(np.exp(1j * point_phases[:, None]) - np.exp(1j * want[None, :]))
         assert np.max(np.min(gap, axis=1)) <= 1e-10
         assert np.max(np.min(gap, axis=0)) <= 1e-10
 
@@ -501,14 +561,15 @@ def test_blocked_eigensolve_matches_the_grouped_solver(config, protocol):
     grid = np.array([2.13, 2.41]) if protocol.startswith("cpmg") else np.array([6.71, 6.93])
     sectors = floquet._Sectors.of(builder(grid[0]), register.dim)
     assert sectors.axis is not None
-    points = floquet._spectrum_points(builder, register, grid, sectors)
+    _, phases, blocks = floquet._spectrum_points(builder, register, grid, sectors)
     maps = period_unitary([builder(t) for t in grid], register)
-    for point, u in zip(points, maps):
+    assert len(phases) == len(blocks) == len(maps) == 2
+    for point_phases, point_blocks, u in zip(phases, blocks, maps):
         lam, v = ref.grouped_eigensolve(u)
-        order = np.argsort(-point.phases, kind="stable")
-        assert np.max(np.abs(point.phases[order] + np.angle(lam))) <= 1e-12
-        got = _full_vectors(point, sectors)[:, order]
-        mine = np.exp(-1j * point.phases[order])
+        order = np.argsort(-point_phases, kind="stable")
+        assert np.max(np.abs(point_phases[order] + np.angle(lam))) <= 1e-12
+        got = _full_vectors(point_phases, point_blocks, sectors)[:, order]
+        mine = np.exp(-1j * point_phases[order])
         assert np.max(np.abs(u @ got - got * mine)) <= linalg.EIG_RESIDUAL_TOL
         seen = np.zeros(lam.size, dtype=bool)
         for j in range(lam.size):
@@ -537,15 +598,16 @@ def test_symmetric_maps_take_the_real_path(config, protocol):
     builder = SECTOR_BUILDERS[protocol]
     grid = np.array([2.13, 2.41]) if protocol.startswith("cpmg") else np.array([6.71, 6.93])
     sectors = floquet._Sectors.of(builder(grid[0]), register.dim)
-    for point in floquet._spectrum_points(builder, register, grid, sectors):
-        assert point.vectors.dtype == np.float64
+    _, _, blocks = floquet._spectrum_points(builder, register, grid, sectors)
+    assert blocks.dtype == np.float64 and len(blocks) == 2
 
 
 @pytest.mark.parametrize("protocol", [*SECTOR_BUILDERS, "pulsepol-rabi300"])
 def test_spectrum_vectors_are_eigenvectors_of_the_map(protocol):
     """Every stored vector v_j of a spectrum, in the computational basis, has
     U v_j = exp(-i phase_j) v_j for the period map U at its point, and the
-    vectors are orthonormal: the dense view, and ``eigenvectors`` gathering
+    vectors are orthonormal: all of them gathered point by point, and
+    ``eigenvectors`` gathering
     (point, branch) pairs in any order from the stored blocks, which are
     phased for Q_z, in the Hadamard basis for Q_x and one complex
     whole-space block for finite PulsePol. Wherever the real path runs the
@@ -556,8 +618,9 @@ def test_spectrum_vectors_are_eigenvectors_of_the_map(protocol):
     spec = compute_spectrum(builder, register, grid)
     maps = period_unitary([builder(t) for t in spec.periods], register)
     lam = np.exp(-1j * spec.phases)[:, None, :]
-    assert np.max(np.abs(maps @ spec.vectors - spec.vectors * lam)) <= linalg.EIG_RESIDUAL_TOL
-    gram = spec.vectors.conj().swapaxes(1, 2) @ spec.vectors
+    vectors = dense_vectors(spec)
+    assert np.max(np.abs(maps @ vectors - vectors * lam)) <= linalg.EIG_RESIDUAL_TOL
+    gram = vectors.conj().swapaxes(1, 2) @ vectors
     assert np.max(np.abs(gram - np.eye(register.dim))) <= 1e-12
 
     p, d = spec.phases.shape
@@ -596,8 +659,9 @@ def test_a_complex_solve_after_real_ones_loses_nothing(monkeypatch):
     got = compute_spectrum(pulsepol_for_period, register, grid)
     assert len(calls) >= grid.size and got.blocks.dtype == np.complex128
     assert np.array_equal(got.phases, want.phases)
-    assert np.array_equal(got.vectors[0], want.vectors[0])
-    assert np.max(np.abs(got.vectors[1:] - want.vectors[1:] * np.exp(1j / 3))) <= 1e-15
+    got, want = dense_vectors(got), dense_vectors(want)
+    assert np.array_equal(got[0], want[0])
+    assert np.max(np.abs(got[1:] - want[1:] * np.exp(1j / 3))) <= 1e-15
 
 
 @pytest.fixture(scope="module")
@@ -616,6 +680,61 @@ def test_crossings_do_not_depend_on_the_chunk_size(monkeypatch, request, name):
     assert len(want) > 50
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 1)
     assert find_crossings(spec, gap_threshold=0.3) == want
+
+
+def _offset_pulsepol(received, t):
+    """Ideal PulsePol built for the period t + 0.0013 us, recording each t."""
+    received.append(t)
+    return pulsepol_for_period(t + 0.0013)
+
+
+CHUNKED_SPECTRA = {
+    "c3_c21": ("c3_c21.yaml", pulsepol_for_period),
+    "c3_c4_c8-rabi300": ("c3_c4_c8.yaml", partial(pulsepol_for_period, rabi=300.0)),
+    "c3_c21-offset": ("c3_c21.yaml", None),
+}
+
+
+@pytest.mark.parametrize("case", CHUNKED_SPECTRA)
+def test_the_spectrum_does_not_depend_on_the_chunk_size(monkeypatch, case):
+    """At 1, 3 and 8 points per chunk, and at the default chunk size, the
+    spectrum has the same periods, phases, columns and blocks, and the same
+    depth-cap warning. The overlap threshold is raised to 0.999, so that a
+    21-point grid is bisected at many intervals, and finite PulsePol on
+    c3_c4_c8, the complex path, reaches the depth cap. The offset builder
+    builds the period t + 0.0013 us for t: the spectrum stores the built
+    periods, while the builder is given grid values and means of two
+    values it was given, never means of built periods."""
+    config, builder = CHUNKED_SPECTRA[case]
+    register = shipped_register(config)
+    received = []
+    builder = builder or partial(_offset_pulsepol, received)
+    grid = np.linspace(5.4, 7.4, 21)
+    monkeypatch.setattr(floquet, "STITCH_OVERLAP", 0.999)
+
+    def spectrum():
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            spec = compute_spectrum(builder, register, grid)
+        return spec, [str(w.message) for w in record]
+
+    want, warned = spectrum()
+    for points in (1, 3, 8):
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", points * 8 * 16 * register.dim**2)
+        got, got_warned = spectrum()
+        assert got_warned == warned
+        for name in ("periods", "phases", "columns", "blocks"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert want.blocks.dtype == (complex if case.endswith("rabi300") else float)
+    assert len(warned) == case.endswith("rabi300")
+    if received:
+        assert np.max(np.abs(want.periods - grid - 0.0013)) <= 1e-12
+        means, level = set(grid), list(zip(grid[:-1], grid[1:]))
+        for _ in range(floquet.MAX_REFINE_DEPTH):
+            mids = [0.5 * (a + b) for a, b in level]
+            means.update(mids)
+            level = [half for (a, b), m in zip(level, mids) for half in ((a, m), (m, b))]
+        assert set(received) <= means and len(set(received) - set(grid)) > 10
 
 
 @pytest.mark.parametrize("protocol", SECTOR_BUILDERS)
@@ -696,26 +815,29 @@ def test_sector_stitching_equals_the_full_greedy_match(five_spin_spectrum):
     register = five_spin_spectrum.register
     grid = np.linspace(6.6, 7.2, 61)
     sectors = floquet._Sectors.of(pulsepol_for_period(grid[0]), register.dim)
-    points = floquet._spectrum_points(pulsepol_for_period, register, grid, sectors)
+    _, phases, blocks = floquet._spectrum_points(pulsepol_for_period, register, grid, sectors)
     unphased = sectors._replace(phase=None)
     rows = sectors.index.ravel()
-    for a, b in zip(points, points[1:]):
-        local, worst = floquet._greedy_match(a.vectors, b.vectors)
-        capped = []
-        (perm,) = floquet._stitch([(0.0, a, 1.0, b)], None, floquet.MAX_REFINE_DEPTH, capped)
+    _, worst = floquet._greedy_match(blocks[:-1], blocks[1:])
+    perms = floquet._stitch(
+        grid[:-1], blocks[:-1], grid[1:], blocks[1:], None, floquet.MAX_REFINE_DEPTH, []
+    )
+    assert perms.shape == (grid.size - 1, register.dim) and worst.shape == (grid.size - 1, 2)
+    for k in range(grid.size - 1):
         full, full_worst = floquet._greedy_match(
-            _full_vectors(a, unphased)[rows], _full_vectors(b, unphased)[rows]
+            _full_vectors(phases[k], blocks[k], unphased)[rows],
+            _full_vectors(phases[k + 1], blocks[k + 1], unphased)[rows],
         )
-        assert np.array_equal(perm, full)
-        assert worst == full_worst
+        assert np.array_equal(perms[k], full)
+        assert worst[k].min() == full_worst
 
 
 def test_branches_keep_their_sector(five_spin_spectrum):
     """Each branch is an eigenvector of Q_z with the eigenvalue it is
     labelled with, at every grid point."""
     q = 1 - 2 * (np.array([bin(i).count("1") for i in range(five_spin_spectrum.dim)]) % 2)
-    expect = np.einsum("pij,i,pij->pj", five_spin_spectrum.vectors.conj(), q,
-                       five_spin_spectrum.vectors).real
+    vectors = dense_vectors(five_spin_spectrum)
+    expect = np.einsum("pij,i,pij->pj", vectors.conj(), q, vectors).real
     assert np.max(np.abs(expect - five_spin_spectrum.sectors)) <= 1e-12
     assert sorted(five_spin_spectrum.sectors) == [-1] * 32 + [1] * 32
 
