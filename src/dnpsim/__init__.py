@@ -68,7 +68,6 @@ from .protocols import (
     average_hamiltonian_numeric,
     cpmg_for_period,
     free_sequence,
-    modulation_functions,
     period_unitary,
     pulsepol_for_period,
     resonant_period,

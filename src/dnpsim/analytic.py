@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSpins, ValidationError, ZeroCoupling
-from .protocols import ModulationFunctions
+from .protocols import ModulationFunctions, resonant_period
 from .spins import NuclearSpin, precession_frequency
 
 #: Two spins within this distance in precession frequency (rad/us) cannot be
@@ -45,8 +45,6 @@ class EffectiveSpinParams:
         omega_i - 2 pi k / T; zero exactly on resonance.
     g : float
         Effective flip-flop rate (half the coupling matrix element).
-    chi : float
-        Phase of the flip-flop matrix element.
     """
 
     label: str
@@ -55,12 +53,11 @@ class EffectiveSpinParams:
     harmonic: int
     detuning: float
     g: float
-    chi: float
 
     @property
     def resonant_period(self) -> float:
         """Period putting this spin exactly on its k-th harmonic."""
-        return 2.0 * pi * self.harmonic / self.omega_i
+        return resonant_period(self.omega_i, self.harmonic)
 
 
 def effective_params(
@@ -86,7 +83,6 @@ def effective_params(
     if amp < 1e-12:  # the k = 1 mod 4 family cancels only to rounding
         amp = 0.0
     g = (spin.a_perp / 8.0) * amp
-    chi = atan2(im, re) if g > 0 else 0.0
     if g == 0.0:
         warnings.warn(
             f"harmonic k = {harmonic} gives zero flip-flop rate for {spin.label}"
@@ -95,7 +91,7 @@ def effective_params(
             stacklevel=2,
         )
     detuning = omega_i - 2.0 * pi * harmonic / period
-    return EffectiveSpinParams(spin.label, omega_i, period, harmonic, detuning, g, chi)
+    return EffectiveSpinParams(spin.label, omega_i, period, harmonic, detuning, g)
 
 
 def single_spin_polarisation(params: EffectiveSpinParams, n_periods: int) -> float:

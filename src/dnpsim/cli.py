@@ -19,7 +19,7 @@ import sys
 import warnings
 from dataclasses import replace
 from functools import partial
-from math import inf, isfinite, pi
+from math import inf, isfinite
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .analytic import blockade_pair, effective_params, optimal_pulse_count
 from .engine import ScheduleStage, run_schedule, sweep_trace, write_schedule_csv, write_trace_csv
 from .errors import DnpsimError, NumericalError, ValidationError
 from .floquet import compute_spectrum, find_crossings, local_minima, write_spectrum_csv
-from .protocols import TAU_PER_PERIOD, cpmg_for_period, pulsepol_for_period
+from .protocols import TAU_PER_PERIOD, cpmg_for_period, pulsepol_for_period, resonant_period
 from .spins import load_register_file, precession_frequency
 from .table import fmt, write_csv
 
@@ -190,7 +190,7 @@ def _cmd_compare(args) -> int:
     rows = []
     for spin in register.nuclei:
         omega_i = precession_frequency(spin, register.larmor)
-        p = effective_params(spin, register.larmor, 2 * pi * k / omega_i, k)
+        p = effective_params(spin, register.larmor, resonant_period(omega_i, k), k)
         n_opt = optimal_pulse_count(p) if p.g > 0 else 0
         if spin.label == strong_spin.label:
             blocked = (None, None, None)

@@ -24,7 +24,7 @@ from .linalg import chunk_points, unitary_eigensolve
 from .protocols import SequenceBuilder, conserved_parity, mix_electron_rows, parity_sectors
 # period_unitary is not called here; perfbench/child.py traces it under this name.
 from .protocols import period_roots, period_unitary, sector_blocks  # noqa: F401
-from .spins import SpinRegister, build_operators, require_joint_space
+from .spins import SpinRegister, require_joint_space
 from .table import write_csv
 
 #: Overlap below which branch assignment between neighbouring grid points is
@@ -227,8 +227,9 @@ def compute_spectrum(
     each map's blocks once for unitarity, and solves them in real
     arithmetic when they are symmetric (ideal PulsePol after the phase of
     ``_Sectors``, and CPMG), at half size when a register of odd N gives
-    them the flip pairing. The whole grid is solved first (``blocks``: P
-    D^2 / 2 floats on the real path, complex if any map is not). Then the
+    them the flip pairing. The whole grid is solved first, each chunk
+    written into one ``blocks`` array (P D^2 / 2 floats on the real path,
+    complex if any map is not). Then the
     intervals are stitched inside each sector in chunks of the same size,
     each refinement level's midpoints within an interval chunk solved
     together, in chunks of that size; each column map carries ``columns``
@@ -246,9 +247,14 @@ def compute_spectrum(
     size = chunk_points(8 * 16 * register.dim**2)
 
     def solve(times: np.ndarray) -> list[np.ndarray]:
-        chunks = (times[i : i + size] for i in range(0, len(times), size))
-        points = [_spectrum_points(builder, register, chunk, sectors) for chunk in chunks]
-        return [np.concatenate(part) for part in zip(*points)]
+        out = []  # preallocated by the first chunk, promoted if a later one is complex
+        for i in range(0, times.size, size):
+            chunk = _spectrum_points(builder, register, times[i : i + size], sectors)
+            out = out or [np.empty((times.size, *x.shape[1:]), x.dtype) for x in chunk]
+            for j, x in enumerate(chunk):
+                out[j] = out[j].astype(np.result_type(out[j], x), copy=False)
+                out[j][i : i + size] = x
+        return out
 
     axis, raw, blocks = solve(grid)  # raw: eigenphases by block column
     columns = np.empty((grid.size, register.dim), dtype=int)
@@ -372,20 +378,18 @@ def _flip_flop_weights(
     with v_c = spectrum.eigenvectors(m, c) and F_n = S+ I-_n + S- I+_n,
     gathered in chunks of candidates that fit ``linalg.CHUNK_BYTES``.
 
-    Each F_n has at most one nonzero per row, so F_n v is a gather:
-    (F_n v)[i] = F_n[i, src[i]] v[src[i]].
+    Each F_n is a gather, (F_n v)[i] = val[i] v[src[i]]: it flips the
+    electron bit D/2 and nucleus n's bit 2^(N-1-n) together, src = i ^ both,
+    and val is 1 where the two bits of i differ, else 0.
     """
-    ops = build_operators(spectrum.register)
-    rows = np.arange(ops.dim)
-    gathers = []
-    for site in ops.nuclei:
-        flip = ops.electron.plus @ site.minus + ops.electron.minus @ site.plus
-        src = np.argmax(np.abs(flip), axis=1)
-        gathers.append((src, flip[rows, src]))
-    weights = np.zeros((m.size, len(gathers)))
+    n_nuclei, dim = len(spectrum.register.nuclei), spectrum.register.dim
+    rows, half = np.arange(dim), dim // 2
+    bits = [1 << (n_nuclei - 1 - n) for n in range(n_nuclei)]
+    gathers = [(rows ^ (half | bit), (rows >= half) != ((rows & bit) > 0)) for bit in bits]
+    weights = np.zeros((m.size, n_nuclei))
     # Per candidate, at most eight complex D-vectors: v scattered, mixed and
     # copied, v_conj and F_n v, with room to spare.
-    size = chunk_points(8 * 16 * ops.dim)
+    size = chunk_points(8 * 16 * dim)
     for part in (slice(i, i + size) for i in range(0, m.size, size)):
         for c in (a[part], b[part]):
             v = spectrum.eigenvectors(m[part], c)

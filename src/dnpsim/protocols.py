@@ -123,12 +123,12 @@ def _free(duration: float) -> PulseEvent:
     return PulseEvent(EventKind.FREE_EVOLUTION, duration=duration)
 
 
-def free_sequence(duration: float, label: str = "free") -> PulseSequence:
+def free_sequence(duration: float) -> PulseSequence:
     """A pulse-free period: plain evolution under the static Hamiltonian."""
     if not 0 < duration < inf:
         raise InvalidTau(f"duration must be finite and > 0, got {duration}")
     return PulseSequence(
-        events=(_free(duration),), period=duration, harmonic=1, label=label
+        events=(_free(duration),), period=duration, harmonic=1, label="free"
     )
 
 
@@ -329,7 +329,7 @@ def _finite_step(event: PulseEvent, register: SpinRegister) -> np.ndarray:
     """exp(-i (H0 d + theta S_phi)) of a finite rotation, D x D; read-only."""
     ops = build_operators(register)
     s_phi = cos(event.phase) * ops.electron.x + sin(event.phase) * ops.electron.y
-    h0 = static_hamiltonian(register, ops)
+    h0 = static_hamiltonian(register)
     step = hermitian_eigensolve(h0 * event.duration + event.angle * s_phi).propagator(1.0)
     step.setflags(write=False)
     return step
@@ -362,6 +362,10 @@ class ModulationFunctions:
 
     tau: float
 
+    def __post_init__(self) -> None:
+        if not 0 < self.tau < inf:
+            raise InvalidTau(f"tau must be finite and > 0, got {self.tau}")
+
     def _eval(self, t, table) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         idx = np.floor(np.mod(t, 4.0 * self.tau) / (self.tau / 2.0)).astype(int)
@@ -391,17 +395,10 @@ class ModulationFunctions:
         return FourierCoefficients(a1, b1, a1, -b1)
 
 
-def modulation_functions(tau: float) -> ModulationFunctions:
-    if not 0 < tau < inf:
-        raise InvalidTau(f"tau must be finite and > 0, got {tau}")
-    return ModulationFunctions(tau=tau)
-
-
 def average_hamiltonian_numeric(
     seq: PulseSequence,
     register: SpinRegister,
     frame_frequency: float | None = None,
-    n_steps: int = 10_000,
 ) -> np.ndarray:
     """First-order average Hamiltonian of the ideal polarisation period.
 
@@ -415,7 +412,7 @@ def average_hamiltonian_numeric(
     leftover Iz coefficient is the detuning from the chosen frame. The
     default frame is the protocol frequency 2 pi k / T, which coincides
     with omega_I exactly on resonance. Integration is a midpoint rule with
-    ``n_steps`` uniform steps over one period, which reads only the period
+    10 000 uniform steps over one period, which reads only the period
     and harmonic of ``seq``. Raises NotIdealPulses unless ``seq`` is exactly
     ``pulsepol_for_period(seq.period, seq.harmonic)``, the ideal 4 tau
     polarisation bracket with equal gaps.
@@ -425,9 +422,9 @@ def average_hamiltonian_numeric(
 
     period = seq.period
     omega = frame_frequency if frame_frequency is not None else 2.0 * pi * seq.harmonic / period
-    mf = modulation_functions(period / 4.0)
+    mf = ModulationFunctions(period / 4.0)
 
-    t = (np.arange(n_steps) + 0.5) * (period / n_steps)
+    t = (np.arange(10_000) + 0.5) * (period / 10_000)
     f1 = mf.f1(t)
     f2 = mf.f2(t)
     c = np.cos(omega * t)

@@ -68,17 +68,16 @@ class NuclearSpin:
 
 @dataclass(frozen=True)
 class SpinRegister:
-    """Larmor frequency plus an ordered tuple of nuclei.
+    """Larmor frequency plus an ordered tuple of nuclei; equality reads
+    nothing else, however the Larmor frequency was given.
 
-    b_field_gauss is provenance only; physics reads ``larmor``. The joint
-    Hilbert dimension is 2**(1+N); operator construction (not the register
-    itself) enforces the N <= 7 cap so that large coupling tables remain
-    loadable for per-nucleus frequency work.
+    The joint Hilbert dimension is 2**(1+N); operator construction (not the
+    register itself) enforces the N <= 7 cap so that large coupling tables
+    remain loadable for per-nucleus frequency work.
     """
 
     larmor: float
     nuclei: tuple[NuclearSpin, ...]
-    b_field_gauss: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nuclei", tuple(self.nuclei))
@@ -111,7 +110,7 @@ class SpinRegister:
     def subset(self, labels: list[str] | tuple[str, ...]) -> "SpinRegister":
         """New register keeping only the named nuclei, in the given order."""
         nuclei = tuple(self.nucleus(lb) for lb in labels)
-        return SpinRegister(self.larmor, nuclei, self.b_field_gauss)
+        return SpinRegister(self.larmor, nuclei)
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def build_operators(register: SpinRegister) -> SpinOperatorSet:
     )
 
 
-def static_hamiltonian(register: SpinRegister, ops: SpinOperatorSet | None = None) -> np.ndarray:
+def static_hamiltonian(register: SpinRegister) -> np.ndarray:
     """Rotating-frame static Hamiltonian.
 
     H0 = sum_n (omega_L - A_par_n / 2) Iz_n + Sz sum_n A_perp_n Ix_n.
@@ -181,8 +180,7 @@ def static_hamiltonian(register: SpinRegister, ops: SpinOperatorSet | None = Non
 
     Hermitian and block-diagonal in the electron basis.
     """
-    if ops is None:
-        ops = build_operators(register)
+    ops = build_operators(register)
     h = np.zeros((ops.dim, ops.dim), dtype=complex)
     sz = ops.electron.z
     for spin, site in zip(register.nuclei, ops.nuclei):
@@ -292,7 +290,7 @@ def load_register(source: str) -> SpinRegister:
             raise ValidationError(f"{where}.a_perp_khz: must be >= 0, got {a_perp}")
         nuclei.append(NuclearSpin(label, a_par * KHZ_TO_RAD_PER_US, a_perp * KHZ_TO_RAD_PER_US))
 
-    return SpinRegister(larmor=larmor, nuclei=tuple(nuclei), b_field_gauss=b_field)
+    return SpinRegister(larmor=larmor, nuclei=tuple(nuclei))
 
 
 def load_register_file(path: str) -> SpinRegister:

@@ -40,6 +40,83 @@ def _callers(name: str) -> list[str]:
     return found
 
 
+def _bench_hooks() -> tuple:
+    """``perfbench/child.py``'s HOOKS, read from the file and never changed."""
+    path = SRC.parent.parent / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.HOOKS
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """An import whose name nothing reads is dead, except floquet's
+    ``period_unitary``, which the benchmark traces under that name."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused.extend(f"{path.stem}.{name}" for name in names if name not in used)
+    assert unused == ["floquet.period_unitary"]
+    assert ("dnpsim.floquet", "period_unitary") in {hook[:2] for hook in _bench_hooks()}
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of each defaulted parameter; None for keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(i, positional[i].arg) for i in range(first, len(positional))]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """Each defaulted parameter of a public function or public method in the
+    package is passed, by keyword or by position, by some call of that name
+    in ``src`` or ``tests``: a default no caller overrides is a constant."""
+    public = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                public.append((f"{path.stem}.{top.name}", top, 0))
+            elif isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                for fn in top.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                        public.append((f"{path.stem}.{top.name}.{fn.name}", fn, 0 if static else 1))
+    calls: dict[str, list[ast.Call]] = {}
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "tests").glob("*.py"))
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, position: int | None, name: str) -> bool:
+        if any(k.arg in (name, None) for k in call.keywords):  # by name, or **kwargs
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return position is not None and (starred or len(call.args) > position)
+
+    unpassed = [
+        f"{where}({name})"
+        for where, fn, bound in public
+        for position, name in _defaulted(fn)
+        if not any(
+            passes(call, None if position is None else position - bound, name)
+            for call in calls.get(fn.name, [])
+        )
+    ]
+    assert unpassed == []
+
+
 def test_only_free_propagator_reads_the_h0_eigensystems():
     """One source for the electron-conditioned nuclear Hamiltonian: every
     free-evolution propagator, period gaps and waits alike, comes from
@@ -61,6 +138,20 @@ def test_floquet_sorts_phases_once_per_spectrum():
     its weights; no per-point phase order is kept."""
     floquet = [c for c in _callers("argsort") if c.startswith("floquet.")]
     assert floquet == ["floquet.compute_spectrum", "floquet.find_crossings"]
+
+
+def test_floquet_gathers_the_flip_flops_without_the_dense_operators():
+    """The crossing search takes each F_n gather from bit arithmetic; no
+    embedded operator is built for it."""
+    assert not [c for c in _callers("build_operators") if c.startswith("floquet.")]
+
+
+def test_one_resonant_period_formula():
+    """2 pi k / omega_i is written once, in ``protocols.resonant_period``;
+    the closed forms and the ``compare`` table call it."""
+    callers = _callers("resonant_period")
+    assert "cli._cmd_compare" in callers
+    assert any(c.startswith("analytic.") for c in callers)
 
 
 def test_no_polyfit_in_the_package():
@@ -173,18 +264,15 @@ def test_importing_the_cli_loads_no_process_pool():
 def test_every_benchmark_trace_hook_still_resolves():
     """The benchmark's traced run wraps each ``(module, attribute)`` of
     ``perfbench/child.py``'s HOOKS; a renamed target would silently read 0."""
-    path = SRC.parent.parent / "perfbench" / "child.py"
-    spec = importlib.util.spec_from_file_location("perfbench_child", path)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    hooks = _bench_hooks()
     missing = []
-    for module_name, attr_path, _, _ in child.HOOKS:
+    for module_name, attr_path, _, _ in hooks:
         owner = importlib.import_module(module_name)
         for part in attr_path.split("."):
             owner = getattr(owner, part, None)
         if owner is None:
             missing.append(f"{module_name}.{attr_path}")
-    assert child.HOOKS and missing == []
+    assert hooks and missing == []
 
 
 def test_source_stays_within_the_line_budget():

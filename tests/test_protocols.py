@@ -9,13 +9,13 @@ import scipy.linalg
 
 from dnpsim import (
     EventKind,
+    ModulationFunctions,
     PulseEvent,
     PulseSequence,
     average_hamiltonian_numeric,
     build_operators,
     cpmg_for_period,
     free_sequence,
-    modulation_functions,
     period_unitary,
     precession_frequency,
     pulsepol_for_period,
@@ -140,8 +140,10 @@ def test_invalid_tau():
         cpmg_for_period(-1.0)
     with pytest.raises(InvalidTau):
         free_sequence(-0.1)
+    with pytest.raises(InvalidTau):
+        ModulationFunctions(0.0)
     for bad in (math.nan, math.inf):
-        for build in (pulsepol_for_period, cpmg_for_period, free_sequence, modulation_functions):
+        for build in (pulsepol_for_period, cpmg_for_period, free_sequence, ModulationFunctions):
             with pytest.raises(InvalidTau, match="finite"):
                 build(bad)
 
@@ -406,7 +408,7 @@ def test_strong_drive_does_not_warn(recwarn, reg_c3):
 
 
 def test_modulation_window_values():
-    mf = modulation_functions(2.0)
+    mf = ModulationFunctions(2.0)
     # first quarter: f1 = +1, f2 = 0; third quarter: f1 = -1
     assert mf.f1(np.array([0.5]))[0] == pytest.approx(1.0)
     assert mf.f2(np.array([0.5]))[0] == pytest.approx(0.0)
@@ -421,7 +423,7 @@ def test_modulation_window_values():
 
 def test_fourier_coefficients_match_quadrature():
     tau = 1.7
-    mf = modulation_functions(tau)
+    mf = ModulationFunctions(tau)
     period = 4 * tau
     t = (np.arange(200_000) + 0.5) * (period / 200_000)
     for k in range(1, 22):
@@ -438,7 +440,7 @@ def test_fourier_coefficients_match_quadrature():
 
 
 def test_fourier_selection_rule():
-    mf = modulation_functions(1.0)
+    mf = ModulationFunctions(1.0)
     for k in (2, 4, 6, 1, 5, 9):  # even harmonics and the 4m+1 family carry no weight
         coeff = mf.fourier(k)
         assert abs(coeff.a1 + coeff.b1) == pytest.approx(0.0, abs=1e-12)
@@ -449,7 +451,7 @@ def test_fourier_selection_rule():
 def test_partial_sum_converges_pointwise():
     """The odd-harmonic Fourier series of f1, truncated at k = 201,
     reconstructs f1 away from its switching instants, where it rings."""
-    mf = modulation_functions(2.0)
+    mf = ModulationFunctions(2.0)
     t = np.array([0.7, 1.3, 2.7, 4.6, 6.9])
     w0 = np.pi / (2.0 * mf.tau)
     approx = np.zeros_like(t)

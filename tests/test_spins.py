@@ -10,12 +10,15 @@ import yaml
 from dnpsim import (
     KHZ_TO_RAD_PER_US,
     NuclearSpin,
+    ProtocolRun,
     SpinRegister,
     build_operators,
     larmor_from_field,
     load_register,
     load_register_file,
     precession_frequency,
+    pulsepol_for_period,
+    run_protocol,
     static_hamiltonian,
 )
 from dnpsim import spins
@@ -60,6 +63,19 @@ def test_loader_derives_larmor_from_field():
     # and with no field either, the default working field applies
     bare = load_register("nuclei:\n  - {label: X, a_parallel_khz: 1, a_perp_khz: 1}\n")
     assert bare.larmor == pytest.approx(larmor_from_field(403.0))
+
+
+def test_a_register_given_by_its_field_equals_one_given_by_its_larmor():
+    """The field only derives ``larmor``, so the two registers are equal, and
+    a state built on one runs on the other."""
+    nuclei = "nuclei:\n  - {label: C3, a_parallel_khz: -11.346, a_perp_khz: 59.21}\n"
+    by_field = load_register("b_field_gauss: 403\n" + nuclei)
+    by_larmor = load_register(f"larmor_rad_per_us: {larmor_from_field(403.0)!r}\n" + nuclei)
+    assert by_field == by_larmor and hash(by_field) == hash(by_larmor)
+    run = ProtocolRun(pulsepol_for_period(6.85), n_periods=2, repetitions=3)
+    state, _ = run_protocol(run, by_field)
+    _, history = run_protocol(run, by_larmor, state)
+    assert history.shape == (3, 1)
 
 
 def test_loader_rejects_unknown_top_level_field():
