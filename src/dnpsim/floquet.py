@@ -4,10 +4,12 @@ The eigenphases of the one-period propagator, followed along a sweep of
 the period, form quasi-energy branches; nuclear resonances show up as
 avoided crossings between branches. Each map is solved as the sector
 blocks of the parity its period conserves, squared from the blocks of its
-half-period root. The grid is solved in chunks; then its intervals are
-stitched in chunks of the same size, inside each sector by eigenvector
-overlap, and an interval whose assignment is ambiguous is bisected, each
-level's midpoints solved together.
+half-period root. The grid is solved in chunks; then as many intervals
+as their overlaps fit are stitched at once, inside each sector by
+eigenvector overlap, and an ambiguous interval is bisected, each level's
+midpoints solved together. For an odd number of nuclei the spin flip
+pairs branch j with D - 1 - j: stitching and the crossing search then do
+the work of one member of each pair where they can check the pairing.
 """
 
 from __future__ import annotations
@@ -55,23 +57,24 @@ class _Sectors(NamedTuple):
 
     T = (i Y_e (x) X^(x)N) K, K complex conjugation, commutes with every
     event propagator. Its flip i -> D - 1 - i keeps each sector when the
-    register has an odd number of nuclei; index[s] then lists the sector's
-    electron-up states, then their partners in the same order, which gives
-    the blocks the paired shape ``unitary_eigensolve`` solves at half size."""
+    register has an odd number of nuclei; then ``paired``, and index[s]
+    lists the sector's electron-up states, then their partners in the same
+    order: the paired shape ``unitary_eigensolve`` solves at half size."""
 
     axis: str | None
     index: np.ndarray
     phase: np.ndarray | None
+    paired: bool
 
     @classmethod
     def of(cls, seq, dim: int) -> _Sectors:
         axis = conserved_parity(seq)
         index = parity_sectors(dim, 1 if axis is None else 2)
         up = index[:, : index.shape[1] // 2]  # the electron-up half: each sector ascends
-        if axis is not None and np.array_equal(dim - 1 - up[:, ::-1], index[:, up.shape[1] :]):
-            index = np.concatenate((up, dim - 1 - up), axis=1)
+        paired = axis is not None and np.array_equal(dim - 1 - up[:, ::-1], index[:, up.shape[1] :])
+        index = np.concatenate((up, dim - 1 - up), axis=1) if paired else index
         phase = np.where(index >= dim // 2, _DOWN_PHASE, 1.0) if axis == "z" else None
-        return cls(axis, index, phase)
+        return cls(axis, index, phase, paired)
 
     def blocks(self, u: np.ndarray) -> np.ndarray:
         """The (P, S, n, n) sector blocks of P U P* for a (P, D, D) stack U,
@@ -89,12 +92,12 @@ class _Sectors(NamedTuple):
 
 def _spectrum_points(
     builder: SequenceBuilder, register: SpinRegister, grid: np.ndarray, sectors: _Sectors
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The built periods (P,), eigenphases (P, D) by block column (phases[i,
-    s n + k] belongs to column k of block s) and (P, S, n, n) eigenvector
-    blocks of a grid chunk, from the sector blocks of its stacked
-    ``period_roots``, squared where a root is a half period, and one stacked
-    eigensolve of them, which checks their unitarity."""
+    s n + k] belongs to column k of block s), (P, S, n, n) eigenvector
+    blocks and their (P, S) ``_partnered`` mask, of a grid chunk, from one
+    stacked eigensolve, which checks their unitarity, of the sector blocks
+    of its ``period_roots``, squared where a root is a half period."""
     seqs = [builder(t) for t in grid]
     roots, squared = period_roots(seqs, register)
     blocks = sectors.blocks(roots)
@@ -104,62 +107,80 @@ def _spectrum_points(
         blocks[squared] = blocks[squared] @ blocks[squared]
     eig = unitary_eigensolve(blocks.reshape(-1, *blocks.shape[-2:]))
     phases = -np.angle(eig.eigenvalues.reshape(len(seqs), -1))
-    return np.array([s.period for s in seqs]), phases, eig.eigenvectors.reshape(blocks.shape)
+    vectors = eig.eigenvectors.reshape(blocks.shape)
+    return np.array([s.period for s in seqs]), phases, vectors, _partnered(vectors)
 
 
-def _greedy_match(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _partnered(blocks: np.ndarray) -> np.ndarray:
+    """(...,) True where an (n, n) block of n > 1 holds in each column
+    n - 1 - k exactly +/- V times column k, V = [[0, I], [-I, 0]], as the
+    half-size solve builds them: V is orthogonal, so such blocks' overlaps
+    mirror, |<n-1-j|n-1-l>| = |<j|l>|."""
+    m = blocks.shape[-1] // 2
+    v, w = blocks[..., :m], blocks[..., : m - 1 : -1]  # columns k < m and n - 1 - k
+    flip = np.concatenate((v[..., m:, :], -v[..., :m, :]), axis=-2)  # V v
+    return ((w == flip).all(axis=-2) | (w == -flip).all(axis=-2)).all(axis=-1) & (m > 0)
+
+
+def _greedy_match(prev: np.ndarray, nxt: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
     """Assign next-point eigenvectors to previous branches by overlap, for
-    each (n, n) block of two (..., n, n) stacks.
+    each (n, n) block of two (..., n, n) stacks: (permutation, worst
+    assigned overlap), of shapes (..., n) and (...), where permutation[...,
+    j] is the column of ``nxt`` continuing branch j of ``prev``. Pairs are
+    picked greedily, largest overlap first, masking used rows and columns.
 
-    Returns (permutation, worst assigned overlap), of shapes (..., n) and
-    (...): permutation[..., j] is the column of ``nxt`` continuing branch j
-    of ``prev``. Pairs are picked greedily, largest overlap first, masking
-    used rows and columns.
-
-    When the rows' maxima fall in distinct columns, the greedy picks
-    exactly those maxima, so no loop runs. With orthonormal bases this
-    holds whenever every row's best overlap exceeds 1/sqrt(2), which is then
-    the unique maximum of its row and of its column.
+    When the rows' maxima fall in distinct columns, the greedy picks exactly
+    those maxima, so no loop runs: with orthonormal bases, whenever every
+    row's best overlap exceeds 1/sqrt(2). Where ``half`` (...) holds, both
+    blocks are ``_partnered``, so only the first n/2 overlap rows are formed
+    and perm[n - 1 - k] = n - 1 - perm[k]; a block that clashes, or that
+    ``half`` leaves out while marking others, takes the loop on its whole overlap.
     """
-    overlap = np.abs(prev.conj().swapaxes(-1, -2) @ nxt)
+    n = prev.shape[-1]
+    rows = n // 2 if half.any() else n
+    overlap = np.abs(prev[..., :rows].conj().swapaxes(-1, -2) @ nxt)
     perm = np.argmax(overlap, axis=-1)
-    best = np.max(overlap, axis=-1)
-    clash = (np.diff(np.sort(perm, axis=-1), axis=-1) == 0).any(axis=-1)
-    for s in map(tuple, np.argwhere(clash)):
-        work = overlap[s].copy()
-        for _ in range(perm.shape[-1]):
+    best = np.take_along_axis(overlap, perm[..., None], -1)[..., 0]
+    if rows < n:
+        perm = np.concatenate((perm, n - 1 - perm[..., ::-1]), axis=-1)
+        best = np.concatenate((best, best[..., ::-1]), axis=-1)
+    clash = (np.diff(np.sort(perm, axis=-1), axis=-1) == 0).any(axis=-1) | (rows < n) & ~half
+    overlaps = np.abs(prev[clash].conj().swapaxes(-1, -2) @ nxt[clash])
+    for s, overlap in zip(map(tuple, np.argwhere(clash)), overlaps):
+        work = overlap.copy()
+        for _ in range(n):
             i, j = np.unravel_index(np.argmax(work), work.shape)
-            perm[s][i] = j
-            best[s][i] = overlap[s][i, j]
-            work[i, :] = -1.0
-            work[:, j] = -1.0
+            perm[s][i], best[s][i] = j, overlap[i, j]
+            work[i, :], work[:, j] = -1.0, -1.0
     return perm, best.min(axis=-1)
 
 
 def _stitch(
-    t_a: np.ndarray, a: np.ndarray, t_b: np.ndarray, b: np.ndarray, solve, depth: int, capped: list
+    t_a: np.ndarray, a: np.ndarray, t_b: np.ndarray, b: np.ndarray, half: np.ndarray, solve,
+    depth: int, capped: list,
 ) -> np.ndarray:
     """The (K, D) column maps of K intervals from the periods t_a (K,) the
     builder was given, with blocks a (K, S, n, n), to t_b with b, matched inside
-    each sector: b's column perm[k, c] continues a's column c. Intervals
-    whose worst overlap is below STITCH_OVERLAP are bisected: one level's
-    midpoints are solved together by ``solve``, which maps periods to their
-    ``_spectrum_points``, and the next level stitches the split intervals'
-    first halves, then their second halves, as one stack. The worst overlap
-    of every interval accepted at the depth cap below STITCH_OVERLAP is
-    appended to capped."""
-    local, worst = _greedy_match(a, b)
+    each sector by ``_greedy_match`` with ``half`` (K, S): b's column perm[k, c]
+    continues a's column c. Intervals whose worst overlap is below
+    STITCH_OVERLAP are bisected: one level's midpoints are solved together
+    by ``solve``, which maps periods to their ``_spectrum_points``, and the
+    next level stitches the split intervals' first halves, then their second
+    halves, as one stack. The worst overlap of every interval accepted at
+    the depth cap below STITCH_OVERLAP is appended to capped."""
+    local, worst = _greedy_match(a, b, half)
     perms = (local + local.shape[-1] * np.arange(local.shape[1])[:, None]).reshape(len(a), -1)
     split = np.flatnonzero(worst.min(axis=1) < STITCH_OVERLAP)
     if depth >= MAX_REFINE_DEPTH:
         capped.extend(worst[split].min(axis=1))
     elif split.size:
         t_mid = 0.5 * (t_a[split] + t_b[split])
-        mid = solve(t_mid)[2]
+        _, _, mid, partnered = solve(t_mid)
+        half = half[split] & partnered
         halves = _stitch(
             np.concatenate((t_a[split], t_mid)), np.concatenate((a[split], mid)),
             np.concatenate((t_mid, t_b[split])), np.concatenate((mid, b[split])),
-            solve, depth + 1, capped,
+            np.concatenate((half, half)), solve, depth + 1, capped,
         )
         perms[split] = np.take_along_axis(halves[split.size :], halves[: split.size], axis=1)
     return perms
@@ -219,21 +240,17 @@ def compute_spectrum(
     still ambiguous at that depth, one ValidityWarning gives their number
     and the worst overlap accepted.
 
-    Points are built in chunks that fit ``linalg.CHUNK_BYTES``. A chunk's
-    stacked ``period_roots`` are cut into the sector blocks of the parity
-    the first period conserves (``protocols.conserved_parity``; SectorLeak
-    above SECTOR_TOL), or kept whole, squared where a root is a half
-    period, and solved by one stacked ``unitary_eigensolve``, which checks
-    each map's blocks once for unitarity, and solves them in real
-    arithmetic when they are symmetric (ideal PulsePol after the phase of
-    ``_Sectors``, and CPMG), at half size when a register of odd N gives
-    them the flip pairing. The whole grid is solved first, each chunk
-    written into one ``blocks`` array (P D^2 / 2 floats on the real path,
-    complex if any map is not). Then the
-    intervals are stitched inside each sector in chunks of the same size,
-    each refinement level's midpoints within an interval chunk solved
-    together, in chunks of that size; each column map carries ``columns``
-    on by one point.
+    Points are solved in chunks that fit ``linalg.CHUNK_BYTES``: a chunk's
+    stacked ``period_roots``, cut into the sector blocks of the parity the
+    first period conserves (``protocols.conserved_parity``; SectorLeak
+    above SECTOR_TOL) or kept whole, and squared where a root is a half
+    period, go to one ``unitary_eigensolve``, which checks their unitarity
+    and solves symmetric blocks (ideal PulsePol after the phase of
+    ``_Sectors``, and CPMG) in real arithmetic, at half size for odd N.
+    Each chunk is written into one ``blocks`` array. The intervals are then
+    stitched inside each sector, as many at once as their ``_greedy_match``
+    overlaps fit ``CHUNK_BYTES``, so that a refinement level's midpoints
+    are solved together; each column map carries ``columns`` on one point.
     """
     grid = np.asarray(periods, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -256,14 +273,17 @@ def compute_spectrum(
                 out[j][i : i + size] = x
         return out
 
-    axis, raw, blocks = solve(grid)  # raw: eigenphases by block column
+    axis, raw, blocks, partnered = solve(grid)  # raw: eigenphases by block column
     columns = np.empty((grid.size, register.dim), dtype=int)
     columns[0] = np.argsort(-raw[0], kind="stable")
     capped: list[float] = []
     t_a, a, t_b, b = grid[:-1], blocks[:-1], grid[1:], blocks[1:]  # interval k: points k, k + 1
-    for start in range(0, grid.size - 1, size):
-        at = slice(start, start + size)
-        steps = _stitch(t_a[at], a[at], t_b[at], b[at], solve, 0, capped)
+    half = partnered[:-1] & partnered[1:]
+    # Per interval: the complex overlap of ``_greedy_match``, n/2 rows of each block when paired.
+    span = chunk_points(16 * register.dim * blocks.shape[-1] // (1 + sectors.paired))
+    for start in range(0, grid.size - 1, span):
+        at = slice(start, start + span)
+        steps = _stitch(t_a[at], a[at], t_b[at], b[at], half[at], solve, 0, capped)
         for i, step in enumerate(steps, start + 1):
             columns[i] = step[columns[i - 1]]
     if capped:
@@ -340,12 +360,21 @@ def find_crossings(
     minima in which no nucleus takes part are dropped. Gaps and weights
     are built in chunks of branch pairs and of minima that fit
     ``linalg.CHUNK_BYTES``; crossings come sorted by (period, branch_a, branch_b).
+    Where the sectors pair and branch D - 1 - j holds the flip partner of
+    branch j at every point (an integer check on real blocks' columns), only
+    pairs a + b <= D - 1 are searched, and each crossing's mirror (D - 1 - b,
+    D - 1 - a) is emitted with its period, gap and participants.
     """
     if not 0 < gap_threshold < inf:
         raise ValidationError(f"gap_threshold: must be finite and > 0, got {gap_threshold}")
     if not abs(participation_min) < inf:
         raise ValidationError(f"participation_min: must be finite, got {participation_min}")
-    branch_a, branch_b = np.triu_indices(spectrum.dim, 1)
+    dim, n, c = spectrum.dim, spectrum.blocks.shape[-1], spectrum.columns
+    paired = spectrum.basis.paired and spectrum.blocks.dtype == float
+    mirrored = paired and np.array_equal(c[:, ::-1], c + n - 1 - 2 * (c % n))  # k <-> n - 1 - k
+    branch_a, branch_b = np.triu_indices(dim, 1)
+    if mirrored:  # one pair of each mirror orbit {(a, b), (D - 1 - b, D - 1 - a)}
+        branch_a, branch_b = (x[branch_a + branch_b < dim] for x in (branch_a, branch_b))
     # The (points, pairs) gaps and their subtrahend are built in chunks of pairs.
     size = chunk_points(2 * 8 * spectrum.periods.size)
     minima = []
@@ -359,15 +388,19 @@ def find_crossings(
     gap_star = np.maximum(gap_star, 0.0)
 
     weights = _flip_flop_weights(spectrum, m, a, b)
-    labels = [s.label for s in spectrum.register.nuclei]
-    strongest = np.argsort(-weights, axis=1, kind="stable")
-    found = []
-    for k in np.lexsort((m, b, a, t_star)):
-        keep = [n for n in strongest[k] if weights[k, n] >= participation_min]
-        if keep:
-            participants = tuple((labels[n], float(weights[k, n])) for n in keep)
-            period, gap = float(t_star[k]), float(gap_star[k])
-            found.append(AvoidedCrossing(period, gap, int(a[k]), int(b[k]), participants))
+    if mirrored:  # each crossing's mirror, but a branch's crossing with its own partner
+        twin = a + b < dim - 1
+        grown = [(x, x) for x in (m, t_star, gap_star, weights)]
+        grown += [(a, dim - 1 - b), (b, dim - 1 - a)]
+        m, t_star, gap_star, weights, a, b = (np.concatenate((x, y[twin])) for x, y in grown)
+    order = np.lexsort((m, b, a, t_star))
+    rows = [x[order].tolist() for x in (t_star, gap_star, a, b, weights)]
+    rows.append(np.argsort(-weights[order], axis=1, kind="stable").tolist())
+    labels, found = [s.label for s in spectrum.register.nuclei], []
+    for period, gap, i, j, w, strongest in zip(*rows):
+        participants = tuple((labels[k], w[k]) for k in strongest if w[k] >= participation_min)
+        if participants:
+            found.append(AvoidedCrossing(period, gap, i, j, participants))
     return tuple(found)
 
 

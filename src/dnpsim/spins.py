@@ -225,11 +225,10 @@ def _require_number(value, field: str) -> float:
 def load_register(source: str) -> SpinRegister:
     """Parse a YAML register config into a SpinRegister.
 
-    Top-level fields: ``larmor_rad_per_us`` (optional), ``b_field_gauss``
-    (optional), ``nuclei`` (list of ``{label, a_parallel_khz, a_perp_khz}``).
-    Couplings are given in kHz and converted to rad/us. When
-    ``larmor_rad_per_us`` is absent the Larmor frequency is derived from
-    ``b_field_gauss`` (default 403 G).
+    Top-level fields: ``larmor_rad_per_us`` or ``b_field_gauss`` (at most
+    one; the field gives the Larmor frequency, default 403 G), and
+    ``nuclei`` (list of ``{label, a_parallel_khz, a_perp_khz}``). Couplings
+    are given in kHz and converted to rad/us.
 
     Raises
     ------
@@ -253,17 +252,16 @@ def load_register(source: str) -> SpinRegister:
     if unknown:
         raise ValidationError(f"unknown top-level field(s): {', '.join(unknown)}")
 
-    b_field = data.get("b_field_gauss")
-    if b_field is not None:
-        b_field = _require_number(b_field, "b_field_gauss")
-        if b_field <= 0:
-            raise ValidationError(f"b_field_gauss: must be > 0, got {b_field}")
-    if "larmor_rad_per_us" in data:
-        larmor = _require_number(data["larmor_rad_per_us"], "larmor_rad_per_us")
-        if larmor <= 0:
-            raise ValidationError(f"larmor_rad_per_us: must be > 0, got {larmor}")
-    else:
-        larmor = larmor_from_field(b_field if b_field is not None else DEFAULT_B_FIELD_GAUSS)
+    if "larmor_rad_per_us" in data and "b_field_gauss" in data:
+        raise ValidationError("larmor_rad_per_us, b_field_gauss: give one or the other, not both")
+    key = "larmor_rad_per_us" if "larmor_rad_per_us" in data else "b_field_gauss"
+    value = data.get(key)
+    if value is None and key == "b_field_gauss":  # absent or null
+        value = DEFAULT_B_FIELD_GAUSS
+    value = _require_number(value, key)
+    if value <= 0:
+        raise ValidationError(f"{key}: must be > 0, got {value}")
+    larmor = value if key == "larmor_rad_per_us" else larmor_from_field(value)
 
     raw_nuclei = data.get("nuclei", [])
     if raw_nuclei is None:

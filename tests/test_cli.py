@@ -572,6 +572,15 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_config_with_both_larmor_and_field_exits_one(tmp_path, capsys):
+    both = tmp_path / "both.yaml"
+    both.write_text("larmor_rad_per_us: 2.7\nb_field_gauss: 806\nnuclei: []\n")
+    rc = cli.main(["compare", "--config", str(both)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: larmor_rad_per_us, b_field_gauss: give one")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_numerical_failure_exits_two(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NotUnitary("propagator drifted")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -27,6 +28,7 @@ import reference_floquet as ref
 from dnpsim import floquet, linalg, protocols
 from dnpsim.errors import NotUnitary, ValidationError, ValidityWarning
 from dnpsim.protocols import conserved_parity
+from dnpsim.table import fmt
 
 from conftest import (
     CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, dense_vectors, make_register, shipped_register
@@ -142,11 +144,12 @@ def _chunk_sizes(count, size):
 def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     """On a coarse 41-point grid around the C21 resonance, with chunks of
     8 points, the period map and the eigensolve run once per grid chunk,
-    all grid chunks first; then the 40 intervals are stitched in chunks of
-    8, each ``_stitch`` call matching its whole stack with one
-    ``_greedy_match`` and solving the next level's midpoints together, in
-    chunks of 8. Every map is built and solved once, and the spectrum is
-    the one-chunk spectrum."""
+    all grid chunks first; then the 40 intervals, whose half overlaps fit
+    the same bytes 256 times over, are stitched as one stack, each
+    ``_stitch`` call matching its whole stack with one ``_greedy_match``
+    and solving the next level's midpoints together, in chunks of 8. Every
+    map is built and solved once, and the spectrum is the one-chunk
+    spectrum."""
     reg, t_r, _ = c21_spectrum
     grid = np.linspace(t_r - 2.4, t_r + 2.4, 41)
     want = compute_spectrum(pulsepol_for_period, reg, grid)
@@ -163,13 +166,13 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
         eigs.append(len(u))
         return real_eig(u)
 
-    def count_matches(prev, nxt):
+    def count_matches(prev, nxt, half):
         matches.append(prev.shape)
-        return real_match(prev, nxt)
+        return real_match(prev, nxt, half)
 
-    def count_stitches(t_a, a, t_b, b, solve, depth, capped):
+    def count_stitches(t_a, a, t_b, b, half, solve, depth, capped):
         stitches.append((depth, len(t_a)))
-        return real_stitch(t_a, a, t_b, b, solve, depth, capped)
+        return real_stitch(t_a, a, t_b, b, half, solve, depth, capped)
 
     monkeypatch.setattr(floquet, "period_roots", count_maps)
     monkeypatch.setattr(floquet, "unitary_eigensolve", count_eigs)
@@ -185,7 +188,7 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     assert len(mids) == len(set(mids)) > 0 and not set(mids) & set(grid)
     assert len(maps) - len(chunks) < len(mids)
     assert sum(k for _, k in stitches) == grid.size - 1 + 2 * len(mids)
-    assert [s for s in stitches if s[0] == 0] == [(0, 8)] * 5
+    assert [s for s in stitches if s[0] == 0] == [(0, 40)]
     # A call at depth d + 1 stitches the two halves of each interval split at depth d.
     assert [len(c) for c in maps[6:]] == [
         n for depth, k in stitches if depth for n in _chunk_sizes(k // 2, 8)
@@ -200,10 +203,10 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
 
 def test_midpoints_are_solved_in_chunks_of_the_chunk_size(monkeypatch, c21_spectrum):
     """With every interval taken as ambiguous and two refinement levels, the
-    16 intervals of a 17-point grid are stitched in two chunks of 8: a
-    chunk's 8 level-0 midpoints are solved as one chunk, and its 16 level-1
-    midpoints, which outnumber the 8 points a chunk holds, as two. The
-    spectrum is the one-chunk spectrum, whose levels are solved whole."""
+    16 intervals of a 17-point grid are stitched as one stack: its 16
+    level-0 midpoints, which outnumber the 8 points a solve chunk holds, are
+    solved as two chunks, and its 32 level-1 midpoints as four. The
+    spectrum is the one-chunk spectrum."""
     reg, t_r, _ = c21_spectrum
     grid = np.linspace(t_r - 0.12, t_r + 0.12, 17)
     monkeypatch.setattr(floquet, "STITCH_OVERLAP", 2.0)
@@ -221,8 +224,8 @@ def test_midpoints_are_solved_in_chunks_of_the_chunk_size(monkeypatch, c21_spect
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
     with pytest.warns(ValidityWarning, match="^64 stitch interval"):
         got = compute_spectrum(pulsepol_for_period, reg, grid)
-    # The grid's chunks, then per interval chunk level 0's midpoints and level 1's.
-    assert maps == [8, 8, 1] + [8, 8, 8] + [8, 8, 8]
+    # The grid's chunks, then level 0's midpoints and level 1's.
+    assert maps == [8, 8, 1] + [8, 8] + [8, 8, 8, 8]
     assert np.array_equal(got.phases, want.phases)
     assert np.array_equal(got.columns, want.columns)
     assert np.array_equal(got.blocks, want.blocks)
@@ -337,7 +340,7 @@ def test_greedy_match_near_identity(seed):
     """Neighbouring eigenbases: every row's best overlap clears 1/sqrt(2)."""
     prev, nxt = _near_identity_pair(seed, 16)
     assert np.all(np.abs(prev.conj().T @ nxt).max(axis=1) > np.sqrt(0.5))
-    perm, worst = floquet._greedy_match(prev, nxt)
+    perm, worst = floquet._greedy_match(prev, nxt, np.array(False))
     want_perm, want_worst = ref.greedy_match(prev, nxt)
     assert np.array_equal(perm, want_perm)
     assert worst == want_worst
@@ -351,7 +354,7 @@ def test_greedy_match_with_rows_below_one_over_root_two(seed):
     overlap = np.abs(prev.conj().T @ nxt)
     assert overlap.max(axis=1).min() < np.sqrt(0.5)
     assert np.unique(overlap.argmax(axis=1)).size < 8
-    perm, worst = floquet._greedy_match(prev, nxt)
+    perm, worst = floquet._greedy_match(prev, nxt, np.array(False))
     want_perm, want_worst = ref.greedy_match(prev, nxt)
     assert np.array_equal(perm, want_perm)
     assert worst == want_worst
@@ -370,13 +373,53 @@ def test_greedy_match_on_a_stack_of_blocks():
     assert np.array_equal(overlap.max(axis=-1).min(axis=-1) < np.sqrt(0.5), mixed)
     clash = [[np.unique(block.argmax(axis=1)).size < 8 for block in row] for row in overlap]
     assert clash == mixed
-    perm, worst = floquet._greedy_match(prev, nxt)
+    perm, worst = floquet._greedy_match(prev, nxt, np.zeros((3, 2), dtype=bool))
     assert perm.shape == (3, 2, 8) and worst.shape == (3, 2)
     for k in range(3):
         for s in range(2):
             want_perm, want_worst = ref.greedy_match(prev[k, s], nxt[k, s])
             assert np.array_equal(perm[k, s], want_perm)
             assert worst[k, s] == want_worst
+
+
+def _paired_real(z):
+    """The real 2m x 2m eigenvector block of m complex columns z as the
+    half-size solve builds it: (Re z_k; Im z_k) in column k and its flip
+    partner (-Im z_k; Re z_k) in column 2m - 1 - k."""
+    return np.concatenate((np.vstack((z.real, z.imag)), np.vstack((-z.imag, z.real))[:, ::-1]), 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_match_on_partnered_blocks(seed):
+    """Blocks of flip partners, near-identity from one point to the next,
+    are ``_partnered``; matched from their first n/2 columns alone (the
+    rest of ``prev`` is NaN), they get the loop reference's permutation and
+    worst overlap. In a stack that marks only its first block, the second,
+    two unpartnered real bases whose columns 8 and 9 trade places, still
+    gets the reference's match, which the mirror of its first rows misses."""
+    rng = np.random.default_rng(seed)
+    z = _random_unitary(8, rng)
+    w, v = np.linalg.eigh((lambda h: h + h.conj().T)(rng.normal(size=(8, 8)) + 0j))
+    moved = z @ (v * np.exp(-0.02j * w)) @ v.conj().T * np.exp(0.1j * rng.uniform(-1, 1, 8))
+    prev, nxt = _paired_real(z), _paired_real(moved[:, rng.permutation(8)])
+    assert floquet._partnered(np.array([prev, nxt])).all()
+    blind = prev.copy()
+    blind[:, 8:] = np.nan
+    perm, worst = floquet._greedy_match(blind, nxt, np.array(True))
+    want_perm, want_worst = ref.greedy_match(prev, nxt)
+    assert np.array_equal(perm, want_perm) and worst == pytest.approx(want_worst, abs=1e-15)
+    tilt = np.linalg.qr(np.eye(16) + 0.02 * rng.normal(size=(16, 16)))[0]
+    other = np.linalg.qr(rng.normal(size=(16, 16)))[0]
+    other = np.array([other, (other @ tilt)[:, [*range(8), 9, 8, *range(10, 16)]]])
+    assert not floquet._partnered(other).any()
+    perm, worst = floquet._greedy_match(
+        np.array([prev, other[0]]), np.array([nxt, other[1]]), np.array([True, False])
+    )
+    for k, pair in enumerate([(prev, nxt), other]):
+        want_perm, want_worst = ref.greedy_match(*pair)
+        assert np.array_equal(perm[k], want_perm)
+        assert worst[k] == pytest.approx(want_worst, abs=1e-15)
+    assert perm[1, 8] == 9
 
 
 def test_crossings_at_one_period_sort_by_branch_pair(c21_spectrum):
@@ -390,7 +433,7 @@ def test_crossings_at_one_period_sort_by_branch_pair(c21_spectrum):
         phases=spec.phases[:, cols],
         blocks=dense_vectors(spec)[:, None],
         columns=np.tile(cols, (spec.periods.size, 1)),
-        basis=floquet._Sectors(None, protocols.parity_sectors(reg.dim, 1), None),
+        basis=floquet._Sectors(None, protocols.parity_sectors(reg.dim, 1), None, False),
         register=reg,
     )
     got = find_crossings(copies, gap_threshold=0.5)
@@ -489,7 +532,7 @@ def test_a_chunk_of_whole_and_half_period_roots():
     seqs = [builder(t) for t in grid]
     assert protocols.period_roots(seqs, register)[1].tolist() == [True, False, True, False]
     sectors = floquet._Sectors.of(seqs[0], register.dim)
-    periods, phases, blocks = floquet._spectrum_points(
+    periods, phases, blocks, _ = floquet._spectrum_points(
         lambda t: seqs[list(grid).index(t)], register, grid, sectors
     )
     assert np.array_equal(periods, [seq.period for seq in seqs])
@@ -561,7 +604,7 @@ def test_blocked_eigensolve_matches_the_grouped_solver(config, protocol):
     grid = np.array([2.13, 2.41]) if protocol.startswith("cpmg") else np.array([6.71, 6.93])
     sectors = floquet._Sectors.of(builder(grid[0]), register.dim)
     assert sectors.axis is not None
-    _, phases, blocks = floquet._spectrum_points(builder, register, grid, sectors)
+    _, phases, blocks, _ = floquet._spectrum_points(builder, register, grid, sectors)
     maps = period_unitary([builder(t) for t in grid], register)
     assert len(phases) == len(blocks) == len(maps) == 2
     for point_phases, point_blocks, u in zip(phases, blocks, maps):
@@ -598,7 +641,7 @@ def test_symmetric_maps_take_the_real_path(config, protocol):
     builder = SECTOR_BUILDERS[protocol]
     grid = np.array([2.13, 2.41]) if protocol.startswith("cpmg") else np.array([6.71, 6.93])
     sectors = floquet._Sectors.of(builder(grid[0]), register.dim)
-    _, _, blocks = floquet._spectrum_points(builder, register, grid, sectors)
+    _, _, blocks, _ = floquet._spectrum_points(builder, register, grid, sectors)
     assert blocks.dtype == np.float64 and len(blocks) == 2
 
 
@@ -811,25 +854,37 @@ def test_sector_stitching_equals_the_full_greedy_match(five_spin_spectrum):
     P U P* (P diagonal, so its overlaps are those of U's eigenvectors), both
     as maps between block columns. The full rows are taken in the sectors'
     state order, so that both overlaps sum the same products in the same
-    order."""
+    order. Matching one member of each flip pair, where both ends are
+    ``_partnered``, gives the same permutations."""
     register = five_spin_spectrum.register
     grid = np.linspace(6.6, 7.2, 61)
     sectors = floquet._Sectors.of(pulsepol_for_period(grid[0]), register.dim)
-    _, phases, blocks = floquet._spectrum_points(pulsepol_for_period, register, grid, sectors)
+    _, phases, blocks, partnered = floquet._spectrum_points(
+        pulsepol_for_period, register, grid, sectors
+    )
     unphased = sectors._replace(phase=None)
     rows = sectors.index.ravel()
-    _, worst = floquet._greedy_match(blocks[:-1], blocks[1:])
-    perms = floquet._stitch(
-        grid[:-1], blocks[:-1], grid[1:], blocks[1:], None, floquet.MAX_REFINE_DEPTH, []
-    )
+    whole = np.zeros((grid.size - 1, 2), dtype=bool)
+    _, worst = floquet._greedy_match(blocks[:-1], blocks[1:], whole)
+
+    def stitch(half):
+        return floquet._stitch(
+            grid[:-1], blocks[:-1], grid[1:], blocks[1:], half, None, floquet.MAX_REFINE_DEPTH, []
+        )
+
+    perms = stitch(whole)
     assert perms.shape == (grid.size - 1, register.dim) and worst.shape == (grid.size - 1, 2)
     for k in range(grid.size - 1):
         full, full_worst = floquet._greedy_match(
             _full_vectors(phases[k], blocks[k], unphased)[rows],
             _full_vectors(phases[k + 1], blocks[k + 1], unphased)[rows],
+            np.array(False),
         )
         assert np.array_equal(perms[k], full)
         assert worst[k].min() == full_worst
+    half = partnered[:-1] & partnered[1:]
+    assert half.mean() > 0.9
+    assert np.array_equal(stitch(half), perms)
 
 
 def test_branches_keep_their_sector(five_spin_spectrum):
@@ -883,3 +938,172 @@ def test_spectrum_memory_stays_within_two_chunks(
     assert spec.blocks.dtype == np.float64 and len(found) > min_found
     assert spectrum_peak <= grid.size * register.dim**2 // 2 * 8 + 2 * linalg.CHUNK_BYTES
     assert crossings_peak <= held + 2 * linalg.CHUNK_BYTES
+
+
+def _mirrors(spec):
+    """Whether branch D - 1 - j holds, at every point, the block column
+    n - 1 - k of branch j's column k: the pairing the crossing search reads."""
+    c, n = spec.columns, spec.blocks.shape[-1]
+    return np.array_equal(c[:, ::-1], c + n - 1 - 2 * (c % n))
+
+
+def _unpartnered(blocks):
+    """``floquet._partnered`` that marks no block: the whole greedy everywhere."""
+    return np.zeros(blocks.shape[:-2], dtype=bool)
+
+
+def _full_search(spec):
+    """A copy of ``spec`` whose sectors are not marked paired: every pair is searched."""
+    return replace(spec, basis=spec.basis._replace(paired=False))
+
+
+def test_every_crossing_has_its_mirror_with_the_same_text():
+    """On c3_c4_c8 at k = 11 (the criterion-9 window, 81 points, gap 0.2),
+    the mirror (D - 1 - b, D - 1 - a) of every crossing (a, b) is listed
+    with the same period, gap and weights as the CLI prints them; searching
+    every pair gives two of the 41 a mirror whose gap differs in its 12th
+    digit."""
+    register = shipped_register("c3_c4_c8.yaml")
+    spec = compute_spectrum(
+        partial(pulsepol_for_period, harmonic=11), register, np.linspace(25.4, 27.0, 81)
+    )
+    assert _mirrors(spec)
+
+    def unmirrored(found):
+        text = {(c.branch_a, c.branch_b): (fmt(c.period), fmt(c.gap), [
+            (label, f"{w:.3f}") for label, w in c.participants
+        ]) for c in found}
+        d = spec.dim
+        return [k for k, line in text.items() if text.get((d - 1 - k[1], d - 1 - k[0])) != line]
+
+    found = find_crossings(spec, gap_threshold=0.2)
+    assert len(found) == 41 and unmirrored(found) == []
+    everything = find_crossings(_full_search(spec), gap_threshold=0.2)
+    assert_same_crossings(found, everything)
+    assert len(unmirrored(everything)) == 2
+
+
+# Finite PulsePol on the cut register27 reaches the stitch depth cap; the
+# warning is not what this test compares.
+@pytest.mark.filterwarnings("ignore:.*refinement depth:dnpsim.errors.ValidityWarning")
+@pytest.mark.parametrize("protocol", SPECTRUM_BUILDERS)
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_mirrored_stitch_and_search_give_the_full_paths_result(monkeypatch, config, protocol):
+    """Stitching one member of each flip pair and searching one pair of each
+    mirror orbit give the spectrum and the crossings of the whole greedy
+    and the search over every pair: periods exactly, phases to 1e-12, and
+    crossings as ``assert_same_crossings``. Both engage on every odd
+    register for ideal PulsePol. register27 is cut to its first five
+    nuclei. Ideal CPMG's gap-0 partner crossings are rounding noise, so
+    only its phases are compared."""
+    register = shipped_register(config)
+    if config == "register27.yaml":
+        register = register.subset([s.label for s in register.nuclei[:5]])
+    builder = SPECTRUM_BUILDERS[protocol]
+    grid = np.linspace(2.0, 2.6, 13) if protocol.startswith("cpmg") else np.linspace(6.6, 7.2, 13)
+    got = compute_spectrum(builder, register, grid)
+    monkeypatch.setattr(floquet, "_partnered", _unpartnered)
+    want = compute_spectrum(builder, register, grid)
+    assert np.array_equal(got.periods, want.periods)
+    assert np.max(np.abs(got.phases - want.phases)) <= 1e-12
+    odd = len(register.nuclei) % 2 == 1
+    if protocol == "pulsepol":
+        assert _mirrors(got) == got.basis.paired == odd
+    if protocol != "cpmg":
+        assert_same_crossings(find_crossings(got, 0.3), find_crossings(_full_search(want), 0.3))
+
+
+def test_a_spectrum_whose_branches_do_not_mirror_takes_the_full_search(
+    monkeypatch, five_spin_spectrum
+):
+    """With branches 0 and 1 swapped at every point, branch 63 no longer
+    holds branch 0's partner: the search sees every pair, and gives what
+    the search over every pair gives."""
+    spec = five_spin_spectrum
+    assert _mirrors(spec)
+    swap = [1, 0, *range(2, spec.dim)]
+    swapped = replace(spec, phases=spec.phases[:, swap], columns=spec.columns[:, swap])
+    assert not _mirrors(swapped)
+    pairs = []
+    real = floquet.local_minima
+
+    def count_pairs(t, v, below):
+        pairs.append(v.shape[1])
+        return real(t, v, below)
+
+    monkeypatch.setattr(floquet, "local_minima", count_pairs)
+    got = find_crossings(swapped, gap_threshold=0.2)
+    assert sum(pairs) == spec.dim * (spec.dim - 1) // 2
+    assert len(got) > 100 and got == find_crossings(_full_search(swapped), gap_threshold=0.2)
+
+
+def test_a_point_solved_off_the_paired_path_stitches_in_full(monkeypatch):
+    """On the benchmark's seed-0 register (C3, C8, C21, C24, C9), block 0
+    of the map at 6.9325 us fails the half-size gate and is solved at full
+    size: its partner columns match V times the others only to ~1e-11, so
+    it is not ``_partnered``, and both intervals that touch it take the
+    whole greedy there while the other sector matches half. The columns
+    are those of the whole greedy everywhere."""
+    table = load_register_file(str(CONFIG_DIR / "register27.yaml"))
+    register = table.subset(["C3", "C8", "C21", "C24", "C9"])
+    grid = np.array([6.93, 6.9325, 6.935])
+    sectors = floquet._Sectors.of(pulsepol_for_period(grid[0]), register.dim)
+    _, _, blocks, partnered = floquet._spectrum_points(pulsepol_for_period, register, grid, sectors)
+    assert partnered.tolist() == [[True, True], [False, True], [True, True]]
+    v, m = blocks[1, 0], register.dim // 4
+    flip, w = np.concatenate((v[m:, :m], -v[:m, :m])), v[:, : m - 1 : -1]
+    defect = np.max(np.minimum(np.abs(w - flip).max(axis=0), np.abs(w + flip).max(axis=0)))
+    assert 0 < defect <= 1e-10
+    halves = []
+    real = floquet._greedy_match
+
+    def record(prev, nxt, half):
+        halves.append(half.tolist())
+        return real(prev, nxt, half)
+
+    monkeypatch.setattr(floquet, "_greedy_match", record)
+    got = compute_spectrum(pulsepol_for_period, register, grid)
+    assert halves[0] == [[False, True], [False, True]]
+    monkeypatch.setattr(floquet, "_partnered", _unpartnered)
+    want = compute_spectrum(pulsepol_for_period, register, grid)
+    assert np.array_equal(got.columns, want.columns)
+
+
+class _AbsRecorder:
+    """numpy, but recording the shape of every ``abs`` argument."""
+
+    def __init__(self, shapes):
+        self.shapes = shapes
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, x, *args, **kwargs):
+        self.shapes.append(x.shape)
+        return np.abs(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("config, mirrored", [("c3_c4_c8.yaml", True), ("c3_c21.yaml", False)])
+def test_mirrored_spectra_stitch_and_search_half(monkeypatch, config, mirrored):
+    """With an odd number of nuclei (c3_c4_c8, D = 16) every overlap the
+    stitch forms has n/2 rows of n columns and the gap search sees the
+    D^2/4 pairs a + b <= D - 1; with an even number (c3_c21, D = 8) the
+    overlaps have n rows and the search sees all D(D - 1)/2 pairs."""
+    register = shipped_register(config)
+    shapes, pairs = [], []
+    real = floquet.local_minima
+
+    def count_pairs(t, v, below):
+        pairs.append(v.shape[1])
+        return real(t, v, below)
+
+    monkeypatch.setattr(floquet, "np", _AbsRecorder(shapes))
+    spec = compute_spectrum(pulsepol_for_period, register, np.linspace(6.6, 7.2, 61))
+    monkeypatch.setattr(floquet, "np", np)
+    monkeypatch.setattr(floquet, "local_minima", count_pairs)
+    found = find_crossings(spec, gap_threshold=0.3)
+    d, n = spec.dim, spec.blocks.shape[-1]
+    overlaps = {shape[-2:] for shape in shapes if np.prod(shape)}
+    assert overlaps == {(n // 2, n) if mirrored else (n, n)}
+    assert sum(pairs) == (d * d // 4 if mirrored else d * (d - 1) // 2)
+    assert len(found) > 5

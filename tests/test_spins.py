@@ -65,6 +65,17 @@ def test_loader_derives_larmor_from_field():
     assert bare.larmor == pytest.approx(larmor_from_field(403.0))
 
 
+@pytest.mark.parametrize("larmor", ["2.7", repr(larmor_from_field(806.0))])
+def test_loader_refuses_both_the_larmor_frequency_and_the_field(larmor):
+    """The field only derives the Larmor frequency, so a config that gives
+    both is refused, naming both keys, whether they disagree (2.7 rad/us
+    against the 5.42 rad/us of 806 G) or agree; null counts as given."""
+    for field in ("806", "null"):
+        text = f"larmor_rad_per_us: {larmor}\nb_field_gauss: {field}\nnuclei: []\n"
+        with pytest.raises(ValidationError, match="^larmor_rad_per_us, b_field_gauss: give one"):
+            load_register(text)
+
+
 def test_a_register_given_by_its_field_equals_one_given_by_its_larmor():
     """The field only derives ``larmor``, so the two registers are equal, and
     a state built on one runs on the other."""
