@@ -12,7 +12,6 @@ All frequencies are rad/us and all times us, as everywhere else.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import atan2, hypot, pi, sin, sqrt
 from typing import NamedTuple, Sequence
 
@@ -27,8 +26,7 @@ from .spins import NuclearSpin, precession_frequency
 DEGENERACY_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class EffectiveSpinParams:
+class EffectiveSpinParams(NamedTuple):
     """Per-spin knobs of the average Hamiltonian at a given period.
 
     Attributes
@@ -178,8 +176,7 @@ def _require_common_period(params: Sequence[EffectiveSpinParams]) -> None:
         raise ValidationError("spins need a common period and harmonic")
 
 
-@dataclass(frozen=True)
-class BlockadePair:
+class BlockadePair(NamedTuple):
     """A strongly coupled blockade spin shadowing a weaker target spin.
 
     delta_minus is the precession-frequency split omega_B - omega_target;
@@ -261,7 +258,7 @@ def excitation_manifold(params: Sequence[EffectiveSpinParams]) -> ExcitationMani
     dresses the electron flip and displaces a weaker spin's crossing (the
     blockade); spins at a common detuning leave one dark mode per extra
     spin, orthogonal to (g_1, ..., g_N), with no electron amplitude. The
-    g_j = 0 spectrum is the manifold of ``dataclasses.replace(p, g=0.0)``.
+    g_j = 0 spectrum is the manifold of ``p._replace(g=0.0)``.
     """
     if not params:
         raise ValidationError("excitation manifold needs at least one spin")

@@ -17,13 +17,11 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
 from functools import partial
 from math import inf, isfinite
 
 import numpy as np
 
-from .analytic import blockade_pair, effective_params, optimal_pulse_count
 from .engine import ScheduleStage, run_schedule, sweep_trace, write_schedule_csv, write_trace_csv
 from .errors import DnpsimError, NumericalError, ValidationError
 from .floquet import compute_spectrum, find_crossings, local_minima, write_spectrum_csv
@@ -167,7 +165,7 @@ def _cmd_schedule(args) -> int:
     )
     values = args.scale * result.values
     if args.out:
-        write_schedule_csv(replace(result, values=values), args.out)
+        write_schedule_csv(result._replace(values=values), args.out)
     final = values[-1]
     _say(f"stages: {len(stages)}  repetitions: {result.times.size}")
     _say(f"elapsed_us: {fmt(float(result.times[-1]))}")
@@ -179,6 +177,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .analytic import blockade_pair, effective_params, optimal_pulse_count
+
     register = load_register_file(args.config)
     if not register.nuclei:
         raise ValidationError("config contains no nuclei")

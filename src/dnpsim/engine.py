@@ -42,12 +42,13 @@ written as CSV through ``dnpsim.table.write_csv``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceCap, NoConvergence, NotHermitian, NotUnitary, ValidationError
+from .errors import checked_record
 from .linalg import chunk_points, unitarity_defect
 from .protocols import PulseSequence, SequenceBuilder, conserved_parity, free_propagator
 from .protocols import parity_sectors, period_unitary, sector_blocks
@@ -94,52 +95,51 @@ def _check_states(rho: np.ndarray) -> None:
         raise NoConvergence(f"density matrix lost positivity: min eigenvalue {min_eig:.3e}")
 
 
-@dataclass(frozen=True)
-class DensityState:
+class DensityState(checked_record("DensityState", "rho register")):
     """A density matrix over the electron-nuclei space of a register,
     held as a read-only copy."""
 
-    rho: np.ndarray
-    register: SpinRegister
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rho = np.array(self.rho, dtype=complex)
+    def __new__(cls, rho: np.ndarray, register: SpinRegister):
+        rho = np.array(rho, dtype=complex)
         rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        dim = self.register.dim
+        dim = register.dim
         if rho.shape != (dim, dim):
             raise ValidationError(
                 f"rho: expected shape {(dim, dim)} for this register, got {rho.shape}"
             )
+        return super().__new__(cls, rho, register)
 
     def validate(self) -> None:
         """Check hermiticity, unit trace and positivity to 1e-9."""
         _check_states(self.rho[None])
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
+class ProtocolRun(
+    checked_record("ProtocolRun", "sequence n_periods repetitions wait_us reinit_state")
+):
     """Burst pattern of one repetition loop.
 
     reinit_state selects which electron basis state the reset prepares:
     0 for the upper branch (m_s = +1/2 here), 1 for the lower.
     """
 
-    sequence: PulseSequence
-    n_periods: int
-    repetitions: int
-    wait_us: float = 0.0
-    reinit_state: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_periods < 1:
-            raise ValidationError(f"n_periods: must be >= 1, got {self.n_periods}")
-        if self.repetitions < 1:
-            raise ValidationError(f"repetitions: must be >= 1, got {self.repetitions}")
-        if not 0 <= self.wait_us < inf:
-            raise ValidationError(f"wait_us: must be finite and >= 0, got {self.wait_us}")
-        if self.reinit_state not in (0, 1):
-            raise ValidationError(f"reinit_state: must be 0 or 1, got {self.reinit_state}")
+    def __new__(
+        cls, sequence: PulseSequence, n_periods: int, repetitions: int, wait_us: float = 0.0,
+        reinit_state: int = 0,
+    ):
+        if n_periods < 1:
+            raise ValidationError(f"n_periods: must be >= 1, got {n_periods}")
+        if repetitions < 1:
+            raise ValidationError(f"repetitions: must be >= 1, got {repetitions}")
+        if not 0 <= wait_us < inf:
+            raise ValidationError(f"wait_us: must be finite and >= 0, got {wait_us}")
+        if reinit_state not in (0, 1):
+            raise ValidationError(f"reinit_state: must be 0 or 1, got {reinit_state}")
+        return super().__new__(cls, sequence, n_periods, repetitions, wait_us, reinit_state)
 
 
 def initial_state(register: SpinRegister, reinit_state: int = 0) -> DensityState:
@@ -339,29 +339,25 @@ def run_protocol(
     return final, history[0]
 
 
-@dataclass(frozen=True)
-class PolarisationTrace:
+class PolarisationTrace(checked_record("PolarisationTrace", "periods labels values")):
     """Final per-spin polarisations across a sweep of protocol periods,
     held as read-only copies."""
 
-    periods: np.ndarray
-    labels: tuple[str, ...]
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        periods = np.array(self.periods, dtype=float)
-        values = np.array(self.values, dtype=float)
+    def __new__(cls, periods: np.ndarray, labels: tuple[str, ...], values: np.ndarray):
+        periods = np.array(periods, dtype=float)
+        values = np.array(values, dtype=float)
         periods.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if values.shape != (periods.size, len(self.labels)):
+        labels = tuple(labels)
+        if values.shape != (periods.size, len(labels)):
             raise ValidationError(
-                f"values: expected shape {(periods.size, len(self.labels))}, got {values.shape}"
+                f"values: expected shape {(periods.size, len(labels))}, got {values.shape}"
             )
         if values.size and (values.min() < -0.5 - STATE_TOL or values.max() > 0.5 + STATE_TOL):
             raise ValidationError("values: spin-1/2 polarisations must lie in [-1/2, 1/2]")
+        return super().__new__(cls, periods, labels, values)
 
 
 def sweep_trace(
@@ -406,26 +402,23 @@ def sweep_trace(
     return PolarisationTrace(periods=axis, labels=labels, values=np.vstack(values))
 
 
-@dataclass(frozen=True)
-class ScheduleStage:
+class ScheduleStage(checked_record("ScheduleStage", "period repetitions n_periods")):
     """One leg of a staged protocol: a period, how many repetitions, and an
     optional override of the burst length."""
 
-    period: float
-    repetitions: int
-    n_periods: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.period < inf:
-            raise ValidationError(f"period: must be finite and > 0, got {self.period}")
-        if self.repetitions < 1:
-            raise ValidationError(f"repetitions: must be >= 1, got {self.repetitions}")
-        if self.n_periods is not None and self.n_periods < 1:
-            raise ValidationError(f"n_periods: must be >= 1, got {self.n_periods}")
+    def __new__(cls, period: float, repetitions: int, n_periods: int | None = None):
+        if not 0 < period < inf:
+            raise ValidationError(f"period: must be finite and > 0, got {period}")
+        if repetitions < 1:
+            raise ValidationError(f"repetitions: must be >= 1, got {repetitions}")
+        if n_periods is not None and n_periods < 1:
+            raise ValidationError(f"n_periods: must be >= 1, got {n_periods}")
+        return super().__new__(cls, period, repetitions, n_periods)
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     """Per-repetition record of a staged run on one evolving state."""
 
     times: np.ndarray

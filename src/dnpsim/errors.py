@@ -1,4 +1,16 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the base of
+its checked records."""
+
+from collections import namedtuple
+
+
+def checked_record(typename: str, fields: str) -> type:
+    """A ``collections.namedtuple`` base for a record whose subclass checks
+    and coerces its fields in ``__new__``. Its ``_make``, and so
+    ``_replace``, calls the subclass, so a replaced field is checked too."""
+    base = namedtuple(typename, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 class DnpsimError(Exception):

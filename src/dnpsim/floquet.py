@@ -15,7 +15,6 @@ the work of one member of each pair where they can check the pairing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple
 
@@ -138,7 +137,8 @@ def _greedy_match(prev: np.ndarray, nxt: np.ndarray, half: np.ndarray) -> tuple[
     """
     n = prev.shape[-1]
     rows = n // 2 if half.any() else n
-    overlap = np.abs(prev[..., :rows].conj().swapaxes(-1, -2) @ nxt)
+    product = prev[..., :rows].conj().swapaxes(-1, -2) @ nxt
+    overlap = np.abs(product, out=product if product.dtype.kind == "f" else None)  # real: in place
     perm = np.argmax(overlap, axis=-1)
     best = np.take_along_axis(overlap, perm[..., None], -1)[..., 0]
     if rows < n:
@@ -186,8 +186,7 @@ def _stitch(
     return perms
 
 
-@dataclass(frozen=True)
-class FloquetSpectrum:
+class FloquetSpectrum(NamedTuple):
     """Branch-ordered eigenphases of the period map along a period sweep.
 
     phases[i, j] is branch j's eigenphase in (-pi, pi] at periods[i]; its

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, inf, isfinite, pi, sin
 from typing import Callable, NamedTuple
@@ -36,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidTau, NotIdealPulses, NotUnitary, SectorLeak, ValidationError
-from .errors import ValidityWarning
+from .errors import ValidityWarning, checked_record
 from .linalg import UNITARY_TOL, hermitian_eigensolve, unitarity_defect
 from .spins import (
     SpinRegister,
@@ -62,8 +61,7 @@ class EventKind(enum.Enum):
     FREE_EVOLUTION = "free"
 
 
-@dataclass(frozen=True)
-class PulseEvent:
+class PulseEvent(checked_record("PulseEvent", "kind angle phase duration")):
     """One element of a protocol period.
 
     Rotations carry an angle (radians) and a phase phi defining the axis
@@ -71,48 +69,42 @@ class PulseEvent:
     Free evolution carries only a duration.
     """
 
-    kind: EventKind
-    angle: float | None = None
-    phase: float | None = None
-    duration: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.duration < inf:
-            raise ValidationError(f"duration: must be finite and >= 0, got {self.duration}")
-        if self.kind is EventKind.ROTATION:
-            if self.angle is None or self.phase is None:
+    def __new__(
+        cls, kind: EventKind, angle: float | None = None, phase: float | None = None,
+        duration: float = 0.0,
+    ):
+        if not 0 <= duration < inf:
+            raise ValidationError(f"duration: must be finite and >= 0, got {duration}")
+        if kind is EventKind.ROTATION:
+            if angle is None or phase is None:
                 raise ValidationError("angle/phase: required for rotation events")
-            if not (isfinite(self.angle) and isfinite(self.phase)):
-                raise ValidationError(
-                    f"angle/phase: must be finite, got {self.angle}, {self.phase}"
-                )
+            if not (isfinite(angle) and isfinite(phase)):
+                raise ValidationError(f"angle/phase: must be finite, got {angle}, {phase}")
         else:
-            if self.angle is not None or self.phase is not None:
+            if angle is not None or phase is not None:
                 raise ValidationError("angle/phase: not allowed on free evolution")
+        return super().__new__(cls, kind, angle, phase, duration)
 
 
-@dataclass(frozen=True)
-class PulseSequence:
+class PulseSequence(checked_record("PulseSequence", "events period harmonic label")):
     """One protocol period: events, total period (us), harmonic index, label."""
 
-    events: tuple[PulseEvent, ...]
-    period: float
-    harmonic: int
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        if not 0 < self.period < inf:
-            raise ValidationError(f"period: must be finite and > 0, got {self.period}")
-        if self.harmonic < 1:
-            raise ValidationError(f"harmonic: must be >= 1, got {self.harmonic}")
-        if not self.label:
+    def __new__(cls, events: tuple[PulseEvent, ...], period: float, harmonic: int, label: str):
+        events = tuple(events)
+        if not 0 < period < inf:
+            raise ValidationError(f"period: must be finite and > 0, got {period}")
+        if harmonic < 1:
+            raise ValidationError(f"harmonic: must be >= 1, got {harmonic}")
+        if not label:
             raise ValidationError("label: must be non-empty")
-        total = sum(e.duration for e in self.events)
-        if abs(total - self.period) > DURATION_TOL * max(1.0, self.period):
-            raise ValidationError(
-                f"events: durations sum to {total!r}, period is {self.period!r}"
-            )
+        total = sum(e.duration for e in events)
+        if abs(total - period) > DURATION_TOL * max(1.0, period):
+            raise ValidationError(f"events: durations sum to {total!r}, period is {period!r}")
+        return super().__new__(cls, events, period, harmonic, label)
 
 
 def _rot(angle: float, phase: float, duration: float = 0.0) -> PulseEvent:
@@ -351,8 +343,7 @@ class FourierCoefficients(NamedTuple):
     b2: float
 
 
-@dataclass(frozen=True)
-class ModulationFunctions:
+class ModulationFunctions(checked_record("ModulationFunctions", "tau")):
     """Evaluators and Fourier data for the modulation functions of one period.
 
     Both functions are piecewise constant in {-1, 0, +1} with period
@@ -360,11 +351,12 @@ class ModulationFunctions:
     anti-periodic over half a period, so only odd harmonics survive.
     """
 
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.tau < inf:
-            raise InvalidTau(f"tau must be finite and > 0, got {self.tau}")
+    def __new__(cls, tau: float):
+        if not 0 < tau < inf:
+            raise InvalidTau(f"tau must be finite and > 0, got {tau}")
+        return super().__new__(cls, tau)
 
     def _eval(self, t, table) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -15,13 +15,13 @@ derives the Larmor frequency from the field when it is not given directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
-from .errors import DimensionOverflow, ParseError, ValidationError
+from .errors import DimensionOverflow, ParseError, ValidationError, checked_record
 from .linalg import hermitian_eigensolve
 
 KHZ_TO_RAD_PER_US = 2.0 * np.pi * 1e-3
@@ -31,12 +31,12 @@ MAX_NUCLEI_IN_JOINT_SPACE = 7
 #: pyyaml's libyaml parser where it was built with it (~8x faster), else the Python one.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_S_Z = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-_S_X = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-_S_Y = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
-_S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_S_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
+#: S_z, S_x, S_y, S_+ and S_- of one spin-1/2.
+_SITE_OPS = np.array(
+    [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]], [[0.0, -0.5j], [0.5j, 0.0]],
+     [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    dtype=complex,
+)
 
 
 def larmor_from_field(b_field_gauss: float) -> float:
@@ -44,8 +44,7 @@ def larmor_from_field(b_field_gauss: float) -> float:
     return KHZ_TO_RAD_PER_US * GYROMAGNETIC_13C_KHZ_PER_G * b_field_gauss
 
 
-@dataclass(frozen=True)
-class NuclearSpin:
+class NuclearSpin(checked_record("NuclearSpin", "label a_parallel a_perp")):
     """One spin-1/2 nucleus: label plus hyperfine components in rad/us.
 
     a_parallel is the component along the quantisation axis (may be
@@ -53,21 +52,19 @@ class NuclearSpin:
     convention (its azimuth is a free gauge).
     """
 
-    label: str
-    a_parallel: float
-    a_perp: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __new__(cls, label: str, a_parallel: float, a_perp: float):
+        if not label:
             raise ValidationError("label: must be a non-empty string")
-        if not np.isfinite(self.a_parallel):
-            raise ValidationError(f"{self.label}.a_parallel: must be finite, got {self.a_parallel}")
-        if not 0 <= self.a_perp < np.inf:
-            raise ValidationError(f"{self.label}.a_perp: must be finite, >= 0, got {self.a_perp}")
+        if not np.isfinite(a_parallel):
+            raise ValidationError(f"{label}.a_parallel: must be finite, got {a_parallel}")
+        if not 0 <= a_perp < np.inf:
+            raise ValidationError(f"{label}.a_perp: must be finite, >= 0, got {a_perp}")
+        return super().__new__(cls, label, a_parallel, a_perp)
 
 
-@dataclass(frozen=True)
-class SpinRegister:
+class SpinRegister(checked_record("SpinRegister", "larmor nuclei")):
     """Larmor frequency plus an ordered tuple of nuclei; equality reads
     nothing else, however the Larmor frequency was given.
 
@@ -76,26 +73,26 @@ class SpinRegister:
     remain loadable for per-nucleus frequency work.
     """
 
-    larmor: float
-    nuclei: tuple[NuclearSpin, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nuclei", tuple(self.nuclei))
-        if not 0 < self.larmor < np.inf:
-            raise ValidationError(f"larmor: must be finite and > 0, got {self.larmor}")
-        labels = [n.label for n in self.nuclei]
+    def __new__(cls, larmor: float, nuclei: tuple[NuclearSpin, ...]):
+        nuclei = tuple(nuclei)
+        if not 0 < larmor < np.inf:
+            raise ValidationError(f"larmor: must be finite and > 0, got {larmor}")
+        labels = [n.label for n in nuclei]
         if len(set(labels)) != len(labels):
             dupes = sorted({x for x in labels if labels.count(x) > 1})
             raise ValidationError(f"nuclei labels: duplicated {dupes}")
-        for n in self.nuclei:
-            if abs(n.a_parallel) >= self.larmor:
+        for n in nuclei:
+            if abs(n.a_parallel) >= larmor:
                 raise ValidationError(
-                    f"{n.label}.a_parallel: |{n.a_parallel}| must stay below larmor {self.larmor}"
+                    f"{n.label}.a_parallel: |{n.a_parallel}| must stay below larmor {larmor}"
                 )
-            if n.a_perp >= self.larmor:
+            if n.a_perp >= larmor:
                 raise ValidationError(
-                    f"{n.label}.a_perp: {n.a_perp} must stay below larmor {self.larmor}"
+                    f"{n.label}.a_perp: {n.a_perp} must stay below larmor {larmor}"
                 )
+        return super().__new__(cls, larmor, nuclei)
 
     @property
     def dim(self) -> int:
@@ -113,8 +110,7 @@ class SpinRegister:
         return SpinRegister(self.larmor, nuclei)
 
 
-@dataclass(frozen=True)
-class SiteOperators:
+class SiteOperators(NamedTuple):
     """Spin-1/2 operators for one site, embedded in the joint space."""
 
     z: np.ndarray
@@ -124,24 +120,20 @@ class SiteOperators:
     minus: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpinOperatorSet:
+class SpinOperatorSet(NamedTuple):
     electron: SiteOperators
     nuclei: tuple[SiteOperators, ...]
     dim: int
 
 
-def _embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n_sites):
-        out = np.kron(out, op if k == site else _ID2)
-    out.setflags(write=False)
-    return out
-
-
 def _site_operators(site: int, n_sites: int) -> SiteOperators:
-    ops = (_S_Z, _S_X, _S_Y, _S_PLUS, _S_MINUS)
-    return SiteOperators(*(_embed(op, site, n_sites) for op in ops))
+    """The site's five operators as one product, I_L (x) [S_z, S_x, S_y, S_+, S_-] (x) I_R;
+    the last site skips I_R = 1, whose product would flip the sign of some of S_y's zeros."""
+    ops = np.kron(np.eye(2**site, dtype=complex), _SITE_OPS)
+    if site < n_sites - 1:
+        ops = np.kron(ops, np.eye(2 ** (n_sites - 1 - site), dtype=complex))
+    ops.setflags(write=False)
+    return SiteOperators(*ops)
 
 
 def require_joint_space(register: SpinRegister) -> None:

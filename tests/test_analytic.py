@@ -1,7 +1,6 @@
 """Closed-form transfer, satellite-dip and resonance-displacement formulas."""
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -216,7 +215,7 @@ def test_manifold_of_a_pair_is_the_three_level_matrix():
 
 def test_manifold_levels_cross_at_the_crossing_frequency():
     strong, weak = crossing_pair()
-    bare = excitation_manifold([strong, dataclasses.replace(weak, g=0.0)]).energies
+    bare = excitation_manifold([strong, weak._replace(g=0.0)]).energies
     w = math.hypot(strong.detuning, 2 * strong.g)
     dm = strong.detuning - weak.detuning
     expected = np.sort([(weak.detuning - w) / 2, (weak.detuning + w) / 2, dm / 2])
@@ -250,10 +249,10 @@ def test_manifold_dark_mode_is_scale_free(scale):
     """At a common detuning the dark mode is (g2, -g1) / hypot(g1, g2),
     whatever the common scale of the couplings."""
     base = params_for("C3", period=6.9)
-    other = dataclasses.replace(params_for("C21", period=6.9), detuning=base.detuning)
+    other = params_for("C21", period=6.9)._replace(detuning=base.detuning)
     g1, g2 = base.g * scale, other.g * scale
     states = excitation_manifold(
-        [dataclasses.replace(base, g=g1), dataclasses.replace(other, g=g2)]
+        [base._replace(g=g1), other._replace(g=g2)]
     ).states
     dark = np.argmin(np.abs(states[0]))
     assert states[0, dark] == pytest.approx(0.0, abs=1e-12)
@@ -266,7 +265,7 @@ def test_a_decoupled_spin_leaves_the_rest_of_the_manifold_shifted():
     c - delta_C8 and the C3/C4 levels raised by delta_C8 / 2."""
     c4_c8 = pair_for("C4", "C8", harmonic=11)
     c3 = params_for("C3", period=c4_c8.weak.period, harmonic=11)
-    c8 = dataclasses.replace(c4_c8.weak, g=0.0)
+    c8 = c4_c8.weak._replace(g=0.0)
     triple = excitation_manifold([c3, c4_c8.strong, c8])
     pair = excitation_manifold([c3, c4_c8.strong]).energies
     bare = 0.5 * (c3.detuning + c4_c8.strong.detuning + c8.detuning) - c8.detuning

@@ -6,7 +6,6 @@ import ast
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -173,7 +172,7 @@ def test_schedule_scale_writes_the_library_csv(tmp_path):
         wait_us=0.5,
         reinit_state=1,
     )
-    write_schedule_csv(replace(result, values=-2.0 * result.values), str(want))
+    write_schedule_csv(result._replace(values=-2.0 * result.values), str(want))
     assert out.read_bytes() == want.read_bytes()
 
 

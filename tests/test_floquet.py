@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -954,7 +953,7 @@ def _unpartnered(blocks):
 
 def _full_search(spec):
     """A copy of ``spec`` whose sectors are not marked paired: every pair is searched."""
-    return replace(spec, basis=spec.basis._replace(paired=False))
+    return spec._replace(basis=spec.basis._replace(paired=False))
 
 
 def test_every_crossing_has_its_mirror_with_the_same_text():
@@ -1022,7 +1021,7 @@ def test_a_spectrum_whose_branches_do_not_mirror_takes_the_full_search(
     spec = five_spin_spectrum
     assert _mirrors(spec)
     swap = [1, 0, *range(2, spec.dim)]
-    swapped = replace(spec, phases=spec.phases[:, swap], columns=spec.columns[:, swap])
+    swapped = spec._replace(phases=spec.phases[:, swap], columns=spec.columns[:, swap])
     assert not _mirrors(swapped)
     pairs = []
     real = floquet.local_minima

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "dnpsim"
 
 
@@ -259,6 +261,48 @@ def test_importing_the_cli_loads_no_process_pool():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def _fresh_modules(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; {code}; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return done.stdout.split()
+
+
+def test_start_up_loads_only_what_the_verbs_need():
+    """``import dnpsim`` loads no submodule, and the CLI with the register
+    layer, as the benchmark imports them, loads neither ``analytic``, which
+    only ``compare`` reads, nor ``dataclasses``."""
+    assert [m for m in _fresh_modules("import dnpsim") if m.startswith("dnpsim.")] == []
+    loaded = set(_fresh_modules("from dnpsim import cli, spins"))
+    assert {"dnpsim.cli", "dnpsim.spins"} <= loaded
+    assert loaded.isdisjoint({"dataclasses", "dnpsim.analytic"})
+
+
+def test_all_is_exactly_the_public_names():
+    """Every name of ``dnpsim.__all__`` resolves, is bound by ``import *``
+    and listed by ``dir``; no submodule is in it, and an unknown name raises
+    AttributeError."""
+    import dnpsim
+
+    names = dnpsim.__all__
+    assert len(set(names)) == len(names) and "__version__" in names
+    assert not {path.stem for path in SRC.glob("*.py")} & set(names)
+    star: dict = {}
+    exec("from dnpsim import *", star)
+    for name in names:
+        assert star[name] is getattr(dnpsim, name)
+        assert not name.startswith("_") or name == "__version__"
+    assert set(names) <= set(dir(dnpsim))
+    public = {name for name in dir(dnpsim) if not name.startswith("_")}
+    assert public - set(names) <= {path.stem for path in SRC.glob("*.py")}  # loaded submodules
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dnpsim.no_such_name
 
 
 def test_every_benchmark_trace_hook_still_resolves():

@@ -24,7 +24,8 @@ from dnpsim import (
 from dnpsim import spins
 from dnpsim.errors import DimensionOverflow, ParseError, ValidationError
 
-from conftest import CONFIG_DIR, LARMOR, TABLE27, make_register, register_text
+from conftest import CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, TABLE27, make_register, register_text
+from conftest import shipped_register
 
 
 def test_precession_matches_quadrature_formula():
@@ -261,6 +262,45 @@ def test_dimension_cap():
 def test_operator_cache_returns_same_object():
     reg = make_register("C3")
     assert build_operators(reg) is build_operators(reg)
+
+
+def test_registers_loaded_from_one_text_share_the_h0_eigensystem():
+    """Equal registers hash equal, so a second load hits the eigensystem cache."""
+    text = (CONFIG_DIR / "c3_c4_c8.yaml").read_text()
+    first, second = load_register(text), load_register(text)
+    assert first is not second
+    eig = spins.static_hamiltonian_eig(first)
+    hits = spins.static_hamiltonian_eig.cache_info().hits
+    assert spins.static_hamiltonian_eig(second) is eig
+    assert spins.static_hamiltonian_eig.cache_info().hits == hits + 1
+
+
+def _nested_kron(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
+    """``op`` on one site as the chain of one kron per site, identities elsewhere."""
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(n_sites):
+        out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
+    return out
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_operators_equal_the_nested_kron_embedding(name):
+    """Each site's five operators, built as one product, hold the bytes of
+    the one-kron-per-site chain, signs of zeros included, and so does H0."""
+    reg = shipped_register(name)
+    ops, n_sites = build_operators(reg), 1 + len(reg.nuclei)
+    single = [[[0.5, 0], [0, -0.5]], [[0, 0.5], [0.5, 0]], [[0, -0.5j], [0.5j, 0]],
+              [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+    single = [np.array(op, dtype=complex) for op in single]
+    h = np.zeros((ops.dim, ops.dim), dtype=complex)
+    for site, built in enumerate((ops.electron, *ops.nuclei)):
+        want = [_nested_kron(op, site, n_sites) for op in single]
+        assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(built, want))
+        if site:
+            spin = reg.nuclei[site - 1]
+            h += (reg.larmor - spin.a_parallel / 2.0) * want[0]
+            h += spin.a_perp * (_nested_kron(single[0], 0, n_sites) @ want[1])
+    assert static_hamiltonian(reg).tobytes() == h.tobytes()
 
 
 def test_spin_operator_algebra():
