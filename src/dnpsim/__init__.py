@@ -16,9 +16,9 @@ _PUBLIC = {
     "engine": """DensityState PolarisationTrace ProtocolRun ScheduleResult ScheduleStage
         asymptotic_envelope initial_state run_protocol run_schedule sweep_trace
         write_schedule_csv write_trace_csv""",
-    "errors": """ConvergenceCap DegenerateSpins DimensionMismatch DimensionOverflow DnpsimError
-        InvalidTau NoConvergence NotHermitian NotIdealPulses NotUnitary NumericalError
-        ParseError SectorLeak ValidationError ValidityWarning ZeroCoupling""",
+    "errors": """DegenerateSpins DimensionMismatch DimensionOverflow DnpsimError InvalidTau
+        NoConvergence NotHermitian NotIdealPulses NotUnitary NumericalError ParseError
+        SectorLeak ValidationError ValidityWarning ZeroCoupling""",
     "floquet": """AvoidedCrossing FloquetSpectrum compute_spectrum find_crossings local_minima
         write_spectrum_csv""",
     "linalg": "EigenDecomposition hermitian_eigensolve unitary_eigensolve",

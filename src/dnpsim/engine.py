@@ -28,26 +28,26 @@ parity blocks, at a quarter of the flops, and a pair with an entry above
 ``run_protocol``, whose start state may hold parity coherences, the whole
 space is one sector.
 
-Schedules, ``run_protocol`` and ``asymptotic_envelope`` check the state
-after every repetition; a schedule chains stages at different periods on
-one evolving state. A sweep runs every grid point from a thermal state in
-batched chunks and keeps only final states: where ``_powered`` finds it
-cheaper (at 1000 repetitions, d <= 16 on parity blocks and d <= 8 on one
-sector) it applies S^R, S = sum_a K_a (x) conj(K_a), by repeated squaring in
-float64 on the d^2/S real coordinates of the Hermitian blocks, checking the
-state after each set bit of R; other sweeps loop. Sweeps and schedules are
-written as CSV through ``dnpsim.table.write_csv``.
+Schedules and ``run_protocol`` check the state after every repetition; a
+schedule chains stages at different periods on one evolving state. A sweep
+runs every grid point from a thermal state in batched chunks and keeps only
+final states: where ``_powered`` finds it cheaper (at 1000 repetitions,
+d <= 16 on parity blocks and d <= 8 on one sector) it applies S^R,
+S = sum_a K_a (x) conj(K_a), by repeated squaring in float64 on the d^2/S
+real coordinates of the Hermitian blocks, checking the state after each set
+bit of R; other sweeps loop. ``asymptotic_envelope`` takes the loop's limit
+as the eigenvector of that real S at eigenvalue 1, and checks it. Sweeps
+and schedules are written as CSV through ``dnpsim.table.write_csv``.
 """
 
 from __future__ import annotations
 
-import warnings
-from math import inf
+from math import inf, log
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceCap, NoConvergence, NotHermitian, NotUnitary, ValidationError
+from .errors import DimensionOverflow, NoConvergence, NotHermitian, NotUnitary, ValidationError
 from .errors import checked_record
 from .linalg import chunk_points, unitarity_defect
 from .protocols import PulseSequence, SequenceBuilder, conserved_parity, free_propagator
@@ -474,52 +474,40 @@ def run_schedule(
     )
 
 
-#: Consecutive repetitions whose change must stay below tolerance before the
-#: envelope is declared converged.
-_ENVELOPE_WINDOW = 10
+#: Largest n = d^2 / sectors whose real superoperator ``asymptotic_envelope`` diagonalises.
+_ENVELOPE_MAX_N = 2048
 
 
-def asymptotic_envelope(
-    run: ProtocolRun,
-    register: SpinRegister,
-    tol: float = 1e-8,
-    max_repetitions: int = 100_000,
-) -> tuple[float, int, bool]:
-    """Drive the repetition loop until the summed polarisation stalls.
+def asymptotic_envelope(run: ProtocolRun, register: SpinRegister) -> tuple[np.ndarray, float]:
+    """The limit of the repetition loop from any start state, and how fast
+    it is reached, from one dense eigensolve of the channel's real S.
 
-    Returns (summed polarisation, repetitions used, converged). The Kraus
-    pair is built once; the loop runs from the thermal state in blocks of
-    the run's own repetition count. If the cap is hit first a warning is
-    emitted and converged is False.
+    Returns ``(values, relaxation)``: the (N,) polarisations of the
+    unit-trace eigenvector of S at eigenvalue 1, which passes
+    ``_check_states``, and -1/ln|lambda_2| in repetitions per e-fold (0.0
+    without a second eigenvalue); ``run.repetitions`` is not read. Raises
+    DimensionOverflow above n = 2048, before S is built, and NoConvergence
+    when a second eigenvalue lies within STATE_TOL of the unit circle.
     """
-    if not 0 < tol < inf:
-        raise ValidationError(f"tol: must be finite and > 0, got {tol}")
-    if max_repetitions < 1:
-        raise ValidationError(f"max_repetitions: must be >= 1, got {max_repetitions}")
     d = register.dim // 2
     sectors = _sectors([run.sequence], run.wait_us, d)
+    n = d * d // sectors
+    if n > _ENVELOPE_MAX_N:
+        raise DimensionOverflow(f"repetition channel of dimension {n} exceeds {_ENVELOPE_MAX_N}")
     _, kraus = _kraus_stack([run.sequence], run, register, sectors)
-    rho = _thermal(d, 1, sectors)
-    block = min(run.repetitions, max_repetitions)
-    history = np.empty((1, block, len(register.nuclei)))
-    total_prev = None
-    below = done = 0
-    while done < max_repetitions:
-        reps = min(block, max_repetitions - done)
-        rho = _repeat(kraus, rho, reps, history[:, :reps])
-        for value in history[0, :reps].sum(axis=1):
-            stalled = total_prev is not None and abs(value - total_prev) < tol
-            below = below + 1 if stalled else 0
-            total_prev = value
-            done += 1
-            if below >= _ENVELOPE_WINDOW:
-                return float(value), done, True
-    warnings.warn(
-        f"asymptotic envelope not settled after {max_repetitions} repetitions",
-        ConvergenceCap,
-        stacklevel=2,
-    )
-    return float(total_prev), done, False
+    eigenvalues, eigenvectors = np.linalg.eig(_real_superoperator(kraus)[0])
+    one = int(np.argmin(np.abs(eigenvalues - 1)))
+    second = float(np.max(np.abs(np.delete(eigenvalues, one)), initial=0.0))
+    if second > 1 - STATE_TOL:
+        raise NoConvergence(
+            f"repetition channel has a second eigenvalue of modulus {second:.12f}: no unique limit"
+        )
+    h, alpha = d // sectors, _hermitian_weights(d // sectors)
+    x = eigenvectors[:, one].real.reshape(sectors, h, h)
+    rho = alpha.conj() * x + (alpha * x).swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).sum()
+    _check_states(rho[None])
+    return _polarisations(rho), (-1 / log(second) if second > 0 else 0.0)
 
 
 def write_trace_csv(

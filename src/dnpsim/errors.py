@@ -30,7 +30,7 @@ class NotUnitary(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """An iterative eigensolver failed to converge."""
+    """An eigensolve failed to converge, a state drifted, or a limit is not unique."""
 
 
 class SectorLeak(NumericalError):
@@ -67,10 +67,6 @@ class DegenerateSpins(DnpsimError):
 
 class ZeroCoupling(UserWarning):
     """Transfer requested for a spin with no coupling and no detuning."""
-
-
-class ConvergenceCap(UserWarning):
-    """Repetition cap reached before the convergence tolerance."""
 
 
 class ValidityWarning(UserWarning):

@@ -137,8 +137,17 @@ def _greedy_match(prev: np.ndarray, nxt: np.ndarray, half: np.ndarray) -> tuple[
     """
     n = prev.shape[-1]
     rows = n // 2 if half.any() else n
-    product = prev[..., :rows].conj().swapaxes(-1, -2) @ nxt
-    overlap = np.abs(product, out=product if product.dtype.kind == "f" else None)  # real: in place
+    if np.iscomplexobj(prev) or np.iscomplexobj(nxt):
+        # In eighths of the stack, into one real array: a part's conj copy and
+        # complex product, four times its share of the overlap, stay within half of it.
+        a, b = prev.reshape(-1, n, n), nxt.reshape(-1, n, n)
+        overlap, step = np.empty((len(a), rows, n)), len(a) // 8 + 1
+        for at in (slice(i, i + step) for i in range(0, len(a), step)):
+            np.abs(a[at, :, :rows].conj().swapaxes(-1, -2) @ b[at], out=overlap[at])
+        overlap = overlap.reshape(*prev.shape[:-2], rows, n)
+    else:  # real: the modulus in place
+        overlap = prev[..., :rows].conj().swapaxes(-1, -2) @ nxt
+        np.abs(overlap, out=overlap)
     perm = np.argmax(overlap, axis=-1)
     best = np.take_along_axis(overlap, perm[..., None], -1)[..., 0]
     if rows < n:

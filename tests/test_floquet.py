@@ -421,6 +421,48 @@ def test_greedy_match_on_partnered_blocks(seed):
     assert perm[1, 8] == 9
 
 
+def test_greedy_match_on_a_finite_pulse_spectrum(monkeypatch):
+    """Finite pulses at 300 rad/us make complex, unsymmetric blocks: every
+    block of every match that ``compute_spectrum`` makes on four
+    register27 nuclei gets the loop reference's permutation and worst
+    overlap, bit for bit."""
+    matches, match = [], floquet._greedy_match
+
+    def kept(prev, nxt, half):
+        matches.append((prev, nxt, match(prev, nxt, half)))
+        return matches[-1][2]
+
+    monkeypatch.setattr(floquet, "_greedy_match", kept)
+    table = load_register_file(str(CONFIG_DIR / "register27.yaml"))
+    register = table.subset([s.label for s in table.nuclei[:4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        builder = partial(pulsepol_for_period, rabi=300.0)
+        compute_spectrum(builder, register, np.linspace(6.6, 7.0, 41))
+    assert matches and all(np.iscomplexobj(prev) for prev, _, _ in matches)
+    for prev, nxt, (perm, worst) in matches:
+        for k, s in np.ndindex(worst.shape):
+            want_perm, want_worst = ref.greedy_match(prev[k, s], nxt[k, s])
+            assert np.array_equal(perm[k, s], want_perm) and worst[k, s] == want_worst
+
+
+def test_greedy_match_holds_under_twice_its_complex_overlap():
+    """On a (240, 2, 32, 32) complex stack the overlap's modulus is formed
+    in parts into one real array: by tracemalloc the match peaks below
+    twice the 3.93 MB real overlap (one complex product at once held 15.7 MB)."""
+    rng = np.random.default_rng(0)
+    shape = (240, 2, 32, 32)
+    prev = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    nxt = prev @ np.linalg.qr(np.eye(32) + 0.01 * rng.normal(size=shape))[0]
+    tracemalloc.start()
+    try:
+        floquet._greedy_match(prev, nxt, np.zeros((240, 2), dtype=bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * np.prod(shape) * 8
+
+
 def test_crossings_at_one_period_sort_by_branch_pair(c21_spectrum):
     """Three copies of the C21 crossing's two branches cross at exactly the
     same period; they come out ordered by (branch_a, branch_b)."""
