@@ -15,8 +15,9 @@ electron state r to a (operator-sum form, Nielsen & Chuang ch. 8). The loop
 carries only nuclear states, batched over independent runs; the joint
 ``DensityState`` is built at the API boundary, and ``run_protocol`` takes
 its first repetition as one joint-space step, so it accepts any start
-state. Every pair comes from ``_kraus_stack`` and is checked once for
-completeness (sum_a K_a^dag K_a = I to 1e-10); every state passes
+state. Every pair comes from ``_kraus_stack``, is checked once for
+completeness (sum_a K_a^dag K_a = I to 1e-10) and made complete to
+rounding, so that long runs keep their trace; every state passes
 ``_check_states``, whose verdict is that on |r><r| (x) rho_n.
 
 When every burst conserves Q_z (``protocols.conserved_parity``: ideal
@@ -186,8 +187,11 @@ def _kraus_stack(
     after a repetition. ``kraus`` is a copy of the (P, 2, S, h, h) sector
     blocks of the pair (K_r, K_{1-r}), K_a = V_a[:, r], block (a, s) mapping
     sector s to sector s + a mod S. The pair is checked for completeness,
-    then every entry the blocks drop against SECTOR_TOL. Period maps are
-    built in sub-chunks that fit ``linalg.CHUNK_BYTES``.
+    made complete to rounding as K_a (3 I - C) / 2, C = sum_a K_a^dag K_a
+    (first order in C^(-1/2): rounding leaves C ~1e-14 from I, which R
+    repetitions would compound R-fold), and every entry its blocks drop is
+    checked against SECTOR_TOL. Period maps are built in sub-chunks that
+    fit ``linalg.CHUNK_BYTES``.
     """
     require_joint_space(register)
     d, dim, r = register.dim // 2, register.dim, run.reinit_state
@@ -201,6 +205,8 @@ def _kraus_stack(
         rows = free_propagator(register, run.wait_us)[r] @ rows
     kraus = rows[:, [r, 1 - r], :, r * d : (r + 1) * d]
     _check_completeness(kraus)
+    gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
+    kraus = kraus @ ((3 * np.eye(d) - gram) / 2)[:, None]
     index = parity_sectors(d, sectors)
     blocks = [sector_blocks(kraus[:, a], index, a, "Kraus pair", "nuclear parity") for a in (0, 1)]
     return rows, np.stack(blocks, axis=1)

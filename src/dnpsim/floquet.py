@@ -322,11 +322,11 @@ class AvoidedCrossing(NamedTuple):
 
 
 def _circular_gap(diff: np.ndarray) -> np.ndarray:
-    """|diff| wrapped onto [0, pi], computed in place."""
-    diff += np.pi
-    np.mod(diff, 2.0 * np.pi, out=diff)
-    diff -= np.pi
-    return np.abs(diff, out=diff)
+    """min(|diff|, 2 pi - |diff|), in place: the gap on the circle of two
+    phases in (-pi, pi], whose difference lies in (-2 pi, 2 pi); a small
+    gap keeps every bit of |diff|."""
+    np.abs(diff, out=diff)
+    return np.minimum(diff, 2.0 * np.pi - diff, out=diff)
 
 
 def local_minima(

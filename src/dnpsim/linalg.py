@@ -128,8 +128,10 @@ def unitary_eigensolve(u: np.ndarray) -> EigenDecomposition:
     ``eigh`` of H (m = n / 2) gives each pair's cos(phi) and a vector z.
     Turned by sqrt(mu / |mu|), mu = z^dag M conj(z), z gives the pair's real
     eigenvectors (Re z; Im z) and (-Im z; Re z), at sin(phi) = +|mu| and
-    -|mu|. Matrices that fail the gate (as two pairs sharing a cos(phi) may)
-    are solved again at theta, then at theta + pi/2.
+    -|mu|. The gate runs at half size too, on H z and M conj(z), so each
+    pair gets one residual and exactly conjugate eigenvalues. Matrices that
+    fail it (as two pairs sharing a cos(phi) may) are solved again at
+    theta, then at theta + pi/2.
 
     Returns eigenvalues sorted by eigenphase in (-pi, pi], of shape (n,)
     for one matrix and (P, n) for a stack, with the matching eigenvectors.
@@ -199,13 +201,26 @@ def _flip_defect(stack: np.ndarray) -> float:
 
 def _paired_eigensolve(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     """``_offset_eigensolve``'s results for a real (P, 2, n, n) stack whose
-    maps have the flip symmetry, from a half-size ``eigh`` (see ``unitary_eigensolve``)."""
+    maps have the flip symmetry, from a half-size ``eigh`` and gate (see
+    ``unitary_eigensolve``). With z = a + i b, A (a; b) is H z and B (a; b)
+    is M conj(z): the residuals of (Re z; Im z) are the real parts of
+    H z - c z and M conj(z) - s z, and those of (-Im z; Re z) their
+    imaginary parts, for c = Re z^dag H z and s = |z^dag M conj(z)|."""
     m = stack.shape[-1] // 2
-    _, z = _eigh(stack[:, 0, :m, :m] + 1j * stack[:, 0, m:, :m])
+    h = stack[:, 0, :m, :m] + 1j * stack[:, 0, m:, :m]
+    z = _eigh(h)[1]
     mz = (stack[:, 1, :m, :m] + 1j * stack[:, 1, :m, m:]) @ z.conj()
     mu = np.einsum("pij,pij->pj", z.conj(), mz)
-    z *= np.exp(0.5j * np.angle(mu))[:, None, :]
-    return _real_gate(stack, np.block([[z.real, -z.imag], [z.imag, z.real]]))
+    turn = np.exp(0.5j * np.angle(mu))[:, None, :]
+    z *= turn
+    mz *= turn.conj()
+    hz = h @ z
+    lam = np.einsum("pij,pij->pj", z.conj(), hz).real + 1j * np.abs(mu)
+    hz -= lam.real[:, None, :] * z
+    mz -= lam.imag[:, None, :] * z
+    residual = np.maximum(np.hypot(hz.real, mz.real), np.hypot(hz.imag, mz.imag)).max(axis=(1, 2))
+    v = np.block([[z.real, -z.imag], [z.imag, z.real]])
+    return np.concatenate((lam, lam.conj()), axis=1), v, residual
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

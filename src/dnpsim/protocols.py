@@ -9,12 +9,12 @@ Rabi frequency Omega gives finite ones that evolve the full Hamiltonian
 plus drive for theta/Omega.
 
 ``period_roots`` builds the root maps of a stack of periods (the half
-period when the second half repeats the first) with one kernel on the
-electron block rows of their d = D / 2 electron-up columns, whose free
-gaps are the two d x d electron blocks of exp(-i H0 t) from
-``free_propagator``; the other d columns are their image under the
-antiunitary spin flip every event commutes with. ``period_unitary``
-squares and checks them, and the Floquet solve squares their sector blocks.
+period when the second half repeats the first) with one kernel on their
+d = D / 2 electron-up columns in H0's real eigenframe (``_eigenframe``),
+where a free gap is a diagonal phase; the other d columns are their
+image under the antiunitary spin flip every event commutes with; the
+engine's waits, ``free_propagator``, come from the same frame. ``period_unitary``
+squares and checks the roots, and the Floquet solve their sector blocks.
 ``conserved_parity`` names the parity a period's event pattern conserves;
 ``parity_sectors`` lists the basis states of each of its two sectors, and
 ``sector_blocks`` cuts a map into its blocks between them.
@@ -136,22 +136,35 @@ def _electron_rotation(angle: float, phase: float) -> np.ndarray:
     )
 
 
-def free_propagator(register: SpinRegister, duration) -> np.ndarray:
-    """exp(-i H0 t) as its two d x d electron blocks, shape (2, d, d) with
-    d = D / 2, or ``duration.shape + (2, d, d)`` for an array of durations.
-    H0 is block-diagonal in the electron basis; block r is the nuclear
-    precession with the electron held in basis state r. Block 1 is taken
-    as block 0's spin-flip image conj(B_0)[::-1, ::-1], since H0's two
-    blocks are real with H_1 = -X^(x)N H_0 X^(x)N; NotUnitary if their
-    spectra are not mirrored to UNITARY_TOL in phase over the longest
-    duration."""
+def _eigenframe(register: SpinRegister, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H0's real eigenframe and its free evolution over an array of durations.
+
+    H0 is block-diagonal in the electron basis, block r being the nuclear
+    precession with the electron in basis state r; both blocks are real, with
+    H_1 = -X^(x)N H_0 X^(x)N. Returns their (2, d, d) eigenvectors V_r, d = D/2:
+    V_0 from ``static_hamiltonian_eig`` and its flip image V_1 = V_0[::-1]
+    (w_1 = -w_0); the (2, d, d) overlaps (V_1^T V_0, V_0^T V_1), which carry
+    frame rows from one block to the other; and the phases exp(-i w_r t),
+    shape ``times.shape + (2, d)``. NotUnitary if the blocks' spectra are not
+    mirrored to UNITARY_TOL in phase over the longest duration."""
     eig, w_down = static_hamiltonian_eig(register)
-    t = np.asarray(duration, dtype=float)
+    t = np.asarray(times, dtype=float)
     drift = np.max(np.abs(w_down + eig.eigenvalues[::-1])) * np.max(np.abs(t), initial=0.0)
     if not drift <= UNITARY_TOL:
         raise NotUnitary(f"H0 breaks the spin flip: its blocks' phases differ by {drift:.3e}")
-    up = eig.propagator(t)
-    return np.stack((up, up[..., ::-1, ::-1].conj()), axis=-3)
+    v = np.stack((eig.eigenvectors.real, eig.eigenvectors.real[::-1]))  # real, as H0 is
+    w = np.stack((eig.eigenvalues, -eig.eigenvalues))
+    overlap = v[0].T @ v[1]
+    return v, np.stack((overlap.T, overlap)), np.exp(-1j * w * t[..., None, None])
+
+
+def free_propagator(register: SpinRegister, duration) -> np.ndarray:
+    """exp(-i H0 t) as its two d x d electron blocks, shape (2, d, d) with
+    d = D / 2, or ``duration.shape + (2, d, d)`` for an array of durations:
+    V_r exp(-i w_r t) V_r^T in the frame of ``_eigenframe``, whose
+    NotUnitary it raises."""
+    v, _, phases = _eigenframe(register, duration)
+    return (v * phases[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
@@ -230,16 +243,19 @@ def _warn_weak_drive(pattern: tuple, register: SpinRegister) -> None:
 def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegister) -> np.ndarray:
     """The new, writable (P, D, D) maps of the sequences sharing ``pattern``.
 
-    Only the d = D / 2 electron-up columns are multiplied out, as
-    (P, 2, d, d) electron block rows: block row r is the d x d slab of rows
-    r d to r d + d - 1. A free gap multiplies block row r by block r of
-    ``free_propagator``. Consecutive ideal rotations merge into one pending
-    2x2 electron rotation, which mixes the block rows with scalars before
-    the next gap or finite rotation. A finite rotation is one D x D times
-    D x d product. While the map is still the identity, a gap places its
-    blocks times the pending rotation's scalars, with no matrix product.
-    The electron-down columns are the mirror image under the spin flip
-    T = (i Y_e (x) X^(x)N) K that every event commutes with:
+    Only the d = D / 2 electron-up columns are multiplied out, in the frame
+    of ``_eigenframe``: block row r (rows r d to r d + d - 1) is carried as
+    V_r^T times it, all P maps side by side in one (2, d, P, d) array. A
+    free gap scales the frame rows of block r by exp(-i w_r t). Consecutive
+    ideal rotations merge into one 2x2 rotation m (``_merged_rotations``)
+    that mixes the blocks through the overlaps, m_rr u_r + m_rs V_r^T V_s
+    u_s, as one real product on the array's float64 view. A finite rotation
+    is its ``_finite_step`` F conjugated into the frame, W^T F W with
+    W = diag(V_0, V_1), times the (D, P d) array. The first event acts on
+    the identity's frame rows m_r0 V_r^T, with no product. The map returns
+    to the computational basis once, through V_r, where the last rotation
+    mixes its block rows. The electron-down columns are the mirror image
+    under the spin flip T = (i Y_e (x) X^(x)N) K that every event commutes with:
     R[i, d + j] = s_i conj(R[D - 1 - i, d - 1 - j]), s_i = -1 on the
     electron-up rows and +1 on the electron-down ones. Were T broken, the
     rebuilt map would not be unitary and the callers' checks would refuse it.
@@ -250,31 +266,57 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
         [[e.duration for e in seq.events[: len(pattern)] if e.kind is EventKind.FREE_EVOLUTION]
          for seq in seqs]
     )
-    times, which = np.unique(gaps, return_inverse=True)
-    blocks = free_propagator(register, times)
-    gap_blocks = (blocks[w] for w in which.reshape(gaps.shape).T)
-    u = None  # the identity's first d columns
-    mix = np.eye(2, dtype=complex)
-    for event in pattern:
+    v, overlaps, phases = _eigenframe(register, gaps.T)
+    gap_phases = iter(np.ascontiguousarray(phases.transpose(0, 2, 3, 1)[..., None]))
+    vt = np.ascontiguousarray(v.swapaxes(1, 2))
+    steps, last = _merged_rotations(pattern)
+    framed: dict[PulseEvent, np.ndarray] = {}
+    u = None
+    for mix, event in steps:
+        if u is None:  # the identity's frame rows, m_r0 V_r^T
+            first = np.eye(2, dtype=complex)[:, 0] if mix is None else mix[:, 0]
+            u = first[:, None, None, None] * vt[:, :, None, :]
+        elif mix is not None:
+            turned = (overlaps @ u.reshape(2, d, -1).view(float)).view(complex).reshape(u.shape)
+            turned *= mix[[1, 0], [0, 1]].reshape(2, 1, 1, 1)
+            u *= mix.diagonal().reshape(2, 1, 1, 1)
+            u += turned[::-1]
         if event is None:
-            gap = next(gap_blocks)
-            u = mix[:, :1, None] * gap if u is None else gap @ mix_electron_rows(mix, u)
-        elif event.duration == 0.0:
-            mix = _electron_rotation(event.angle, event.phase) @ mix
-            continue
+            u = u * next(gap_phases)
         else:
-            rows = mix_electron_rows(mix, np.eye(dim, d).reshape(1, 2, d, d) if u is None else u)
-            u = (_finite_step(event, register) @ rows.reshape(-1, dim, d)).reshape(-1, 2, d, d)
-        mix = np.eye(2, dtype=complex)
-    half = mix_electron_rows(mix, u)
-    mirror = half[:, ::-1, ::-1, ::-1].conj()
-    mirror[:, 0] *= -1.0
-    full = np.concatenate((half, mirror), axis=-1).reshape(-1, dim, dim)
-    return full if len(full) == p else full.repeat(p, axis=0)
+            if event not in framed:
+                f = _finite_step(event, register).reshape(2, d, 2, d).swapaxes(1, 2)
+                framed[event] = (vt[:, None] @ f @ v).swapaxes(1, 2).reshape(dim, dim)
+            u = (framed[event] @ u.reshape(dim, -1)).reshape(2, d, -1, d)
+    rows = (v @ u.reshape(2, d, -1).view(float)).view(complex)
+    if last is not None:
+        rows = last @ rows.reshape(2, -1)
+    full = np.empty((p, 2, d, 2, d), dtype=complex)
+    full[..., 0, :] = rows.reshape(u.shape).transpose(2, 0, 1, 3)
+    np.conjugate(full[:, ::-1, ::-1, 0, ::-1], out=full[..., 1, :])
+    np.negative(full[:, 0, :, 1], out=full[:, 0, :, 1])
+    return full.reshape(p, dim, dim)
+
+
+@lru_cache(maxsize=16)
+def _merged_rotations(pattern: tuple) -> tuple[tuple, np.ndarray | None]:
+    """The pattern's steps, each a gap (None) or a finite rotation with the
+    read-only 2x2 product of the ideal rotations before it (None for none),
+    and the product of those after the last step."""
+    steps, mix = [], None
+    for event in pattern:
+        if event is not None and event.duration == 0.0:
+            rotation = _electron_rotation(event.angle, event.phase)
+            mix = rotation if mix is None else rotation @ mix
+            mix.setflags(write=False)
+        else:
+            steps.append((mix, event))
+            mix = None
+    return tuple(steps), mix
 
 
 def mix_electron_rows(mix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The electron block rows of a (P, 2, d, m) or (P, D, m) stack mixed by ``mix``."""
+    """The electron block rows of a (P, D, m) stack mixed by ``mix``."""
     return (mix @ u.reshape(len(u), 2, -1)).reshape(u.shape)
 
 
@@ -308,12 +350,13 @@ def sector_blocks(u: np.ndarray, index: np.ndarray, shift: int, name: str, of: s
     SectorLeak ("``name`` leaks ... out of its ``of`` sectors") if an entry
     outside them exceeds SECTOR_TOL; a non-finite entry is left to the
     unitarity checks."""
-    s = len(index)
-    rows, cols = index[(np.arange(s) + shift) % s, :, None], index[:, None]
-    leak = np.max(np.abs(u[..., rows[::-1], cols]), initial=0.0) if s == 2 else 0.0
+    s, n = len(index), u.shape[-1]
+    rows, cols = index[(np.arange(s) + shift) % s, :, None] * n, index[:, None]
+    u = u.reshape(*u.shape[:-2], n * n)  # entries taken by their row-major flat index
+    leak = np.max(np.abs(np.take(u, rows[::-1] + cols, axis=-1)), initial=0.0) if s == 2 else 0.0
     if leak > SECTOR_TOL:
         raise SectorLeak(f"{name} leaks {leak:.1e} out of its {of} sectors")
-    return u[..., rows, cols]
+    return np.take(u, rows + cols, axis=-1)
 
 
 @lru_cache(maxsize=16)

@@ -175,6 +175,25 @@ def test_envelope_refuses_a_conserved_nucleus(reg_c3):
         asymptotic_envelope(run, dark)
 
 
+def test_a_long_powered_sweep_keeps_its_trace_and_reaches_the_fixed_point():
+    """2^19 repetitions of ``sweep_trace`` on c4_c8 at k = 11, np 8 (the
+    powered path, 19 squarings of S): the trace-preserving correction after
+    each squaring keeps every state inside ``_check_states``, and every
+    point with R >= 25 x relaxation (20 of the 21) is its
+    ``asymptotic_envelope`` fixed point to 1e-9."""
+    register = shipped_register("c4_c8.yaml")
+    builder = partial(pulsepol_for_period, harmonic=11)
+    grid, repetitions = np.linspace(25.4, 27.0, 21), 2**19
+    trace = sweep_trace(builder, register, grid, 8, repetitions)
+    settled = 0
+    for period, values in zip(grid, trace.values):
+        limit, relaxation = asymptotic_envelope(ProtocolRun(builder(period), 8, 1), register)
+        if repetitions >= 25 * relaxation:
+            settled += 1
+            assert np.max(np.abs(values - limit)) <= 1e-9
+    assert settled == 20
+
+
 def test_blocker_lowers_the_c8_limit_but_speeds_its_build_up(reg_c4_c8, reg_c3_c4_c8):
     """Why acceptance criterion 9 measures the other way (k = 11, np 8):
     C8's fixed point and repetitions per e-fold, pinned as measured to

@@ -178,29 +178,31 @@ def test_wait_block_matches_reference(reinit_state):
         assert np.max(np.abs(got - want)) <= TOL
 
 
+@pytest.mark.parametrize("harmonic", [3, 11])
 @pytest.mark.parametrize("builder", [pulsepol_for_period, cpmg_for_period])
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
-def test_block_period_map_matches_dense_product(config, builder):
-    """The (2, 2, d, d) block product of an ideal period is the dense
-    ordered product of its event propagators."""
+def test_block_period_map_matches_dense_product(config, builder, harmonic):
+    """The eigenframe product of an ideal period, at k = 3 and 11, is the
+    dense ordered product of its event propagators."""
     register = shipped_register(config)
-    t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor))
+    t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor), harmonic)
     for period in (t_r, 0.93 * t_r):
-        seq = builder(period)
+        seq = builder(period, harmonic=harmonic)
         want = ref.dense_period_unitary(seq, register)
         assert np.max(np.abs(period_unitary(seq, register) - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("harmonic", [3, 11])
 @pytest.mark.parametrize("rabi", [300.0, 2000.0])
 @pytest.mark.parametrize("builder", [pulsepol_for_period, cpmg_for_period])
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
-def test_finite_period_map_matches_dense_product(config, builder, rabi):
-    """The finite-pulse period map, built as its half-period squared, is
-    the dense ordered product of scipy exponentials."""
+def test_finite_period_map_matches_dense_product(config, builder, rabi, harmonic):
+    """The finite-pulse period map at k = 3 and 11, built as its
+    half-period squared, is the dense ordered product of scipy exponentials."""
     register = shipped_register(config)
-    t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor))
+    t_r = resonant_period(precession_frequency(register.nuclei[0], register.larmor), harmonic)
     for period in (t_r, 0.93 * t_r):
-        seq = builder(period, rabi=rabi)
+        seq = builder(period, harmonic=harmonic, rabi=rabi)
         want = ref.dense_period_unitary(seq, register)
         assert np.max(np.abs(period_unitary(seq, register) - want)) <= 1e-12
 

@@ -998,12 +998,21 @@ def _full_search(spec):
     return spec._replace(basis=spec.basis._replace(paired=False))
 
 
+def test_a_small_circular_gap_keeps_every_bit():
+    """A 3.9e-5 gap is |a - b| exactly, either way round; a gap across the
+    branch cut at pi is 2 pi - |a - b|."""
+    a, b = 2.0371549, 2.0371549 - 3.9e-5
+    assert floquet._circular_gap(np.array([a - b, b - a])).tolist() == [abs(a - b)] * 2
+    across = np.array([np.pi - 1e-5 - (-np.pi + 2.9e-5)])
+    assert floquet._circular_gap(across.copy())[0] == 2 * np.pi - across[0]
+
+
 def test_every_crossing_has_its_mirror_with_the_same_text():
     """On c3_c4_c8 at k = 11 (the criterion-9 window, 81 points, gap 0.2),
     the mirror (D - 1 - b, D - 1 - a) of every crossing (a, b) is listed
-    with the same period, gap and weights as the CLI prints them; searching
-    every pair gives two of the 41 a mirror whose gap differs in its 12th
-    digit."""
+    with the same period, gap and weights as the CLI prints them, and so
+    it is when every pair is searched: the half-size solve gives each
+    +/- pair exactly conjugate eigenvalues."""
     register = shipped_register("c3_c4_c8.yaml")
     spec = compute_spectrum(
         partial(pulsepol_for_period, harmonic=11), register, np.linspace(25.4, 27.0, 81)
@@ -1021,7 +1030,7 @@ def test_every_crossing_has_its_mirror_with_the_same_text():
     assert len(found) == 41 and unmirrored(found) == []
     everything = find_crossings(_full_search(spec), gap_threshold=0.2)
     assert_same_crossings(found, everything)
-    assert len(unmirrored(everything)) == 2
+    assert unmirrored(everything) == []
 
 
 # Finite PulsePol on the cut register27 reaches the stitch depth cap; the

@@ -8,6 +8,7 @@ import scipy.linalg
 from dnpsim import (
     EigenDecomposition,
     hermitian_eigensolve,
+    load_register_file,
     period_unitary,
     precession_frequency,
     pulsepol_for_period,
@@ -18,7 +19,7 @@ import reference_floquet as ref
 from dnpsim import floquet, linalg, protocols
 from dnpsim.errors import DimensionMismatch, NoConvergence, NotHermitian, NotUnitary
 
-from conftest import SHIPPED_CONFIGS, shipped_register
+from conftest import CONFIG_DIR, SHIPPED_CONFIGS, shipped_register
 
 
 def random_hermitian(dim, rng):
@@ -341,6 +342,31 @@ def test_paired_stack_equals_per_matrix_calls():
     for i, u in enumerate(stack):
         one = unitary_eigensolve(u)
         assert np.array_equal(one.eigenvalues, lam[i]) and np.array_equal(one.eigenvectors, v[i])
+
+
+def test_half_size_gate_is_the_real_form_gate():
+    """``_paired_eigensolve`` gates at half size, from H z and M conj(z):
+    on its own real eigenvectors ``_real_gate`` gives the same residuals to
+    1e-15 and the same eigenvalues to 1e-14, and each pair's eigenvalues
+    are exact conjugates. Checked on the flip-paired sector blocks of the
+    benchmark's seed-0 register (C3, C8, C21, C24, C9 of register27) over
+    its 241-point grid, and on random paired stacks."""
+    table = load_register_file(str(CONFIG_DIR / "register27.yaml"))
+    register = table.subset(["C3", "C8", "C21", "C24", "C9"])
+    sectors = floquet._Sectors.of(pulsepol_for_period(6.6), register.dim)
+    seqs = [pulsepol_for_period(t) for t in np.linspace(6.6, 7.2, 241)]
+    blocks = sectors.blocks(protocols.period_roots(seqs, register)[0])
+    blocks = (blocks @ blocks).reshape(-1, 32, 32)
+    phases = np.linspace(0.2, 3.0, 6)
+    random = np.stack([paired_with_phases(phases + i / 7, 90 + i) for i in range(5)])
+    for u in (blocks, random):
+        stack = np.stack((u.real, u.imag), axis=1)
+        lam, v, residual = linalg._paired_eigensolve(stack)
+        want_lam, _, want_residual = linalg._real_gate(stack, v)
+        assert np.max(np.abs(residual - want_residual)) <= 1e-15
+        assert np.max(np.abs(lam - want_lam)) <= 1e-14
+        m = u.shape[-1] // 2
+        assert np.array_equal(lam[:, m:], lam[:, :m].conj())
 
 
 def test_paired_matrix_with_a_shared_cosine_falls_back(solves, fallbacks):

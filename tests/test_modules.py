@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -121,9 +122,10 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 def test_only_free_propagator_reads_the_h0_eigensystems():
     """One source for the electron-conditioned nuclear Hamiltonian: every
-    free-evolution propagator, period gaps and waits alike, comes from
-    ``protocols.free_propagator``."""
-    assert _callers("static_hamiltonian_eig") == ["protocols.free_propagator"]
+    free evolution, the period gaps' phases and the waits of
+    ``protocols.free_propagator`` alike, comes from H0's eigenframe,
+    ``protocols._eigenframe``, the one reader of the cached eigensystems."""
+    assert _callers("static_hamiltonian_eig") == ["protocols._eigenframe"]
 
 
 def test_only_parity_sectors_computes_a_parity():
@@ -317,6 +319,42 @@ def test_every_benchmark_trace_hook_still_resolves():
         if owner is None:
             missing.append(f"{module_name}.{attr_path}")
     assert hooks and missing == []
+
+
+TRACED_RUNS = {
+    "sweep": (
+        "configs/c3_c4_c8.yaml",
+        ["--harmonic", "11", "--t-start", "25.4", "--t-stop", "25.56", "--steps", "3",
+         "--np", "8", "--reps", "1000"],
+    ),
+    "spectrum": ("configs/c3.yaml", ["--t-start", "6.6", "--t-stop", "7.2", "--steps", "5"]),
+}
+
+
+@pytest.mark.parametrize("verb", TRACED_RUNS)
+def test_the_benchmark_traced_run_finds_every_hook(verb, tmp_path):
+    """``perfbench/child.py RESULT 1 CONFIG -- VERB ...`` in its own process,
+    as the benchmark runs it: it exits 0 with nothing ``missing`` (no set-up
+    step of ``spins`` and no HOOKS name gone, and every work count fits its
+    call), and the spans hold the layers the traced metrics read."""
+    root = SRC.parent.parent
+    config, args = TRACED_RUNS[verb]
+    result, out = tmp_path / "result.json", tmp_path / "out.csv"
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "perfbench/child.py", str(result), "1", config, "--",
+           verb, "--config", config, "--out", str(out), *args]
+    run = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    record = json.loads(result.read_text())
+    assert record["rc"] == 0 and record["missing"] == []
+    spans = {}
+    for name, _, _, _, work in record["spans"]:
+        spans.setdefault(name, []).append(work)
+    if verb == "sweep":
+        assert {"spins.h0_eig", "protocols.period_map"} <= spans.keys()
+    else:
+        assert spans["floquet.spectrum"] == [5] and "linalg.unitary_eig" in spans
 
 
 def test_source_stays_within_the_line_budget():

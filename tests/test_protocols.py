@@ -24,7 +24,7 @@ from dnpsim import (
 )
 from dnpsim import protocols
 from dnpsim.errors import InvalidTau, NotIdealPulses, NotUnitary, ValidationError, ValidityWarning
-from dnpsim.linalg import hermitian_eigensolve, unitarity_defect
+from dnpsim.linalg import unitarity_defect
 
 import reference_engine as ref
 from conftest import LARMOR, SHIPPED_CONFIGS, flip_breaking_blocks, flip_breaking_eig, make_register
@@ -273,16 +273,21 @@ def test_a_one_pattern_chunk_gets_its_maps_as_built(reg_c3_c21, monkeypatch):
     assert len(built) == 3 and np.array_equal(mixed[:3], alone)
 
 
+def broken_frame(register, times):
+    """A stand-in for ``protocols._eigenframe`` whose two blocks are those of
+    H0 + eps S_z (x) I_z, eps = 1e-3, each from its own eigensolve."""
+    w, v = np.linalg.eigh(flip_breaking_blocks(register, 1e-3).real)
+    t = np.asarray(times, dtype=float)
+    return v, np.stack((v[1].T @ v[0], v[0].T @ v[1])), np.exp(-1j * w * t[..., None, None])
+
+
 @pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
 def test_a_map_mirrored_across_a_broken_spin_flip_is_not_unitary(reg_c3_c21, monkeypatch, rabi):
     """Free gaps that break T (both blocks of exp(-i (H0 + eps S_z I_z) t),
-    eps = 1e-3) make the mirrored half of each map miss the other half's
-    orthogonal complement by 1.4e-6, linear in eps: the unitarity check
-    refuses it."""
-    def both_blocks(register, t):
-        return hermitian_eigensolve(flip_breaking_blocks(register, 1e-3)).propagator(t)
-
-    monkeypatch.setattr(protocols, "free_propagator", both_blocks)
+    eps = 1e-3, in the eigenframe of each) make the mirrored half of each
+    map miss the other half's orthogonal complement by 1.4e-6, linear in
+    eps: the unitarity check refuses it."""
+    monkeypatch.setattr(protocols, "_eigenframe", broken_frame)
     with pytest.raises(NotUnitary, match=r"drifted off unitarity by 1\.4\d\de-06"):
         period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3_c21)
 
@@ -290,29 +295,40 @@ def test_a_map_mirrored_across_a_broken_spin_flip_is_not_unitary(reg_c3_c21, mon
 @pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
 @pytest.mark.parametrize("builder", [pulsepol_for_period, cpmg_for_period], ids=["pulsepol", "cpmg"])
 def test_pattern_maps_carry_half_the_columns(reg_c3_c4_c8, monkeypatch, builder, rabi):
-    """Every gap and finite-rotation product of ``_pattern_maps`` multiplies
-    the D/2 electron-up columns alone: the operands it takes from
-    ``free_propagator`` and ``_finite_step`` record the width of what they
-    multiply."""
+    """Every product of ``_pattern_maps`` multiplies the D/2 electron-up
+    columns alone: the frame's operands from ``_eigenframe`` (its overlaps
+    and eigenvectors, which act on float64 views) and the ``_finite_step``
+    it conjugates into the frame record the width of the map columns they
+    multiply, in complex columns: the three maps' D/2 side by side, or one
+    set of D/2 while the map is still the identity."""
     widths = []
 
     class Spy(np.ndarray):
         def __matmul__(self, other):
-            widths.append(np.shape(other)[-1])
+            if not isinstance(other, Spy):  # not the frame conjugating the step
+                widths.append(np.shape(other)[-1] // (1 if np.iscomplexobj(other) else 2))
             return np.asarray(self) @ other
 
-    real_free, real_step = protocols.free_propagator, protocols._finite_step
-    monkeypatch.setattr(protocols, "free_propagator", lambda reg, t: real_free(reg, t).view(Spy))
+    real_frame, real_step = protocols._eigenframe, protocols._finite_step
+
+    def spied_frame(register, times):
+        v, overlaps, phases = real_frame(register, times)
+        return v.view(Spy), overlaps.view(Spy), phases
+
+    monkeypatch.setattr(protocols, "_eigenframe", spied_frame)
     monkeypatch.setattr(protocols, "_finite_step", lambda e, reg: real_step(e, reg).view(Spy))
-    period_unitary([builder(t, rabi=rabi) for t in (6.7, 6.8)], reg_c3_c4_c8)
-    assert widths and set(widths) == {reg_c3_c4_c8.dim // 2}
+    period_unitary([builder(t, rabi=rabi) for t in (6.7, 6.8, 6.9)], reg_c3_c4_c8)
+    d = reg_c3_c4_c8.dim // 2
+    assert set(widths) <= {d, 3 * d} and 3 * d in widths
 
 
 @pytest.mark.parametrize("rabi", [None, 500.0], ids=["ideal", "finite"])
 def test_period_unitary_rejects_a_non_finite_map(reg_c3, monkeypatch, rabi):
-    monkeypatch.setattr(
-        protocols, "free_propagator", lambda register, t: np.full(np.shape(t) + (2, 2, 2), np.nan + 0j)
-    )
+    def nan_frame(register, t):
+        nan = np.full((2, 2, 2), np.nan)
+        return nan, nan, np.full(np.shape(t) + (2, 2), np.nan + 0j)
+
+    monkeypatch.setattr(protocols, "_eigenframe", nan_frame)
     with pytest.raises(NotUnitary):
         period_unitary(pulsepol_for_period(6.8, rabi=rabi), reg_c3)
 
@@ -355,14 +371,14 @@ def test_period_unitary_stack_with_one_bad_map_raises(kind, bad, reg_c3_c21, mon
     middle of the stack, makes the stacked call raise."""
     seqs = STACKS[kind]()
     target = next(e.duration for e in seqs[1].events if e.kind is EventKind.FREE_EVOLUTION)
-    real = protocols.free_propagator
+    real = protocols._eigenframe
 
-    def corrupt(register, duration):
-        out = real(register, duration)
-        out[np.asarray(duration) == target] *= bad
-        return out
+    def corrupt(register, durations):
+        v, overlaps, phases = real(register, durations)
+        phases[np.asarray(durations) == target] *= bad
+        return v, overlaps, phases
 
-    monkeypatch.setattr(protocols, "free_propagator", corrupt)
+    monkeypatch.setattr(protocols, "_eigenframe", corrupt)
     with pytest.raises(NotUnitary):
         period_unitary(seqs, reg_c3_c21)
 
