@@ -26,7 +26,7 @@ class NotHermitian(NumericalError):
 
 
 class NotUnitary(NumericalError):
-    """Matrix fails the unitarity check, or H0 the spin-flip symmetry a map is mirrored by."""
+    """Matrix fails the unitarity check."""
 
 
 class NoConvergence(NumericalError):

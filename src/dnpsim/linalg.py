@@ -247,6 +247,6 @@ def _phase_sorted(lam: np.ndarray, v: np.ndarray) -> EigenDecomposition:
     # -pi, outside (-pi, pi]; its conjugate, at most 1e-16 away, has +pi.
     lam = np.where(np.angle(lam) == -np.pi, lam.conj(), lam)
     order = np.argsort(np.angle(lam), axis=-1, kind="stable")
-    return EigenDecomposition(
-        np.take_along_axis(lam, order, -1), np.take_along_axis(v, order[..., None, :], -1)
-    )
+    at = (*np.indices(order.shape, sparse=True)[:-1], order)  # each matrix's column order
+    v = v.swapaxes(-1, -2)[at].swapaxes(-1, -2)  # as rows: ~5x faster than take_along_axis
+    return EigenDecomposition(lam[at], np.ascontiguousarray(v))  # C order: products round alike

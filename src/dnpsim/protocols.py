@@ -11,10 +11,11 @@ plus drive for theta/Omega.
 ``period_roots`` builds the root maps of a stack of periods (the half
 period when the second half repeats the first) with one kernel on their
 d = D / 2 electron-up columns in H0's real eigenframe (``_eigenframe``),
-where a free gap is a diagonal phase; the other d columns are their
-image under the antiunitary spin flip every event commutes with; the
-engine's waits, ``free_propagator``, come from the same frame. ``period_unitary``
-squares and checks the roots, and the Floquet solve their sector blocks.
+where a free gap is a diagonal phase and a finite pulse a step built there;
+the other d columns are their image under the antiunitary spin flip every
+event commutes with. The engine's waits, ``free_propagator``, come from the
+same frame. ``period_unitary`` squares and checks the roots, and the
+Floquet solve their sector blocks.
 ``conserved_parity`` names the parity a period's event pattern conserves;
 ``parity_sectors`` lists the basis states of each of its two sectors, and
 ``sector_blocks`` cuts a map into its blocks between them.
@@ -42,7 +43,6 @@ from .spins import (
     build_operators,
     precession_frequency,
     require_joint_space,
-    static_hamiltonian,
     static_hamiltonian_eig,
 )
 
@@ -137,34 +137,25 @@ def _electron_rotation(angle: float, phase: float) -> np.ndarray:
 
 
 def _eigenframe(register: SpinRegister, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H0's real eigenframe and its free evolution over an array of durations.
-
-    H0 is block-diagonal in the electron basis, block r being the nuclear
-    precession with the electron in basis state r; both blocks are real, with
-    H_1 = -X^(x)N H_0 X^(x)N. Returns their (2, d, d) eigenvectors V_r, d = D/2:
-    V_0 from ``static_hamiltonian_eig`` and its flip image V_1 = V_0[::-1]
+    """H0's real eigenframe and its generator over an array of durations:
+    the (2, d, d) eigenvectors V_r of H0's electron blocks, d = D/2, V_0 from
+    ``static_hamiltonian_eig`` and its flip image V_1 = V_0[::-1]
     (w_1 = -w_0); the (2, d, d) overlaps (V_1^T V_0, V_0^T V_1), which carry
-    frame rows from one block to the other; and the phases exp(-i w_r t),
-    shape ``times.shape + (2, d)``. NotUnitary if the blocks' spectra are not
-    mirrored to UNITARY_TOL in phase over the longest duration."""
-    eig, w_down = static_hamiltonian_eig(register)
-    t = np.asarray(times, dtype=float)
-    drift = np.max(np.abs(w_down + eig.eigenvalues[::-1])) * np.max(np.abs(t), initial=0.0)
-    if not drift <= UNITARY_TOL:
-        raise NotUnitary(f"H0 breaks the spin flip: its blocks' phases differ by {drift:.3e}")
-    v = np.stack((eig.eigenvectors.real, eig.eigenvectors.real[::-1]))  # real, as H0 is
-    w = np.stack((eig.eigenvalues, -eig.eigenvalues))
-    overlap = v[0].T @ v[1]
-    return v, np.stack((overlap.T, overlap)), np.exp(-1j * w * t[..., None, None])
+    frame rows from one block to the other; and the angles w_r t, shape
+    ``times.shape + (2, d)``, exp(-i w_r t) being a free gap's evolution."""
+    w, v0 = static_hamiltonian_eig(register)
+    v = np.stack((v0, v0[::-1]))
+    overlap = v0.T @ v[1]
+    angles = np.stack((w, -w)) * np.asarray(times, dtype=float)[..., None, None]
+    return v, np.stack((overlap.T, overlap)), angles
 
 
 def free_propagator(register: SpinRegister, duration) -> np.ndarray:
     """exp(-i H0 t) as its two d x d electron blocks, shape (2, d, d) with
     d = D / 2, or ``duration.shape + (2, d, d)`` for an array of durations:
-    V_r exp(-i w_r t) V_r^T in the frame of ``_eigenframe``, whose
-    NotUnitary it raises."""
-    v, _, phases = _eigenframe(register, duration)
-    return (v * phases[..., None, :]) @ v.swapaxes(-1, -2)
+    V_r exp(-i w_r t) V_r^T in the frame of ``_eigenframe``."""
+    v, _, angles = _eigenframe(register, duration)
+    return (v * np.exp(-1j * angles)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
@@ -250,12 +241,12 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
     ideal rotations merge into one 2x2 rotation m (``_merged_rotations``)
     that mixes the blocks through the overlaps, m_rr u_r + m_rs V_r^T V_s
     u_s, as one real product on the array's float64 view. A finite rotation
-    is its ``_finite_step`` F conjugated into the frame, W^T F W with
-    W = diag(V_0, V_1), times the (D, P d) array. The first event acts on
-    the identity's frame rows m_r0 V_r^T, with no product. The map returns
-    to the computational basis once, through V_r, where the last rotation
-    mixes its block rows. The electron-down columns are the mirror image
-    under the spin flip T = (i Y_e (x) X^(x)N) K that every event commutes with:
+    is its ``_finite_step``, built in the frame, times the (D, P d) array.
+    The first event acts on the identity's frame rows m_r0 V_r^T, with no
+    product. The map returns to the computational basis once, through V_r,
+    where the last rotation mixes its block rows. The electron-down columns
+    are the mirror image under the spin flip T = (i Y_e (x) X^(x)N) K that
+    every event commutes with:
     R[i, d + j] = s_i conj(R[D - 1 - i, d - 1 - j]), s_i = -1 on the
     electron-up rows and +1 on the electron-down ones. Were T broken, the
     rebuilt map would not be unitary and the callers' checks would refuse it.
@@ -266,11 +257,10 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
         [[e.duration for e in seq.events[: len(pattern)] if e.kind is EventKind.FREE_EVOLUTION]
          for seq in seqs]
     )
-    v, overlaps, phases = _eigenframe(register, gaps.T)
-    gap_phases = iter(np.ascontiguousarray(phases.transpose(0, 2, 3, 1)[..., None]))
+    v, overlaps, angles = _eigenframe(register, gaps.T)
+    gap_phases = iter(np.exp(-1j * np.ascontiguousarray(angles.transpose(0, 2, 3, 1)[..., None])))
     vt = np.ascontiguousarray(v.swapaxes(1, 2))
     steps, last = _merged_rotations(pattern)
-    framed: dict[PulseEvent, np.ndarray] = {}
     u = None
     for mix, event in steps:
         if u is None:  # the identity's frame rows, m_r0 V_r^T
@@ -284,10 +274,7 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
         if event is None:
             u = u * next(gap_phases)
         else:
-            if event not in framed:
-                f = _finite_step(event, register).reshape(2, d, 2, d).swapaxes(1, 2)
-                framed[event] = (vt[:, None] @ f @ v).swapaxes(1, 2).reshape(dim, dim)
-            u = (framed[event] @ u.reshape(dim, -1)).reshape(2, d, -1, d)
+            u = (_finite_step(event, register) @ u.reshape(dim, -1)).reshape(2, d, -1, d)
     rows = (v @ u.reshape(2, d, -1).view(float)).view(complex)
     if last is not None:
         rows = last @ rows.reshape(2, -1)
@@ -361,11 +348,14 @@ def sector_blocks(u: np.ndarray, index: np.ndarray, shift: int, name: str, of: s
 
 @lru_cache(maxsize=16)
 def _finite_step(event: PulseEvent, register: SpinRegister) -> np.ndarray:
-    """exp(-i (H0 d + theta S_phi)) of a finite rotation, D x D; read-only."""
-    ops = build_operators(register)
-    s_phi = cos(event.phase) * ops.electron.x + sin(event.phase) * ops.electron.y
-    h0 = static_hamiltonian(register)
-    step = hermitian_eigensolve(h0 * event.duration + event.angle * s_phi).propagator(1.0)
+    """exp(-i (H0 d + theta S_phi)) of a finite rotation in the frame of
+    ``_eigenframe``, D x D with block r's rows and columns carried by V_r;
+    read-only. There the generator is diag(w_r d) on the blocks and, off
+    them, theta S_phi's (theta/2) e^{-i phi} V_0^T V_1 and its adjoint."""
+    _, overlaps, angles = _eigenframe(register, event.duration)
+    drive = overlaps[1] * (event.angle / 2.0 * (cos(event.phase) - 1j * sin(event.phase)))
+    g = np.block([[np.diag(angles[0]), drive], [drive.conj().T, np.diag(angles[1])]])
+    step = hermitian_eigensolve(g).propagator(1.0)
     step.setflags(write=False)
     return step
 

@@ -5,9 +5,10 @@ electron factor first. The electron is the {|0>, |-1>} two-level subspace
 with S_z eigenvalues +1/2 and -1/2; the hyperfine term is conditioned on
 S_z, so the model is pure dephasing for the electron (no electron flips in
 the static Hamiltonian). H0 is therefore block-diagonal in the electron
-basis, and ``static_hamiltonian_eig`` caches the spectra of its two d x d
-electron blocks (d = 2^N), the nuclear Hamiltonians conditioned on the
-electron state, and block 0's eigenvectors, whence every free propagator.
+basis, and each d x d block (d = 2^N) is a Kronecker sum of one 2 x 2
+precession per nucleus: ``static_hamiltonian_eig`` builds its eigensystem,
+whence every propagator, from those factors' closed form, and the dense
+``static_hamiltonian`` is the reference it is checked against.
 
 Config ingestion converts kHz coupling columns to rad/us (x 2 pi 1e-3) and
 derives the Larmor frequency from the field when it is not given directly.
@@ -22,7 +23,6 @@ import numpy as np
 import yaml
 
 from .errors import DimensionOverflow, ParseError, ValidationError, checked_record
-from .linalg import hermitian_eigensolve
 
 KHZ_TO_RAD_PER_US = 2.0 * np.pi * 1e-3
 GYROMAGNETIC_13C_KHZ_PER_G = 1.0705
@@ -160,17 +160,13 @@ def build_operators(register: SpinRegister) -> SpinOperatorSet:
 
 
 def static_hamiltonian(register: SpinRegister) -> np.ndarray:
-    """Rotating-frame static Hamiltonian.
+    """Rotating-frame static Hamiltonian, as a dense D x D operator sum:
 
     H0 = sum_n (omega_L - A_par_n / 2) Iz_n + Sz sum_n A_perp_n Ix_n.
 
     The parallel coupling dresses the nuclear Zeeman term so that every
     nucleus precesses at its resonant frequency omega_I in both electron
     branches; only the transverse coupling is conditioned on the electron.
-    In the electron lower block the per-nucleus Hamiltonian is therefore
-    (omega_L - A_par/2) Iz - (A_perp/2) Ix, with eigensplitting omega_I.
-
-    Hermitian and block-diagonal in the electron basis.
     """
     ops = build_operators(register)
     h = np.zeros((ops.dim, ops.dim), dtype=complex)
@@ -194,12 +190,26 @@ def precession_frequency(nucleus: NuclearSpin, larmor: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def static_hamiltonian_eig(register: SpinRegister):
-    """Cached eigensystem of H0's d x d block with the electron held in basis
-    state 0, and the eigenvalues alone of the block with it in 1, d = dim / 2."""
-    d = register.dim // 2
-    h = static_hamiltonian(register).reshape(2, d, 2, d)
-    return hermitian_eigensolve(h[0, :, 0]), np.linalg.eigvalsh(h[1, :, 1])
+def static_hamiltonian_eig(register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
+    """Cached, read-only eigensystem (w, V) of H0's d x d block with the
+    electron in basis state 0, d = dim / 2; the other block has
+    (-w, V[::-1]), as H_1 = -X^(x)N H_0 X^(x)N. Nucleus n's factor
+    (omega_L - A_par/2) Iz + (A_perp/2) Ix has eigenvalues +/- omega_I/2
+    (``precession_frequency``) on the columns of the rotation by
+    atan2(A_perp, 2 omega_L - A_par) / 2: w sums one of them per nucleus and
+    V is the Kronecker product of the rotations, nucleus 1 leading.
+    DimensionOverflow above 7 nuclei, before anything is built."""
+    require_joint_space(register)
+    w, v = np.zeros(1), np.ones((1, 1))
+    for spin in register.nuclei:
+        half = precession_frequency(spin, register.larmor) / 2.0
+        beta = 0.5 * np.arctan2(spin.a_perp, 2.0 * register.larmor - spin.a_parallel)
+        c, s = np.cos(beta), np.sin(beta)
+        w = np.add.outer(w, (half, -half)).ravel()
+        v = np.kron(v, ((c, -s), (s, c)))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
 
 
 _TOP_LEVEL_KEYS = {"larmor_rad_per_us", "b_field_gauss", "nuclei"}

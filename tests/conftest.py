@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnpsim import build_operators, linalg, load_register, load_register_file, static_hamiltonian
+from dnpsim import build_operators, linalg, load_register, load_register_file, protocols
+from dnpsim import static_hamiltonian
 
 LARMOR = 2.7106474  # rad/us at the working field
 
@@ -74,27 +75,33 @@ def make_register(*labels, larmor: float = LARMOR):
     return load_register(register_text(labels, larmor))
 
 
-def flip_breaking_blocks(register, eps: float) -> np.ndarray:
-    """The two (d, d) electron blocks of an H0 that carries
-    eps S_z (x) I_z on the first nucleus: +eps/2 I_z in the electron-up
-    block and -eps/2 in the other, so the blocks are no longer each
-    other's spin-flip images."""
+def broken_frame(register, times):
+    """A stand-in for ``protocols._eigenframe`` whose two blocks are those
+    of an H0 that carries 1e-3 S_z (x) I_z on the first nucleus (+5e-4 I_z
+    in the electron-up block, -5e-4 in the other), each from its own
+    eigensolve, so the blocks are no longer each other's spin-flip images."""
     ops = build_operators(register)
     d = register.dim // 2
-    h = static_hamiltonian(register) + eps * ops.electron.z @ ops.nuclei[0].z
-    h = h.reshape(2, d, 2, d)
-    return np.stack((h[0, :, 0], h[1, :, 1]))
+    h = (static_hamiltonian(register) + 1e-3 * ops.electron.z @ ops.nuclei[0].z).reshape(2, d, 2, d)
+    w, v = np.linalg.eigh(np.stack((h[0, :, 0], h[1, :, 1])).real)
+    t = np.asarray(times, dtype=float)
+    return v, np.stack((v[1].T @ v[0], v[0].T @ v[1])), w * t[..., None, None]
 
 
-def flip_breaking_eig(eps: float):
-    """A stand-in for ``static_hamiltonian_eig`` on ``flip_breaking_blocks``:
-    block 0's eigensystem and block 1's eigenvalues."""
+@pytest.fixture
+def patch_frame(monkeypatch):
+    """Puts a stand-in for ``protocols._eigenframe``; ``_finite_step``'s
+    cache is emptied when it goes in and after the test, so that no step
+    built in the stand-in's frame outlives it or predates it."""
 
-    def eig(register):
-        h = flip_breaking_blocks(register, eps)
-        return linalg.hermitian_eigensolve(h[0]), np.linalg.eigvalsh(h[1])
+    step = protocols._finite_step  # the cached one, should a test patch it too
 
-    return eig
+    def patch(frame):
+        step.cache_clear()
+        monkeypatch.setattr(protocols, "_eigenframe", frame)
+
+    yield patch
+    step.cache_clear()
 
 
 @pytest.fixture(scope="session")

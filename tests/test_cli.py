@@ -22,14 +22,13 @@ from dnpsim import (
     find_crossings,
     floquet,
     load_register_file,
-    protocols,
     pulsepol_for_period,
     run_schedule,
     write_schedule_csv,
 )
 from dnpsim.errors import NotUnitary
 
-from conftest import CONFIG_DIR, flip_breaking_eig
+from conftest import CONFIG_DIR, broken_frame
 
 C3 = str(CONFIG_DIR / "c3.yaml")
 C3_C21 = str(CONFIG_DIR / "c3_c21.yaml")
@@ -795,17 +794,25 @@ def test_spectrum_notes_the_degenerate_cpmg_spectrum(capsys, pulses, noted):
     assert [i for i, line in enumerate(lines) if line.startswith(note)] == ([3] if noted else [])
 
 
-@pytest.mark.parametrize("verb", ["spectrum", "sweep"])
-def test_a_hamiltonian_that_breaks_the_spin_flip_exits_two(verb, monkeypatch, capsys, tmp_path):
-    """Every period map is half built from the spin flip T; an H0 with
-    1e-3 S_z (x) I_z, which breaks T, ends either verb with one
-    numerical-failure line and no CSV instead of a mirrored guess."""
-    monkeypatch.setattr(protocols, "static_hamiltonian_eig", flip_breaking_eig(1e-3))
+@pytest.mark.parametrize(
+    "verb, refusal",
+    [("spectrum", "period map leaks"), ("sweep", "period propagator drifted off unitarity")],
+    ids=["spectrum", "sweep"],
+)
+def test_a_hamiltonian_that_breaks_the_spin_flip_exits_two(
+    verb, refusal, patch_frame, capsys, tmp_path
+):
+    """Every period map is half built from the spin flip T; a frame of an
+    H0 with 1e-3 S_z (x) I_z, which breaks T, ends either verb with one
+    numerical-failure line and no CSV instead of a mirrored guess: the
+    mirrored half leaks out of the spectrum's parity sectors, and off
+    unitarity in the sweep."""
+    patch_frame(broken_frame)
     out = tmp_path / "out.csv"
     rc = cli.main([verb, "--config", C3_C21, "--t-start", "6.7", "--t-stop", "7.0",
                    "--steps", "5", "--out", str(out)])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert captured.err.startswith("numerical failure: H0 breaks the spin flip")
+    assert captured.err.startswith("numerical failure: " + refusal)
     assert captured.out == "" and not out.exists()

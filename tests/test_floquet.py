@@ -1089,14 +1089,24 @@ def test_a_spectrum_whose_branches_do_not_mirror_takes_the_full_search(
 
 def test_a_point_solved_off_the_paired_path_stitches_in_full(monkeypatch):
     """On the benchmark's seed-0 register (C3, C8, C21, C24, C9), block 0
-    of the map at 6.9325 us fails the half-size gate and is solved at full
-    size: its partner columns match V times the others only to ~1e-11, so
-    it is not ``_partnered``, and both intervals that touch it take the
+    of the map at 6.9325 us is made to fail the half-size gate (its
+    residual set to inf in the grid chunk's solve) and is solved at full
+    size: its partner columns match V times the others only to rounding,
+    so it is not ``_partnered``, and both intervals that touch it take the
     whole greedy there while the other sector matches half. The columns
     are those of the whole greedy everywhere."""
     table = load_register_file(str(CONFIG_DIR / "register27.yaml"))
     register = table.subset(["C3", "C8", "C21", "C24", "C9"])
     grid = np.array([6.93, 6.9325, 6.935])
+    paired = linalg._paired_eigensolve
+
+    def failing(stack):
+        lam, v, residual = paired(stack)
+        if len(stack) == 2 * grid.size:  # the grid chunk: (point, sector) pairs in order
+            residual[2] = np.inf  # point 1, sector 0
+        return lam, v, residual
+
+    monkeypatch.setattr(linalg, "_paired_eigensolve", failing)
     sectors = floquet._Sectors.of(pulsepol_for_period(grid[0]), register.dim)
     _, _, blocks, partnered = floquet._spectrum_points(pulsepol_for_period, register, grid, sectors)
     assert partnered.tolist() == [[True, True], [False, True], [True, True]]

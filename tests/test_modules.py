@@ -122,10 +122,16 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 def test_only_free_propagator_reads_the_h0_eigensystems():
     """One source for the electron-conditioned nuclear Hamiltonian: every
-    free evolution, the period gaps' phases and the waits of
+    propagator, the period gaps' phases, the finite steps and the waits of
     ``protocols.free_propagator`` alike, comes from H0's eigenframe,
-    ``protocols._eigenframe``, the one reader of the cached eigensystems."""
+    ``protocols._eigenframe``, the one reader of the closed-form
+    eigensystems; the dense ``static_hamiltonian`` is the tests' reference
+    and no module calls it."""
     assert _callers("static_hamiltonian_eig") == ["protocols._eigenframe"]
+    assert _callers("static_hamiltonian") == []
+    assert sorted(_callers("_eigenframe")) == [
+        "protocols._finite_step", "protocols._pattern_maps", "protocols.free_propagator"
+    ]
 
 
 def test_only_parity_sectors_computes_a_parity():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,49 @@ def test_registers_loaded_from_one_text_share_the_h0_eigensystem():
     hits = spins.static_hamiltonian_eig.cache_info().hits
     assert spins.static_hamiltonian_eig(second) is eig
     assert spins.static_hamiltonian_eig.cache_info().hits == hits + 1
+
+
+def _closed_form_register(name: str) -> SpinRegister:
+    """A shipped config (register27 cut to its first 7 nuclei, D = 256), a
+    nucleus with a_perp = 0 beside C3, or two nuclei with equal couplings."""
+    c3, c21 = make_register("C3", "C21").nuclei
+    if name == "a_perp=0":
+        return SpinRegister(LARMOR, (NuclearSpin("Z", 0.3, 0.0), c3))
+    if name == "equal":
+        return SpinRegister(LARMOR, (c21, c21._replace(label="C21b")))
+    return shipped_register(name)
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS + ["a_perp=0", "equal"])
+def test_closed_form_eigensystem_equals_the_dense_blocks(name):
+    """(w, V) from the per-nucleus closed form rebuild H0's two electron
+    blocks of the dense ``static_hamiltonian`` to 1e-12: V diag(w) V^T is
+    block 0 and V[::-1] diag(-w) V[::-1]^T block 1, V is orthogonal, and
+    both arrays are read-only."""
+    register = _closed_form_register(name)
+    w, v = spins.static_hamiltonian_eig(register)
+    d = register.dim // 2
+    h = static_hamiltonian(register).reshape(2, d, 2, d)
+    assert w.shape == (d,) and v.shape == (d, d) and v.dtype == w.dtype == np.float64
+    assert np.max(np.abs((v * w) @ v.T - h[0, :, 0])) <= 1e-12
+    assert np.max(np.abs((v[::-1] * -w) @ v[::-1].T - h[1, :, 1])) <= 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(d))) <= 1e-12
+    assert not w.flags.writeable and not v.flags.writeable
+
+
+def test_closed_form_eigensystem_refuses_eight_nuclei_before_building(monkeypatch):
+    """Eight nuclei (D = 512) raise DimensionOverflow before any factor is
+    formed: no precession frequency is read and nothing is allocated."""
+    register = make_register("C3", "C21", "C16", "C4", "C8", "C20", "C24", "C25")
+    monkeypatch.setattr(spins, "precession_frequency", lambda *a: pytest.fail("factor formed"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow, match="cap is 256"):
+            spins.static_hamiltonian_eig(register)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # one (256, 256) float block would be 512 KiB
 
 
 def _nested_kron(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
