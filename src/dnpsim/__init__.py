@@ -22,11 +22,10 @@ _PUBLIC = {
     "floquet": """AvoidedCrossing FloquetSpectrum compute_spectrum find_crossings local_minima
         write_spectrum_csv""",
     "linalg": "EigenDecomposition hermitian_eigensolve unitary_eigensolve",
-    "protocols": """EventKind FourierCoefficients ModulationFunctions PulseEvent PulseSequence
-        TAU_PER_PERIOD average_hamiltonian_numeric cpmg_for_period free_sequence
-        period_unitary pulsepol_for_period resonant_period""",
+    "protocols": """EventKind FourierCoefficients PulseEvent PulseSequence TAU_PER_PERIOD
+        cpmg_for_period fourier_coefficients period_unitary pulsepol_for_period resonant_period""",
     "spins": """KHZ_TO_RAD_PER_US NuclearSpin SpinRegister build_operators larmor_from_field
-        load_register load_register_file precession_frequency static_hamiltonian""",
+        load_register load_register_file precession_frequency""",
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 

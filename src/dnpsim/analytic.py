@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSpins, ValidationError, ZeroCoupling
-from .protocols import ModulationFunctions, resonant_period
+from .protocols import fourier_coefficients, resonant_period
 from .spins import NuclearSpin, precession_frequency
 
 #: Two spins within this distance in precession frequency (rad/us) cannot be
@@ -69,12 +69,13 @@ def effective_params(
         c = (A_perp / 8) [(a1 - b2) - i (b1 + a2)],   g = |c|,
 
     which vanishes at even k and at k = 1 mod 4 (those harmonics drive the
-    double-quantum transition instead); a warning is emitted in that case.
+    double-quantum transition instead) and for A_perp = 0; a ZeroCoupling
+    warning then names which of the two is the cause.
     """
     if not period > 0:
         raise ValidationError(f"period: must be > 0, got {period}")
     omega_i = precession_frequency(spin, larmor)
-    coeff = ModulationFunctions.fourier(harmonic)
+    coeff = fourier_coefficients(harmonic)
     re = coeff.a1 - coeff.b2
     im = -(coeff.b1 + coeff.a2)
     amp = hypot(re, im)
@@ -82,12 +83,11 @@ def effective_params(
         amp = 0.0
     g = (spin.a_perp / 8.0) * amp
     if g == 0.0:
-        warnings.warn(
-            f"harmonic k = {harmonic} gives zero flip-flop rate for {spin.label}"
-            " (even harmonics and k = 1 mod 4 do not drive the flip-flop)",
-            ZeroCoupling,
-            stacklevel=2,
+        cause = (
+            "its transverse coupling a_perp is 0" if spin.a_perp == 0.0 else
+            f"harmonic k = {harmonic} does not drive it (even harmonics and k = 1 mod 4 do not)"
         )
+        warnings.warn(f"zero flip-flop rate for {spin.label}: {cause}", ZeroCoupling, stacklevel=2)
     detuning = omega_i - 2.0 * pi * harmonic / period
     return EffectiveSpinParams(spin.label, omega_i, period, harmonic, detuning, g)
 

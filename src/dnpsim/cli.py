@@ -131,7 +131,8 @@ def _cmd_spectrum(args) -> int:
         protected = sum(sector[c.branch_a] != sector[c.branch_b] for c in crossings)
         _say(f"protected crossings (different sectors): {protected}")
     if args.protocol == "cpmg" and args.rabi is None:
-        _say("note: ideal CPMG is doubly degenerate; gap=0 partner crossings are rounding noise")
+        _say("note: ideal CPMG is doubly degenerate; partner crossings with gaps of 0 to ~1e-15"
+             " are rounding noise")
     for c in crossings:
         who = ", ".join(f"{label} ({w:.3f})" for label, w in c.participants)
         _say(

@@ -54,14 +54,11 @@ class EigenDecomposition(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def propagator(self, t) -> np.ndarray:
-        """``exp(-i A t) = V diag(exp(-i w t)) V^dag`` for Hermitian ``A``,
-        or for each matrix of a decomposed stack; an array of times gives
-        a result of shape ``t.shape + A.shape``."""
+    def propagator(self, t: float) -> np.ndarray:
+        """``exp(-i A t) = V diag(exp(-i w t)) V^dag`` at one time t for
+        Hermitian ``A``, or for each matrix of a decomposed stack."""
         v, w = self.eigenvectors, self.eigenvalues
-        t = np.asarray(t, dtype=float)
-        t = t.reshape(t.shape + (1,) * w.ndim)
-        return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return (v * np.exp(-1j * w * float(t))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _as_square(a: np.ndarray, name: str, ndims: tuple[int, ...] = (2,)) -> np.ndarray:

@@ -20,9 +20,10 @@ Floquet solve their sector blocks.
 ``parity_sectors`` lists the basis states of each of its two sectors, and
 ``sector_blocks`` cuts a map into its blocks between them.
 
-The modulation functions f1, f2 are the piecewise-constant coefficients the
-toggled electron S_x and S_y acquire over one 4 tau period; their Fourier
-coefficients fix the effective flip-flop rate at each harmonic.
+``fourier_coefficients`` gives the closed-form Fourier coefficients of the
+modulation functions f1, f2, the piecewise-constant coefficients the
+toggled electron S_x and S_y acquire over one 4 tau period; they fix the
+effective flip-flop rate at each harmonic.
 """
 
 from __future__ import annotations
@@ -35,16 +36,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTau, NotIdealPulses, NotUnitary, SectorLeak, ValidationError
-from .errors import ValidityWarning, checked_record
+from .errors import InvalidTau, NotUnitary, SectorLeak, ValidationError, ValidityWarning
+from .errors import checked_record
 from .linalg import UNITARY_TOL, hermitian_eigensolve, unitarity_defect
-from .spins import (
-    SpinRegister,
-    build_operators,
-    precession_frequency,
-    require_joint_space,
-    static_hamiltonian_eig,
-)
+from .spins import SpinRegister, require_joint_space, static_hamiltonian_eig
 
 PHASE_X = 0.0
 PHASE_Y = pi / 2
@@ -115,15 +110,6 @@ def _free(duration: float) -> PulseEvent:
     return PulseEvent(EventKind.FREE_EVOLUTION, duration=duration)
 
 
-def free_sequence(duration: float) -> PulseSequence:
-    """A pulse-free period: plain evolution under the static Hamiltonian."""
-    if not 0 < duration < inf:
-        raise InvalidTau(f"duration must be finite and > 0, got {duration}")
-    return PulseSequence(
-        events=(_free(duration),), period=duration, harmonic=1, label="free"
-    )
-
-
 def _electron_rotation(angle: float, phase: float) -> np.ndarray:
     """exp(-i angle S_phi) on the electron alone, as a 2x2 matrix."""
     c, s = cos(angle / 2.0), sin(angle / 2.0)
@@ -150,12 +136,12 @@ def _eigenframe(register: SpinRegister, times) -> tuple[np.ndarray, np.ndarray, 
     return v, np.stack((overlap.T, overlap)), angles
 
 
-def free_propagator(register: SpinRegister, duration) -> np.ndarray:
-    """exp(-i H0 t) as its two d x d electron blocks, shape (2, d, d) with
-    d = D / 2, or ``duration.shape + (2, d, d)`` for an array of durations:
-    V_r exp(-i w_r t) V_r^T in the frame of ``_eigenframe``."""
-    v, _, angles = _eigenframe(register, duration)
-    return (v * np.exp(-1j * angles)[..., None, :]) @ v.swapaxes(-1, -2)
+def free_propagator(register: SpinRegister, duration: float) -> np.ndarray:
+    """exp(-i H0 t) over one scalar wait t as its two d x d electron blocks,
+    shape (2, d, d) with d = D / 2: V_r exp(-i w_r t) V_r^T in the frame of
+    ``_eigenframe``."""
+    v, _, angles = _eigenframe(register, float(duration))
+    return (v * np.exp(-1j * angles)[:, None, :]) @ v.swapaxes(-1, -2)
 
 
 def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
@@ -360,13 +346,6 @@ def _finite_step(event: PulseEvent, register: SpinRegister) -> np.ndarray:
     return step
 
 
-# Half-tau window values of the toggled S_x (f1) and S_y (f2) coefficients
-# over [0, 4 tau). f2 is f1 delayed by tau: the second half of each bracket
-# repeats the first half's envelope with the X and Y roles exchanged.
-_F1_WINDOWS = (1.0, -1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0)
-_F2_WINDOWS = (0.0, 0.0, 1.0, -1.0, 0.0, 0.0, -1.0, 1.0)
-
-
 class FourierCoefficients(NamedTuple):
     """cos/sin coefficients of f1 and f2 on the basis cos/sin(k pi t / 2 tau)."""
 
@@ -376,102 +355,22 @@ class FourierCoefficients(NamedTuple):
     b2: float
 
 
-class ModulationFunctions(checked_record("ModulationFunctions", "tau")):
-    """Evaluators and Fourier data for the modulation functions of one period.
+def fourier_coefficients(k: int) -> FourierCoefficients:
+    """Closed-form coefficients of f1 and f2 at harmonic k (zero for even k).
 
-    Both functions are piecewise constant in {-1, 0, +1} with period
-    T = 4 tau, have disjoint supports (f1 f2 = 0 pointwise), and are
-    anti-periodic over half a period, so only odd harmonics survive.
+    f1 and f2 are piecewise constant in {-1, 0, +1} with period T = 4 tau,
+    have disjoint supports and are anti-periodic over half a period, so only
+    odd harmonics survive. a1/b1 integrate f1's half-tau windows
+    (+1, -1, 0, 0, -1, +1, 0, 0) directly; f2 is f1 delayed by tau, which
+    works out to a2 = a1, b2 = -b1 at every odd harmonic.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, tau: float):
-        if not 0 < tau < inf:
-            raise InvalidTau(f"tau must be finite and > 0, got {tau}")
-        return super().__new__(cls, tau)
-
-    def _eval(self, t, table) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        idx = np.floor(np.mod(t, 4.0 * self.tau) / (self.tau / 2.0)).astype(int)
-        idx = np.clip(idx, 0, 7)
-        return np.asarray(table)[idx]
-
-    def f1(self, t) -> np.ndarray:
-        return self._eval(t, _F1_WINDOWS)
-
-    def f2(self, t) -> np.ndarray:
-        return self._eval(t, _F2_WINDOWS)
-
-    @staticmethod
-    def fourier(k: int) -> FourierCoefficients:
-        """Closed-form coefficients at harmonic k (zero for even k).
-
-        a1/b1 integrate the f1 window table directly; the f2 coefficients
-        follow from the same table through the tau time shift, which works
-        out to a2 = a1, b2 = -b1 at every odd harmonic.
-        """
-        if k < 1:
-            raise ValidationError(f"harmonic: must be >= 1, got {k}")
-        if k % 2 == 0:
-            return FourierCoefficients(0.0, 0.0, 0.0, 0.0)
-        a1 = (4.0 * sin(k * pi / 4.0) - 2.0 * sin(k * pi / 2.0)) / (k * pi)
-        b1 = (2.0 - 4.0 * cos(k * pi / 4.0)) / (k * pi)
-        return FourierCoefficients(a1, b1, a1, -b1)
-
-
-def average_hamiltonian_numeric(
-    seq: PulseSequence,
-    register: SpinRegister,
-    frame_frequency: float | None = None,
-) -> np.ndarray:
-    """First-order average Hamiltonian of the ideal polarisation period.
-
-    The integrand per nucleus, in the pulse toggling frame and a nuclear
-    interaction frame rotating at ``frame_frequency`` w, is
-
-        (f1(t) Sx + f2(t) Sy) (x) [A_par Iz + A_perp (cos(wt) Ix - sin(wt) Iy)]
-        + (omega_I - w) Iz
-
-    where omega_I is the nucleus's dressed precession frequency, so the
-    leftover Iz coefficient is the detuning from the chosen frame. The
-    default frame is the protocol frequency 2 pi k / T, which coincides
-    with omega_I exactly on resonance. Integration is a midpoint rule with
-    10 000 uniform steps over one period, which reads only the period
-    and harmonic of ``seq``. Raises NotIdealPulses unless ``seq`` is exactly
-    ``pulsepol_for_period(seq.period, seq.harmonic)``, the ideal 4 tau
-    polarisation bracket with equal gaps.
-    """
-    if seq != pulsepol_for_period(seq.period, seq.harmonic):
-        raise NotIdealPulses(f"{seq.label!r} is not the ideal 4 tau polarisation bracket")
-
-    period = seq.period
-    omega = frame_frequency if frame_frequency is not None else 2.0 * pi * seq.harmonic / period
-    mf = ModulationFunctions(period / 4.0)
-
-    t = (np.arange(10_000) + 0.5) * (period / 10_000)
-    f1 = mf.f1(t)
-    f2 = mf.f2(t)
-    c = np.cos(omega * t)
-    s = np.sin(omega * t)
-    m10, m20 = float(f1.mean()), float(f2.mean())
-    m1c, m1s = float((f1 * c).mean()), float((f1 * s).mean())
-    m2c, m2s = float((f2 * c).mean()), float((f2 * s).mean())
-
-    ops = build_operators(register)
-    h = np.zeros((ops.dim, ops.dim), dtype=complex)
-    sx, sy = ops.electron.x, ops.electron.y
-    for spin, site in zip(register.nuclei, ops.nuclei):
-        omega_i = precession_frequency(spin, register.larmor)
-        h += spin.a_parallel * (m10 * (sx @ site.z) + m20 * (sy @ site.z))
-        h += spin.a_perp * (
-            m1c * (sx @ site.x)
-            - m1s * (sx @ site.y)
-            + m2c * (sy @ site.x)
-            - m2s * (sy @ site.y)
-        )
-        h += (omega_i - omega) * site.z
-    return (h + h.conj().T) / 2.0
+    if k < 1:
+        raise ValidationError(f"harmonic: must be >= 1, got {k}")
+    if k % 2 == 0:
+        return FourierCoefficients(0.0, 0.0, 0.0, 0.0)
+    a1 = (4.0 * sin(k * pi / 4.0) - 2.0 * sin(k * pi / 2.0)) / (k * pi)
+    b1 = (2.0 - 4.0 * cos(k * pi / 4.0)) / (k * pi)
+    return FourierCoefficients(a1, b1, a1, -b1)
 
 
 def resonant_period(omega_i: float, harmonic: int = 3) -> float:

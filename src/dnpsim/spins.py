@@ -7,8 +7,8 @@ S_z, so the model is pure dephasing for the electron (no electron flips in
 the static Hamiltonian). H0 is therefore block-diagonal in the electron
 basis, and each d x d block (d = 2^N) is a Kronecker sum of one 2 x 2
 precession per nucleus: ``static_hamiltonian_eig`` builds its eigensystem,
-whence every propagator, from those factors' closed form, and the dense
-``static_hamiltonian`` is the reference it is checked against.
+whence every propagator, from those factors' closed form. No verb builds a
+dense operator; ``build_operators`` embeds them for callers that want them.
 
 Config ingestion converts kHz coupling columns to rad/us (x 2 pi 1e-3) and
 derives the Larmor frequency from the field when it is not given directly.
@@ -146,6 +146,7 @@ def require_joint_space(register: SpinRegister) -> None:
         )
 
 
+# No module calls it; it stays because the benchmark's set-up times it (spins.operators_s).
 @lru_cache(maxsize=64)
 def build_operators(register: SpinRegister) -> SpinOperatorSet:
     """Embed all single-site operators into the joint space; DimensionOverflow
@@ -157,25 +158,6 @@ def build_operators(register: SpinRegister) -> SpinOperatorSet:
         nuclei=tuple(_site_operators(k, n_sites) for k in range(1, n_sites)),
         dim=2**n_sites,
     )
-
-
-def static_hamiltonian(register: SpinRegister) -> np.ndarray:
-    """Rotating-frame static Hamiltonian, as a dense D x D operator sum:
-
-    H0 = sum_n (omega_L - A_par_n / 2) Iz_n + Sz sum_n A_perp_n Ix_n.
-
-    The parallel coupling dresses the nuclear Zeeman term so that every
-    nucleus precesses at its resonant frequency omega_I in both electron
-    branches; only the transverse coupling is conditioned on the electron.
-    """
-    ops = build_operators(register)
-    h = np.zeros((ops.dim, ops.dim), dtype=complex)
-    sz = ops.electron.z
-    for spin, site in zip(register.nuclei, ops.nuclei):
-        h += (register.larmor - spin.a_parallel / 2.0) * site.z
-        h += spin.a_perp * (sz @ site.x)
-    h.setflags(write=False)
-    return h
 
 
 def precession_frequency(nucleus: NuclearSpin, larmor: float) -> float:

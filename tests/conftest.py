@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dnpsim import build_operators, linalg, load_register, load_register_file, protocols
-from dnpsim import static_hamiltonian
+
+from reference_engine import static_hamiltonian
 
 LARMOR = 2.7106474  # rad/us at the working field
 

@@ -7,20 +7,113 @@ time. It is slow and simple on purpose; the package engine must reproduce
 it to 1e-10. ``dense_period_unitary`` is the matching oracle for the
 period map: one dense D x D product per event, with its free evolution
 taken from its own eigensolve of H0 and its finite pulses from scipy's
-``expm``.
+``expm``. H0 itself is the dense operator sum ``static_hamiltonian``, which
+the closed-form eigensystem of ``spins.static_hamiltonian_eig`` must
+rebuild. ``average_hamiltonian_numeric`` integrates the first-order average
+Hamiltonian of the ideal bracket from the window tables of the modulation
+functions ``f1`` and ``f2``, against which ``protocols.fourier_coefficients``
+and the closed forms of ``analytic`` are checked.
 """
 
 from __future__ import annotations
 
-from math import cos, sin
+from math import cos, pi, sin
 
 import numpy as np
 import scipy.linalg
 
-from dnpsim import DensityState, EventKind, initial_state, period_unitary
+from dnpsim import DensityState, EventKind, build_operators, initial_state, period_unitary
+from dnpsim import precession_frequency, pulsepol_for_period
 from dnpsim.engine import STATE_TOL
-from dnpsim.errors import DimensionMismatch
-from dnpsim.spins import static_hamiltonian
+from dnpsim.errors import DimensionMismatch, NotIdealPulses
+
+# Half-tau window values of the toggled S_x (f1) and S_y (f2) coefficients
+# over [0, 4 tau). f2 is f1 delayed by tau: the second half of each bracket
+# repeats the first half's envelope with the X and Y roles exchanged.
+_F1_WINDOWS = (1.0, -1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0)
+_F2_WINDOWS = (0.0, 0.0, 1.0, -1.0, 0.0, 0.0, -1.0, 1.0)
+
+
+def _windowed(t, tau: float, table) -> np.ndarray:
+    idx = np.floor(np.mod(np.asarray(t, dtype=float), 4.0 * tau) / (tau / 2.0)).astype(int)
+    return np.asarray(table)[np.clip(idx, 0, 7)]
+
+
+def f1(t, tau: float) -> np.ndarray:
+    """The toggled S_x coefficient at times t of a 4 tau period, in {-1, 0, +1}."""
+    return _windowed(t, tau, _F1_WINDOWS)
+
+
+def f2(t, tau: float) -> np.ndarray:
+    """The toggled S_y coefficient at times t of a 4 tau period, in {-1, 0, +1}."""
+    return _windowed(t, tau, _F2_WINDOWS)
+
+
+def static_hamiltonian(register) -> np.ndarray:
+    """Rotating-frame static Hamiltonian, as a dense D x D operator sum:
+
+    H0 = sum_n (omega_L - A_par_n / 2) Iz_n + Sz sum_n A_perp_n Ix_n.
+
+    The parallel coupling dresses the nuclear Zeeman term so that every
+    nucleus precesses at its resonant frequency omega_I in both electron
+    branches; only the transverse coupling is conditioned on the electron.
+    """
+    ops = build_operators(register)
+    h = np.zeros((ops.dim, ops.dim), dtype=complex)
+    sz = ops.electron.z
+    for spin, site in zip(register.nuclei, ops.nuclei):
+        h += (register.larmor - spin.a_parallel / 2.0) * site.z
+        h += spin.a_perp * (sz @ site.x)
+    h.setflags(write=False)
+    return h
+
+
+def average_hamiltonian_numeric(seq, register, frame_frequency: float | None = None) -> np.ndarray:
+    """First-order average Hamiltonian of the ideal polarisation period.
+
+    The integrand per nucleus, in the pulse toggling frame and a nuclear
+    interaction frame rotating at ``frame_frequency`` w, is
+
+        (f1(t) Sx + f2(t) Sy) (x) [A_par Iz + A_perp (cos(wt) Ix - sin(wt) Iy)]
+        + (omega_I - w) Iz
+
+    where omega_I is the nucleus's dressed precession frequency, so the
+    leftover Iz coefficient is the detuning from the chosen frame. The
+    default frame is the protocol frequency 2 pi k / T, which coincides
+    with omega_I exactly on resonance. Integration is a midpoint rule with
+    10 000 uniform steps over one period, which reads only the period
+    and harmonic of ``seq``. Raises NotIdealPulses unless ``seq`` is exactly
+    ``pulsepol_for_period(seq.period, seq.harmonic)``, the ideal 4 tau
+    polarisation bracket with equal gaps.
+    """
+    if seq != pulsepol_for_period(seq.period, seq.harmonic):
+        raise NotIdealPulses(f"{seq.label!r} is not the ideal 4 tau polarisation bracket")
+
+    period = seq.period
+    omega = frame_frequency if frame_frequency is not None else 2.0 * pi * seq.harmonic / period
+
+    t = (np.arange(10_000) + 0.5) * (period / 10_000)
+    g1, g2 = f1(t, period / 4.0), f2(t, period / 4.0)
+    c = np.cos(omega * t)
+    s = np.sin(omega * t)
+    m10, m20 = float(g1.mean()), float(g2.mean())
+    m1c, m1s = float((g1 * c).mean()), float((g1 * s).mean())
+    m2c, m2s = float((g2 * c).mean()), float((g2 * s).mean())
+
+    ops = build_operators(register)
+    h = np.zeros((ops.dim, ops.dim), dtype=complex)
+    sx, sy = ops.electron.x, ops.electron.y
+    for spin, site in zip(register.nuclei, ops.nuclei):
+        omega_i = precession_frequency(spin, register.larmor)
+        h += spin.a_parallel * (m10 * (sx @ site.z) + m20 * (sy @ site.z))
+        h += spin.a_perp * (
+            m1c * (sx @ site.x)
+            - m1s * (sx @ site.y)
+            + m2c * (sy @ site.x)
+            - m2s * (sy @ site.y)
+        )
+        h += (omega_i - omega) * site.z
+    return (h + h.conj().T) / 2.0
 
 
 def partial_trace(rho, subsystem_dims, traced_index: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from scipy.optimize import curve_fit
 from dnpsim import (
     ProtocolRun,
     ScheduleStage,
-    average_hamiltonian_numeric,
     build_operators,
     cli,
     compute_spectrum,
@@ -38,6 +37,7 @@ from dnpsim import (
 from dnpsim.linalg import unitarity_defect
 
 from conftest import CONFIG_DIR, LARMOR, TABLE27, make_register
+from reference_engine import average_hamiltonian_numeric
 
 G_COEFF = (math.sqrt(2.0) + 2.0) / (6.0 * math.pi)
 

@@ -266,6 +266,27 @@ def test_warnings_are_one_line_each(argv, warned):
         assert [row.split()[5] for row in proc.stdout.splitlines()[2:4]] == ["0.000000"] * 2
 
 
+@pytest.mark.parametrize(
+    "a_perp_khz, harmonic, cause",
+    [(0, "3", "its transverse coupling a_perp is 0"),
+     (59.21, "5", "harmonic k = 5 does not drive it")],
+    ids=["a_perp=0-k3", "k5"],
+)
+def test_zero_flip_flop_warning_names_its_cause(a_perp_khz, harmonic, cause, tmp_path, capsys):
+    """A spin with a_perp = 0 has no flip-flop at k = 3, which does drive
+    it: the one warning line blames the coupling, not the harmonic. At
+    k = 5 it blames the harmonic."""
+    config = tmp_path / "one.yaml"
+    config.write_text(
+        "larmor_rad_per_us: 2.7106474\nnuclei:\n"
+        f"  - {{label: A, a_parallel_khz: -11.346, a_perp_khz: {a_perp_khz}}}\n"
+    )
+    assert cli.main(["compare", "--config", str(config), "--harmonic", harmonic]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: zero flip-flop rate for A: {cause}")
+    assert err.count("\n") == 1 and ("harmonic" in err) == (harmonic == "5")
+
+
 def test_degenerate_compare_prints_nothing(tmp_path, capsys):
     """Two spins with equal couplings make the blockade row a usage error,
     raised before the title and header lines are printed."""
@@ -790,7 +811,8 @@ def test_spectrum_notes_the_degenerate_cpmg_spectrum(capsys, pulses, noted):
     assert cli.main(argv + pulses) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].startswith("protected crossings (different sectors): ")
-    note = "note: ideal CPMG is doubly degenerate; gap=0 partner crossings are rounding noise"
+    note = ("note: ideal CPMG is doubly degenerate; partner crossings with gaps of 0 to ~1e-15"
+            " are rounding noise")
     assert [i for i, line in enumerate(lines) if line.startswith(note)] == ([3] if noted else [])
 
 

@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg
 
 from dnpsim import (
-    EigenDecomposition,
     hermitian_eigensolve,
     load_register_file,
     period_unitary,
@@ -60,24 +59,22 @@ def test_hermitian_rejects_nonsquare():
 
 @pytest.mark.parametrize("dim", [2, 16, 128])
 def test_stacked_hermitian_eigensolve_equals_per_matrix_calls(dim):
-    """A (P, n, n) stack and its propagators, at one time and at an array
-    of times, give each matrix's own results bit for bit."""
+    """A (P, n, n) stack and its propagators give each matrix's own results
+    bit for bit."""
     rng = np.random.default_rng(dim)
     stack = np.stack([random_hermitian(dim, rng) for _ in range(3)])
     eig = hermitian_eigensolve(stack)
-    times = np.array([[0.0, 0.3], [1.7, 25.0]])
-    assert eig.propagator(times).shape == (2, 2, 3, dim, dim)
+    assert eig.propagator(0.3).shape == (3, dim, dim)
     for i, h in enumerate(stack):
         one = hermitian_eigensolve(h)
         assert np.array_equal(eig.eigenvalues[i], one.eigenvalues)
         assert np.array_equal(eig.eigenvectors[i], one.eigenvectors)
-        assert np.array_equal(eig.propagator(0.3)[i], one.propagator(0.3))
-        assert np.array_equal(eig.propagator(times)[:, :, i], one.propagator(times))
+        for t in (0.0, 0.3, 25.0):
+            assert np.array_equal(eig.propagator(t)[i], one.propagator(t))
 
 
 def test_one_matrix_results_are_the_plain_formulas_bit_for_bit():
-    """eigh of the matrix, and (v * exp(-i w t)) @ v^dag at one time or an
-    array of times."""
+    """eigh of the matrix, and (v * exp(-i w t)) @ v^dag at each time."""
     rng = np.random.default_rng(17)
     h = random_hermitian(32, rng)
     w, v = np.linalg.eigh(h)
@@ -85,9 +82,6 @@ def test_one_matrix_results_are_the_plain_formulas_bit_for_bit():
     assert np.array_equal(eig.eigenvalues, w) and np.array_equal(eig.eigenvectors, v)
     for t in (0.0, 0.37, 12.5):
         assert np.array_equal(eig.propagator(t), (v * np.exp(-1j * w * t)) @ v.conj().T)
-    times = np.array([0.1, 2.0, 7.5])
-    old = (v * np.exp(-1j * w * times[:, None, None])) @ v.conj().T
-    assert np.array_equal(EigenDecomposition(w, v).propagator(times), old)
 
 
 def test_stack_with_one_non_hermitian_slice_is_refused():

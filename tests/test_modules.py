@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,13 +126,37 @@ def test_only_free_propagator_reads_the_h0_eigensystems():
     propagator, the period gaps' phases, the finite steps and the waits of
     ``protocols.free_propagator`` alike, comes from H0's eigenframe,
     ``protocols._eigenframe``, the one reader of the closed-form
-    eigensystems; the dense ``static_hamiltonian`` is the tests' reference
-    and no module calls it."""
+    eigensystems."""
     assert _callers("static_hamiltonian_eig") == ["protocols._eigenframe"]
-    assert _callers("static_hamiltonian") == []
     assert sorted(_callers("_eigenframe")) == [
         "protocols._finite_step", "protocols._pattern_maps", "protocols.free_propagator"
     ]
+
+
+MOVED_OR_GONE = ("static_hamiltonian", "average_hamiltonian_numeric", "free_sequence",
+                 "ModulationFunctions")
+
+
+def test_the_dense_operators_belong_to_the_oracle():
+    """No module of the package calls ``build_operators``, and no module
+    defines or names the dense H0, the numeric average Hamiltonian (both
+    now in ``tests/reference_engine.py``), the pulse-free period or the
+    modulation-function record, nor does ``dnpsim.__all__``.
+    ``build_operators`` stays public only because the benchmark's set-up
+    times it (``spins.operators_s`` in ``perfbench/child.py``)."""
+    import dnpsim
+
+    assert _callers("build_operators") == []
+    child = (SRC.parent.parent / "perfbench" / "child.py").read_text()
+    assert 'setup_step("spins.operators", "build_operators"' in child
+    assert not set(MOVED_OR_GONE) & set(dnpsim.__all__)
+    named = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in MOVED_OR_GONE
+        if re.search(rf"\b{name}\b", path.read_text())
+    ]
+    assert named == []
 
 
 def test_only_parity_sectors_computes_a_parity():
@@ -361,6 +386,32 @@ def test_the_benchmark_traced_run_finds_every_hook(verb, tmp_path):
         assert {"spins.h0_eig", "protocols.period_map"} <= spans.keys()
     else:
         assert spans["floquet.spectrum"] == [5] and "linalg.unitary_eig" in spans
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+BENCHMARK = json.loads((SRC.parent.parent / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_the_benchmark_traced_run_ends_with_a_strict_json_result(workload):
+    """``perfbench/run.py --workload W --seed 0 --seconds 1 --trace 1`` for
+    each workload of ``BENCHMARK.json``, as the benchmark runs it but short:
+    it exits 0, its last stdout line is strict JSON (no NaN or Infinity),
+    correct, and holds exactly the ``per_layer`` metrics, none absent.
+    A result line that is missing or malformed would fail the whole run."""
+    root = SRC.parent.parent
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+           "--seconds", "1", "--trace", "1"]
+    run = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    *_, record, result = run.stdout.splitlines()
+    result = json.loads(result, parse_constant=_refuse_constant)
+    assert result["correct"] is True and result["failed"] == 0
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in BENCHMARK["per_layer"])
+    assert json.loads(record.removeprefix("record: "))["absent_metrics"] == []
 
 
 def test_source_stays_within_the_line_budget():

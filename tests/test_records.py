@@ -9,8 +9,6 @@ import pytest
 from dnpsim import (
     DensityState,
     EventKind,
-    InvalidTau,
-    ModulationFunctions,
     NuclearSpin,
     PolarisationTrace,
     ProtocolRun,
@@ -26,7 +24,7 @@ from conftest import make_register
 
 
 def _checked():
-    """(record, field, bad value, error) for each of the nine checked records."""
+    """(record, field, bad value, error) for each of the eight checked records."""
     reg = make_register("C3")
     seq = pulsepol_for_period(6.9)
     return [
@@ -37,7 +35,6 @@ def _checked():
         (PulseEvent(EventKind.ROTATION, 1.0, 0.0), "phase", None, ValidationError),
         (seq, "period", -1.0, ValidationError),
         (seq, "period", 7.0, ValidationError),
-        (ModulationFunctions(1.0), "tau", 0.0, InvalidTau),
         (initial_state(reg), "rho", np.eye(3), ValidationError),
         (ProtocolRun(seq, 8, 10), "repetitions", 0, ValidationError),
         (ProtocolRun(seq, 8, 10), "reinit_state", 2, ValidationError),

@@ -20,13 +20,13 @@ from dnpsim import (
     precession_frequency,
     pulsepol_for_period,
     run_protocol,
-    static_hamiltonian,
 )
 from dnpsim import spins
 from dnpsim.errors import DimensionOverflow, ParseError, ValidationError
 
 from conftest import CONFIG_DIR, LARMOR, SHIPPED_CONFIGS, TABLE27, make_register, register_text
 from conftest import shipped_register
+from reference_engine import static_hamiltonian
 
 
 def test_precession_matches_quadrature_formula():
