@@ -17,7 +17,7 @@ _PUBLIC = {
         asymptotic_envelope initial_state run_protocol run_schedule sweep_trace
         write_schedule_csv write_trace_csv""",
     "errors": """DegenerateSpins DimensionMismatch DimensionOverflow DnpsimError InvalidTau
-        NoConvergence NotHermitian NotIdealPulses NotUnitary NumericalError ParseError
+        NoConvergence NotHermitian NotUnitary NumericalError ParseError
         SectorLeak ValidationError ValidityWarning ZeroCoupling""",
     "floquet": """AvoidedCrossing FloquetSpectrum compute_spectrum find_crossings local_minima
         write_spectrum_csv""",

@@ -57,10 +57,6 @@ class InvalidTau(DnpsimError):
     """Pulse spacing tau is non-positive or too short for the pulses."""
 
 
-class NotIdealPulses(DnpsimError):
-    """Operation requires the ideal-pulse polarisation sequence."""
-
-
 class DegenerateSpins(DnpsimError):
     """Two precession frequencies coincide; the shift formula diverges."""
 

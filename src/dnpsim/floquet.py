@@ -22,9 +22,10 @@ import numpy as np
 
 from .errors import ValidationError, ValidityWarning
 from .linalg import chunk_points, unitary_eigensolve
-from .protocols import SequenceBuilder, conserved_parity, mix_electron_rows, parity_sectors
+from .protocols import SequenceBuilder, column_blocks, conserved_parity, full_maps
+from .protocols import mix_electron_rows, parity_sectors, root_columns, sector_blocks
 # period_unitary is not called here; perfbench/child.py traces it under this name.
-from .protocols import period_roots, period_unitary, sector_blocks  # noqa: F401
+from .protocols import period_unitary  # noqa: F401
 from .spins import SpinRegister, require_joint_space
 from .table import write_csv
 
@@ -75,18 +76,22 @@ class _Sectors(NamedTuple):
         phase = np.where(index >= dim // 2, _DOWN_PHASE, 1.0) if axis == "z" else None
         return cls(axis, index, phase, paired)
 
-    def blocks(self, u: np.ndarray) -> np.ndarray:
-        """The (P, S, n, n) sector blocks of P U P* for a (P, D, D) stack U,
-        through ``protocols.sector_blocks``: SectorLeak above SECTOR_TOL."""
+    def blocks(self, cols: np.ndarray) -> np.ndarray:
+        """The (P, S, n, n) sector blocks of P U P* for the (P, D, D/2)
+        electron-up columns of a stack U (``protocols.root_columns``):
+        gathered from the columns for Q_z (``protocols.column_blocks``), cut
+        from the ``protocols.full_maps`` for Q_x (``protocols.sector_blocks``),
+        the whole maps for the whole space; SectorLeak above SECTOR_TOL."""
+        if self.axis == "z":
+            blocks = column_blocks(cols, self.index, "period map", "Q_z")
+            blocks *= self.phase[:, :, None] * self.phase[:, None, :].conj()
+            return blocks
+        u = full_maps(cols)
         if self.axis is None:
             return u[:, None]
-        if self.axis == "x":
-            for _ in range(2):  # H_e U, then (H_e (H_e U)^T)^T = H_e U H_e
-                u = mix_electron_rows(_HADAMARD, u).swapaxes(1, 2)
-        blocks = sector_blocks(u, self.index, 0, "period map", f"Q_{self.axis}")
-        if self.phase is not None:
-            blocks *= self.phase[:, :, None] * self.phase[:, None, :].conj()
-        return blocks
+        for _ in range(2):  # H_e U, then (H_e (H_e U)^T)^T = H_e U H_e
+            u = mix_electron_rows(_HADAMARD, u).swapaxes(1, 2)
+        return sector_blocks(u, self.index, 0, "period map", "Q_x")
 
 
 def _spectrum_points(
@@ -96,10 +101,10 @@ def _spectrum_points(
     s n + k] belongs to column k of block s), (P, S, n, n) eigenvector
     blocks and their (P, S) ``_partnered`` mask, of a grid chunk, from one
     stacked eigensolve, which checks their unitarity, of the sector blocks
-    of its ``period_roots``, squared where a root is a half period."""
+    of its ``root_columns``, squared where a root is a half period."""
     seqs = [builder(t) for t in grid]
-    roots, squared = period_roots(seqs, register)
-    blocks = sectors.blocks(roots)
+    cols, squared = root_columns(seqs, register)
+    blocks = sectors.blocks(cols)
     if squared.all():  # as every periodic builder's roots are; a masked product costs more
         blocks = blocks @ blocks
     else:
@@ -137,19 +142,16 @@ def _greedy_match(prev: np.ndarray, nxt: np.ndarray, half: np.ndarray) -> tuple[
     """
     n = prev.shape[-1]
     rows = n // 2 if half.any() else n
-    if np.iscomplexobj(prev) or np.iscomplexobj(nxt):
-        # In eighths of the stack, into one real array: a part's conj copy and
-        # complex product, four times its share of the overlap, stay within half of it.
-        a, b = prev.reshape(-1, n, n), nxt.reshape(-1, n, n)
-        overlap, step = np.empty((len(a), rows, n)), len(a) // 8 + 1
-        for at in (slice(i, i + step) for i in range(0, len(a), step)):
-            np.abs(a[at, :, :rows].conj().swapaxes(-1, -2) @ b[at], out=overlap[at])
-        overlap = overlap.reshape(*prev.shape[:-2], rows, n)
-    else:  # real: the modulus in place
-        overlap = prev[..., :rows].conj().swapaxes(-1, -2) @ nxt
-        np.abs(overlap, out=overlap)
-    perm = np.argmax(overlap, axis=-1)
-    best = np.take_along_axis(overlap, perm[..., None], -1)[..., 0]
+    # In eighths of the stack: a part's overlap, with its conj copy and
+    # complex product on the complex path, is never the whole stack's.
+    a, b = prev.reshape(-1, n, n), nxt.reshape(-1, n, n)
+    perm, best = np.empty((len(a), rows), dtype=int), np.empty((len(a), rows))
+    step = len(a) // 8 + 1
+    for at in (slice(i, i + step) for i in range(0, len(a), step)):
+        overlap = np.abs(a[at, :, :rows].conj().swapaxes(-1, -2) @ b[at])
+        perm[at] = np.argmax(overlap, axis=-1)
+        best[at] = np.take_along_axis(overlap, perm[at, :, None], -1)[..., 0]
+    perm, best = perm.reshape(*prev.shape[:-2], rows), best.reshape(*prev.shape[:-2], rows)
     if rows < n:
         perm = np.concatenate((perm, n - 1 - perm[..., ::-1]), axis=-1)
         best = np.concatenate((best, best[..., ::-1]), axis=-1)
@@ -249,9 +251,10 @@ def compute_spectrum(
     and the worst overlap accepted.
 
     Points are solved in chunks that fit ``linalg.CHUNK_BYTES``: a chunk's
-    stacked ``period_roots``, cut into the sector blocks of the parity the
+    stacked ``root_columns``, cut into the sector blocks of the parity the
     first period conserves (``protocols.conserved_parity``; SectorLeak
-    above SECTOR_TOL) or kept whole, and squared where a root is a half
+    above SECTOR_TOL; the Q_z blocks gathered from the columns, with no
+    whole map built) or kept whole, and squared where a root is a half
     period, go to one ``unitary_eigensolve``, which checks their unitarity
     and solves symmetric blocks (ideal PulsePol after the phase of
     ``_Sectors``, and CPMG) in real arithmetic, at half size for odd N.
@@ -365,9 +368,11 @@ def find_crossings(
     threshold are refined by ``local_minima``. Each crossing is tagged
     with the nuclei whose electron-nuclear flip-flop operator has
     expectation weight >= participation_min on either branch state there;
-    minima in which no nucleus takes part are dropped. Gaps and weights
-    are built in chunks of branch pairs and of minima that fit
-    ``linalg.CHUNK_BYTES``; crossings come sorted by (period, branch_a, branch_b).
+    minima in which no nucleus takes part are dropped. The gaps are built
+    one branch at a time, against the later branches it is searched with,
+    so they hold O(points D) floats; the weights are built in chunks of
+    minima that fit ``linalg.CHUNK_BYTES``. Crossings come sorted by
+    (period, branch_a, branch_b).
     Where the sectors pair and branch D - 1 - j holds the flip partner of
     branch j at every point (an integer check on real blocks' columns), only
     pairs a + b <= D - 1 are searched, and each crossing's mirror (D - 1 - b,
@@ -380,18 +385,13 @@ def find_crossings(
     dim, n, c = spectrum.dim, spectrum.blocks.shape[-1], spectrum.columns
     paired = spectrum.basis.paired and spectrum.blocks.dtype == float
     mirrored = paired and np.array_equal(c[:, ::-1], c + n - 1 - 2 * (c % n))  # k <-> n - 1 - k
-    branch_a, branch_b = np.triu_indices(dim, 1)
-    if mirrored:  # one pair of each mirror orbit {(a, b), (D - 1 - b, D - 1 - a)}
-        branch_a, branch_b = (x[branch_a + branch_b < dim] for x in (branch_a, branch_b))
-    # The (points, pairs) gaps and their subtrahend are built in chunks of pairs.
-    size = chunk_points(2 * 8 * spectrum.periods.size)
-    minima = []
-    for i in range(0, branch_a.size, size):
-        a, b = branch_a[i : i + size], branch_b[i : i + size]
-        gap = spectrum.phases[:, a]
-        gap -= spectrum.phases[:, b]
-        m, pair, *minimum = local_minima(spectrum.periods, _circular_gap(gap), gap_threshold)
-        minima.append((m, a[pair], b[pair], *minimum))
+    phases, minima = spectrum.phases, []
+    for a in range(dim - 1):
+        # Branch a against b > a, b <= D - 1 - a when mirrored: one pair of
+        # each mirror orbit {(a, b), (D - 1 - b, D - 1 - a)}.
+        gap = phases[:, a, None] - phases[:, a + 1 : dim - a if mirrored else dim]
+        m, b, *minimum = local_minima(spectrum.periods, _circular_gap(gap), gap_threshold)
+        minima.append((m, np.full_like(b, a), b + a + 1, *minimum))
     m, a, b, t_star, gap_star = map(np.concatenate, zip(*minima))
     gap_star = np.maximum(gap_star, 0.0)
 
@@ -429,18 +429,24 @@ def _flip_flop_weights(
     gathers = [(rows ^ (half | bit), (rows >= half) != ((rows & bit) > 0)) for bit in bits]
     weights = np.zeros((m.size, n_nuclei))
     # Per candidate, at most eight complex D-vectors: v scattered, mixed and
-    # copied, v_conj and F_n v, with room to spare.
+    # copied, then v and F_n v, with room to spare.
     size = chunk_points(8 * 16 * dim)
     for part in (slice(i, i + size) for i in range(0, m.size, size)):
         for c in (a[part], b[part]):
-            v = spectrum.eigenvectors(m[part], c)
-            v_conj = v.conj()
-            for n, (src, val) in enumerate(gathers):
-                flipped = v[:, src]
-                flipped *= val
-                w = np.abs(np.einsum("ki,ki->k", v_conj, flipped))
-                np.maximum(weights[part, n], w, out=weights[part, n])
+            _raise_to_expectations(weights[part], spectrum.eigenvectors(m[part], c), gathers)
     return weights
+
+
+def _raise_to_expectations(weights: np.ndarray, v: np.ndarray, gathers: list) -> None:
+    """Raise the (K, N) weights to |<v|F_n|v>| for the (K, D) vectors v,
+    with F_n v gathered into one buffer and conjugated there: each term of
+    sum v conj(F_n v) is the exact conjugate of that of <v|F_n|v>."""
+    flipped = np.empty_like(v)
+    for n, (src, val) in enumerate(gathers):
+        np.take(v, src, axis=1, out=flipped, mode="clip")  # "raise" would buffer a copy
+        flipped *= val
+        np.conjugate(flipped, out=flipped)
+        np.maximum(weights[:, n], np.abs(np.einsum("ki,ki->k", v, flipped)), out=weights[:, n])
 
 
 def write_spectrum_csv(spectrum: FloquetSpectrum, path: str, tau_per_period: float) -> None:

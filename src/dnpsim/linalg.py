@@ -80,7 +80,8 @@ def unitarity_defect(u: np.ndarray) -> float:
     if not np.isfinite(u).all():
         return inf
     gram = u.conj().swapaxes(-1, -2) @ u
-    return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
+    np.einsum("...ii->...i", gram)[...] -= 1.0  # minus I, in place on the diagonal view
+    return float(np.max(np.abs(gram)))
 
 
 def hermitian_eigensolve(h: np.ndarray) -> EigenDecomposition:

@@ -8,17 +8,19 @@ per half period. ``rabi`` None gives ideal (zero-duration) rotations; a
 Rabi frequency Omega gives finite ones that evolve the full Hamiltonian
 plus drive for theta/Omega.
 
-``period_roots`` builds the root maps of a stack of periods (the half
-period when the second half repeats the first) with one kernel on their
-d = D / 2 electron-up columns in H0's real eigenframe (``_eigenframe``),
-where a free gap is a diagonal phase and a finite pulse a step built there;
-the other d columns are their image under the antiunitary spin flip every
-event commutes with. The engine's waits, ``free_propagator``, come from the
-same frame. ``period_unitary`` squares and checks the roots, and the
-Floquet solve their sector blocks.
+``root_columns`` builds the root maps of a stack of periods (the half
+period when the second half repeats the first) as their d = D / 2
+electron-up columns, with one kernel in H0's real eigenframe
+(``_eigenframe``), where a free gap is a diagonal phase and a finite pulse
+a step built there; the other d columns are their image under the
+antiunitary spin flip every event commutes with, which ``full_maps``
+fills in. The engine's waits, ``free_propagator``, come from the same
+frame. ``period_unitary`` squares and checks the whole roots, and the
+Floquet solve squares their sector blocks.
 ``conserved_parity`` names the parity a period's event pattern conserves;
-``parity_sectors`` lists the basis states of each of its two sectors, and
-``sector_blocks`` cuts a map into its blocks between them.
+``parity_sectors`` lists the basis states of each of its two sectors;
+``sector_blocks`` cuts a map into its blocks between them, and
+``column_blocks`` gathers the Q_z blocks from the electron-up columns alone.
 
 ``fourier_coefficients`` gives the closed-form Fourier coefficients of the
 modulation functions f1, f2, the piecewise-constant coefficients the
@@ -150,12 +152,14 @@ def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
     ``seqs`` is one PulseSequence, giving a (D, D) map, or a sequence of
     them, giving a (P, D, D) stack. Free segments contribute exp(-i H0 d);
     ideal rotations exp(-i theta S_phi); finite rotations
-    exp(-i (H0 d + theta S_phi)). Each map is its ``period_roots`` root,
-    squared where that is the half period, and its ``unitarity_defect`` is
-    checked to be at most 1e-10, which a map with a non-finite entry fails.
+    exp(-i (H0 d + theta S_phi)). Each map is the ``full_maps`` root of its
+    ``root_columns``, squared where that is the half period, and its
+    ``unitarity_defect`` is checked to be at most 1e-10, which a map with a
+    non-finite entry fails.
     """
     single = isinstance(seqs, PulseSequence)
-    u, squared = period_roots((seqs,) if single else seqs, register)
+    cols, squared = root_columns((seqs,) if single else seqs, register)
+    u = full_maps(cols)
     u[squared] = u[squared] @ u[squared]
     dev = unitarity_defect(u)
     if dev > UNITARY_TOL:
@@ -163,14 +167,15 @@ def period_unitary(seqs, register: SpinRegister) -> np.ndarray:
     return u[0] if single else u
 
 
-def period_roots(seqs, register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
-    """The unchecked (P, D, D) root maps of P PulseSequences and the (P,)
-    mask of those whose period map is the root squared: the half-period map
-    when the second half repeats the first event for event, else the whole
-    period map. Roots that share one event pattern (the same events up to
-    the gap durations) are multiplied out together by ``_pattern_maps``,
-    which builds each root's D/2 electron-up columns and mirrors the other
-    D/2 from them; the callers' unitarity checks run on the full map.
+def root_columns(seqs, register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
+    """The unchecked (P, D, D/2) electron-up columns of the root maps of P
+    PulseSequences and the (P,) mask of those whose period map is the root
+    squared: the half-period map when the second half repeats the first
+    event for event, else the whole period map. Roots that share one event
+    pattern (the same events up to the gap durations) are multiplied out
+    together by ``_pattern_maps``; the other D/2 columns of each root are
+    the spin-flip images of these (``full_maps``), and the callers'
+    unitarity checks run on maps or blocks holding both.
 
     A warning is emitted for finite pulses whose Rabi frequency is not
     large against the strongest transverse coupling (the pulses then tilt
@@ -187,14 +192,30 @@ def period_roots(seqs, register: SpinRegister) -> tuple[np.ndarray, np.ndarray]:
         events, half = seq.events, len(seq.events) // 2
         squared[i] = len(events) % 2 == 0 and events[:half] == events[half:]
         groups.setdefault(_pulses(events[:half] if squared[i] else events), []).append(i)
-    u = None if len(groups) == 1 else np.empty((len(stack),) + (register.dim,) * 2, dtype=complex)
+    dim = register.dim
+    u = None if len(groups) == 1 else np.empty((len(stack), dim, dim // 2), dtype=complex)
     for pattern, members in groups.items():
         _warn_weak_drive(pattern, register)
-        maps = _pattern_maps(pattern, [stack[i] for i in members], register)
+        cols = _pattern_maps(pattern, [stack[i] for i in members], register)
         if u is None:
-            return maps, squared
-        u[members] = maps
+            return cols, squared
+        u[members] = cols
     return u, squared
+
+
+def full_maps(cols: np.ndarray) -> np.ndarray:
+    """The new (P, D, D) maps whose electron-up columns are the (P, D, d)
+    ``cols``, d = D / 2, the electron-down columns their images under the
+    spin flip T = (i Y_e (x) X^(x)N) K that every event commutes with:
+    R[i, d + j] = s_i conj(R[D - 1 - i, d - 1 - j]), s_i = -1 on the
+    electron-up rows and +1 on the electron-down ones. Were T broken, the
+    rebuilt map would not be unitary and the callers' checks would refuse it."""
+    p, dim, d = cols.shape
+    full = np.empty((p, 2, d, 2, d), dtype=complex)
+    full[..., 0, :] = cols.reshape(p, 2, d, d)
+    np.conjugate(full[:, ::-1, ::-1, 0, ::-1], out=full[..., 1, :])
+    np.negative(full[:, 0, :, 1], out=full[:, 0, :, 1])
+    return full.reshape(p, dim, dim)
 
 
 def _pulses(events: tuple[PulseEvent, ...]) -> tuple:
@@ -218,9 +239,10 @@ def _warn_weak_drive(pattern: tuple, register: SpinRegister) -> None:
 
 
 def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegister) -> np.ndarray:
-    """The new, writable (P, D, D) maps of the sequences sharing ``pattern``.
+    """The new (P, D, d) electron-up columns, d = D / 2, of the maps of the
+    sequences sharing ``pattern``.
 
-    Only the d = D / 2 electron-up columns are multiplied out, in the frame
+    They are multiplied out in the frame
     of ``_eigenframe``: block row r (rows r d to r d + d - 1) is carried as
     V_r^T times it, all P maps side by side in one (2, d, P, d) array. A
     free gap scales the frame rows of block r by exp(-i w_r t). Consecutive
@@ -230,12 +252,7 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
     is its ``_finite_step``, built in the frame, times the (D, P d) array.
     The first event acts on the identity's frame rows m_r0 V_r^T, with no
     product. The map returns to the computational basis once, through V_r,
-    where the last rotation mixes its block rows. The electron-down columns
-    are the mirror image under the spin flip T = (i Y_e (x) X^(x)N) K that
-    every event commutes with:
-    R[i, d + j] = s_i conj(R[D - 1 - i, d - 1 - j]), s_i = -1 on the
-    electron-up rows and +1 on the electron-down ones. Were T broken, the
-    rebuilt map would not be unitary and the callers' checks would refuse it.
+    where the last rotation mixes its block rows.
     """
     p, dim = len(seqs), register.dim
     d = dim // 2
@@ -264,11 +281,7 @@ def _pattern_maps(pattern: tuple, seqs: list[PulseSequence], register: SpinRegis
     rows = (v @ u.reshape(2, d, -1).view(float)).view(complex)
     if last is not None:
         rows = last @ rows.reshape(2, -1)
-    full = np.empty((p, 2, d, 2, d), dtype=complex)
-    full[..., 0, :] = rows.reshape(u.shape).transpose(2, 0, 1, 3)
-    np.conjugate(full[:, ::-1, ::-1, 0, ::-1], out=full[..., 1, :])
-    np.negative(full[:, 0, :, 1], out=full[:, 0, :, 1])
-    return full.reshape(p, dim, dim)
+    return rows.reshape(u.shape).transpose(2, 0, 1, 3).reshape(p, dim, d)
 
 
 @lru_cache(maxsize=16)
@@ -330,6 +343,29 @@ def sector_blocks(u: np.ndarray, index: np.ndarray, shift: int, name: str, of: s
     if leak > SECTOR_TOL:
         raise SectorLeak(f"{name} leaks {leak:.1e} out of its {of} sectors")
     return np.take(u, rows + cols, axis=-1)
+
+
+def column_blocks(cols: np.ndarray, index: np.ndarray, name: str, of: str) -> np.ndarray:
+    """The (P, 2, n, n) blocks that ``sector_blocks`` (shift 0) cuts from
+    the ``full_maps`` of the (P, D, d) electron-up columns ``cols``, for two
+    sectors of ``index`` that each list their d/2 electron-up states first,
+    gathered from ``cols`` alone: a block's electron-down column c is the
+    flip image of column D - 1 - c, R[i, c] = s_i conj(R[D - 1 - i, D - 1 - c]).
+    The flip keeps both sectors or swaps both, so every entry between them
+    is the image of one in an electron-up column: SectorLeak is checked
+    there, as ``sector_blocks`` checks it."""
+    p, dim, d = cols.shape
+    h, flip = index.shape[1] // 2, dim - 1 - index
+    up, down = index[:, :, None] * d + index[:, None, :h], flip[:, :, None] * d + flip[:, None, h:]
+    cols = cols.reshape(p, dim * d)  # entries taken by their row-major flat index
+    cross = index[::-1, :, None] * d + index[:, None, :h]  # the other sector's rows
+    leak = np.max(np.abs(np.take(cols, cross, axis=-1)), initial=0.0)
+    if leak > SECTOR_TOL:
+        raise SectorLeak(f"{name} leaks {leak:.1e} out of its {of} sectors")
+    blocks = np.take(cols, np.concatenate((up, down), axis=-1), axis=-1)
+    np.conjugate(blocks[..., h:], out=blocks[..., h:])
+    np.negative(blocks[..., :h, h:], out=blocks[..., :h, h:])  # s_i on the electron-up rows
+    return blocks
 
 
 @lru_cache(maxsize=16)

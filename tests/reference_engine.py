@@ -12,7 +12,8 @@ the closed-form eigensystem of ``spins.static_hamiltonian_eig`` must
 rebuild. ``average_hamiltonian_numeric`` integrates the first-order average
 Hamiltonian of the ideal bracket from the window tables of the modulation
 functions ``f1`` and ``f2``, against which ``protocols.fourier_coefficients``
-and the closed forms of ``analytic`` are checked.
+and the closed forms of ``analytic`` are checked; it raises the oracle's own
+``NotIdealPulses`` for anything but the ideal bracket.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ import scipy.linalg
 from dnpsim import DensityState, EventKind, build_operators, initial_state, period_unitary
 from dnpsim import precession_frequency, pulsepol_for_period
 from dnpsim.engine import STATE_TOL
-from dnpsim.errors import DimensionMismatch, NotIdealPulses
+from dnpsim.errors import DimensionMismatch
+
+
+class NotIdealPulses(ValueError):
+    """``average_hamiltonian_numeric`` was given anything but the ideal
+    bracket; an oracle error, outside the package's error families."""
+
 
 # Half-tau window values of the toggled S_x (f1) and S_y (f2) coefficients
 # over [0, 4 tau). f2 is f1 delayed by tau: the second half of each bracket

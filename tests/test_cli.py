@@ -623,7 +623,6 @@ EXIT_CODES = {
     "ParseError": 1,
     "ValidationError": 1,
     "InvalidTau": 1,
-    "NotIdealPulses": 1,
     "DegenerateSpins": 1,
     "NumericalError": 2,
     "NotHermitian": 2,
@@ -737,7 +736,7 @@ def test_a_map_leaking_out_of_its_sectors_exits_two(monkeypatch, capsys):
     root rotated by 1e-9 between basis states 0 and 1, of opposite parity,
     is still unitary but is never solved: the spectrum ends with a numerical
     failure naming the leak."""
-    real_roots = floquet.period_roots
+    real_roots = floquet.root_columns
 
     def leaky(seqs, register):
         u, squared = real_roots(seqs, register)
@@ -745,7 +744,7 @@ def test_a_map_leaking_out_of_its_sectors_exits_two(monkeypatch, capsys):
         mix[:2, :2] = [[np.cos(1e-9), -1j * np.sin(1e-9)], [-1j * np.sin(1e-9), np.cos(1e-9)]]
         return mix @ u, squared
 
-    monkeypatch.setattr(floquet, "period_roots", leaky)
+    monkeypatch.setattr(floquet, "root_columns", leaky)
     rc = cli.main(["spectrum", "--config", C3_C21, "--t-start", "6.7", "--t-stop", "7.0",
                    "--steps", "5"])
     assert rc == 2

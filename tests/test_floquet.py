@@ -154,7 +154,7 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
     want = compute_spectrum(pulsepol_for_period, reg, grid)
     maps, eigs, matches, stitches = [], [], [], []
     real_map, real_eig, real_match, real_stitch = (
-        floquet.period_roots, floquet.unitary_eigensolve, floquet._greedy_match, floquet._stitch
+        floquet.root_columns, floquet.unitary_eigensolve, floquet._greedy_match, floquet._stitch
     )
 
     def count_maps(seqs, register):
@@ -173,7 +173,7 @@ def test_grid_is_built_in_chunks(monkeypatch, c21_spectrum):
         stitches.append((depth, len(t_a)))
         return real_stitch(t_a, a, t_b, b, half, solve, depth, capped)
 
-    monkeypatch.setattr(floquet, "period_roots", count_maps)
+    monkeypatch.setattr(floquet, "root_columns", count_maps)
     monkeypatch.setattr(floquet, "unitary_eigensolve", count_eigs)
     monkeypatch.setattr(floquet, "_greedy_match", count_matches)
     monkeypatch.setattr(floquet, "_stitch", count_stitches)
@@ -213,13 +213,13 @@ def test_midpoints_are_solved_in_chunks_of_the_chunk_size(monkeypatch, c21_spect
     with pytest.warns(ValidityWarning, match="^64 stitch interval"):
         want = compute_spectrum(pulsepol_for_period, reg, grid)
     maps = []
-    real_map = floquet.period_roots
+    real_map = floquet.root_columns
 
     def count_maps(seqs, register):
         maps.append(len(seqs))
         return real_map(seqs, register)
 
-    monkeypatch.setattr(floquet, "period_roots", count_maps)
+    monkeypatch.setattr(floquet, "root_columns", count_maps)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
     with pytest.warns(ValidityWarning, match="^64 stitch interval"):
         got = compute_spectrum(pulsepol_for_period, reg, grid)
@@ -236,7 +236,7 @@ def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spect
     reg, t_r, _ = c21_spectrum
     builder = partial(pulsepol_for_period, rabi=300.0)
     maps, built = [], []
-    real_map, real_eig = floquet.period_roots, protocols.hermitian_eigensolve
+    real_map, real_eig = floquet.root_columns, protocols.hermitian_eigensolve
 
     def count_maps(seqs, register):
         maps.append(len(seqs))
@@ -246,7 +246,7 @@ def test_finite_spectrum_builds_each_finite_rotation_once(monkeypatch, c21_spect
         built.append(h)
         return real_eig(h)
 
-    monkeypatch.setattr(floquet, "period_roots", count_maps)
+    monkeypatch.setattr(floquet, "root_columns", count_maps)
     monkeypatch.setattr(protocols, "hermitian_eigensolve", count_eigs)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
     protocols._finite_step.cache_clear()
@@ -543,7 +543,8 @@ def test_half_period_roots_keep_the_period_parity(config, protocol):
     rng = np.random.default_rng(7)
     seqs = [_random_gaps(SECTOR_BUILDERS[protocol](6.8), rng) for _ in range(4)]
     assert len({e.duration for e in seqs[0].events if e.kind is EventKind.FREE_EVOLUTION}) > 1
-    roots, squared = protocols.period_roots(seqs, register)
+    cols, squared = protocols.root_columns(seqs, register)
+    roots = protocols.full_maps(cols)
     assert squared.all()
     d = register.dim // 2
     nuclear = np.diag([(-1.0) ** bin(i).count("1") for i in range(d)])
@@ -552,6 +553,48 @@ def test_half_period_roots_keep_the_period_parity(config, protocol):
     assert conserved_parity(seqs[0]) == ("z" if protocol == "pulsepol" else "x")
     assert np.max(np.abs(roots @ q - q @ roots)) <= 1e-12
     assert np.array_equal(period_unitary(seqs, register), roots @ roots)
+
+
+#: Per protocol: its builder and the parity the Floquet solve cuts its maps by.
+BLOCK_CASES = {
+    "pulsepol": (pulsepol_for_period, "z"),
+    "cpmg": (partial(cpmg_for_period, harmonic=1), "x"),
+    "pulsepol-rabi300": (partial(pulsepol_for_period, rabi=300.0), None),
+}
+
+
+def _full_map_blocks(sectors, u):
+    """The sector blocks of P U P* cut from whole (P, D, D) maps U by
+    ``protocols.sector_blocks``, with no gather from electron-up columns."""
+    if sectors.axis is None:
+        return u[:, None]
+    if sectors.axis == "x":
+        for _ in range(2):
+            u = protocols.mix_electron_rows(floquet._HADAMARD, u).swapaxes(1, 2)
+    blocks = protocols.sector_blocks(u, sectors.index, 0, "period map", f"Q_{sectors.axis}")
+    if sectors.phase is not None:
+        blocks *= sectors.phase[:, :, None] * sectors.phase[:, None, :].conj()
+    return blocks
+
+
+@pytest.mark.parametrize("protocol", BLOCK_CASES)
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_gathered_sector_blocks_are_the_full_map_blocks(config, protocol):
+    """The blocks ``_Sectors.blocks`` takes from the roots' electron-up
+    columns hold the bytes of those cut from the whole roots: gathered for
+    ideal PulsePol's Q_z, paired (odd N) and not (even N), and cut from
+    ``protocols.full_maps`` for ideal CPMG's Q_x and for finite pulses'
+    whole space."""
+    builder, axis = BLOCK_CASES[protocol]
+    register = shipped_register(config)
+    seqs = [builder(t) for t in (6.7, 6.8, 6.9)]
+    sectors = floquet._Sectors.of(seqs[0], register.dim)
+    assert sectors.axis == axis
+    assert sectors.paired == (axis is not None and len(register.nuclei) % 2 == 1)
+    cols, _ = protocols.root_columns(seqs, register)
+    got, want = sectors.blocks(cols), _full_map_blocks(sectors, protocols.full_maps(cols))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_a_chunk_of_whole_and_half_period_roots():
@@ -571,7 +614,7 @@ def test_a_chunk_of_whole_and_half_period_roots():
 
     grid = np.array([6.6, 6.7, 6.8, 6.9])
     seqs = [builder(t) for t in grid]
-    assert protocols.period_roots(seqs, register)[1].tolist() == [True, False, True, False]
+    assert protocols.root_columns(seqs, register)[1].tolist() == [True, False, True, False]
     sectors = floquet._Sectors.of(seqs[0], register.dim)
     periods, phases, blocks, _ = floquet._spectrum_points(
         lambda t: seqs[list(grid).index(t)], register, grid, sectors
@@ -595,7 +638,7 @@ def test_each_map_is_checked_for_unitarity_once(monkeypatch, c21_spectrum, proto
     builder = SECTOR_BUILDERS.get(protocol, partial(pulsepol_for_period, rabi=300.0))
     sectors = floquet._Sectors.of(builder(t_r), reg.dim).index.shape
     roots, checked = [], []
-    real_roots, real_defect = floquet.period_roots, linalg.unitarity_defect
+    real_roots, real_defect = floquet.root_columns, linalg.unitarity_defect
 
     def count_roots(seqs, register):
         roots.append(len(seqs))
@@ -605,7 +648,7 @@ def test_each_map_is_checked_for_unitarity_once(monkeypatch, c21_spectrum, proto
         checked.append(u.shape)
         return real_defect(u)
 
-    monkeypatch.setattr(floquet, "period_roots", count_roots)
+    monkeypatch.setattr(floquet, "root_columns", count_roots)
     monkeypatch.setattr(linalg, "unitarity_defect", count_checks)
     monkeypatch.setattr(protocols, "unitarity_defect", count_checks)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 8 * 8 * 16 * reg.dim**2)
@@ -618,7 +661,7 @@ def test_each_map_is_checked_for_unitarity_once(monkeypatch, c21_spectrum, proto
         u, squared = real_roots(seqs, register)
         return u * (1.0 + 1e-10), squared
 
-    monkeypatch.setattr(floquet, "period_roots", scaled_roots)
+    monkeypatch.setattr(floquet, "root_columns", scaled_roots)
     with pytest.raises(NotUnitary):
         compute_spectrum(builder, reg, grid)
 
@@ -959,9 +1002,12 @@ def test_spectrum_memory_stays_within_two_chunks(
     (P, D, D) eigenvector array (10.7 MB at D = 128 over 41 points): by
     tracemalloc, the spectrum's peak stays within two ``CHUNK_BYTES`` of
     its P D^2 / 2 float64 real blocks, and the crossing search's peak
-    within two ``CHUNK_BYTES`` of what it leaves allocated. Each grid
-    chunk is written into the one blocks array, so blocks that outgrow
-    the chunks (1.98 MB against 256 KiB) are not held twice."""
+    within one ``CHUNK_BYTES`` and four (P, D) float arrays of what it
+    leaves allocated: it builds no (P, pairs) gap array, only one branch's
+    gaps at a time, beside the flip-flop weights' chunks and the rows of
+    its result. Each grid chunk is written into the one blocks array, so
+    blocks that outgrow the chunks (1.98 MB against 256 KiB) are not held
+    twice."""
     monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
     table = load_register_file(str(CONFIG_DIR / "register27.yaml"))
     register = table.subset([s.label for s in table.nuclei[:n_nuclei]])
@@ -978,7 +1024,7 @@ def test_spectrum_memory_stays_within_two_chunks(
         tracemalloc.stop()
     assert spec.blocks.dtype == np.float64 and len(found) > min_found
     assert spectrum_peak <= grid.size * register.dim**2 // 2 * 8 + 2 * linalg.CHUNK_BYTES
-    assert crossings_peak <= held + 2 * linalg.CHUNK_BYTES
+    assert crossings_peak <= held + linalg.CHUNK_BYTES + 4 * grid.size * register.dim * 8
 
 
 def _mirrors(spec):

@@ -349,7 +349,7 @@ def test_half_size_gate_is_the_real_form_gate():
     register = table.subset(["C3", "C8", "C21", "C24", "C9"])
     sectors = floquet._Sectors.of(pulsepol_for_period(6.6), register.dim)
     seqs = [pulsepol_for_period(t) for t in np.linspace(6.6, 7.2, 241)]
-    blocks = sectors.blocks(protocols.period_roots(seqs, register)[0])
+    blocks = sectors.blocks(protocols.root_columns(seqs, register)[0])
     blocks = (blocks @ blocks).reshape(-1, 32, 32)
     phases = np.linspace(0.2, 3.0, 6)
     random = np.stack([paired_with_phases(phases + i / 7, 90 + i) for i in range(5)])
@@ -385,8 +385,8 @@ def test_symmetric_stacks_without_the_pair_shape_keep_the_real_path(solves, reg_
     phases = np.linspace(-2.5, 2.9, 8)
     random = np.stack([symmetric_with_phases(phases + i / 10, 80 + i) for i in range(3)])
     sectors = floquet._Sectors.of(pulsepol_for_period(6.8), reg_c3_c21.dim)
-    roots, _ = protocols.period_roots([pulsepol_for_period(t) for t in (6.7, 6.8, 6.9)], reg_c3_c21)
-    blocks = sectors.blocks(roots)
+    cols, _ = protocols.root_columns([pulsepol_for_period(t) for t in (6.7, 6.8, 6.9)], reg_c3_c21)
+    blocks = sectors.blocks(cols)
     blocks = (blocks @ blocks).reshape(-1, 4, 4)
     for stack in (random, blocks):
         assert linalg._flip_defect(stack) > 1e-3

@@ -134,14 +134,15 @@ def test_only_free_propagator_reads_the_h0_eigensystems():
 
 
 MOVED_OR_GONE = ("static_hamiltonian", "average_hamiltonian_numeric", "free_sequence",
-                 "ModulationFunctions")
+                 "ModulationFunctions", "NotIdealPulses")
 
 
 def test_the_dense_operators_belong_to_the_oracle():
     """No module of the package calls ``build_operators``, and no module
-    defines or names the dense H0, the numeric average Hamiltonian (both
-    now in ``tests/reference_engine.py``), the pulse-free period or the
-    modulation-function record, nor does ``dnpsim.__all__``.
+    defines or names the dense H0, the numeric average Hamiltonian and its
+    ``NotIdealPulses`` (all now in ``tests/reference_engine.py``), the
+    pulse-free period or the modulation-function record, nor does
+    ``dnpsim.__all__``.
     ``build_operators`` stays public only because the benchmark's set-up
     times it (``spins.operators_s`` in ``perfbench/child.py``)."""
     import dnpsim
@@ -412,6 +413,24 @@ def test_the_benchmark_traced_run_ends_with_a_strict_json_result(workload):
     assert result["correct"] is True and result["failed"] == 0
     assert sorted(result["metrics"]) == sorted(m["name"] for m in BENCHMARK["per_layer"])
     assert json.loads(record.removeprefix("record: "))["absent_metrics"] == []
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_the_benchmark_untraced_run_meets_the_seed_1_references(workload):
+    """``perfbench/run.py --workload W --seed 1 --seconds 1 --trace 0`` for
+    each workload of ``BENCHMARK.json``: every child's output is checked
+    against its seed-1 reference (1188 crossings on ``spectrum-register5``)
+    and passes, so the run is correct with no child failed. The traced run
+    above checks seed 0."""
+    root = SRC.parent.parent
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+           "--seconds", "1", "--trace", "0"]
+    run = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    *_, record, result = run.stdout.splitlines()
+    result = json.loads(result, parse_constant=_refuse_constant)
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
+    assert json.loads(record.removeprefix("record: "))["reference_checked"] is True
 
 
 def test_source_stays_within_the_line_budget():

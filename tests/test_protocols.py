@@ -20,7 +20,7 @@ from dnpsim import (
     resonant_period,
 )
 from dnpsim import protocols
-from dnpsim.errors import DimensionMismatch, InvalidTau, NotIdealPulses, NotUnitary, ValidationError
+from dnpsim.errors import DimensionMismatch, InvalidTau, NotUnitary, ValidationError
 from dnpsim.errors import ValidityWarning
 from dnpsim.linalg import unitarity_defect
 
@@ -210,8 +210,8 @@ def test_every_map_commutes_with_the_antiunitary_spin_flip(config, builder, rabi
     """max |V conj(R) V^T - R| <= 1e-12 for every root and period map, at
     k = 3 and 11, ideal and finite, the root the full-width product of
     ``reference_engine.dense_period_unitary`` and the map its square:
-    ``period_roots`` builds half of every map from the other half by this
-    symmetry, so it would pass by construction.
+    ``protocols.full_maps`` builds half of every map from the other half by
+    this symmetry, so it would pass by construction.
 
     Take V = i Y_e (x) X^(x)N, real and orthogonal, and T = V K with K
     complex conjugation. X Z X = -Z, X X X = X, and (iY) Z (iY)^T = -Z,
@@ -243,17 +243,16 @@ def test_every_map_commutes_with_the_antiunitary_spin_flip(config, builder, rabi
 
 
 def test_a_one_pattern_chunk_gets_its_maps_as_built(reg_c3_c21, monkeypatch):
-    """``period_roots`` hands a chunk of one event pattern the array
-    ``_pattern_maps`` built, with no copy; it is writable, as
-    ``period_unitary`` squares it in place, and holds the same maps as
-    when another pattern shares the chunk."""
+    """``root_columns`` hands a chunk of one event pattern the (P, D, D/2)
+    electron-up columns ``_pattern_maps`` built, with no copy, and holds
+    the same columns as when another pattern shares the chunk."""
     built = []
     build = protocols._pattern_maps
     monkeypatch.setattr(protocols, "_pattern_maps", lambda *a: built.append(build(*a)) or built[-1])
     seqs = [pulsepol_for_period(t) for t in (6.7, 6.8, 6.9)]
-    alone, squared = protocols.period_roots(seqs, reg_c3_c21)
-    assert alone is built[0] and alone.flags.writeable and squared.all()
-    mixed, _ = protocols.period_roots(seqs + [cpmg_for_period(6.8)], reg_c3_c21)
+    alone, squared = protocols.root_columns(seqs, reg_c3_c21)
+    assert alone is built[0] and alone.shape == (3, 8, 4) and squared.all()
+    mixed, _ = protocols.root_columns(seqs + [cpmg_for_period(6.8)], reg_c3_c21)
     assert len(built) == 3 and np.array_equal(mixed[:3], alone)
 
 
@@ -486,9 +485,9 @@ def test_averaged_generator_detuning_term(reg_c3):
 
 
 def test_averaged_generator_requires_ideal_polarisation_block(reg_c3):
-    with pytest.raises(NotIdealPulses):
+    with pytest.raises(ref.NotIdealPulses):
         ref.average_hamiltonian_numeric(cpmg_for_period(2 * 1.7), reg_c3)
-    with pytest.raises(NotIdealPulses):
+    with pytest.raises(ref.NotIdealPulses):
         ref.average_hamiltonian_numeric(pulsepol_for_period(4 * 1.7, rabi=500.0), reg_c3)
 
 
@@ -496,7 +495,7 @@ def test_averaged_generator_reads_the_events_not_the_label(reg_c3):
     """Only the ideal, equally spaced bracket passes: CPMG events labelled
     "pulsepol", and the bracket with unequal gaps, are both refused."""
     cpmg = cpmg_for_period(4 * 1.7, harmonic=3)
-    with pytest.raises(NotIdealPulses):
+    with pytest.raises(ref.NotIdealPulses):
         ref.average_hamiltonian_numeric(
             PulseSequence(cpmg.events, cpmg.period, 3, "pulsepol"), reg_c3
         )
@@ -505,7 +504,7 @@ def test_averaged_generator_reads_the_events_not_the_label(reg_c3):
     events = list(seq.events)
     events[gaps[0]] = PulseEvent(EventKind.FREE_EVOLUTION, duration=seq.events[gaps[0]].duration + 0.1)
     events[gaps[1]] = PulseEvent(EventKind.FREE_EVOLUTION, duration=seq.events[gaps[1]].duration - 0.1)
-    with pytest.raises(NotIdealPulses):
+    with pytest.raises(ref.NotIdealPulses):
         ref.average_hamiltonian_numeric(
             PulseSequence(tuple(events), seq.period, 3, "pulsepol"), reg_c3
         )
